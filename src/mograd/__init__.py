@@ -27,7 +27,7 @@ from .problems import (
     sd,
     toi4,
 )
-from .simplex_qp import HullSolution, min_norm_in_hull, project_onto_scaled_hull, simplex_project
+from .simplex_qp import HullSolution, min_norm_in_hull, project_onto_scaled_hull
 from .solvers import (
     IterationTrace,
     SolverConfig,
@@ -85,6 +85,5 @@ __all__ = [
     "run_solver",
     "run_trace",
     "sd",
-    "simplex_project",
     "toi4",
 ]

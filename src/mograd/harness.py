@@ -170,7 +170,7 @@ def _worker_problem(key):
 
 
 def _run_one(task):
-    problem_key, solver_cfg, epsilon, start_index, x0 = task
+    problem_key, solver_cfg, epsilon, start_index, x0, keep_trace = task
     prob = _worker_problem(problem_key)
     cfg = replace(solver_cfg, epsilon=epsilon)
     t0 = time.perf_counter()
@@ -186,17 +186,13 @@ def _run_one(task):
         wall_time=wall,
     )
     final_f = tuple(float(v) for v in prob.objectives(trace.x_final))
-    return record, final_f, trace if _KEEP_TRACES else None
-
-
-_KEEP_TRACES = False
+    return record, final_f, trace if keep_trace else None
 
 
 def _map_tasks(tasks, workers):
     if workers <= 1:
         return [_run_one(t) for t in tasks]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=workers) as pool:
+    with multiprocessing.Pool(processes=workers) as pool:
         return pool.map(_run_one, tasks)
 
 
@@ -213,16 +209,14 @@ def run_batch(cfg, out_dir=None):
     prob = get_problem(cfg.problem)
     starts = sample_starts(prob, cfg.n_starts, cfg.seed)
 
-    global _KEEP_TRACES
-    _KEEP_TRACES = cfg.write_traces
-
     tasks = []
     for solver_cfg in cfg.solvers:
         for eps in cfg.epsilons:
             for idx in range(cfg.n_starts):
-                tasks.append((cfg.problem, solver_cfg, eps, idx, tuple(starts[idx])))
+                tasks.append(
+                    (cfg.problem, solver_cfg, eps, idx, tuple(starts[idx]), cfg.write_traces)
+                )
     results = _map_tasks(tasks, cfg.workers)
-    _KEEP_TRACES = False
 
     runs = [record for record, _, _ in results]
     cells = []
@@ -304,7 +298,7 @@ def pareto_scan(cfg, out_dir=None):
     eps = cfg.epsilons[0]
     solver_cfg = cfg.solvers[0]
     tasks = [
-        (cfg.problem, solver_cfg, eps, idx, tuple(starts[idx]))
+        (cfg.problem, solver_cfg, eps, idx, tuple(starts[idx]), False)
         for idx in range(cfg.n_starts)
     ]
     results = _map_tasks(tasks, cfg.workers)

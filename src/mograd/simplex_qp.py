@@ -13,9 +13,11 @@ single-objective case:
   to an arbitrary vector ``v``, i.e. it minimizes
   ``0.5 * ||scale * G @ theta - v||^2`` over the simplex.
 
-Both are solved by accelerated projected gradient over the simplex with a
-function-value restart, using the exact sort-and-threshold Euclidean
-projection.  Termination is certified by the Frank-Wolfe gap
+For ``m >= 3`` both are solved exactly by Wolfe's min-norm-point method
+(P. Wolfe, "Finding the nearest point in a polytope", Math. Prog. 11, 1976),
+a finite active-set algorithm, with a fixed cap on its major cycles as a
+guard against cycling under rounding.  Termination is certified by the
+Frank-Wolfe gap
 
     gap(theta) = max_i <p - v, p - scale * g_i>,   p = scale * G @ theta,
 
@@ -39,6 +41,10 @@ DEFAULT_TOL = 1e-10
 # max(tol, _REL_TOL * quadratic_scale).
 _REL_TOL = 1e-12
 
+# Wolfe's method adds one column per major cycle and terminates finitely in
+# exact arithmetic; the cap only bounds the work when rounding stalls it.
+_MAX_CYCLES = 500
+
 
 class NonFiniteInput(ValueError):
     """Raised when a gradient matrix or target vector contains NaN/Inf."""
@@ -54,8 +60,9 @@ class HullSolution:
         gap: Frank-Wolfe optimality gap at termination (certified bound on
             the objective suboptimality; nonnegative).
         converged: whether the gap met the effective tolerance.  When False
-            the best iterate found is returned and ``gap`` reports its gap.
-        iterations: projected-gradient iterations used (0 for closed forms).
+            the last iterate is returned and ``gap`` reports its gap.
+        iterations: major cycles of Wolfe's method, i.e. columns added to
+            the active set (0 for the closed forms).
     """
 
     weights: np.ndarray
@@ -63,37 +70,6 @@ class HullSolution:
     gap: float
     converged: bool
     iterations: int
-
-
-def simplex_project(w):
-    """Euclidean projection of ``w`` onto the unit simplex.
-
-    Sort-and-threshold rule: with u the descending sort of w, find the largest
-    j with u_j - (cumsum(u)_j - 1)/j > 0 and clip at that threshold.  The
-    result is exactly nonnegative and renormalized to unit sum.
-    """
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("expected a nonempty 1-D weight vector")
-    if not np.all(np.isfinite(w)):
-        raise NonFiniteInput("cannot project a non-finite vector")
-    u = np.sort(w)[::-1]
-    css = np.cumsum(u) - 1.0
-    j = np.arange(1, w.size + 1)
-    positive = np.nonzero(u - css / j > 0)[0]
-    if positive.size == 0:
-        # u_1 - (u_1 - 1) = 1 > 0 always holds exactly; reaching here means
-        # the subtraction cancelled at ~1e16 magnitudes, where the projection
-        # is the dominant vertex.
-        out = np.zeros(w.size)
-        out[int(np.argmax(w))] = 1.0
-        return out
-    rho = positive[-1]
-    tau = css[rho] / (rho + 1.0)
-    out = np.maximum(w - tau, 0.0)
-    # w - tau cancels at large |w|, leaving the sum off by ~eps * |w|;
-    # renormalizing pins it back to 1 within a few ulp
-    return out / out.sum()
 
 
 def _validate_columns(G):
@@ -112,14 +88,26 @@ def _fw_gap(S, v, theta):
     return p, max(float(slack), 0.0)
 
 
+def _affine_minimizer(A):
+    """Weights with unit sum minimizing ``||A @ w||``, for active columns ``A``.
+
+    Solved as least squares on the column differences ``A[:, i] - A[:, 0]``:
+    the Gram/KKT form would square the condition number of near-collinear
+    hulls.
+    """
+    z = np.linalg.lstsq(A[:, 1:] - A[:, :1], -A[:, 0], rcond=None)[0]
+    return np.concatenate(([1.0 - z.sum()], z))
+
+
 def project_onto_scaled_hull(G, scale, v, tol=DEFAULT_TOL):
     """Nearest point of ``scale * conv{columns of G}`` to ``v``.
 
     Minimizes ``0.5 * ||scale * G @ theta - v||^2`` over the simplex and
-    certifies the result by the Frank-Wolfe gap.  On hitting the iteration
-    cap the best iterate is returned with ``converged=False`` instead of
-    raising; degenerate hulls (equal columns) are fine because only the point
-    is unique, not the weights.
+    certifies the result by the Frank-Wolfe gap.  When rounding stalls the
+    method above the tolerance, or it hits the cycle cap, the last iterate is
+    returned with ``converged=False`` instead of raising; degenerate hulls
+    (equal columns) are fine because only the point is unique, not the
+    weights.
     """
     G = _validate_columns(G)
     if not (scale > 0):
@@ -132,7 +120,7 @@ def project_onto_scaled_hull(G, scale, v, tol=DEFAULT_TOL):
     if not np.all(np.isfinite(v)):
         raise NonFiniteInput("target vector contains NaN or Inf")
 
-    n, m = G.shape
+    m = G.shape[1]
     S = scale * G
     col_sq = np.einsum("ij,ij->j", S, S)
     q_scale = max(1.0, float(np.max(col_sq)), float(v @ v))
@@ -155,104 +143,47 @@ def project_onto_scaled_hull(G, scale, v, tol=DEFAULT_TOL):
         point, gap = _fw_gap(S, v, theta)
         return HullSolution(theta, point, gap, gap <= tol_eff, 0)
 
-    # Accelerated projected gradient on q(theta) = 0.5||S theta - v||^2 with a
-    # monotone restart: an extrapolated step that increases q is replaced by a
-    # plain projected-gradient step from the last accepted iterate.  Once the
-    # support looks settled, an equality-constrained solve on that face snaps
-    # the iterate to the exact optimum, which is what makes 1e-10 gap
-    # certificates affordable even when the Gram matrix is rank deficient.
-    H = S.T @ S
-    c = S.T @ v
-    diag = np.diag(H)
-    dmax = float(np.max(diag))
-    if dmax <= 0.0:
-        # All columns are zero: the hull is {0}.
-        theta = np.full(m, 1.0 / m)
-        point, gap = _fw_gap(S, v, theta)
-        return HullSolution(theta, point, gap, gap <= tol_eff, 0)
-    L = float(np.linalg.eigvalsh(H)[-1])
-    if L <= 0.0:
-        L = dmax
-    kappa = dmax / max(float(np.min(diag)), dmax * 1e-16)
-    max_iter = 1000 + int(10 * m * min(np.sqrt(kappa), 1e4))
-
-    def q_val(th):
-        r = S @ th - v
-        return 0.5 * float(r @ r)
-
-    def gap_at(th):
-        p = S @ th
-        return max(float((p - v) @ p - np.min((p - v) @ S)), 0.0)
-
-    def polish(th):
-        support = np.nonzero(th > 1e-12)[0]
-        if support.size == 0:
-            return None
-        A = S[:, support]
-        k = support.size
-        kkt = np.zeros((k + 1, k + 1))
-        kkt[:k, :k] = A.T @ A
-        kkt[:k, k] = 1.0
-        kkt[k, :k] = 1.0
-        rhs = np.concatenate([A.T @ v, [1.0]])
-        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
-        if np.min(sol) < -1e-9:
-            return None
-        clipped = np.maximum(sol, 0.0)
-        total = clipped.sum()
-        if not total > 0.0:
-            return None
-        cand = np.zeros(m)
-        cand[support] = clipped / total
-        return cand
-
-    theta = np.full(m, 1.0 / m)
-    y = theta
-    t_mom = 1.0
-    q_prev = q_val(theta)
-    best_theta, best_gap = theta, gap_at(theta)
-    stagnant = 0
-    its = 0
-    for its in range(1, max_iter + 1):
-        grad = H @ y - c
-        cand = simplex_project(y - grad / L)
-        q_cand = q_val(cand)
-        if q_cand > q_prev:
-            t_mom = 1.0
-            cand = simplex_project(theta - (H @ theta - c) / L)
-            q_cand = q_val(cand)
-        gap = gap_at(cand)
-        if gap < 0.99 * best_gap:
-            stagnant = 0
-        else:
-            stagnant += 1
-        if gap < best_gap:
-            best_theta, best_gap = cand, gap
-        if gap <= tol_eff:
-            theta = cand
+    # Wolfe's min-norm-point method on the shifted points p_i = s_i - v: the
+    # point x of conv{p_i} nearest the origin gives the projection v + x, with
+    # the same weights.  Each major cycle adds the column minimizing <x, p_i>;
+    # minor cycles move to the affine minimizer of the active set, stepping
+    # back to the simplex boundary and dropping columns until every active
+    # weight is positive.
+    P = S - v[:, None]
+    active = [int(np.argmin(np.einsum("ij,ij->j", P, P)))]
+    lam = np.ones(1)
+    x = P[:, active[0]]
+    cycles = 0
+    while cycles < _MAX_CYCLES:
+        dots = x @ P
+        j = int(np.argmin(dots))
+        if x @ x - dots[j] <= tol_eff or j in active:
             break
-        if stagnant >= 200:
-            # progress has hit the float floor; the best certificate found
-            # is all this data admits
-            theta = best_theta
+        mu = _affine_minimizer(P[:, active + [j]])
+        if not mu[-1] > 0.0:
+            # in exact arithmetic the entering column gets positive weight;
+            # here rounding has stalled the method
             break
-        if gap <= 1e-4 * q_scale or its % 25 == 0:
-            refined = polish(cand)
-            if refined is not None:
-                rgap = gap_at(refined)
-                if rgap < best_gap:
-                    best_theta, best_gap = refined, rgap
-                if rgap <= tol_eff:
-                    theta = refined
-                    break
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
-        y = cand + ((t_mom - 1.0) / t_next) * (cand - theta)
-        theta, q_prev, t_mom = cand, q_cand, t_next
-    else:
-        theta = best_theta
+        cycles += 1
+        active.append(j)
+        lam = np.append(lam, 0.0)
+        while np.any(mu <= 0.0):
+            neg = np.nonzero(mu <= 0.0)[0]
+            ratios = lam[neg] / (lam[neg] - mu[neg])
+            lam = lam + float(np.min(ratios)) * (mu - lam)
+            lam[neg[np.argmin(ratios)]] = 0.0
+            keep = lam > 0.0
+            active = [a for a, k in zip(active, keep) if k]
+            lam = lam[keep]
+            mu = _affine_minimizer(P[:, active])
+        lam = mu
+        x = P[:, active] @ lam
 
+    theta = np.zeros(m)
+    theta[active] = lam
+    theta /= theta.sum()
     point, gap = _fw_gap(S, v, theta)
-    return HullSolution(theta, point, gap, gap <= tol_eff, its)
+    return HullSolution(theta, point, gap, gap <= tol_eff, cycles)
 
 
 def min_norm_in_hull(G, tol=DEFAULT_TOL):
@@ -262,5 +193,5 @@ def min_norm_in_hull(G, tol=DEFAULT_TOL):
     zero target.  The norm of the returned point is the KKT residual: it
     vanishes exactly at Pareto-critical points.
     """
-    G = _validate_columns(G)
-    return project_onto_scaled_hull(G, 1.0, np.zeros(G.shape[0]), tol)
+    G = np.asarray(G, dtype=float)
+    return project_onto_scaled_hull(G, 1.0, np.zeros(G.shape[:1]), tol)

@@ -66,14 +66,6 @@ def grid_min_hull_objective_pair(G, v, resolution=1000):
     return min_norm, projected
 
 
-def grid_min_simplex_distance(w, resolution=1000):
-    """Lattice minimum of ||theta - w||^2 over the simplex."""
-    w = np.asarray(w, dtype=float)
-    lattice = _simplex_lattice(w.size, resolution)
-    D = lattice - w
-    return float(np.min(np.einsum("ij,ij->i", D, D)))
-
-
 def single_objective_problem(fun, grad, n, name="single", lipschitz=None):
     """Wrap a scalar objective as a one-objective ProblemInstance."""
     return ProblemInstance(

@@ -65,7 +65,7 @@ class TestRunBatch:
         from mograd.harness import _run_one
 
         record, final_f, _ = _run_one(
-            ("quad2", cfg.solvers[0], 1e-6, 0, tuple(prob.pareto_param(0.5)))
+            ("quad2", cfg.solvers[0], 1e-6, 0, tuple(prob.pareto_param(0.5)), False)
         )
         assert record.iterations == 0
         assert record.termination == "converged"
@@ -116,6 +116,34 @@ class TestRunBatch:
         assert len(traces) == 2
         header = traces[0].read_text().splitlines()[0]
         assert header == "k,kkt_residual,iter_gap,f1,f2,step,qp_gap,time_s"
+
+    def test_batch_that_raises_does_not_leak_trace_keeping(self, tmp_path, monkeypatch):
+        import mograd.harness as harness
+
+        # the second solver's constant step violates step < 1/L, so the batch
+        # raises after the first solver's runs have kept their traces
+        bad = ExperimentConfig(
+            **{
+                **JOS1_CFG,
+                "solvers": JOS1_CFG["solvers"] + (SolverConfig(variant=ACCG_CONST, step=1e3),),
+                "write_traces": True,
+            }
+        )
+        with pytest.raises(InvalidConfig):
+            run_batch(bad, out_dir=tmp_path)
+        kept = []
+        real_map = harness._map_tasks
+
+        def spy(tasks, workers):
+            results = real_map(tasks, workers)
+            kept.extend(trace for _, _, trace in results)
+            return results
+
+        monkeypatch.setattr(harness, "_map_tasks", spy)
+        # a front scan never asks for traces, so none may come back
+        pareto_scan(ExperimentConfig(**JOS1_CFG))
+        assert len(kept) == JOS1_CFG["n_starts"]
+        assert all(trace is None for trace in kept)
 
     def test_summary_json_carries_timings(self, tmp_path):
         run_batch(ExperimentConfig(**JOS1_CFG), out_dir=tmp_path)
@@ -177,7 +205,7 @@ class TestParetoScan:
 
         prob = quadratic_pair()
         record, final_f, _ = _run_one(
-            ("quad2", SolverConfig(variant=MFISC_CONST, step=0.05), 1e-6, 0, (1.0, 0.0))
+            ("quad2", SolverConfig(variant=MFISC_CONST, step=0.05), 1e-6, 0, (1.0, 0.0), False)
         )
         assert record.iterations == 0
         assert final_f == pytest.approx((0.0, 1.5))

@@ -2,47 +2,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from mograd.harness import sample_starts
+from mograd.problems import get_problem
 from mograd.simplex_qp import (
     NonFiniteInput,
     min_norm_in_hull,
     project_onto_scaled_hull,
-    simplex_project,
 )
+from mograd.solvers import ACCG_LS, KMAX, MFISC_LS, SolverConfig, run_solver
 
-from conftest import grid_min_hull_objective, grid_min_simplex_distance
-
-
-class TestSimplexProject:
-    def test_vertices_and_interior_fixed_points(self):
-        assert_allclose(simplex_project([1.0, 0.0, 0.0]), [1.0, 0.0, 0.0])
-        assert_allclose(simplex_project([0.5, 0.5]), [0.5, 0.5])
-
-    def test_threshold_example_matches_grid(self):
-        # argmin over the simplex of ||theta - (2, 0)||^2 is the vertex (1, 0)
-        out = simplex_project([2.0, 0.0])
-        assert_allclose(out, [1.0, 0.0])
-        dist = float(np.sum((out - np.array([2.0, 0.0])) ** 2))
-        assert dist <= grid_min_simplex_distance([2.0, 0.0], resolution=10**6) + 1e-12
-
-    def test_exact_feasibility_random(self, rng):
-        for _ in range(200):
-            m = int(rng.integers(1, 7))
-            w = rng.normal(scale=3.0, size=m)
-            theta = simplex_project(w)
-            assert np.all(theta >= 0.0)
-            assert abs(theta.sum() - 1.0) <= 1e-12
-
-    def test_matches_grid_oracle(self, rng):
-        for _ in range(20):
-            m = int(rng.integers(2, 4))
-            w = rng.normal(scale=2.0, size=m)
-            theta = simplex_project(w)
-            dist = float(np.sum((theta - w) ** 2))
-            assert dist <= grid_min_simplex_distance(w, resolution=2000) + 1e-6
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(NonFiniteInput):
-            simplex_project([np.nan, 0.0])
+from conftest import grid_min_hull_objective
 
 
 class TestMinNormInHull:
@@ -199,9 +168,26 @@ class TestAdversarialConditioning:
             v = rng.normal(size=n) * float(10.0 ** rng.uniform(-3, 3))
             yield G, scale, v
 
+    def _wide_instances(self, count):
+        # m = 10, n = 40 from a private stream, so the shared draws above stay
+        # as they are
+        rng = np.random.default_rng(10)
+        for trial in range(count):
+            kind = trial % 3
+            if kind == 0:  # duplicates and opposites
+                g = rng.normal(size=40)
+                G = np.column_stack([g, g, -g] + [rng.normal(size=40) for _ in range(7)])
+            elif kind == 1:  # rank one
+                G = np.outer(rng.normal(size=40), rng.normal(size=10))
+            else:  # large magnitudes
+                G = rng.normal(size=(40, 10)) * 1e5
+            scale = float(10.0 ** rng.uniform(-6, 2))
+            v = rng.normal(size=40) * float(10.0 ** rng.uniform(-3, 3))
+            yield G, scale, v
+
     def test_feasibility_certificates_and_termination(self, rng):
         eps = np.finfo(float).eps
-        for G, scale, v in self._instances(rng, 240):
+        for G, scale, v in [*self._instances(rng, 240), *self._wide_instances(30)]:
             for sol, s_eff, vv in (
                 (min_norm_in_hull(G, 1e-10), 1.0, np.zeros(G.shape[0])),
                 (project_onto_scaled_hull(G, scale, v, 1e-10), scale, v),
@@ -263,3 +249,16 @@ class TestSolutionInvariants:
             p, w = sol.point, sol.point - v
             slacks = w @ (scale * G) - float(w @ p)
             assert float(np.min(slacks)) >= -tol
+
+
+class TestSolverRegressions:
+    @pytest.mark.parametrize("variant", [MFISC_LS, ACCG_LS])
+    @pytest.mark.parametrize("draw", [39, 40, 42])
+    def test_ex2_projection_certifies_at_large_gradients(self, draw, variant):
+        # at scale s0 = 10 with gradient norms near 1e3 the projection QP of
+        # the first step must still certify its gap, or the run ends in
+        # qp_failure at iteration 0
+        prob = get_problem(f"ex2:n=40,p=40,seed={draw}")
+        x0 = sample_starts(prob, 1, 3)[0]
+        trace = run_solver(prob, SolverConfig(variant=variant, epsilon=1e-4, k_max=48), x0)
+        assert trace.termination == KMAX
