@@ -25,7 +25,9 @@ exactly), so ``mavd_integrate`` is literally ``mavng_integrate`` at b = a.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+
 import numpy as np
 
 from .merit import MeritConfig, merit_value
@@ -127,7 +129,9 @@ def _integrate(prob, cfg, system):
         t_k = cfg.t0 + k * cfg.h
         grads = prob.gradient_columns(x_curr)
         hull = min_norm_in_hull(grads, cfg.qp_tol)
-        residual = float(np.linalg.norm(hull.point))
+        u = hull.point
+        # math.sqrt(x @ x) is how numpy computes the 2-norm of a real vector
+        residual = math.sqrt(u @ u)
         residuals[k] = residual
         if not hull.converged:
             termination = FLOW_QP_FAILURE
@@ -135,14 +139,13 @@ def _integrate(prob, cfg, system):
             break
 
         dx = x_curr - x_prev
-        norm_dx = float(np.linalg.norm(dx))
+        norm_dx = math.sqrt(dx @ dx)
         coeff = (cfg.alpha - cfg.beta) * cfg.h / t_k**cfg.p
         if coeff != 0.0 and norm_dx > 0.0 and residual >= cfg.residual_floor:
-            r_k = coeff * (norm_dx / residual) * hull.point
+            v_k = dx - coeff * (norm_dx / residual) * u
         else:
-            r_k = np.zeros(n)
+            v_k = dx  # dx - 0.0 == dx exactly
 
-        v_k = dx - r_k
         proj = project_onto_scaled_hull(grads, cfg.h * cfg.h, v_k, cfg.qp_tol)
         if not proj.converged:
             termination = FLOW_QP_FAILURE
@@ -155,8 +158,8 @@ def _integrate(prob, cfg, system):
         x_prev, x_curr = x_curr, x_next
 
     if termination == FLOW_COMPLETED:
-        hull = min_norm_in_hull(prob.gradient_columns(x_curr), cfg.qp_tol)
-        residuals[steps] = float(np.linalg.norm(hull.point))
+        u = min_norm_in_hull(prob.gradient_columns(x_curr), cfg.qp_tol).point
+        residuals[steps] = math.sqrt(u @ u)
     residuals[0] = residuals[1]
 
     count = reached + 1

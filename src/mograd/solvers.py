@@ -28,6 +28,7 @@ is reached, or when a hull subproblem fails to certify its tolerance
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -159,34 +160,36 @@ def mfisc_momentum(state, alpha, u, tau=SAFE_DIV_FLOOR):
     dx = state.x_curr - state.x_prev
     denom = state.k + alpha - 1.0
     pi = ((state.k - 1.0) / denom) * dx
-    norm_dx = float(np.linalg.norm(dx))
+    # math.sqrt(x @ x) is how numpy computes the 2-norm of a real vector
+    norm_dx = math.sqrt(dx @ dx)
     if norm_dx > 0.0 and alpha != 3.0:
-        norm_u = max(float(np.linalg.norm(u)), tau)
+        norm_u = max(math.sqrt(u @ u), tau)
         pi = pi - ((alpha - 3.0) / denom) * (norm_dx / norm_u) * u
     return pi
 
 
-def line_search_backtracking(prob, w, s0, sigma, d, max_backtracks=200):
+def line_search_backtracking(prob, w, s0, sigma, d, grads, max_backtracks=200):
     """First s in {s0, sigma s0, sigma^2 s0, ...} passing the decrease test.
 
     Accepts s once min_i [f_i(w + s d) - f_i(w) - s <grad f_i(w), d>] no
-    longer exceeds s ||d||^2 / 2.  Returns (s, capped); after
+    longer exceeds s ||d||^2 / 2.  ``grads`` is ``prob.gradient_columns(w)``,
+    which every caller already holds.  Returns (s, capped); after
     ``max_backtracks`` shrinkages the last candidate is returned with
     capped=True rather than failing.
     """
     w = np.asarray(w, dtype=float)
     d = np.asarray(d, dtype=float)
     fw = prob.objectives(w)
-    slopes = prob.gradient_columns(w).T @ d
+    slopes = grads.T @ d
     dd = float(d @ d)
     s = float(s0)
     for _ in range(max_backtracks):
         trial = prob.objectives(w + s * d)
         # non-finite trials (extended-value objectives) always shrink; the
         # min over objectives would otherwise let an affine objective accept
-        if np.all(np.isfinite(trial)):
+        if np.isfinite(trial).all():
             gain = trial - fw - s * slopes
-            if float(np.min(gain)) <= 0.5 * s * dd:
+            if float(gain.min()) <= 0.5 * s * dd:
                 return s, False
         s *= sigma
     return s, True
@@ -215,7 +218,7 @@ def run_solver(prob, cfg, x0):
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (prob.n,):
         raise InvalidConfig(f"start point must have dimension {prob.n}")
-    if not np.all(np.isfinite(x0)):
+    if not np.isfinite(x0).all():
         raise InvalidConfig("start point contains NaN or Inf")
     step = _resolve_steps(prob, cfg)
 
@@ -229,11 +232,13 @@ def run_solver(prob, cfg, x0):
         x = state.x_curr
         grads_x = prob.gradient_columns(x)
         hull = min_norm_in_hull(grads_x, cfg.qp_tol)
-        residual = float(np.linalg.norm(hull.point))
+        u = hull.point
+        residual = math.sqrt(u @ u)
+        dx = x - state.x_prev
 
         trace.ks.append(k)
         trace.kkt_residuals.append(residual)
-        trace.iterate_gaps.append(float(np.linalg.norm(x - state.x_prev)))
+        trace.iterate_gaps.append(math.sqrt(dx @ dx))
         trace.objective_rows.append(prob.objectives(x))
         trace.points.append(x)
         trace.steps.append(float("nan"))
@@ -256,7 +261,7 @@ def run_solver(prob, cfg, x0):
             trial_step = state.last_step
 
         try:
-            x_next = _take_step(prob, cfg, state, trace, hull, step, trial_step)
+            x_next = _take_step(prob, cfg, state, trace, grads_x, hull, step, trial_step)
         except (ValueError, NonFiniteInput):
             # oracle evaluation failed at a probe point (an objective outside
             # the smoothness assumptions); abort with the partial trace
@@ -274,13 +279,17 @@ def run_solver(prob, cfg, x0):
     return trace
 
 
-def _take_step(prob, cfg, state, trace, hull, step, trial_step):
-    """One update of the configured variant; None when a subproblem fails."""
+def _take_step(prob, cfg, state, trace, grads_x, hull, step, trial_step):
+    """One update of the configured variant; None when a subproblem fails.
+
+    ``grads_x`` and ``hull`` are the gradient columns at x_k and their
+    min-norm solution.
+    """
     k = state.k
     x = state.x_curr
     if cfg.variant == STEEPEST_LS:
         d = -hull.point
-        s_k, capped = line_search_backtracking(prob, x, trial_step, cfg.sigma, d)
+        s_k, capped = line_search_backtracking(prob, x, trial_step, cfg.sigma, d, grads_x)
         trace.ls_cap_hits += capped
         state.last_step = s_k
         trace.steps[-1] = s_k
@@ -298,14 +307,14 @@ def _take_step(prob, cfg, state, trace, hull, step, trial_step):
     if not proj.converged:
         return None
     if cfg.grad_at_probe:
-        combo = prob.gradient_columns(x) @ proj.weights
+        combo = grads_x @ proj.weights
     else:
         combo = grads_y @ proj.weights
     if cfg.variant in _CONST_VARIANTS:
         trace.steps[-1] = step
         return y - step * combo
     d = -combo
-    s_k, capped = line_search_backtracking(prob, y, trial_step, cfg.sigma, d)
+    s_k, capped = line_search_backtracking(prob, y, trial_step, cfg.sigma, d, grads_y)
     trace.ls_cap_hits += capped
     state.last_step = s_k
     trace.steps[-1] = s_k

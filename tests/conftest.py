@@ -6,6 +6,7 @@ differences, and fronts against dense samplings of the known parametrized
 Pareto sets.
 """
 
+import zlib
 from functools import lru_cache
 
 import numpy as np
@@ -108,6 +109,11 @@ def pareto_segment_distance(prob, x, samples=20001):
     return float(np.min(np.linalg.norm(seg - np.asarray(x), axis=1)))
 
 
-@pytest.fixture(scope="session")
-def rng():
-    return np.random.default_rng(20240831)
+@pytest.fixture
+def rng(request):
+    """A generator of its own for each test, keyed by the test's node id.
+
+    A test's draws then depend neither on the tests that ran before it nor
+    on whether its file runs alone.
+    """
+    return np.random.default_rng([20240831, zlib.crc32(request.node.nodeid.encode())])

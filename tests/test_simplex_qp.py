@@ -41,20 +41,34 @@ class TestMinNormInHull:
         assert_allclose(sol.weights, [0.0, 1.0], atol=1e-10)
 
     def test_specializes_projection(self, rng):
+        # same arithmetic on both paths, so the results are equal bit for bit
         for _ in range(20):
-            m = int(rng.choice([2, 3, 5]))
+            m = int(rng.choice([1, 2, 3, 5]))
             n = int(rng.choice([2, 10]))
             G = rng.normal(size=(n, m))
             a = min_norm_in_hull(G)
             b = project_onto_scaled_hull(G, 1.0, np.zeros(n), 1e-10)
-            assert_allclose(a.point, b.point, atol=1e-12)
+            assert np.array_equal(a.weights, b.weights)
+            assert np.array_equal(a.point, b.point)
             assert a.gap == b.gap
+            assert a.converged == b.converged
 
     def test_single_column(self, rng):
         g = rng.normal(size=4)
         sol = min_norm_in_hull(g.reshape(-1, 1))
         assert_allclose(sol.point, g)
         assert_allclose(sol.weights, [1.0])
+
+    def test_validation_errors(self):
+        with pytest.raises(NonFiniteInput):
+            min_norm_in_hull(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        with pytest.raises(NonFiniteInput):
+            min_norm_in_hull(np.array([[1.0, 0.0], [-np.inf, 1.0]]))
+        with pytest.raises(ValueError):
+            min_norm_in_hull(np.ones(3))
+        for tol in (0.0, -1e-10, np.nan):
+            with pytest.raises(ValueError):
+                min_norm_in_hull(np.eye(2), tol=tol)
 
 
 class TestProjectOntoScaledHull:
@@ -136,6 +150,43 @@ class TestProjectOntoScaledHull:
             project_onto_scaled_hull(G, 1.0, np.zeros(3))
         with pytest.raises(ValueError):
             project_onto_scaled_hull(G, 1.0, np.zeros(2), tol=0.0)
+        with pytest.raises(ValueError):
+            project_onto_scaled_hull(G, 1.0, np.zeros(2), tol=np.nan)
+
+
+class TestOverflow:
+    """Finite data whose squares overflow must never be certified falsely."""
+
+    @pytest.mark.parametrize(
+        "G",
+        [
+            [[1e200], [1e200]],
+            [[1e200, -1e200], [1e200, 1e200]],
+        ],
+    )
+    def test_closed_forms_do_not_certify_nan_gaps(self, G):
+        # the Frank-Wolfe slack is NaN here (inf - inf, or NaN weights from
+        # inf / inf); clamping a NaN slack to zero would report it converged
+        G = np.array(G)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sols = [
+                min_norm_in_hull(G),
+                project_onto_scaled_hull(G, 1.0, np.zeros(2)),
+                project_onto_scaled_hull(G, 1.0, np.array([1e200, 3e199])),
+            ]
+        for sol in sols:
+            assert not sol.converged
+
+    def test_overflowed_scale_gives_no_relative_allowance(self):
+        # the squared column norms overflow to inf; a tolerance relative to
+        # them would certify the vertex (0.5, 0) with a gap of 5e199,
+        # although (0.25, 0.25), of smaller norm, lies in the hull
+        G = np.array([[1e200, -1e200, 0.5], [1e200, 1e200, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            sols = [min_norm_in_hull(G), project_onto_scaled_hull(G, 1.0, np.zeros(2))]
+        for sol in sols:
+            assert not sol.converged or sol.gap <= 1e-10
+            assert not sol.converged or float(sol.point @ sol.point) <= 0.125
 
 
 class TestAdversarialConditioning:
@@ -168,10 +219,8 @@ class TestAdversarialConditioning:
             v = rng.normal(size=n) * float(10.0 ** rng.uniform(-3, 3))
             yield G, scale, v
 
-    def _wide_instances(self, count):
-        # m = 10, n = 40 from a private stream, so the shared draws above stay
-        # as they are
-        rng = np.random.default_rng(10)
+    def _wide_instances(self, rng, count):
+        # m = 10, n = 40
         for trial in range(count):
             kind = trial % 3
             if kind == 0:  # duplicates and opposites
@@ -187,7 +236,7 @@ class TestAdversarialConditioning:
 
     def test_feasibility_certificates_and_termination(self, rng):
         eps = np.finfo(float).eps
-        for G, scale, v in [*self._instances(rng, 240), *self._wide_instances(30)]:
+        for G, scale, v in [*self._instances(rng, 240), *self._wide_instances(rng, 30)]:
             for sol, s_eff, vv in (
                 (min_norm_in_hull(G, 1e-10), 1.0, np.zeros(G.shape[0])),
                 (project_onto_scaled_hull(G, scale, v, 1e-10), scale, v),

@@ -50,7 +50,10 @@ class TestMomentum:
 class TestLineSearch:
     def test_zero_direction_returns_initial(self):
         prob = single_objective_problem(lambda x: 0.5 * float(x @ x), lambda x: x, 2)
-        s, capped = line_search_backtracking(prob, np.array([3.0, 1.0]), 10.0, 0.8, np.zeros(2))
+        w = np.array([3.0, 1.0])
+        s, capped = line_search_backtracking(
+            prob, w, 10.0, 0.8, np.zeros(2), prob.gradient_columns(w)
+        )
         assert s == 10.0 and not capped
 
     def test_quadratic_accepts_eleventh_candidate(self):
@@ -58,7 +61,7 @@ class TestLineSearch:
         # the smallest j with 10 * 0.8^j <= 1 is j = 11 (verified by the loop)
         prob = single_objective_problem(lambda x: 0.5 * float(x @ x), lambda x: x, 2)
         w = np.array([3.0, -1.0])
-        s, capped = line_search_backtracking(prob, w, 10.0, 0.8, -w)
+        s, capped = line_search_backtracking(prob, w, 10.0, 0.8, -w, prob.gradient_columns(w))
         j = 0
         while 10.0 * 0.8**j > 1.0:
             j += 1
@@ -66,12 +69,23 @@ class TestLineSearch:
         assert s == pytest.approx(10.0 * 0.8**11, rel=0, abs=0)
         assert not capped
 
+    def test_slopes_come_from_the_given_columns(self):
+        # the caller already holds the gradient columns at w; the search
+        # must not evaluate the gradient oracle again
+        def no_gradient(x):
+            raise AssertionError("gradient oracle called")
+
+        prob = single_objective_problem(lambda x: 0.5 * float(x @ x), no_gradient, 2)
+        w = np.array([3.0, -1.0])
+        s, capped = line_search_backtracking(prob, w, 10.0, 0.8, -w, w.reshape(-1, 1))
+        assert s == 10.0 * 0.8**11 and not capped
+
     def test_accepted_step_satisfies_inequality(self, rng):
         prob = quadratic_pair()
         for _ in range(20):
             w = rng.uniform(-2.0, 2.0, 2)
             d = rng.normal(size=2)
-            s, capped = line_search_backtracking(prob, w, 10.0, 0.8, d)
+            s, capped = line_search_backtracking(prob, w, 10.0, 0.8, d, prob.gradient_columns(w))
             if capped:
                 continue
             gain = prob.objectives(w + s * d) - prob.objectives(w)
@@ -84,7 +98,8 @@ class TestLineSearch:
         prob = single_objective_problem(
             lambda x: float(x[0] > 0.0), lambda x: np.zeros(1), 1
         )
-        s, capped = line_search_backtracking(prob, np.zeros(1), 1.0, 0.5, np.ones(1))
+        w = np.zeros(1)
+        s, capped = line_search_backtracking(prob, w, 1.0, 0.5, np.ones(1), prob.gradient_columns(w))
         assert capped
         assert s == pytest.approx(0.5**200, rel=1e-12)
 
