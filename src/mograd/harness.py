@@ -166,6 +166,8 @@ def _config_echo(cfg):
 
 @lru_cache(maxsize=16)
 def _worker_problem(key):
+    # the parent builds through this cache too, so a serial batch builds its
+    # problem once, not once for the parent and again for the first task
     return get_problem(key)
 
 
@@ -206,7 +208,7 @@ def run_batch(cfg, out_dir=None):
     """
     if not cfg.solvers:
         raise InvalidConfig("run_batch needs at least one solver")
-    prob = get_problem(cfg.problem)
+    prob = _worker_problem(cfg.problem)
     starts = sample_starts(prob, cfg.n_starts, cfg.seed)
 
     tasks = []
@@ -281,7 +283,7 @@ def run_batch(cfg, out_dir=None):
                 if trace is None:
                     continue
                 name = f"trace_{record.solver}_eps{record.epsilon:g}_start{record.start_index}.csv"
-                write_csv(out / name, trace_csv_rows(trace, prob.m))
+                write_csv(out / name, trace_csv_rows(trace, prob))
     return summary
 
 
@@ -293,7 +295,7 @@ def pareto_scan(cfg, out_dir=None):
     """
     if not cfg.solvers:
         raise InvalidConfig("pareto_scan needs a solver")
-    prob = get_problem(cfg.problem)
+    prob = _worker_problem(cfg.problem)
     starts = sample_starts(prob, cfg.n_starts, cfg.seed)
     eps = cfg.epsilons[0]
     solver_cfg = cfg.solvers[0]
@@ -411,7 +413,7 @@ def run_trace(cfg, out_dir=None, x0=None):
     trace = run_solver(prob, solver_cfg, x0)
     if out_dir is not None:
         out = Path(out_dir)
-        write_csv(out / "trace.csv", trace_csv_rows(trace, prob.m))
+        write_csv(out / "trace.csv", trace_csv_rows(trace, prob))
         write_json(
             out / "trace.json",
             {

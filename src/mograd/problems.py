@@ -129,11 +129,28 @@ def spectral_norm(A, iters=100):
     return float(np.linalg.norm(A @ v))
 
 
-def _logsumexp_and_softmax(z):
-    zmax = np.max(z)
-    e = np.exp(z - zmax)
-    total = e.sum()
-    return float(zmax + np.log(total)), e / total
+def _small_objectives(values, x):
+    """``np.array(values(*x))`` evaluated on Python floats.
+
+    Python floats do the same IEEE double arithmetic as numpy scalars, and
+    ``**`` calls the same libm ``pow``, without numpy's dispatch on every
+    operation.  Python's ``**`` raises OverflowError where numpy's returns
+    inf, so an overflowing point is evaluated on numpy scalars instead.
+    """
+    try:
+        return np.array(values(*x.tolist()))
+    except OverflowError:
+        return np.array(values(*x))
+
+
+def _logsumexp(z):
+    zmax = z.max()
+    return float(zmax + np.log(np.exp(z - zmax).sum()))
+
+
+def _softmax(z):
+    e = np.exp(z - z.max())
+    return e / e.sum()
 
 
 def logsumexp_family(name, mats, offs, delta, init_box, lipschitz=None, **kwargs):
@@ -148,14 +165,13 @@ def logsumexp_family(name, mats, offs, delta, init_box, lipschitz=None, **kwargs
     def objectives(x):
         reg = 0.5 * delta * float(x @ x)
         return np.array(
-            [reg + _logsumexp_and_softmax(A @ x - b)[0] for A, b in zip(mats, offs)]
+            [reg + _logsumexp(A @ x - b) for A, b in zip(mats, offs)]
         )
 
     def gradient_columns(x):
         cols = np.empty((n, m))
         for j, (A, b) in enumerate(zip(mats, offs)):
-            _, sigma = _logsumexp_and_softmax(A @ x - b)
-            cols[:, j] = delta * x + A.T @ sigma
+            cols[:, j] = delta * x + A.T @ _softmax(A @ x - b)
         return cols
 
     def objectives_batch(X):
@@ -191,7 +207,7 @@ def least_squares_family(name, mats, offs, delta, init_box, **kwargs):
     def objectives(x):
         reg = 0.5 * delta * float(x @ x)
         return np.array(
-            [reg + 0.5 * float(np.sum((A @ x - b) ** 2)) for A, b in zip(mats, offs)]
+            [reg + 0.5 * float(((A @ x - b) ** 2).sum()) for A, b in zip(mats, offs)]
         )
 
     def gradient_columns(x):
@@ -224,15 +240,16 @@ def quadratic_pair():
     2 (1 - lambda) / (2 - lambda)) on [0, 1].
     """
 
+    def values(x1, x2):
+        return [(x1 - 1.0) ** 2 + 0.5 * x2**2, 0.5 * x1**2 + (x2 - 1.0) ** 2]
+
     def objectives(x):
-        return np.array(
-            [(x[0] - 1.0) ** 2 + 0.5 * x[1] ** 2, 0.5 * x[0] ** 2 + (x[1] - 1.0) ** 2]
-        )
+        return _small_objectives(values, x)
 
     def gradient_columns(x):
-        return np.array(
-            [[2.0 * (x[0] - 1.0), x[0]], [x[1], 2.0 * (x[1] - 1.0)]]
-        )
+        # Python floats, as in _small_objectives (no ** here, so no overflow)
+        x1, x2 = x.tolist()
+        return np.array([[2.0 * (x1 - 1.0), x1], [x2, 2.0 * (x2 - 1.0)]])
 
     def pareto_param(lam):
         return np.array([2.0 * lam / (1.0 + lam), 2.0 * (1.0 - lam) / (2.0 - lam)])
@@ -284,12 +301,14 @@ def jos1(n=2):
         raise InvalidConfig("jos1 requires n >= 2")
 
     def objectives(x):
-        return np.array(
-            [float(x @ x) / n, float((x - 2.0) @ (x - 2.0)) / n]
-        )
+        d = x - 2.0
+        return np.array([float(x @ x) / n, float(d @ d) / n])
 
     def gradient_columns(x):
-        return np.stack([2.0 * x / n, 2.0 * (x - 2.0) / n], axis=1)
+        cols = np.empty((n, 2))
+        cols[:, 0] = 2.0 * x / n
+        cols[:, 1] = 2.0 * (x - 2.0) / n
+        return cols
 
     def objectives_batch(X):
         f1 = np.einsum("ij,ij->i", X, X) / n
@@ -325,16 +344,19 @@ def sd():
     hi = np.full(4, 3.0)
 
     def objectives(x):
-        if np.any(x <= 0.0):
+        if (x <= 0.0).any():
             # extended-value form: line searches treat the orthant boundary
             # as an infinite barrier and backtrack instead of crashing
             return np.array([float(_SD_LINEAR @ x), np.inf])
-        return np.array([float(_SD_LINEAR @ x), float(np.sum(_SD_RECIP / x))])
+        return np.array([float(_SD_LINEAR @ x), float((_SD_RECIP / x).sum())])
 
     def gradient_columns(x):
-        if np.any(x <= 0.0):
+        if (x <= 0.0).any():
             raise ValueError("sd gradients are defined on the positive orthant")
-        return np.stack([_SD_LINEAR, -_SD_RECIP / (x * x)], axis=1)
+        cols = np.empty((4, 2))
+        cols[:, 0] = _SD_LINEAR
+        cols[:, 1] = -_SD_RECIP / (x * x)
+        return cols
 
     def pareto_param(lam):
         # Critical points balance 2 theta = (1 - theta) * 2 / x1^2 and the
@@ -359,25 +381,18 @@ def sd():
 def toi4():
     """TOI4: two convex quadratics on R^4 (Toint test-set adaptation)."""
 
+    def values(x1, x2, x3, x4):
+        return [x1**2 + x2**2 + 1.0, 0.5 * ((x1 - x2) ** 2 + (x3 - x4) ** 2) + 1.0]
+
     def objectives(x):
-        return np.array(
-            [
-                x[0] ** 2 + x[1] ** 2 + 1.0,
-                0.5 * ((x[0] - x[1]) ** 2 + (x[2] - x[3]) ** 2) + 1.0,
-            ]
-        )
+        return _small_objectives(values, x)
 
     def gradient_columns(x):
-        d12 = x[0] - x[1]
-        d34 = x[2] - x[3]
-        return np.array(
-            [
-                [2.0 * x[0], d12],
-                [2.0 * x[1], -d12],
-                [0.0, d34],
-                [0.0, -d34],
-            ]
-        )
+        # Python floats, as in _small_objectives (no ** here, so no overflow)
+        x1, x2, x3, x4 = x.tolist()
+        d12 = x1 - x2
+        d34 = x3 - x4
+        return np.array([[2.0 * x1, d12], [2.0 * x2, -d12], [0.0, d34], [0.0, -d34]])
 
     return ProblemInstance(
         name="toi4",

@@ -205,8 +205,8 @@ def project_onto_scaled_hull(G, scale, v, tol=DEFAULT_TOL):
     weights.
     """
     G = _validate_columns(G)
-    if not (scale > 0):
-        raise ValueError("scale must be positive")
+    if not 0.0 < scale < math.inf:
+        raise ValueError("scale must be positive and finite")
     _validate_tol(tol)
     v = np.asarray(v, dtype=float)
     if v.shape != (G.shape[0],):

@@ -121,7 +121,9 @@ class IterationTrace:
     exists for the final point as well; ``iterations`` therefore counts
     records minus one, the number of steps actually performed.  ``step`` and
     ``qp_gap`` describe the step leaving x_k (``step`` is NaN on the final
-    record).
+    record).  No objective values are recorded: the solver never needs F
+    outside its line search, so :func:`trace_csv_rows` evaluates F at
+    ``points`` when the trace is exported.
     """
 
     variant: str
@@ -129,7 +131,6 @@ class IterationTrace:
     ks: list = field(default_factory=list)
     kkt_residuals: list = field(default_factory=list)
     iterate_gaps: list = field(default_factory=list)
-    objective_rows: list = field(default_factory=list)
     points: list = field(default_factory=list)
     steps: list = field(default_factory=list)
     qp_gaps: list = field(default_factory=list)
@@ -239,7 +240,6 @@ def run_solver(prob, cfg, x0):
         trace.ks.append(k)
         trace.kkt_residuals.append(residual)
         trace.iterate_gaps.append(math.sqrt(dx @ dx))
-        trace.objective_rows.append(prob.objectives(x))
         trace.points.append(x)
         trace.steps.append(float("nan"))
         trace.qp_gaps.append(hull.gap)
@@ -346,16 +346,19 @@ def steepest_ls_run(prob, cfg, x0):
     return run_solver(prob, replace(cfg, variant=STEEPEST_LS), x0)
 
 
-def trace_csv_rows(trace, m):
+def trace_csv_rows(trace, prob):
     """Header plus per-iteration rows in the trace CSV layout.
 
-    A run that stopped before its first step exports a header-only CSV; a
-    run with steps also exports its terminal record (step column blank), so
-    the residual column ends below epsilon on converged runs.
+    The objective columns f1..fm are ``prob.objectives`` evaluated here at
+    each recorded point; the oracles are pure, so they equal the values at
+    the time of the run.  A run that stopped before its first step exports a
+    header-only CSV; a run with steps also exports its terminal record (step
+    column blank), so the residual column ends below epsilon on converged
+    runs.
     """
     header = (
         ["k", "kkt_residual", "iter_gap"]
-        + [f"f{i + 1}" for i in range(m)]
+        + [f"f{i + 1}" for i in range(prob.m)]
         + ["step", "qp_gap", "time_s"]
     )
     rows = [header]
@@ -364,7 +367,7 @@ def trace_csv_rows(trace, m):
     for i, k in enumerate(trace.ks):
         rows.append(
             [k, trace.kkt_residuals[i], trace.iterate_gaps[i]]
-            + list(trace.objective_rows[i])
+            + list(prob.objectives(trace.points[i]))
             + [trace.steps[i], trace.qp_gaps[i], trace.times[i]]
         )
     return rows

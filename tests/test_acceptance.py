@@ -88,7 +88,7 @@ def test_criterion_3_sublevel_monotonicity():
             )
             for x0 in sample_starts(prob, 20, seed=SEED):
                 trace = run_solver(prob, cfg, x0)
-                F = np.array(trace.objective_rows)
+                F = np.array([prob.objectives(p) for p in trace.points])
                 assert np.all(F <= F[0] + 1e-9), key
 
 

@@ -151,6 +151,29 @@ class TestRunBatch:
         assert payload["cells"][0]["total_time_s"] > 0.0
         assert payload["config"]["seed"] == 5
 
+    def test_builds_the_problem_once(self, tmp_path, monkeypatch):
+        import mograd.harness as harness
+        import mograd.problems as problems
+
+        builds = []
+
+        def counting_factory():
+            builds.append(1)
+            return quadratic_pair()
+
+        monkeypatch.setitem(problems._FACTORIES, "quad2", (counting_factory, ()))
+        cfg = ExperimentConfig(
+            problem="quad2",
+            solvers=(SolverConfig(variant=MFISC_CONST, step=0.05),),
+            n_starts=3,
+        )
+        harness._worker_problem.cache_clear()
+        try:
+            run_batch(cfg, out_dir=tmp_path)
+        finally:
+            harness._worker_problem.cache_clear()
+        assert len(builds) == 1
+
     def test_requires_a_solver(self):
         with pytest.raises(InvalidConfig):
             run_batch(ExperimentConfig(problem="jos1"))

@@ -53,6 +53,85 @@ class TestQuadraticPair:
         assert_allclose(cols[:, 1], [0.0, -2.0])
 
 
+# The m = 2 oracles as numpy-scalar and np.stack formulas: the small oracles
+# compute on Python floats and fill np.empty columns, and must keep every bit.
+def _quad2_reference(x):
+    F = np.array([(x[0] - 1.0) ** 2 + 0.5 * x[1] ** 2, 0.5 * x[0] ** 2 + (x[1] - 1.0) ** 2])
+    G = np.array([[2.0 * (x[0] - 1.0), x[0]], [x[1], 2.0 * (x[1] - 1.0)]])
+    return F, G
+
+
+def _toi4_reference(x):
+    F = np.array(
+        [x[0] ** 2 + x[1] ** 2 + 1.0, 0.5 * ((x[0] - x[1]) ** 2 + (x[2] - x[3]) ** 2) + 1.0]
+    )
+    d12, d34 = x[0] - x[1], x[2] - x[3]
+    G = np.array([[2.0 * x[0], d12], [2.0 * x[1], -d12], [0.0, d34], [0.0, -d34]])
+    return F, G
+
+
+def _jos1_reference(x):
+    n = x.shape[0]
+    F = np.array([float(x @ x) / n, float((x - 2.0) @ (x - 2.0)) / n])
+    G = np.stack([2.0 * x / n, 2.0 * (x - 2.0) / n], axis=1)
+    return F, G
+
+
+_SQ2 = np.sqrt(2.0)
+_SD_LIN = np.array([2.0, _SQ2, _SQ2, 1.0])
+_SD_REC = np.array([2.0, 2.0 * _SQ2, 2.0 * _SQ2, 2.0])
+
+
+def _sd_reference(x):
+    F = np.array([float(_SD_LIN @ x), float(np.sum(_SD_REC / x))])
+    G = np.stack([_SD_LIN, -_SD_REC / (x * x)], axis=1)
+    return F, G
+
+
+class TestSmallOracles:
+    @pytest.mark.parametrize(
+        "key, reference",
+        [
+            ("quad2", _quad2_reference),
+            ("toi4", _toi4_reference),
+            ("jos1", _jos1_reference),
+            ("jos1:n=5", _jos1_reference),
+            ("sd", _sd_reference),
+        ],
+    )
+    def test_bitwise_equal_to_numpy_formulas(self, key, reference, rng):
+        prob = get_problem(key)
+        lo, hi = prob.init_box
+        X = rng.uniform(lo, hi, size=(1000, prob.n))
+        # 27-bit significands make x^2 an exact halfway case, where libm pow
+        # and x * x can round differently
+        X[::2] = lo + rng.integers(0, 2**27, size=(500, prob.n)) * ((hi - lo) / 2**27)
+        for x in X:
+            F, G = reference(x)
+            assert prob.objectives(x).tobytes() == F.tobytes()
+            assert prob.gradient_columns(x).tobytes() == G.tobytes()
+
+    @pytest.mark.parametrize("key, reference", [("quad2", _quad2_reference), ("toi4", _toi4_reference)])
+    def test_overflowing_powers_give_inf(self, key, reference):
+        prob = get_problem(key)
+        for big in (1e200, -1e160):
+            x = np.full(prob.n, 0.5)
+            x[1] = big
+            with np.errstate(over="ignore"):
+                F, _ = reference(x)
+                got = prob.objectives(x)
+            assert np.isinf(F).any()
+            assert got.tobytes() == F.tobytes()
+
+    @pytest.mark.parametrize("key", ["quad2", "lse2", "jos1", "jos1:n=5", "sd", "toi4"])
+    def test_gradient_columns_layout(self, key, rng):
+        prob = get_problem(key)
+        cols = prob.gradient_columns(rng.uniform(*prob.init_box))
+        assert cols.shape == (prob.n, 2)
+        assert cols.dtype == np.float64
+        assert cols.flags.c_contiguous
+
+
 class TestLogSumExpPair:
     def test_center_is_critical(self):
         prob = logsumexp_pair()

@@ -144,8 +144,9 @@ class TestProjectOntoScaledHull:
             project_onto_scaled_hull(np.array([[np.inf, 0.0], [0.0, 1.0]]), 1.0, np.zeros(2))
         with pytest.raises(NonFiniteInput):
             project_onto_scaled_hull(G, 1.0, np.array([np.nan, 0.0]))
-        with pytest.raises(ValueError):
-            project_onto_scaled_hull(G, -1.0, np.zeros(2))
+        for scale in (-1.0, 0.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                project_onto_scaled_hull(G, scale, np.zeros(2))
         with pytest.raises(ValueError):
             project_onto_scaled_hull(G, 1.0, np.zeros(3))
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -207,7 +209,7 @@ class TestConstantStepRuns:
             for _ in range(5):
                 x0 = rng.uniform(lo, hi)
                 trace = run_solver(prob, cfg, x0)
-                F = np.array(trace.objective_rows)
+                F = np.array([prob.objectives(p) for p in trace.points])
                 assert np.all(F <= F[0] + 1e-9)
 
     def test_determinism(self):
@@ -333,14 +335,30 @@ class TestTraceStructure:
     def test_csv_rows_layout(self):
         prob = quadratic_pair()
         trace = run_solver(prob, SolverConfig(variant=MFISC_CONST, step=0.05, epsilon=1e-6), np.array([2.0, -2.0]))
-        rows = trace_csv_rows(trace, prob.m)
+        rows = trace_csv_rows(trace, prob)
         assert rows[0] == ["k", "kkt_residual", "iter_gap", "f1", "f2", "step", "qp_gap", "time_s"]
         assert len(rows) == len(trace.ks) + 1
         assert rows[-1][1] < 1e-6
+        for i, row in enumerate(rows[1:]):
+            assert row[3:5] == list(prob.objectives(trace.points[i]))
+
+    def test_constant_step_run_never_evaluates_objectives(self):
+        prob = quadratic_pair()
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return prob.objectives(x)
+
+        counting = dataclasses.replace(prob, objectives=counted)
+        cfg = SolverConfig(variant=MFISC_CONST, step=0.05, epsilon=1e-6)
+        trace = run_solver(counting, cfg, np.array([2.0, -2.0]))
+        assert trace.termination == CONVERGED and trace.iterations > 0
+        assert calls == []
 
     def test_zero_iteration_run_exports_header_only(self):
         prob = quadratic_pair()
         trace = run_solver(prob, SolverConfig(variant=MFISC_CONST, step=0.05, epsilon=1e-6), prob.pareto_param(0.25))
-        assert trace_csv_rows(trace, prob.m) == [
+        assert trace_csv_rows(trace, prob) == [
             ["k", "kkt_residual", "iter_gap", "f1", "f2", "step", "qp_gap", "time_s"]
         ]
