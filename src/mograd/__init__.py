@@ -4,7 +4,9 @@ Core surface:
 
 * :mod:`mograd.simplex_qp` - the two simplex-constrained hull QPs.
 * :mod:`mograd.problems` - benchmark problems, KKT residual, registry.
-* :mod:`mograd.solvers` - corrected, accelerated, and steepest-descent runs.
+* :mod:`mograd.solvers` - the discrete methods, one step template with two
+  choices: momentum (corrected, accelerated, none) and step rule (constant
+  or backtracking).
 * :mod:`mograd.flow` - explicit integration of the inertial flows.
 * :mod:`mograd.merit` - merit function evaluator and 2-D grid oracle.
 * :mod:`mograd.harness` - deterministic batch experiment runner.
@@ -31,15 +33,9 @@ from .simplex_qp import HullSolution, min_norm_in_hull, project_onto_scaled_hull
 from .solvers import (
     IterationTrace,
     SolverConfig,
-    SolverState,
-    accg_const_run,
-    accg_ls_run,
     line_search_backtracking,
-    mfisc_const_run,
-    mfisc_ls_run,
     mfisc_momentum,
     run_solver,
-    steepest_ls_run,
 )
 
 __version__ = "0.1.0"
@@ -54,10 +50,7 @@ __all__ = [
     "MeritResult",
     "ProblemInstance",
     "SolverConfig",
-    "SolverState",
     "Trajectory",
-    "accg_const_run",
-    "accg_ls_run",
     "attach_merit",
     "available_problems",
     "flow_experiment",
@@ -71,11 +64,8 @@ __all__ = [
     "merit_bound_scan",
     "merit_grid_oracle",
     "merit_value",
-    "mfisc_const_run",
-    "mfisc_ls_run",
     "mfisc_momentum",
     "min_norm_in_hull",
-    "steepest_ls_run",
     "pareto_scan",
     "project_onto_scaled_hull",
     "quadratic_pair",

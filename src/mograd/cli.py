@@ -81,9 +81,6 @@ def build_parser():
     return parser
 
 
-_SOLVER_KEYS = ("alpha", "step", "sigma", "k_max")
-
-
 def _experiment_config(args):
     file_cfg = {}
     if args.config:

@@ -36,6 +36,9 @@ from .simplex_qp import min_norm_in_hull, project_onto_scaled_hull
 FLOW_COMPLETED = "completed"
 FLOW_QP_FAILURE = "qp_failure"
 
+# the correction term divides by ||u_k||; below this residual it is left out
+_RESIDUAL_FLOOR = 1e-12
+
 
 class MissingMerit(ValueError):
     """Raised when a bound scan runs on a trajectory without merit samples."""
@@ -46,7 +49,8 @@ class FlowConfig:
     """Integration parameters; ``x0`` is the rest start point x(t0).
 
     The damping coefficient ``alpha`` must dominate the correction weight
-    ``beta``; the analysis window starts at t0 >= 1.
+    ``beta``; the analysis window starts at t0 >= 1.  Both hull subproblems
+    run at the QP layer's tolerance ``simplex_qp.DEFAULT_TOL``.
     """
 
     alpha: float
@@ -56,20 +60,18 @@ class FlowConfig:
     t0: float = 1.0
     h: float = 1e-3
     t_end: float = 20.0
-    qp_tol: float = 1e-10
-    residual_floor: float = 1e-12
 
     def __post_init__(self):
-        if not (self.alpha >= self.beta > 0.0):
-            raise ValueError("parameters must satisfy alpha >= beta > 0")
-        if self.p < 0.0:
-            raise ValueError("p must be nonnegative")
-        if self.t0 < 1.0:
-            raise ValueError("t0 must be at least 1")
-        if not self.h > 0.0:
-            raise ValueError("h must be positive")
-        if not self.t_end > self.t0:
-            raise ValueError("t_end must exceed t0")
+        if not (math.inf > self.alpha >= self.beta > 0.0):
+            raise ValueError("parameters must satisfy inf > alpha >= beta > 0")
+        if not 0.0 <= self.p < math.inf:
+            raise ValueError("p must be finite and nonnegative")
+        if not 1.0 <= self.t0 < math.inf:
+            raise ValueError("t0 must be finite and at least 1")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError("h must be positive and finite")
+        if not self.t0 < self.t_end < math.inf:
+            raise ValueError("t_end must be finite and exceed t0")
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
 
 
@@ -128,7 +130,7 @@ def _integrate(prob, cfg, system):
     for k in range(1, steps):
         t_k = cfg.t0 + k * cfg.h
         grads = prob.gradient_columns(x_curr)
-        hull = min_norm_in_hull(grads, cfg.qp_tol)
+        hull = min_norm_in_hull(grads)
         u = hull.point
         # math.sqrt(x @ x) is how numpy computes the 2-norm of a real vector
         residual = math.sqrt(u @ u)
@@ -141,12 +143,12 @@ def _integrate(prob, cfg, system):
         dx = x_curr - x_prev
         norm_dx = math.sqrt(dx @ dx)
         coeff = (cfg.alpha - cfg.beta) * cfg.h / t_k**cfg.p
-        if coeff != 0.0 and norm_dx > 0.0 and residual >= cfg.residual_floor:
+        if coeff != 0.0 and norm_dx > 0.0 and residual >= _RESIDUAL_FLOOR:
             v_k = dx - coeff * (norm_dx / residual) * u
         else:
             v_k = dx  # dx - 0.0 == dx exactly
 
-        proj = project_onto_scaled_hull(grads, cfg.h * cfg.h, v_k, cfg.qp_tol)
+        proj = project_onto_scaled_hull(grads, cfg.h * cfg.h, v_k)
         if not proj.converged:
             termination = FLOW_QP_FAILURE
             reached = k
@@ -158,7 +160,7 @@ def _integrate(prob, cfg, system):
         x_prev, x_curr = x_curr, x_next
 
     if termination == FLOW_COMPLETED:
-        u = min_norm_in_hull(prob.gradient_columns(x_curr), cfg.qp_tol).point
+        u = min_norm_in_hull(prob.gradient_columns(x_curr)).point
         residuals[steps] = math.sqrt(u @ u)
     residuals[0] = residuals[1]
 

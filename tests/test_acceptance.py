@@ -138,13 +138,13 @@ def test_criterion_5_rate_envelope():
             variant=MFISC_CONST, alpha=alpha, step=0.05, epsilon=1e-300, k_max=10**4
         )
         trace = run_solver(prob, cfg, np.array([-0.2, -0.1]))
-        assert len(trace.ks) == 10**4
+        assert len(trace.points) == 10**4
 
         merit_cfg = MeritConfig()
         warm = None
         phis = {}
         envelope = {}
-        for i, k in enumerate(trace.ks):
+        for i, k in enumerate(range(1, len(trace.points) + 1)):
             if k < 10:
                 continue
             result = merit_value(prob, trace.points[i], merit_cfg, warm_start=warm)

@@ -34,6 +34,11 @@ class TestConfigValidation:
             FlowConfig(alpha=5.0, x0=X0, t_end=0.5)
         with pytest.raises(ValueError):
             FlowConfig(alpha=5.0, x0=X0, p=-1.0)
+        for field in (
+            dict(alpha=np.inf), dict(t0=np.nan), dict(h=np.inf), dict(t_end=np.inf), dict(p=np.nan), dict(p=np.inf)
+        ):
+            with pytest.raises(ValueError):
+                FlowConfig(**{"alpha": 5.0, "x0": X0, **field})
 
 
 class TestIntegration:

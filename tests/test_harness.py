@@ -115,7 +115,20 @@ class TestRunBatch:
         traces = sorted(tmp_path.glob("trace_*.csv"))
         assert len(traces) == 2
         header = traces[0].read_text().splitlines()[0]
-        assert header == "k,kkt_residual,iter_gap,f1,f2,step,qp_gap,time_s"
+        assert header == "k,kkt_residual,iter_gap,f1,f2,step,qp_gap"
+
+    def test_trace_files_are_byte_identical_across_reruns(self, tmp_path):
+        batch = ExperimentConfig(**{**JOS1_CFG, "n_starts": 2, "write_traces": True})
+        run_batch(batch, out_dir=tmp_path / "a")
+        run_batch(batch, out_dir=tmp_path / "b")
+        digests = _tree_digest(tmp_path / "a")
+        assert sum(name.startswith("trace_") for name in digests) == 2
+        assert digests == _tree_digest(tmp_path / "b")
+
+        single = ExperimentConfig(**JOS1_CFG)
+        run_trace(single, out_dir=tmp_path / "c")
+        run_trace(single, out_dir=tmp_path / "d")
+        assert _digest(tmp_path / "c" / "trace.csv") == _digest(tmp_path / "d" / "trace.csv")
 
     def test_batch_that_raises_does_not_leak_trace_keeping(self, tmp_path, monkeypatch):
         import mograd.harness as harness
@@ -338,7 +351,7 @@ class TestRunTrace:
         trace = run_trace(cfg, out_dir=tmp_path)
         assert trace.termination == "converged"
         lines = (tmp_path / "trace.csv").read_text().splitlines()
-        assert len(lines) == len(trace.ks) + 1
+        assert len(lines) == len(trace.points) + 1
         # residual column eventually below epsilon, gaps finite throughout
         last = lines[-1].split(",")
         assert float(last[1]) < 1e-6

@@ -1,10 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from mograd.problems import InvalidConfig, get_problem, kkt_residual, quadratic_pair
+from mograd.simplex_qp import DEFAULT_TOL
 from mograd.solvers import (
     ACCG_CONST,
     ACCG_LS,
@@ -15,7 +17,6 @@ from mograd.solvers import (
     STEEPEST_LS,
     VARIANTS,
     SolverConfig,
-    SolverState,
     line_search_backtracking,
     mfisc_momentum,
     run_solver,
@@ -27,25 +28,23 @@ from conftest import single_objective_problem, spd_quadratic_problem
 
 class TestMomentum:
     def test_first_iteration_is_zero(self):
-        state = SolverState(np.array([1.0, 2.0]), np.array([1.0, 2.0]), 1, 0.0)
-        assert_allclose(mfisc_momentum(state, 7.0, np.array([5.0, -1.0])), [0.0, 0.0])
+        x = np.array([1.0, 2.0])
+        assert_allclose(mfisc_momentum(x - x, 1, 7.0, np.array([5.0, -1.0])), [0.0, 0.0])
 
     def test_alpha_three_drops_correction(self, rng):
         x_prev, x_curr = rng.normal(size=2), rng.normal(size=2)
-        state = SolverState(x_prev, x_curr, 5, 0.0)
-        pi = mfisc_momentum(state, 3.0, rng.normal(size=2))
+        pi = mfisc_momentum(x_curr - x_prev, 5, 3.0, rng.normal(size=2))
         assert_allclose(pi, (4.0 / 7.0) * (x_curr - x_prev), atol=0)
 
     def test_hand_worked_value(self):
         # m = 1, f = ||x||^2/2, x_prev = (1,0), x_curr = (0.9,0), k = 2,
         # alpha = 4: pi = (1/5)(-0.1,0) - (1/5)(0.1/0.9)(0.9,0) = (-0.04, 0)
-        state = SolverState(np.array([1.0, 0.0]), np.array([0.9, 0.0]), 2, 0.0)
-        pi = mfisc_momentum(state, 4.0, np.array([0.9, 0.0]))
+        dx = np.array([0.9, 0.0]) - np.array([1.0, 0.0])
+        pi = mfisc_momentum(dx, 2, 4.0, np.array([0.9, 0.0]))
         assert_allclose(pi, [-0.04, 0.0], atol=1e-15)
 
     def test_zero_gap_kills_correction_for_any_u(self):
-        state = SolverState(np.ones(3), np.ones(3), 9, 0.0)
-        pi = mfisc_momentum(state, 50.0, np.full(3, 1e300))
+        pi = mfisc_momentum(np.ones(3) - np.ones(3), 9, 50.0, np.full(3, 1e300))
         assert_allclose(pi, np.zeros(3))
 
 
@@ -108,8 +107,14 @@ class TestLineSearch:
 
 class TestConfigValidation:
     def test_alpha_floor(self):
-        with pytest.raises(InvalidConfig):
-            SolverConfig(variant=MFISC_CONST, alpha=2.9)
+        for alpha in (2.9, math.nan, math.inf):
+            with pytest.raises(InvalidConfig):
+                SolverConfig(variant=MFISC_CONST, alpha=alpha)
+
+    def test_step_and_epsilon_positive_and_finite(self):
+        for field in (dict(step=0.0), dict(step=math.inf), dict(epsilon=math.inf)):
+            with pytest.raises(InvalidConfig):
+                SolverConfig(variant=MFISC_LS, **field)
 
     def test_variant_names(self):
         with pytest.raises(InvalidConfig):
@@ -153,7 +158,7 @@ class TestConstantStepRuns:
         trace = run_solver(prob, cfg, prob.pareto_param(0.5))
         assert trace.termination == CONVERGED
         assert trace.iterations == 0
-        assert len(trace.ks) == 1
+        assert len(trace.points) == 1
 
     @pytest.mark.parametrize("variant", [MFISC_CONST, ACCG_CONST])
     def test_single_objective_matches_reference(self, variant):
@@ -187,11 +192,15 @@ class TestConstantStepRuns:
     def test_alpha_three_matches_accg_exactly(self):
         prob = quadratic_pair()
         x0 = np.array([-1.5, 1.7])
-        a = run_solver(prob, SolverConfig(variant=MFISC_CONST, alpha=3.0, step=0.05, epsilon=1e-9), x0)
-        b = run_solver(prob, SolverConfig(variant=ACCG_CONST, alpha=50.0, step=0.05, epsilon=1e-9), x0)
-        assert a.iterations == b.iterations
-        assert np.max(np.abs(a.x_final - b.x_final)) <= 1e-12
-        assert a.kkt_residuals == b.kkt_residuals
+        for mfisc, accg, step in ((MFISC_CONST, ACCG_CONST, 0.05), (MFISC_LS, ACCG_LS, None)):
+            a = run_solver(prob, SolverConfig(variant=mfisc, alpha=3.0, step=step, epsilon=1e-9), x0)
+            b = run_solver(prob, SolverConfig(variant=accg, alpha=50.0, step=step, epsilon=1e-9), x0)
+            assert a.iterations == b.iterations > 0
+            assert all(np.array_equal(p, q) for p, q in zip(a.points, b.points))
+            assert np.array_equal(a.x_final, b.x_final)
+            assert a.kkt_residuals == b.kkt_residuals
+            assert np.array_equal(a.steps, b.steps, equal_nan=True)
+            assert a.qp_gaps == b.qp_gaps
 
     def test_accg_never_reads_alpha(self):
         prob = quadratic_pair()
@@ -219,7 +228,8 @@ class TestConstantStepRuns:
         a = run_solver(prob, cfg, x0)
         b = run_solver(prob, cfg, x0)
         assert a.kkt_residuals == b.kkt_residuals
-        assert a.iterate_gaps == b.iterate_gaps
+        assert len(a.points) == len(b.points)
+        assert all(np.array_equal(p, q) for p, q in zip(a.points, b.points))
         assert np.array_equal(a.x_final, b.x_final)
 
     def test_kmax_termination(self):
@@ -228,19 +238,7 @@ class TestConstantStepRuns:
         trace = run_solver(prob, cfg, np.array([2.0, 2.0]))
         assert trace.termination == KMAX
         assert trace.iterations == 24
-        assert trace.ks == list(range(1, 26))
-
-    def test_grad_at_probe_compat_flag(self):
-        prob = quadratic_pair()
-        x0 = np.array([-1.0, 1.5])
-        base = run_solver(prob, SolverConfig(variant=MFISC_CONST, step=0.05, epsilon=1e-8), x0)
-        compat = run_solver(
-            prob,
-            SolverConfig(variant=MFISC_CONST, step=0.05, epsilon=1e-8, grad_at_probe=True),
-            x0,
-        )
-        assert compat.termination == CONVERGED
-        assert base.kkt_residuals[1:3] != compat.kkt_residuals[1:3]
+        assert len(trace.points) == 25
 
 
 class TestLineSearchRuns:
@@ -272,7 +270,7 @@ class TestLineSearchRuns:
             cfg = SolverConfig(variant=variant, alpha=50.0, epsilon=1e-4, k_max=100000)
         trace = run_solver(prob, cfg, np.full(8, 1.2))
         assert trace.termination == CONVERGED
-        assert kkt_residual(prob, trace.x_final) < 1e-4 + cfg.qp_tol
+        assert kkt_residual(prob, trace.x_final) < 1e-4 + DEFAULT_TOL
 
     def test_step_carryover_shrinks_only(self):
         prob = quadratic_pair()
@@ -282,52 +280,13 @@ class TestLineSearchRuns:
         assert all(b <= a + 1e-15 for a, b in zip(steps, steps[1:]))
         assert trace.termination == CONVERGED
 
-    def test_step_growback_recovers_toward_s0(self):
-        prob = quadratic_pair()
-        cfg = SolverConfig(variant=MFISC_LS, alpha=50.0, epsilon=1e-8, k_max=4000, step_growback=True)
-        trace = run_solver(prob, cfg, np.array([-1.8, 1.9]))
-        steps = [s for s in trace.steps if not np.isnan(s)]
-        assert trace.termination == CONVERGED
-        assert max(steps) <= 10.0 + 1e-12
-        assert any(b > a for a, b in zip(steps, steps[1:]))
-
-
-class TestVariantEntryPoints:
-    def test_wrappers_force_their_variant(self):
-        from mograd.solvers import (
-            accg_const_run,
-            accg_ls_run,
-            mfisc_const_run,
-            mfisc_ls_run,
-            steepest_ls_run,
-        )
-
-        prob = quadratic_pair()
-        x0 = np.array([1.2, -0.8])
-        cfg = SolverConfig(variant=MFISC_CONST, alpha=50.0, step=0.05, epsilon=1e-4)
-        for runner, variant in (
-            (mfisc_const_run, MFISC_CONST),
-            (accg_const_run, ACCG_CONST),
-        ):
-            trace = runner(prob, cfg, x0)
-            assert trace.variant == variant
-            assert trace.termination == CONVERGED
-        ls_cfg = SolverConfig(variant=MFISC_LS, alpha=50.0, epsilon=1e-4)
-        for runner, variant in (
-            (mfisc_ls_run, MFISC_LS),
-            (accg_ls_run, ACCG_LS),
-            (steepest_ls_run, STEEPEST_LS),
-        ):
-            trace = runner(prob, ls_cfg, x0)
-            assert trace.variant == variant
-            assert trace.termination == CONVERGED
-
 
 class TestTraceStructure:
     def test_strictly_increasing_k_and_single_termination(self):
         prob = quadratic_pair()
         trace = run_solver(prob, SolverConfig(variant=MFISC_CONST, step=0.05, epsilon=1e-6), np.array([2.0, -2.0]))
-        assert trace.ks == list(range(1, len(trace.ks) + 1))
+        ks = [row[0] for row in trace_csv_rows(trace, prob)[1:]]
+        assert ks == list(range(1, len(trace.points) + 1))
         assert trace.termination in (CONVERGED, KMAX, "qp_failure")
         assert np.isnan(trace.steps[-1])
         assert not any(np.isnan(s) for s in trace.steps[:-1])
@@ -336,8 +295,8 @@ class TestTraceStructure:
         prob = quadratic_pair()
         trace = run_solver(prob, SolverConfig(variant=MFISC_CONST, step=0.05, epsilon=1e-6), np.array([2.0, -2.0]))
         rows = trace_csv_rows(trace, prob)
-        assert rows[0] == ["k", "kkt_residual", "iter_gap", "f1", "f2", "step", "qp_gap", "time_s"]
-        assert len(rows) == len(trace.ks) + 1
+        assert rows[0] == ["k", "kkt_residual", "iter_gap", "f1", "f2", "step", "qp_gap"]
+        assert len(rows) == len(trace.points) + 1
         assert rows[-1][1] < 1e-6
         for i, row in enumerate(rows[1:]):
             assert row[3:5] == list(prob.objectives(trace.points[i]))
@@ -360,5 +319,5 @@ class TestTraceStructure:
         prob = quadratic_pair()
         trace = run_solver(prob, SolverConfig(variant=MFISC_CONST, step=0.05, epsilon=1e-6), prob.pareto_param(0.25))
         assert trace_csv_rows(trace, prob) == [
-            ["k", "kkt_residual", "iter_gap", "f1", "f2", "step", "qp_gap", "time_s"]
+            ["k", "kkt_residual", "iter_gap", "f1", "f2", "step", "qp_gap"]
         ]
