@@ -102,6 +102,10 @@ def _experiment_config(args):
     alphas = pick("alpha")
     if isinstance(alphas, (int, float)):
         alphas = [alphas]
+    if alphas and len(alphas) > 1 and args.verb != "flow":
+        raise InvalidConfig(
+            f"{args.verb} takes a single alpha; repeat --alpha only for a flow sweep"
+        )
     if alphas:
         solver_common["alpha"] = float(alphas[0])
     step = pick("step")

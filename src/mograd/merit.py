@@ -8,12 +8,16 @@ Evaluating it means globally minimizing the convex max-function
 
     h(z) = max_i [f_i(z) - f_i(x)],        phi(x) = -min_z h(z).
 
-The inner solve runs steepest descent on h: at each iterate the descent
-direction is the negated minimum-norm point of the hull of gradients of the
-nearly-active objectives, with backtracking on h itself.  Starting from
-z = x (where h = 0) and only accepting descent steps keeps the returned phi
-nonnegative by construction; a warm start is used only when it is already
-below that baseline.
+The inner solve is the prox-linear method for this max of smooth functions
+(Drusvyatskiy and Paquette, "Efficiency of minimizing compositions of convex
+functions and smooth maps", Math. Prog. 2019).  At z, with
+parts = F(z) - F(x) and gradient columns G, the step d = -t G theta
+minimizes the model max_i [parts_i + g_i.d] + |d|^2 / (2t); its weights
+theta come from one min-norm QP over the simplex.  A step is accepted when h
+falls by at least a quarter of the model's predicted decrease, and t then
+doubles; otherwise t halves.  Starting from z = x (where h = 0) and only
+accepting descent steps keeps the returned phi nonnegative by construction;
+a warm start is used only when it is already below that baseline.
 
 ``merit_grid_oracle`` is an independent check for two-dimensional problems:
 it maximizes min_i [f_i(x) - f_i(z)] over a dense rectangular grid, a lower
@@ -22,10 +26,21 @@ bound on phi that converges as the grid refines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
 import numpy as np
 
 from .simplex_qp import min_norm_in_hull
+
+_EPS = float(np.finfo(float).eps)
+
+# Consecutive rejected steps before the inner solve gives up.
+_MAX_HALVINGS = 100
+
+# Proximal steps on the subproblem weights when the columns are affinely
+# dependent; a few suffice, the cap only stops rounding from cycling.
+_MAX_PROX_STEPS = 100
 
 
 class DimensionUnsupported(ValueError):
@@ -40,15 +55,13 @@ class MeritUnavailable(ValueError):
 class MeritConfig:
     """Inner-solve controls.
 
-    ``inner_tol`` is the stationarity target: the minimum-norm point of the
-    active-gradient hull must fall below it.  ``activity_band`` is the
-    relative band deciding which objectives count as active at the current
-    inner iterate.
+    ``inner_tol`` is the stationarity target for the prox-gradient mapping
+    |G theta| (see ``MeritResult.residual``); ``inner_max_iter`` caps the
+    subproblem solves, accepted steps or not.
     """
 
     inner_tol: float = 1e-8
     inner_max_iter: int = 5000
-    activity_band: float = 1e-8
 
     def __post_init__(self):
         if not self.inner_tol > 0.0:
@@ -59,13 +72,14 @@ class MeritConfig:
 class MeritResult:
     """Merit value with its certificate.
 
-    ``phi`` is a lower bound on the true merit value, accurate to roughly
-    ``residual**2`` divided by the inner problem's convexity modulus.
-    ``tol_used`` is the stationarity tolerance actually enforced: the
-    configured ``inner_tol``, widened to the float64 floor
-    sqrt(eps |h| L) below which objective differences are pure rounding.
-    ``converged`` is False only when the iteration budget ran out with the
-    residual still above that tolerance.
+    ``phi`` = -h(z) is a lower bound on the true merit value.  ``residual``
+    is |G theta| = |z - z_next| / t at the last subproblem, the norm of the
+    prox-gradient mapping, which vanishes exactly at minimizers of h.  The
+    solve stops ``converged`` when it falls to ``inner_tol`` (the step at
+    hand is still taken if it passes the decrease test) or when the model's
+    predicted decrease is at most 8 eps (1 + |h|), so that no decrease above
+    rounding is left.  It stops unconverged after 100 consecutive halvings
+    of t or ``inner_max_iter`` subproblems.
     """
 
     phi: float
@@ -73,56 +87,36 @@ class MeritResult:
     residual: float
     converged: bool
     iterations: int
-    tol_used: float = 0.0
 
 
-def _bisect_to_kink(eval_parts, i0, i1, t_lo, t_hi, tol, max_bisect=80):
-    """Bisect for the step where objectives i0 and i1 tie, within ``tol``.
+def _subproblem_weights(grads, parts, t):
+    """theta maximizing theta.parts - (t/2)||G theta||^2 over the simplex.
 
-    The difference parts[i0] - parts[i1] is positive at t_lo and negative at
-    t_hi; returns (t, parts, h) at the located tie.
+    With (g_i - g_0).v = (parts_i - parts_0)/t the objective equals
+    -(t/2)||(G - v 1^T) theta||^2 plus a constant on the simplex, so one
+    min-norm QP solves it.  When the columns are affinely dependent the shift
+    can leave a residual r of parts/t; the objective then has a linear part
+    theta.r along directions that fix G theta, and proximal steps on theta
+    carry it in m extra coordinates until theta stops moving.
     """
-    for _ in range(max_bisect):
-        mid = 0.5 * (t_lo + t_hi)
-        parts = eval_parts(mid)
-        delta = parts[i0] - parts[i1]
-        if abs(delta) <= tol or t_hi - t_lo <= 1e-15 * max(t_hi, 1.0):
-            return mid, parts, float(np.max(parts))
-        if delta > 0.0:
-            t_lo = mid
-        else:
-            t_hi = mid
-    parts = eval_parts(t_hi)
-    return t_hi, parts, float(np.max(parts))
-
-
-def _kink_seeking_step(eval_parts, parts, h, d_trial, band):
-    """From a partially-active iterate, step onto the nearest activity tie.
-
-    Grows the trial step while h keeps decreasing and no inactive objective
-    overtakes; once one does, bisects onto the tie so that the next direction
-    sees both gradients.  Returns (t, parts, h) or None when no crossing is
-    reachable while descending (plain backtracking applies then).
-    """
-    i0 = int(np.argmax(parts))
-    t_lo, parts_lo = 0.0, parts
-    t = d_trial
-    for _ in range(60):
-        cand_parts = eval_parts(t)
-        cand_h = float(np.max(cand_parts))
-        i1 = int(np.argmax(cand_parts))
-        if i1 != i0:
-            t_kink, k_parts, k_h = _bisect_to_kink(
-                eval_parts, i0, i1, t_lo, t, band
-            )
-            if k_h < h:
-                return t_kink, k_parts, k_h
-            return None
-        if cand_h >= h:
-            return None
-        t_lo, parts_lo = t, cand_parts
-        t *= 2.0
-    return None
+    m = grads.shape[1]
+    v, _, rank, _ = np.linalg.lstsq(
+        (grads[:, 1:] - grads[:, :1]).T, (parts[1:] - parts[0]) / t, rcond=None
+    )
+    P = grads - v[:, None]
+    theta = min_norm_in_hull(P).weights
+    r = (parts - parts[0]) / t - v @ (grads - grads[:, :1])
+    if rank == m - 1 or not r.any():
+        return theta
+    # a small sigma makes long proximal steps; 1e-3 keeps the lifted entries
+    # within 1e3 of sqrt|r|, far from rounding trouble in the QP
+    sigma = 1e-3 * math.sqrt(float(np.abs(r).max()))
+    for _ in range(_MAX_PROX_STEPS):
+        extra = sigma * np.eye(m) - (r / sigma + sigma * theta)[:, None]
+        prev, theta = theta, min_norm_in_hull(np.vstack((P, extra))).weights
+        if np.abs(theta - prev).max() <= 1e-12:
+            break
+    return theta
 
 
 def merit_value(prob, x, cfg=None, warm_start=None):
@@ -145,84 +139,39 @@ def merit_value(prob, x, cfg=None, warm_start=None):
         if cand_h < h:
             z, parts, h = cand.copy(), cand_parts, cand_h
 
+    grads = prob.gradient_columns(z)
     residual = np.inf
     converged = False
-    trial_step = 1.0
-    tol_used = cfg.inner_tol
-    curvature = 0.0
-    prev_grads = None
-    prev_z = None
+    t = 1.0
+    halvings = 0
     its = 0
     for its in range(1, cfg.inner_max_iter + 1):
-        grads = prob.gradient_columns(z)
-        if prev_grads is not None:
-            dz = float(np.linalg.norm(z - prev_z))
-            if dz > 0.0:
-                curvature = max(
-                    curvature, float(np.linalg.norm(grads - prev_grads)) / dz
-                )
-        prev_grads, prev_z = grads, z
-        band = cfg.activity_band * (1.0 + abs(h))
-        active = parts >= h - band
-        hull = min_norm_in_hull(grads[:, active], cfg.inner_tol * 1e-3)
-        residual = float(np.linalg.norm(hull.point))
-        float_floor = 8.0 * np.sqrt(
-            np.finfo(float).eps * (1.0 + abs(h)) * max(curvature, 1e-8)
-        )
-        tol_used = max(cfg.inner_tol, float_floor)
-        if residual <= tol_used:
+        theta = _subproblem_weights(grads, parts, t)
+        step = grads @ theta
+        residual = math.sqrt(step @ step)
+        d = -t * step
+        pred = h - float(np.max(parts + d @ grads))
+        if pred <= 8.0 * _EPS * (1.0 + abs(h)):
             converged = True
             break
-
-        # Direction from an anticipatory activity band sized to the upcoming
-        # trial step: objectives that will overtake the max during the step
-        # already contribute their gradient, which is what permits long steps
-        # along the max-function's kinks.  Shrink the band if it collapses
-        # the direction while the stationarity residual is still large.
-        gmax = float(np.max(np.linalg.norm(grads, axis=0)))
-        band_dir = max(band, 4.0 * trial_step * gmax * residual)
-        d = -hull.point
-        dir_res = residual
-        for _ in range(12):
-            wide = parts >= h - band_dir
-            if int(np.sum(wide)) == int(np.sum(active)) or band_dir <= band:
-                break
-            hull_dir = min_norm_in_hull(grads[:, wide], cfg.inner_tol * 1e-3)
-            dir_res = float(np.linalg.norm(hull_dir.point))
-            if dir_res >= 1e-2 * residual:
-                d = -hull_dir.point
-                break
-            band_dir = max(band, 0.125 * band_dir)
-        else:
-            dir_res = residual
-
-        if int(np.sum(parts >= h - band_dir)) < prob.m:
-            def eval_parts(t, _z=z, _d=d):
-                return prob.objectives(_z + t * _d) - fx
-
-            kink = _kink_seeking_step(eval_parts, parts, h, trial_step, band)
-            if kink is not None:
-                t, parts, h = kink
-                z = z + t * d
-                trial_step = max(t, 1e-14)
-                continue
-
-        # Backtracking on h; the hull direction guarantees a local decrease
-        # rate of at least ||d||^2.
-        t = trial_step * 4.0
-        accepted = False
-        for _ in range(60):
-            cand = z + t * d
-            cand_parts = prob.objectives(cand) - fx
-            cand_h = float(np.max(cand_parts))
-            if cand_h <= h - 1e-4 * t * dir_res * dir_res:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
+        cand = z + d
+        cand_parts = prob.objectives(cand) - fx
+        cand_h = float(np.max(cand_parts))
+        accepted = cand_h <= h - 0.25 * pred
+        if accepted:
+            z, parts, h = cand, cand_parts, cand_h
+        if residual <= cfg.inner_tol:
+            converged = True
             break
-        z, parts, h = cand, cand_parts, cand_h
-        trial_step = t
+        if accepted:
+            grads = prob.gradient_columns(z)
+            t *= 2.0
+            halvings = 0
+        else:
+            t *= 0.5
+            halvings += 1
+            if halvings == _MAX_HALVINGS:
+                break
 
     return MeritResult(
         phi=-h,
@@ -230,7 +179,6 @@ def merit_value(prob, x, cfg=None, warm_start=None):
         residual=residual,
         converged=converged,
         iterations=its,
-        tol_used=tol_used,
     )
 
 

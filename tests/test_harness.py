@@ -463,3 +463,21 @@ class TestCli:
         )
         assert (tmp_path / "front" / "front.csv").exists()
         assert (tmp_path / "flow" / "bound_report.json").exists()
+
+    def test_repeated_alpha_is_config_error_for_solver_verbs(self, tmp_path, capsys):
+        solver = ["--problem", "quad2", "--solver", "mfisc_const", "--step", "0.05"]
+        for verb in ("run", "front", "trace"):
+            out_dir = tmp_path / verb
+            argv = [verb, *solver, "--alpha", "5", "--alpha", "90", "--out", str(out_dir)]
+            assert cli_main(argv) == 1
+            assert "single alpha" in capsys.readouterr().err
+            assert not out_dir.exists()
+        cfg_file = tmp_path / "exp.json"
+        cfg_file.write_text(json.dumps({"problem": "quad2", "alpha": [5, 90]}))
+        assert cli_main(["run", "--config", str(cfg_file), "--solver", "mfisc_const"]) == 1
+        # one alpha still reaches the solvers
+        argv = ["run", *solver, "--alpha", "5", "--starts", "2", "--eps", "1e-2",
+                "--out", str(tmp_path / "one")]
+        assert cli_main(argv) == 0
+        summary = json.loads((tmp_path / "one" / "summary.json").read_text())
+        assert [s["alpha"] for s in summary["config"]["solvers"]] == [5.0]

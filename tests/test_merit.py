@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from mograd.flow import FlowConfig, attach_merit, mavd_integrate, mavng_integrate
 from mograd.merit import (
     DimensionUnsupported,
     MeritConfig,
@@ -19,6 +22,58 @@ from mograd.problems import (
 from conftest import single_objective_problem
 
 QUAD_BOX = ((-1.0, 2.0), (-1.0, 2.0))
+
+
+def _golden_min(fun, lo, hi, iters=200):
+    """Minimum of a convex function of one variable on [lo, hi]."""
+    r = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(iters):
+        a, b = hi - r * (hi - lo), lo + r * (hi - lo)
+        if fun(a) < fun(b):
+            hi = b
+        else:
+            lo = a
+    return min(fun(lo), fun(hi), fun(0.5 * (lo + hi)))
+
+
+def quad2_exact_phi(prob, x):
+    """phi(x) for quad2 from its closed-form dual.
+
+    phi(x) = min over theta in [0, 1] of w.F(x) - w.F(z(theta)) with
+    w = (theta, 1 - theta), where z(theta) = (2 theta / (1 + theta),
+    2 (1 - theta) / (2 - theta)) minimizes w.F; the function of theta is
+    convex, so golden section finds its minimum.
+    """
+    fx = prob.objectives(x)
+
+    def dual(theta):
+        w = np.array([theta, 1.0 - theta])
+        z = np.array([2.0 * theta / (1.0 + theta), 2.0 * (1.0 - theta) / (2.0 - theta)])
+        return float(w @ (fx - prob.objectives(z)))
+
+    return min(_golden_min(dual, 0.0, 1.0), dual(0.0), dual(1.0))
+
+
+def shifted_quadratics(curvatures, centers):
+    """f_i(z) = a_i |z - c_i|^2 / 2 with the rows of ``centers`` as c_i."""
+    a = np.asarray(curvatures, dtype=float)
+    C = np.asarray(centers, dtype=float)
+    m, n = C.shape
+
+    def objectives(z):
+        return 0.5 * a * np.einsum("ij,ij->i", z - C, z - C)
+
+    def gradient_columns(z):
+        return (a[:, None] * (z - C)).T
+
+    return ProblemInstance(
+        name="shifted_quadratics",
+        n=n,
+        m=m,
+        objectives=objectives,
+        gradient_columns=gradient_columns,
+        init_box=(np.full(n, -1.0), np.full(n, 1.0)),
+    )
 
 
 class TestMeritValue:
@@ -95,6 +150,79 @@ class TestMeritValue:
         result = merit_value(prob, np.linspace(-1.0, 1.0, 6))
         assert result.converged
         assert result.phi > 0.1  # clearly away from the Pareto set
+
+
+class TestExactReference:
+    """quad2 against its closed-form dual, far tighter than the grid oracle."""
+
+    def test_warm_started_along_flow_trajectories(self):
+        prob = quadratic_pair()
+        cfg = FlowConfig(alpha=50.0, x0=np.array([-0.2, -0.1]), h=1e-2, t_end=8.0)
+        for integrate in (mavng_integrate, mavd_integrate):
+            traj = attach_merit(prob, integrate(prob, cfg), stride=10)
+            sampled = np.flatnonzero(~np.isnan(traj.merit))
+            assert len(sampled) >= 70
+            for i in sampled:
+                exact = quad2_exact_phi(prob, traj.points[i])
+                assert abs(traj.merit[i] - exact) <= 1e-8
+
+    def test_cold_random_points(self, rng):
+        prob = quadratic_pair()
+        for _ in range(20):
+            x = rng.uniform(-2.0, 2.0, 2)
+            result = merit_value(prob, x)
+            assert result.converged
+            assert abs(result.phi - quad2_exact_phi(prob, x)) <= 1e-8
+
+
+class TestDegenerateColumns:
+    """Gradient columns whose differences are linearly dependent."""
+
+    def test_duplicate_objectives(self):
+        # repeating f1 changes neither h nor phi
+        base = quadratic_pair()
+        dup = ProblemInstance(
+            name="quad2dup",
+            n=2,
+            m=3,
+            objectives=lambda z: base.objectives(z)[[0, 0, 1]],
+            gradient_columns=lambda z: base.gradient_columns(z)[:, [0, 0, 1]],
+            init_box=base.init_box,
+        )
+        for x in (np.array([-0.2, -0.1]), np.array([1.5, 1.2]), np.array([2.0, -1.0])):
+            result = merit_value(dup, x)
+            assert result.converged
+            assert abs(result.phi - quad2_exact_phi(base, x)) <= 1e-8
+
+    def test_collinear_gradients(self):
+        # the centers lie on a line, so the gradients z - c_i do too; the
+        # pieces differ by affine terms in z1 (the 1-D case below gives 2),
+        # and z2 = 0 gains 1/2 more
+        prob = shifted_quadratics([1.0, 1.0, 1.0], [[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
+        result = merit_value(prob, np.array([5.0, 1.0]))
+        assert result.converged
+        assert result.phi == pytest.approx(2.5, abs=1e-10)
+
+    def test_one_dimensional_tri_objective(self):
+        # n = 1 < m - 1: three columns in R^1
+        prob = shifted_quadratics([1.0, 1.0, 1.0], [[0.0], [1.0], [3.0]])
+        far = merit_value(prob, np.array([5.0]))
+        assert far.converged
+        assert far.phi == pytest.approx(2.0, abs=1e-10)
+        pareto = merit_value(prob, np.array([0.5]))
+        assert pareto.converged
+        assert abs(pareto.phi) <= 1e-12
+
+    def test_unequal_curvatures_in_one_dimension(self):
+        # pieces z^2 - 36, (z - 1)^2 / 2 - 12.5 and 1.5 (z - 3)^2 - 13.5 at
+        # x = 6: the last two cross at z = 2 with slopes 1 and -3, so phi = 12.
+        # The differences of the parts are not linear in the gradient
+        # differences, so no shift carries them.
+        prob = shifted_quadratics([2.0, 1.0, 3.0], [[0.0], [1.0], [3.0]])
+        result = merit_value(prob, np.array([6.0]))
+        assert result.converged
+        assert result.phi == pytest.approx(12.0, abs=1e-8)
+        assert result.z[0] == pytest.approx(2.0, abs=1e-6)
 
 
 class TestGridOracle:
