@@ -14,7 +14,7 @@ Core surface:
 
 from .flow import FlowConfig, Trajectory, attach_merit, mavd_integrate, mavng_integrate, merit_bound_scan
 from .harness import ExperimentConfig, flow_experiment, pareto_scan, run_batch, run_trace
-from .merit import MeritConfig, MeritResult, merit_grid_oracle, merit_value
+from .merit import MeritResult, merit_grid_oracle, merit_value
 from .problems import (
     InvalidConfig,
     ProblemInstance,
@@ -46,7 +46,6 @@ __all__ = [
     "HullSolution",
     "InvalidConfig",
     "IterationTrace",
-    "MeritConfig",
     "MeritResult",
     "ProblemInstance",
     "SolverConfig",

@@ -2,8 +2,10 @@
 
 Verbs: ``run`` (solver comparison batch), ``front`` (Pareto-front scan),
 ``flow`` (trajectory sweep with merit-bound report), ``trace`` (single traced
-run), ``list`` (problem registry).  A JSON config file mirroring
-ExperimentConfig can seed any verb; explicit flags override file values.
+run), ``list`` (problem registry).  A JSON config file can seed any verb: its
+keys are the dests of the verb's flags (``flow_beta`` for ``--beta``), a
+flag given overrides the key of the same name, and any other key is a
+configuration error.  Defaults live in ExperimentConfig and SolverConfig.
 
 Exit codes: 0 on success, 1 on configuration errors, 2 when any run failed.
 """
@@ -34,13 +36,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _point(text):
+    return tuple(float(v) for v in text.split(","))
+
+
 def _add_common(sub):
     sub.add_argument("--problem", help="registry key, e.g. jos1 or ex1:n=20,p=10,seed=3")
     sub.add_argument("--solver", action="append", choices=VARIANTS, dest="solvers")
     sub.add_argument("--alpha", action="append", type=float,
                      help="inertial coefficient; repeat for a flow sweep")
-    sub.add_argument("--beta", type=float, help="flow correction weight")
-    sub.add_argument("--p", type=float, help="flow correction decay exponent")
+    sub.add_argument("--beta", type=float, dest="flow_beta", help="flow correction weight")
+    sub.add_argument("--p", type=float, dest="flow_p", help="flow correction decay exponent")
     sub.add_argument("--step", type=float, help="constant step size")
     sub.add_argument("--s0", type=float, help="initial line-search step")
     sub.add_argument("--sigma", type=float, help="backtracking shrink factor")
@@ -67,87 +73,55 @@ def build_parser():
         sub = subs.add_parser(verb, description=desc)
         _add_common(sub)
         if verb == "run":
-            sub.add_argument("--traces", action="store_true", help="write per-run trace CSVs")
+            # default None, not False: an absent flag leaves the file's value
+            sub.add_argument("--traces", action="store_true", default=None,
+                             dest="write_traces", help="write per-run trace CSVs")
         if verb == "flow":
             sub.add_argument("--h", type=float, dest="flow_h", help="grid step")
             sub.add_argument("--t0", type=float, dest="flow_t0")
             sub.add_argument("--t-end", type=float, dest="flow_t_end")
-            sub.add_argument("--x0", help="comma-separated start point")
             sub.add_argument("--bound-scale", type=float, dest="bound_coeff_scale",
                              help="bound coefficient multiple of alpha (1 or 10)")
-        if verb == "trace":
-            sub.add_argument("--x0", help="comma-separated start point")
+        if verb in ("flow", "trace"):
+            sub.add_argument("--x0", type=_point, dest="flow_x0",
+                             help="comma-separated start point")
     subs.add_parser("list", description="list the problem registry")
     return parser
 
 
 def _experiment_config(args):
-    file_cfg = {}
+    """The config file's keys overlaid with the given flags; no defaults here."""
+    keys = set(vars(args)) - {"verb", "out", "config"}
+    settings = {}
     if args.config:
         with open(args.config) as fh:
-            file_cfg = json.load(fh)
-
-    def pick(name, default=None):
-        value = getattr(args, name, None)
-        if value is not None:
-            return value
-        return file_cfg.get(name, default)
-
-    problem = pick("problem")
-    if not problem:
+            settings = json.load(fh)
+        unknown = sorted(set(settings) - keys)
+        if unknown:
+            raise InvalidConfig(f"unknown config key(s) for {args.verb}: {', '.join(unknown)}")
+    settings.update((k, v) for k, v in vars(args).items() if k in keys and v is not None)
+    if not settings.get("problem"):
         raise InvalidConfig("a problem key is required (--problem or config file)")
 
-    solver_names = pick("solvers") or []
-    solver_common = {}
-    alphas = pick("alpha")
+    alphas = settings.pop("alpha", [])
     if isinstance(alphas, (int, float)):
         alphas = [alphas]
-    if alphas and len(alphas) > 1 and args.verb != "flow":
+    if len(alphas) > 1 and args.verb != "flow":
         raise InvalidConfig(
             f"{args.verb} takes a single alpha; repeat --alpha only for a flow sweep"
         )
+    solver_common = {k: settings.pop(k) for k in ("sigma", "k_max") if k in settings}
     if alphas:
         solver_common["alpha"] = float(alphas[0])
-    step = pick("step")
-    s0 = getattr(args, "s0", None) if getattr(args, "s0", None) is not None else file_cfg.get("s0")
-    for key in ("sigma", "k_max"):
-        value = pick(key)
-        if value is not None:
-            solver_common[key] = value
+    step, s0 = settings.pop("step", None), settings.pop("s0", None)
     solvers = []
-    for name in solver_names:
+    for name in settings.pop("solvers", ()):
         kwargs = dict(solver_common)
-        if name.endswith("_const"):
-            if step is not None:
-                kwargs["step"] = float(step)
-        elif s0 is not None:
-            kwargs["step"] = float(s0)
+        rule_step = step if name.endswith("_const") else s0
+        if rule_step is not None:
+            kwargs["step"] = float(rule_step)
         solvers.append(SolverConfig(variant=name, **kwargs))
-
-    fields = dict(
-        problem=problem,
-        solvers=tuple(solvers),
-        epsilons=tuple(pick("epsilons") or [1e-6]),
-        n_starts=int(pick("n_starts", 10)),
-        seed=int(pick("seed", 0)),
-        workers=int(pick("workers", 1)),
-        write_traces=bool(getattr(args, "traces", False) or file_cfg.get("write_traces", False)),
-        merit_stride=int(pick("merit_stride", 10)),
-        flow_alphas=tuple(alphas or file_cfg.get("flow_alphas", ())),
-        flow_beta=float(pick("beta", file_cfg.get("flow_beta", 3.0))),
-        flow_p=float(pick("p", file_cfg.get("flow_p", 1.0))),
-        flow_t0=float(pick("flow_t0", 1.0)),
-        flow_h=float(pick("flow_h", 1e-3)),
-        flow_t_end=float(pick("flow_t_end", 20.0)),
-        bound_coeff_scale=float(pick("bound_coeff_scale", 1.0)),
-    )
-    x0_raw = getattr(args, "x0", None) or file_cfg.get("x0")
-    if x0_raw:
-        if isinstance(x0_raw, str):
-            fields["flow_x0"] = tuple(float(v) for v in x0_raw.split(","))
-        else:
-            fields["flow_x0"] = tuple(float(v) for v in x0_raw)
-    return ExperimentConfig(**fields), x0_raw
+    return ExperimentConfig(solvers=solvers, flow_alphas=alphas, **settings)
 
 
 def main(argv=None):
@@ -158,7 +132,7 @@ def main(argv=None):
                 extra = f"  (params: {', '.join(params)})" if params else ""
                 print(f"{name}{extra}")
             return 0
-        cfg, x0_raw = _experiment_config(args)
+        cfg = _experiment_config(args)
         out = getattr(args, "out", None)
         if args.verb == "run":
             summary = run_batch(cfg, out_dir=out)
@@ -183,12 +157,7 @@ def main(argv=None):
                 )
             return 2 if failures else 0
         if args.verb == "trace":
-            x0 = None
-            if x0_raw and isinstance(x0_raw, str):
-                x0 = [float(v) for v in x0_raw.split(",")]
-            elif x0_raw:
-                x0 = list(x0_raw)
-            trace = run_trace(cfg, out_dir=out, x0=x0)
+            trace = run_trace(cfg, out_dir=out, x0=cfg.flow_x0 or None)
             print(
                 f"{cfg.problem} {cfg.solvers[0].variant}: {trace.termination} "
                 f"after {trace.iterations} iterations, final kkt {trace.final_residual:.3e}"

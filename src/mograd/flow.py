@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .merit import MeritConfig, merit_value
+from .merit import merit_value
 from .simplex_qp import min_norm_in_hull, project_onto_scaled_hull
 
 FLOW_COMPLETED = "completed"
@@ -187,7 +187,7 @@ def mavd_integrate(prob, cfg):
     return _integrate(prob, replace(cfg, beta=cfg.alpha), "mavd")
 
 
-def attach_merit(prob, traj, stride=10, cfg=None):
+def attach_merit(prob, traj, stride=10):
     """Sample merit values along the trajectory every ``stride`` grid points.
 
     The final sample is always evaluated; the inner solve warm-starts from
@@ -196,13 +196,12 @@ def attach_merit(prob, traj, stride=10, cfg=None):
     """
     if stride < 1:
         raise ValueError("stride must be at least 1")
-    cfg = cfg or MeritConfig()
     indices = list(range(0, len(traj), stride))
     if indices[-1] != len(traj) - 1:
         indices.append(len(traj) - 1)
     warm = None
     for i in indices:
-        result = merit_value(prob, traj.points[i], cfg, warm_start=warm)
+        result = merit_value(prob, traj.points[i], warm_start=warm)
         traj.merit[i] = result.phi
         warm = result.z
     return traj

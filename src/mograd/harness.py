@@ -27,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from .flow import FlowConfig, attach_merit, mavd_integrate, mavng_integrate, merit_bound_scan
-from .merit import MeritConfig
 from .problems import InvalidConfig, get_problem
 from .solvers import QP_FAILURE, run_solver, trace_csv_rows
 
@@ -39,7 +38,9 @@ class ExperimentConfig:
     """One experiment: problem, solver grid, tolerance sweep, flow sweep.
 
     ``solvers`` are templates; ``epsilons`` is crossed with them at run time.
-    The flow fields are only consulted by :func:`flow_experiment`.
+    The flow fields are only consulted by :func:`flow_experiment` (and
+    ``flow_x0`` by the command line's ``trace``).  Counts are coerced to int
+    and reals to float; ``epsilons`` must not be empty.
     """
 
     problem: str
@@ -60,16 +61,25 @@ class ExperimentConfig:
     bound_coeff_scale: float = 1.0
 
     def __post_init__(self):
+        for name in ("n_starts", "seed", "workers", "merit_stride"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        reals = ("flow_beta", "flow_p", "flow_t0", "flow_h", "flow_t_end", "bound_coeff_scale")
+        for name in reals:
+            object.__setattr__(self, name, float(getattr(self, name)))
+        for name in ("epsilons", "flow_alphas", "flow_x0"):
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+        object.__setattr__(self, "solvers", tuple(self.solvers))
+        object.__setattr__(self, "write_traces", bool(self.write_traces))
         if self.n_starts < 1:
             raise InvalidConfig("n_starts must be at least 1")
         if self.workers < 1:
             raise InvalidConfig("workers must be at least 1")
         if self.merit_stride < 1:
             raise InvalidConfig("merit_stride must be at least 1")
-        object.__setattr__(self, "solvers", tuple(self.solvers))
-        object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
-        object.__setattr__(self, "flow_alphas", tuple(float(a) for a in self.flow_alphas))
-        object.__setattr__(self, "flow_x0", tuple(float(v) for v in self.flow_x0))
+        if not self.epsilons:
+            raise InvalidConfig("epsilons must not be empty")
+        if not 0.0 < self.bound_coeff_scale < math.inf:
+            raise InvalidConfig("bound_coeff_scale must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -331,7 +341,7 @@ def pareto_scan(cfg, out_dir=None):
     return points, failures
 
 
-def flow_experiment(cfg, out_dir=None, merit_cfg=None):
+def flow_experiment(cfg, out_dir=None):
     """Integrate both flows for each alpha in the sweep and scan the bound.
 
     Writes one trajectory CSV per (system, alpha) with columns
@@ -351,7 +361,6 @@ def flow_experiment(cfg, out_dir=None, merit_cfg=None):
 
     report = []
     failures = 0
-    merit_cfg = merit_cfg or MeritConfig()
     for alpha in cfg.flow_alphas:
         flow_cfg = FlowConfig(
             alpha=alpha,
@@ -365,7 +374,7 @@ def flow_experiment(cfg, out_dir=None, merit_cfg=None):
         for system, integrate in (("mavng", mavng_integrate), ("mavd", mavd_integrate)):
             traj = integrate(prob, flow_cfg)
             failures += traj.termination != "completed"
-            attach_merit(prob, traj, stride=cfg.merit_stride, cfg=merit_cfg)
+            attach_merit(prob, traj, stride=cfg.merit_stride)
             coeff = cfg.bound_coeff_scale * alpha
             scan = merit_bound_scan(traj, coeff)
             report.append(

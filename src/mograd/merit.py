@@ -17,7 +17,8 @@ theta come from one min-norm QP over the simplex.  A step is accepted when h
 falls by at least a quarter of the model's predicted decrease, and t then
 doubles; otherwise t halves.  Starting from z = x (where h = 0) and only
 accepting descent steps keeps the returned phi nonnegative by construction;
-a warm start is used only when it is already below that baseline.
+a warm start is used only when it is already below that baseline.  The stop
+tests (see ``MeritResult``) use fixed constants: no caller needs others.
 
 ``merit_grid_oracle`` is an independent check for two-dimensional problems:
 it maximizes min_i [f_i(x) - f_i(z)] over a dense rectangular grid, a lower
@@ -34,6 +35,11 @@ import numpy as np
 from .simplex_qp import min_norm_in_hull
 
 _EPS = float(np.finfo(float).eps)
+
+# Stationarity target for the prox-gradient mapping |G theta| (see
+# MeritResult.residual), and the cap on subproblem solves, accepted or not.
+_INNER_TOL = 1e-8
+_INNER_MAX_ITER = 5000
 
 # Consecutive rejected steps before the inner solve gives up.
 _MAX_HALVINGS = 100
@@ -52,34 +58,17 @@ class MeritUnavailable(ValueError):
 
 
 @dataclass(frozen=True)
-class MeritConfig:
-    """Inner-solve controls.
-
-    ``inner_tol`` is the stationarity target for the prox-gradient mapping
-    |G theta| (see ``MeritResult.residual``); ``inner_max_iter`` caps the
-    subproblem solves, accepted steps or not.
-    """
-
-    inner_tol: float = 1e-8
-    inner_max_iter: int = 5000
-
-    def __post_init__(self):
-        if not self.inner_tol > 0.0:
-            raise ValueError("inner_tol must be positive")
-
-
-@dataclass(frozen=True)
 class MeritResult:
     """Merit value with its certificate.
 
-    ``phi`` = -h(z) is a lower bound on the true merit value.  ``residual``
-    is |G theta| = |z - z_next| / t at the last subproblem, the norm of the
-    prox-gradient mapping, which vanishes exactly at minimizers of h.  The
-    solve stops ``converged`` when it falls to ``inner_tol`` (the step at
-    hand is still taken if it passes the decrease test) or when the model's
-    predicted decrease is at most 8 eps (1 + |h|), so that no decrease above
-    rounding is left.  It stops unconverged after 100 consecutive halvings
-    of t or ``inner_max_iter`` subproblems.
+    ``phi`` = -h(z) is a lower bound on the true merit value, +0.0 when no
+    step was accepted.  ``residual`` is |G theta| = |z - z_next| / t at the
+    last subproblem, the norm of the prox-gradient mapping, which vanishes
+    exactly at minimizers of h.  The solve stops ``converged`` when it falls
+    to 1e-8 (the step at hand is still taken if it passes the decrease test)
+    or when the model's predicted decrease is at most 8 eps (1 + |h|), so
+    that no decrease above rounding is left.  It stops unconverged after 100
+    consecutive halvings of t or 5000 subproblems.
     """
 
     phi: float
@@ -119,13 +108,12 @@ def _subproblem_weights(grads, parts, t):
     return theta
 
 
-def merit_value(prob, x, cfg=None, warm_start=None):
+def merit_value(prob, x, warm_start=None):
     """Evaluate phi at ``x`` by solving the inner min-max problem."""
     if not prob.merit_supported:
         raise MeritUnavailable(
             f"{prob.name}: inner problem is not level bounded; merit disabled"
         )
-    cfg = cfg or MeritConfig()
     x = np.asarray(x, dtype=float)
     fx = prob.objectives(x)
 
@@ -145,7 +133,7 @@ def merit_value(prob, x, cfg=None, warm_start=None):
     t = 1.0
     halvings = 0
     its = 0
-    for its in range(1, cfg.inner_max_iter + 1):
+    for its in range(1, _INNER_MAX_ITER + 1):
         theta = _subproblem_weights(grads, parts, t)
         step = grads @ theta
         residual = math.sqrt(step @ step)
@@ -160,7 +148,7 @@ def merit_value(prob, x, cfg=None, warm_start=None):
         accepted = cand_h <= h - 0.25 * pred
         if accepted:
             z, parts, h = cand, cand_parts, cand_h
-        if residual <= cfg.inner_tol:
+        if residual <= _INNER_TOL:
             converged = True
             break
         if accepted:
@@ -173,8 +161,10 @@ def merit_value(prob, x, cfg=None, warm_start=None):
             if halvings == _MAX_HALVINGS:
                 break
 
+    # 0.0 - h, not -h: h stays 0.0 when no step is accepted, and phi = -0.0
+    # would then print as "-0.0"
     return MeritResult(
-        phi=-h,
+        phi=0.0 - h,
         z=z,
         residual=residual,
         converged=converged,

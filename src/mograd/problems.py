@@ -75,17 +75,18 @@ class ProblemInstance:
     merit_supported: bool = True
 
 
-def kkt_residual(prob, x, tol=1e-10):
+def kkt_residual(prob, x):
     """Norm of the minimum-norm element of the gradient hull at ``x``.
 
-    Zero exactly at Pareto-critical points (up to the QP tolerance).
+    Zero exactly at Pareto-critical points (up to the QP tolerance
+    ``simplex_qp.DEFAULT_TOL``).
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (prob.n,):
         raise ValueError(f"expected a point of dimension {prob.n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("point contains NaN or Inf")
-    sol = min_norm_in_hull(prob.gradient_columns(x), tol)
+    sol = min_norm_in_hull(prob.gradient_columns(x))
     return float(np.linalg.norm(sol.point))
 
 
@@ -116,11 +117,16 @@ def _stream(seed, index):
     )
 
 
-def spectral_norm(A, iters=100):
+# Power-iteration steps of spectral_norm.  The Lipschitz constants it feeds
+# set the default constant step 0.9/L, so a change moves run outputs.
+_POWER_ITERS = 100
+
+
+def spectral_norm(A):
     """Largest singular value via power iteration on A^T A (fixed start)."""
     A = np.asarray(A, dtype=float)
     v = np.ones(A.shape[1]) / math.sqrt(A.shape[1])
-    for _ in range(iters):
+    for _ in range(_POWER_ITERS):
         w = A.T @ (A @ v)
         norm = np.linalg.norm(w)
         if norm == 0.0:
@@ -153,14 +159,13 @@ def _softmax(z):
     return e / e.sum()
 
 
-def logsumexp_family(name, mats, offs, delta, init_box, lipschitz=None, **kwargs):
+def logsumexp_family(name, mats, offs, delta, init_box, **kwargs):
     """Objectives f_j = delta/2 ||x||^2 + log sum_i exp(<a_i^j, x> - b_i^j)."""
     mats = [np.asarray(A, dtype=float) for A in mats]
     offs = [np.asarray(b, dtype=float) for b in offs]
     m = len(mats)
     n = mats[0].shape[1]
-    if lipschitz is None:
-        lipschitz = delta + max(spectral_norm(A) ** 2 for A in mats)
+    lipschitz = delta + max(spectral_norm(A) ** 2 for A in mats)
 
     def objectives(x):
         reg = 0.5 * delta * float(x @ x)

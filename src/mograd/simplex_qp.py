@@ -26,12 +26,13 @@ tolerance is a genuine optimality certificate.  For ``m == 1`` and ``m == 2``
 closed forms replace the iteration (bi-objective problems dominate the
 benchmark suite).
 
-The tolerance is relative to the squared scale of the data (see
-``_REL_TOL``).  Wolfe's method needs it up front, as its stopping test.  The
-closed forms compare their one gap with ``tol`` first and compute the scale
-only when that fails: at small n the scale (a column-norm reduction and a
-dot product) costs as much as the closed form itself, and the relative
-allowance is needed only for data of large magnitude.
+Both run at the fixed tolerance ``DEFAULT_TOL``, relaxed relative to the
+squared scale of the data (see ``_REL_TOL``).  Wolfe's method needs the
+relaxed tolerance up front, as its stopping test.  The closed forms compare
+their one gap with ``DEFAULT_TOL`` first and compute the scale only when that
+fails: at small n the scale (a column-norm reduction and a dot product) costs
+as much as the closed form itself, and the relative allowance is needed only
+for data of large magnitude.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ DEFAULT_TOL = 1e-10
 # Relative safeguard: with gradient data of magnitude ~Z the Frank-Wolfe gap
 # carries rounding noise of order eps * Z^2, so a purely absolute tolerance is
 # unreachable for large-scale data.  The effective tolerance is
-# max(tol, _REL_TOL * quadratic_scale), or tol alone when that scale overflows.
+# max(DEFAULT_TOL, _REL_TOL * quadratic_scale), or DEFAULT_TOL alone when that
+# scale overflows.
 _REL_TOL = 1e-12
 
 # Wolfe's method adds one column per major cycle and terminates finitely in
@@ -89,13 +91,8 @@ def _validate_columns(G):
     return G
 
 
-def _validate_tol(tol):
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-
-
-def _effective_tol(S, v, tol):
-    """``max(tol, _REL_TOL * q_scale)`` for the squared data scale ``q_scale``.
+def _effective_tol(S, v):
+    """``max(DEFAULT_TOL, _REL_TOL * q_scale)`` for the squared data scale.
 
     An overflowed scale gets no relative allowance: ``inf`` would certify
     every finite gap.
@@ -103,8 +100,8 @@ def _effective_tol(S, v, tol):
     col_sq = np.einsum("ij,ij->j", S, S)
     q_scale = max(1.0, float(col_sq.max()), float(v @ v))
     if not math.isfinite(q_scale):
-        return tol
-    return max(tol, _REL_TOL * q_scale)
+        return DEFAULT_TOL
+    return max(DEFAULT_TOL, _REL_TOL * q_scale)
 
 
 def _fw_gap(S, v, theta):
@@ -115,7 +112,7 @@ def _fw_gap(S, v, theta):
     return p, max(float(r @ p - (r @ S).min()), 0.0)
 
 
-def _closed_form(S, v, tol):
+def _closed_form(S, v):
     """Exact solution for one or two columns of ``S``."""
     if S.shape[1] == 1:
         theta = np.ones(1)
@@ -131,7 +128,7 @@ def _closed_form(S, v, tol):
             t = 1.0
         theta = np.array([t, 1.0 - t])
     point, gap = _fw_gap(S, v, theta)
-    converged = gap <= tol or gap <= _effective_tol(S, v, tol)
+    converged = gap <= DEFAULT_TOL or gap <= _effective_tol(S, v)
     return HullSolution(theta, point, gap, converged, 0)
 
 
@@ -146,7 +143,7 @@ def _affine_minimizer(A):
     return np.concatenate(([1.0 - z.sum()], z))
 
 
-def _wolfe(S, v, tol):
+def _wolfe(S, v):
     """Wolfe's min-norm-point method for three or more columns of ``S``.
 
     It runs on the shifted points p_i = s_i - v: the point x of conv{p_i}
@@ -155,7 +152,7 @@ def _wolfe(S, v, tol):
     to the affine minimizer of the active set, stepping back to the simplex
     boundary and dropping columns until every active weight is positive.
     """
-    tol_eff = _effective_tol(S, v, tol)
+    tol_eff = _effective_tol(S, v)
     m = S.shape[1]
     P = S - v[:, None]
     active = [int(np.argmin(np.einsum("ij,ij->j", P, P)))]
@@ -194,7 +191,7 @@ def _wolfe(S, v, tol):
     return HullSolution(theta, point, gap, gap <= tol_eff, cycles)
 
 
-def project_onto_scaled_hull(G, scale, v, tol=DEFAULT_TOL):
+def project_onto_scaled_hull(G, scale, v):
     """Nearest point of ``scale * conv{columns of G}`` to ``v``.
 
     Minimizes ``0.5 * ||scale * G @ theta - v||^2`` over the simplex and
@@ -207,17 +204,16 @@ def project_onto_scaled_hull(G, scale, v, tol=DEFAULT_TOL):
     G = _validate_columns(G)
     if not 0.0 < scale < math.inf:
         raise ValueError("scale must be positive and finite")
-    _validate_tol(tol)
     v = np.asarray(v, dtype=float)
     if v.shape != (G.shape[0],):
         raise ValueError("target vector shape does not match gradient columns")
     if not np.isfinite(v).all():
         raise NonFiniteInput("target vector contains NaN or Inf")
     S = scale * G
-    return _closed_form(S, v, tol) if G.shape[1] <= 2 else _wolfe(S, v, tol)
+    return _closed_form(S, v) if G.shape[1] <= 2 else _wolfe(S, v)
 
 
-def min_norm_in_hull(G, tol=DEFAULT_TOL):
+def min_norm_in_hull(G):
     """Projection of the origin onto ``conv{columns of G}``.
 
     Specialization of :func:`project_onto_scaled_hull` with unit scale and a
@@ -225,7 +221,6 @@ def min_norm_in_hull(G, tol=DEFAULT_TOL):
     vanishes exactly at Pareto-critical points.
     """
     G = _validate_columns(G)
-    _validate_tol(tol)
     # 1.0 * G == G exactly, so G serves as the scaled columns
     v = np.zeros(G.shape[0])
-    return _closed_form(G, v, tol) if G.shape[1] <= 2 else _wolfe(G, v, tol)
+    return _closed_form(G, v) if G.shape[1] <= 2 else _wolfe(G, v)

@@ -17,7 +17,7 @@ import pytest
 
 from mograd.flow import FlowConfig, attach_merit, mavd_integrate, mavng_integrate, merit_bound_scan
 from mograd.harness import ExperimentConfig, flow_experiment, pareto_scan, run_batch, sample_starts
-from mograd.merit import MeritConfig, merit_grid_oracle, merit_value
+from mograd.merit import merit_grid_oracle, merit_value
 from mograd.problems import available_problems, finite_difference_gradients, get_problem, quadratic_pair
 from mograd.simplex_qp import min_norm_in_hull, project_onto_scaled_hull
 from mograd.solvers import ACCG_CONST, ACCG_LS, MFISC_CONST, MFISC_LS, STEEPEST_LS, SolverConfig, run_solver
@@ -49,8 +49,8 @@ def test_criterion_1_qp_oracle_equivalence():
             n = int(rng.choice([2, 10]))
             G = rng.normal(size=(n, m))
             v = rng.normal(size=n)
-            mn = min_norm_in_hull(G, 1e-10)
-            pr = project_onto_scaled_hull(G, 1.0, v, 1e-10)
+            mn = min_norm_in_hull(G)
+            pr = project_onto_scaled_hull(G, 1.0, v)
             assert mn.converged and mn.gap <= 1e-10
             assert pr.converged and pr.gap <= 1e-10
             oracle_mn, oracle_pr = grid_min_hull_objective_pair(G, v, resolution=1000)
@@ -140,14 +140,13 @@ def test_criterion_5_rate_envelope():
         trace = run_solver(prob, cfg, np.array([-0.2, -0.1]))
         assert len(trace.points) == 10**4
 
-        merit_cfg = MeritConfig()
         warm = None
         phis = {}
         envelope = {}
         for i, k in enumerate(range(1, len(trace.points) + 1)):
             if k < 10:
                 continue
-            result = merit_value(prob, trace.points[i], merit_cfg, warm_start=warm)
+            result = merit_value(prob, trace.points[i], warm_start=warm)
             warm = result.z
             phis[k] = result.phi
             envelope[k] = result.phi * ((k + alpha - 2.0) ** 2 + k) / np.log(k) ** 2

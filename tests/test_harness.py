@@ -1,10 +1,12 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mograd.cli import build_parser
 from mograd.cli import main as cli_main
 from mograd.harness import (
     ExperimentConfig,
@@ -48,6 +50,24 @@ class TestSampling:
         lo, hi = prob.init_box
         assert np.all(a >= lo) and np.all(a <= hi)
         assert not np.array_equal(a, sample_starts(prob, 12, seed=4))
+
+
+class TestExperimentConfig:
+    def test_counts_are_ints(self):
+        cfg = ExperimentConfig(
+            problem="jos1", n_starts=2.0, seed=3.0, workers=1.0, merit_stride=5.0
+        )
+        for name in ("n_starts", "seed", "workers", "merit_stride"):
+            assert type(getattr(cfg, name)) is int, name
+
+    def test_rejects_empty_epsilons(self):
+        with pytest.raises(InvalidConfig):
+            ExperimentConfig(problem="jos1", epsilons=())
+
+    def test_bound_scale_must_be_positive_and_finite(self):
+        for scale in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(InvalidConfig):
+                ExperimentConfig(problem="quad2", bound_coeff_scale=scale)
 
 
 class TestRunBatch:
@@ -481,3 +501,81 @@ class TestCli:
         assert cli_main(argv) == 0
         summary = json.loads((tmp_path / "one" / "summary.json").read_text())
         assert [s["alpha"] for s in summary["config"]["solvers"]] == [5.0]
+
+    def test_config_file_flow_x0_reaches_the_flow(self, tmp_path):
+        cfg_file = tmp_path / "flow.json"
+        cfg_file.write_text(json.dumps({
+            "problem": "quad2", "alpha": 5, "flow_h": 0.005, "flow_t_end": 1.01,
+            "flow_x0": [-0.2, -0.1], "merit_stride": 500,
+        }))
+        assert cli_main(["flow", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 0
+        first = (tmp_path / "out" / "mavng_a5.csv").read_text().splitlines()[1].split(",")
+        assert [float(v) for v in first[1:3]] == [-0.2, -0.1]
+
+    def test_unknown_config_key_exits_one(self, tmp_path, capsys):
+        cfg_file = tmp_path / "exp.json"
+        cfg_file.write_text(json.dumps({
+            "problem": "jos1", "solvers": ["mfisc_const"], "step": 0.05,
+            "epsilons": [1e-2], "n_start": 2,
+        }))
+        out_dir = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg_file), "--out", str(out_dir)]) == 1
+        assert "n_start" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    # every setting of the flow verb: flag, config key, value A, value B
+    FLOW_SETTINGS = (
+        ("--problem", "problem", "quad2", "lse2"),
+        ("--solver", "solvers", ["mfisc_ls"], ["accg_const"]),
+        ("--alpha", "alpha", [6.0], [5.0]),
+        ("--step", "step", 0.04, 0.05),
+        ("--s0", "s0", 3.0, 2.0),
+        ("--sigma", "sigma", 0.6, 0.5),
+        ("--k-max", "k_max", 20, 10),
+        ("--beta", "flow_beta", 4.0, 3.5),
+        ("--p", "flow_p", 2.0, 1.5),
+        ("--eps", "epsilons", [1e-4], [1e-3]),
+        ("--starts", "n_starts", 4, 3),
+        ("--seed", "seed", 2, 1),
+        ("--workers", "workers", 2, 3),
+        ("--merit-stride", "merit_stride", 400, 500),
+        ("--h", "flow_h", 0.004, 0.005),
+        ("--t0", "flow_t0", 1.5, 1.0),
+        ("--t-end", "flow_t_end", 1.508, 1.01),
+        ("--x0", "flow_x0", [0.3, 0.4], [0.1, 0.2]),
+        ("--bound-scale", "bound_coeff_scale", 10.0, 1.0),
+    )
+
+    def test_flag_overrides_the_config_key_of_the_same_name(self, tmp_path):
+        keys = {key for _, key, _, _ in self.FLOW_SETTINGS}
+        assert keys == set(vars(build_parser().parse_args(["flow"]))) - {"verb", "out", "config"}
+
+        def flags(column):
+            argv = []
+            for flag, _, *values in self.FLOW_SETTINGS:
+                value = values[column]
+                if flag == "--x0":
+                    argv.append("--x0=" + ",".join(map(str, value)))
+                else:
+                    for v in value if isinstance(value, list) else [value]:
+                        argv += [flag, str(v)]
+            return argv
+
+        def echo(name, file_column, argv):
+            argv = ["flow", *argv, "--out", str(tmp_path / name)]
+            if file_column is not None:
+                cfg_file = tmp_path / f"{name}.json"
+                cfg_file.write_text(json.dumps(
+                    {key: values[file_column] for _, key, *values in self.FLOW_SETTINGS}
+                ))
+                argv += ["--config", str(cfg_file)]
+            assert cli_main(argv) == 0
+            return json.loads((tmp_path / name / "bound_report.json").read_text())["config"]
+
+        from_flags = echo("flags", None, flags(0))
+        assert from_flags["flow_x0"] == [0.3, 0.4]
+        assert from_flags["solvers"] == [dict(
+            variant="mfisc_ls", alpha=6.0, step=3.0, epsilon=1e-6, k_max=20, sigma=0.6
+        )]
+        assert echo("file", 0, []) == from_flags
+        assert echo("both", 1, flags(0)) == from_flags
