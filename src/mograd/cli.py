@@ -132,7 +132,11 @@ def main(argv=None):
                 extra = f"  (params: {', '.join(params)})" if params else ""
                 print(f"{name}{extra}")
             return 0
-        cfg = _experiment_config(args)
+        try:
+            cfg = _experiment_config(args)
+        except TypeError as exc:
+            # a config-file value of the wrong JSON type, e.g. "alpha": null
+            raise InvalidConfig(f"config value of the wrong type: {exc}") from exc
         out = getattr(args, "out", None)
         if args.verb == "run":
             summary = run_batch(cfg, out_dir=out)

@@ -127,10 +127,13 @@ def _integrate(prob, cfg, system):
 
     x_prev = cfg.x0.copy()
     x_curr = cfg.x0.copy()
+    # each QP warm-starts from its own previous weights, as in run_solver
+    hull_w = proj_w = None
     for k in range(1, steps):
         t_k = cfg.t0 + k * cfg.h
         grads = prob.gradient_columns(x_curr)
-        hull = min_norm_in_hull(grads)
+        hull = min_norm_in_hull(grads, start=hull_w)
+        hull_w = hull.weights
         u = hull.point
         # math.sqrt(x @ x) is how numpy computes the 2-norm of a real vector
         residual = math.sqrt(u @ u)
@@ -148,7 +151,8 @@ def _integrate(prob, cfg, system):
         else:
             v_k = dx  # dx - 0.0 == dx exactly
 
-        proj = project_onto_scaled_hull(grads, cfg.h * cfg.h, v_k)
+        proj = project_onto_scaled_hull(grads, cfg.h * cfg.h, v_k, start=proj_w)
+        proj_w = proj.weights
         if not proj.converged:
             termination = FLOW_QP_FAILURE
             reached = k
@@ -160,7 +164,7 @@ def _integrate(prob, cfg, system):
         x_prev, x_curr = x_curr, x_next
 
     if termination == FLOW_COMPLETED:
-        u = min_norm_in_hull(prob.gradient_columns(x_curr)).point
+        u = min_norm_in_hull(prob.gradient_columns(x_curr), start=hull_w).point
         residuals[steps] = math.sqrt(u @ u)
     residuals[0] = residuals[1]
 

@@ -39,8 +39,9 @@ class ExperimentConfig:
 
     ``solvers`` are templates; ``epsilons`` is crossed with them at run time.
     The flow fields are only consulted by :func:`flow_experiment` (and
-    ``flow_x0`` by the command line's ``trace``).  Counts are coerced to int
-    and reals to float; ``epsilons`` must not be empty.
+    ``flow_x0`` by the command line's ``trace``).  Counts must be whole
+    numbers (``2.0`` becomes ``2``, ``2.7`` is rejected) and reals are coerced
+    to float; ``epsilons`` must not be empty.
     """
 
     problem: str
@@ -61,8 +62,18 @@ class ExperimentConfig:
     bound_coeff_scale: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.problem, str):
+            raise InvalidConfig(f"problem must be a registry key string, not {self.problem!r}")
         for name in ("n_starts", "seed", "workers", "merit_stride"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+            value = getattr(self, name)
+            try:
+                count = int(value)
+            except (TypeError, ValueError, OverflowError):
+                count = None
+            # int() truncates, so 2.7 would silently run as 2
+            if count is None or count != value:
+                raise InvalidConfig(f"{name} must be a whole number, not {value!r}")
+            object.__setattr__(self, name, count)
         reals = ("flow_beta", "flow_p", "flow_t0", "flow_h", "flow_t_end", "bound_coeff_scale")
         for name in reals:
             object.__setattr__(self, name, float(getattr(self, name)))

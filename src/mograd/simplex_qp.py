@@ -16,7 +16,14 @@ single-objective case:
 For ``m >= 3`` both are solved exactly by Wolfe's min-norm-point method
 (P. Wolfe, "Finding the nearest point in a polytope", Math. Prog. 11, 1976),
 a finite active-set algorithm, with a fixed cap on its major cycles as a
-guard against cycling under rounding.  Termination is certified by the
+guard against cycling under rounding.  Wolfe's method is finite from any
+corral, a face of the simplex whose affine minimizer has only positive
+weights, so it can start from a face other than a single vertex: both QPs
+take an optional ``start``, and the weights of a previous solve of a nearby
+problem (the solvers' and the flows' consecutive iterates) make the support
+of that solve the start face.  Minor cycles turn the start face into a
+corral; the same minor cycles follow each major cycle.  The start changes
+the work, not the certified answer.  Termination is certified by the
 Frank-Wolfe gap
 
     gap(theta) = max_i <p - v, p - scale * g_i>,   p = scale * G @ theta,
@@ -26,12 +33,15 @@ tolerance is a genuine optimality certificate.  For ``m == 1`` and ``m == 2``
 closed forms replace the iteration (bi-objective problems dominate the
 benchmark suite).
 
-Both run at the fixed tolerance ``DEFAULT_TOL``, relaxed relative to the
-squared scale of the data (see ``_REL_TOL``).  Wolfe's method needs the
-relaxed tolerance up front, as its stopping test.  The closed forms compare
-their one gap with ``DEFAULT_TOL`` first and compute the scale only when that
-fails: at small n the scale (a column-norm reduction and a dot product) costs
-as much as the closed form itself, and the relative allowance is needed only
+Both certify at the fixed tolerance ``DEFAULT_TOL``, relaxed relative to the
+squared scale of the data (see ``_REL_TOL``).  That tolerance is only the
+certificate.  Wolfe's method stops on its own relative test, a gap of at
+most ``_REL_TOL`` times the largest squared norm of the shifted points, or
+when rounding stalls it: on data as small as the flows' h^2-scaled hulls an
+absolute stopping test would accept any vertex.  The certificate compares the
+gap with ``DEFAULT_TOL`` first and computes the scale only when that fails:
+at small n the scale (a column-norm reduction and a dot product) costs as
+much as the closed form itself, and the relative allowance is needed only
 for data of large magnitude.
 """
 
@@ -72,7 +82,9 @@ class HullSolution:
         converged: whether the gap met the effective tolerance.  When False
             the last iterate is returned and ``gap`` reports its gap.
         iterations: major cycles of Wolfe's method, i.e. columns added to
-            the active set (0 for the closed forms).
+            the active set (0 for the closed forms).  The minor cycles that
+            make the start face a corral are not counted, so a solve started
+            from its own solution reports 0.
     """
 
     weights: np.ndarray
@@ -137,61 +149,132 @@ def _affine_minimizer(A):
 
     Solved as least squares on the column differences ``A[:, i] - A[:, 0]``:
     the Gram/KKT form would square the condition number of near-collinear
-    hulls.
+    hulls.  One column is its own minimizer; for two, that least-squares
+    problem has one column and is the unclamped segment formula of
+    ``_closed_form``, with no ``lstsq`` call unless its dot products
+    overflow.
     """
+    k = A.shape[1]
+    if k == 1:
+        return np.ones(1)
+    if k == 2:
+        a = A[:, 0]
+        d = A[:, 1] - a
+        dd = float(d @ d)
+        ad = float(a @ d)
+        if dd < math.inf and math.isfinite(ad):
+            # lstsq's minimum-norm answer z = 0 for equal columns
+            z = -ad / dd if dd > 0.0 else 0.0
+            return np.array([1.0 - z, z])
     z = np.linalg.lstsq(A[:, 1:] - A[:, :1], -A[:, 0], rcond=None)[0]
     return np.concatenate(([1.0 - z.sum()], z))
 
 
-def _wolfe(S, v):
+def _minor_cycles(P, active, lam, mu):
+    """Wolfe's minor cycles: from convex weights ``lam`` on the face ``active``
+    toward its affine minimizer ``mu``, until the face is a corral.
+
+    While ``mu`` has a weight <= 0, step from ``lam`` toward ``mu`` up to the
+    simplex boundary, drop the column whose weight reaches zero and re-solve
+    the smaller face.  Every pass drops a column and one column is a corral,
+    so this ends.  Returns the corral and its weights, all positive.
+    """
+    while (mu <= 0.0).any():
+        neg = np.nonzero(mu <= 0.0)[0]
+        ratios = lam[neg] / (lam[neg] - mu[neg])
+        lam = lam + float(ratios.min()) * (mu - lam)
+        lam[neg[np.argmin(ratios)]] = 0.0
+        keep = lam > 0.0
+        active = [a for a, k in zip(active, keep) if k]
+        lam = lam[keep]
+        mu = _affine_minimizer(P[:, active])
+    return active, mu
+
+
+def _wolfe(S, v, start):
     """Wolfe's min-norm-point method for three or more columns of ``S``.
 
     It runs on the shifted points p_i = s_i - v: the point x of conv{p_i}
     nearest the origin gives the projection v + x, with the same weights.
-    Each major cycle adds the column minimizing <x, p_i>; minor cycles move
-    to the affine minimizer of the active set, stepping back to the simplex
-    boundary and dropping columns until every active weight is positive.
+
+    The start face is the support of ``start`` (its entries > 0), or, with
+    no start or no positive entry, the single column of least norm.  The
+    weights begin uniform on that face, and minor cycles toward its affine
+    minimizer make it a corral: a face whose affine minimizer has only
+    positive weights; that start-up is not counted as a cycle.  Each major
+    cycle then adds the column minimizing <x, p_i> and runs the minor cycles
+    again, until the gap ||x||^2 - min_i <x, p_i> meets Wolfe's relative test
+    or rounding stalls the method.  The stall test ``j in active`` is sound
+    because x is always the affine minimizer of a corral, where every active
+    column has <x, p_i> = ||x||^2.
     """
-    tol_eff = _effective_tol(S, v)
     m = S.shape[1]
     P = S - v[:, None]
-    active = [int(np.argmin(np.einsum("ij,ij->j", P, P)))]
-    lam = np.ones(1)
-    x = P[:, active[0]]
+    full = list(range(m))
+
+    def columns(face):
+        # the face of every column, in order, is P itself: no gather
+        return P if face == full else P[:, face]
+
+    face = [] if start is None else [i for i, w in enumerate(start.tolist()) if w > 0.0]
+    if not face:
+        face = [int(np.einsum("ij,ij->j", P, P).argmin())]
+    lam = np.array([1.0 / len(face)] * len(face))
+    active, lam = _minor_cycles(P, face, lam, _affine_minimizer(columns(face)))
+    x = columns(active) @ lam
+
+    # Wolfe's relative stopping test, gap <= _REL_TOL * max_i ||p_i||^2: the
+    # absolute DEFAULT_TOL would accept any face of data smaller than ~1e-5,
+    # such as the flow's h^2-scaled hulls.  As ||x||^2 <= max_i ||p_i||^2,
+    # a gap that passes the first comparison passes the test, and the
+    # column norms are computed only when it fails.
+    stop = None
     cycles = 0
     while cycles < _MAX_CYCLES:
         dots = x @ P
-        j = int(np.argmin(dots))
-        if x @ x - dots[j] <= tol_eff or j in active:
+        j = int(dots.argmin())
+        xx = x @ x
+        gap = xx - dots[j]
+        if gap <= _REL_TOL * xx or j in active:
             break
-        mu = _affine_minimizer(P[:, active + [j]])
+        if stop is None:
+            q = float(np.einsum("ij,ij->j", P, P).max())
+            # an overflowed scale allows nothing, as in _effective_tol
+            stop = _REL_TOL * q if math.isfinite(q) else 0.0
+        if gap <= stop:
+            break
+        entering = active + [j]
+        mu = _affine_minimizer(columns(entering))
         if not mu[-1] > 0.0:
             # in exact arithmetic the entering column gets positive weight;
             # here rounding has stalled the method
             break
         cycles += 1
-        active.append(j)
-        lam = np.append(lam, 0.0)
-        while (mu <= 0.0).any():
-            neg = np.nonzero(mu <= 0.0)[0]
-            ratios = lam[neg] / (lam[neg] - mu[neg])
-            lam = lam + float(ratios.min()) * (mu - lam)
-            lam[neg[np.argmin(ratios)]] = 0.0
-            keep = lam > 0.0
-            active = [a for a, k in zip(active, keep) if k]
-            lam = lam[keep]
-            mu = _affine_minimizer(P[:, active])
-        lam = mu
-        x = P[:, active] @ lam
+        active, lam = _minor_cycles(P, entering, np.append(lam, 0.0), mu)
+        x = columns(active) @ lam
 
-    theta = np.zeros(m)
-    theta[active] = lam
-    theta /= theta.sum()
+    if active == full:
+        theta = lam / lam.sum()
+    else:
+        theta = np.zeros(m)
+        theta[active] = lam
+        theta /= theta.sum()
     point, gap = _fw_gap(S, v, theta)
-    return HullSolution(theta, point, gap, gap <= tol_eff, cycles)
+    converged = gap <= DEFAULT_TOL or gap <= _effective_tol(S, v)
+    return HullSolution(theta, point, gap, converged, cycles)
 
 
-def project_onto_scaled_hull(G, scale, v):
+def _validate_start(start, m):
+    # the solvers pass their previous weights, already an array; skipping
+    # the conversion call matters at m <= 2, where a solve costs ~15 us
+    if not isinstance(start, np.ndarray):
+        start = np.asarray(start, dtype=float)
+    if start.shape != (m,):
+        raise ValueError("start weights shape does not match gradient columns")
+    return start
+
+
+def project_onto_scaled_hull(G, scale, v, start=None):
     """Nearest point of ``scale * conv{columns of G}`` to ``v``.
 
     Minimizes ``0.5 * ||scale * G @ theta - v||^2`` over the simplex and
@@ -200,6 +283,11 @@ def project_onto_scaled_hull(G, scale, v):
     returned with ``converged=False`` instead of raising; degenerate hulls
     (equal columns) are fine because only the point is unique, not the
     weights.
+
+    ``start``, of shape ``(m,)``, warm-starts Wolfe's method from the face
+    of its positive entries, typically the weights of the previous solve of a
+    nearby problem.  It changes the work, not the answer: a start with no
+    positive entry is a cold start, and the closed forms (m <= 2) ignore it.
     """
     G = _validate_columns(G)
     if not 0.0 < scale < math.inf:
@@ -209,18 +297,22 @@ def project_onto_scaled_hull(G, scale, v):
         raise ValueError("target vector shape does not match gradient columns")
     if not np.isfinite(v).all():
         raise NonFiniteInput("target vector contains NaN or Inf")
+    if start is not None:
+        start = _validate_start(start, G.shape[1])
     S = scale * G
-    return _closed_form(S, v) if G.shape[1] <= 2 else _wolfe(S, v)
+    return _closed_form(S, v) if G.shape[1] <= 2 else _wolfe(S, v, start)
 
 
-def min_norm_in_hull(G):
+def min_norm_in_hull(G, start=None):
     """Projection of the origin onto ``conv{columns of G}``.
 
     Specialization of :func:`project_onto_scaled_hull` with unit scale and a
-    zero target.  The norm of the returned point is the KKT residual: it
-    vanishes exactly at Pareto-critical points.
+    zero target, with the same ``start``.  The norm of the returned point is
+    the KKT residual: it vanishes exactly at Pareto-critical points.
     """
     G = _validate_columns(G)
+    if start is not None:
+        start = _validate_start(start, G.shape[1])
     # 1.0 * G == G exactly, so G serves as the scaled columns
     v = np.zeros(G.shape[0])
-    return _closed_form(G, v) if G.shape[1] <= 2 else _wolfe(G, v)
+    return _closed_form(G, v) if G.shape[1] <= 2 else _wolfe(G, v, start)

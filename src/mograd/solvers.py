@@ -216,9 +216,13 @@ def run_solver(prob, cfg, x0):
     x = x0.copy()
     x_prev = x
     k = 1
+    # each QP warm-starts from its own previous weights: consecutive hulls
+    # are nearly the same, so the optimal face rarely changes
+    hull_w = proj_w = None
     while True:
         grads_x = prob.gradient_columns(x)
-        hull = min_norm_in_hull(grads_x)
+        hull = min_norm_in_hull(grads_x, start=hull_w)
+        hull_w = hull.weights
         u = hull.point
         residual = math.sqrt(u @ u)
 
@@ -244,7 +248,8 @@ def run_solver(prob, cfg, x0):
                 pi = mfisc_momentum(x - x_prev, k, alpha, u)
                 y = x + pi
                 grads_y = prob.gradient_columns(y)
-                proj = project_onto_scaled_hull(grads_y, step, pi)
+                proj = project_onto_scaled_hull(grads_y, step, pi, start=proj_w)
+                proj_w = proj.weights
                 trace.qp_gaps[-1] = max(trace.qp_gaps[-1], proj.gap)
                 if not proj.converged:
                     trace.termination = QP_FAILURE

@@ -12,6 +12,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+import mograd.simplex_qp
 from mograd.problems import ProblemInstance
 
 
@@ -107,6 +108,24 @@ def pareto_segment_distance(prob, x, samples=20001):
     lams = np.linspace(0.0, 1.0, samples)
     seg = np.array([prob.pareto_param(lam) for lam in lams])
     return float(np.min(np.linalg.norm(seg - np.asarray(x), axis=1)))
+
+
+def wrap_hull_qps(monkeypatch, module, cold):
+    """Replace ``module``'s two hull QP names with counting wrappers.
+
+    With ``cold`` the wrappers drop ``start``, so every solve starts cold.
+    Returns the list the wrappers append each solve's major cycles to.
+    """
+    cycles = []
+    for name in ("min_norm_in_hull", "project_onto_scaled_hull"):
+
+        def solve(*args, start=None, _qp=getattr(mograd.simplex_qp, name)):
+            sol = _qp(*args, start=None if cold else start)
+            cycles.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(module, name, solve)
+    return cycles
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mograd.flow
 from mograd.flow import (
     FlowConfig,
     MissingMerit,
@@ -9,9 +10,10 @@ from mograd.flow import (
     mavng_integrate,
     merit_bound_scan,
 )
-from mograd.problems import logsumexp_pair, quadratic_pair
+from mograd.harness import sample_starts
+from mograd.problems import get_problem, logsumexp_pair, quadratic_pair
 
-from conftest import pareto_segment_distance
+from conftest import pareto_segment_distance, wrap_hull_qps
 
 X0 = np.array([-0.2, -0.1])
 
@@ -117,6 +119,22 @@ class TestIntegration:
         # the corrected flow closes in faster than the baseline
         assert ends["mavng"] < 0.1
         assert ends["mavng"] < ends["mavd"]
+
+    def test_warm_started_qps_leave_the_trajectory(self, monkeypatch):
+        # three objectives, so both QPs run Wolfe's method
+        prob = get_problem("ex1:n=10,p=8,seed=1")
+        cfg = FlowConfig(alpha=20.0, x0=sample_starts(prob, 1, 0)[0], t_end=1.3)
+
+        def trajectory(cold):
+            cycles = wrap_hull_qps(monkeypatch, mograd.flow, cold)
+            return mavng_integrate(prob, cfg), sum(cycles)
+
+        warm, warm_cycles = trajectory(cold=False)
+        cold, cold_cycles = trajectory(cold=True)
+        assert warm_cycles < cold_cycles
+        assert warm.termination == cold.termination == "completed"
+        assert len(warm) == len(cold)
+        assert np.max(np.abs(warm.points - cold.points)) <= 1e-8 * np.max(np.abs(cold.points))
 
 
 class TestMeritAttachment:

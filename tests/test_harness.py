@@ -60,6 +60,13 @@ class TestExperimentConfig:
         for name in ("n_starts", "seed", "workers", "merit_stride"):
             assert type(getattr(cfg, name)) is int, name
 
+    def test_rejects_non_integral_counts(self):
+        # int() would truncate 2.7 to 2 and run two starts
+        for name in ("n_starts", "seed", "workers", "merit_stride"):
+            for value in (2.7, math.nan, math.inf, None, "3"):
+                with pytest.raises(InvalidConfig, match=name):
+                    ExperimentConfig(problem="jos1", **{name: value})
+
     def test_rejects_empty_epsilons(self):
         with pytest.raises(InvalidConfig):
             ExperimentConfig(problem="jos1", epsilons=())
@@ -521,6 +528,22 @@ class TestCli:
         out_dir = tmp_path / "out"
         assert cli_main(["run", "--config", str(cfg_file), "--out", str(out_dir)]) == 1
         assert "n_start" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("verb, settings", [
+        ("run", {"problem": 5, "solvers": ["mfisc_const"]}),
+        ("run", {"problem": "jos1", "solvers": ["mfisc_const"], "n_starts": None}),
+        ("run", {"problem": "jos1", "solvers": ["mfisc_const"], "alpha": None}),
+        ("run", {"problem": "jos1", "solvers": ["mfisc_const"], "sigma": None}),
+        ("flow", {"problem": "quad2", "alpha": 5, "flow_x0": 5}),
+    ])
+    def test_wrong_json_type_is_config_error(self, tmp_path, capsys, verb, settings):
+        cfg_file = tmp_path / "exp.json"
+        cfg_file.write_text(json.dumps(settings))
+        out_dir = tmp_path / "out"
+        assert cli_main([verb, "--config", str(cfg_file), "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("mograd: ")
         assert not out_dir.exists()
 
     # every setting of the flow verb: flag, config key, value A, value B

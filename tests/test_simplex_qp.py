@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -110,6 +112,18 @@ class TestProjectOntoScaledHull:
             assert_allclose(a.weights, b.weights, atol=1e-8)
             assert_allclose(a.point, b.point, atol=1e-8)
 
+    def test_small_scale_is_solved_to_relative_accuracy(self, rng):
+        # the flow projects onto h^2 C at h = 1e-3; a stopping test at the
+        # absolute tolerance 1e-10 would accept any vertex of such a hull
+        for scale in (1e-6, 1e-8):
+            for _ in range(10):
+                G = rng.normal(size=(6, 3))
+                v = scale * rng.normal(size=6)
+                small = project_onto_scaled_hull(G, scale, v)
+                unit = project_onto_scaled_hull(G, 1.0, v / scale)
+                assert small.converged and unit.converged
+                assert_allclose(small.point, scale * unit.point, rtol=1e-8, atol=1e-8 * scale)
+
     def test_single_column_degeneracy(self, rng):
         g = rng.normal(size=3)
         v = rng.normal(size=3)
@@ -182,6 +196,14 @@ class TestOverflow:
             assert not sol.converged or sol.gap <= 1e-10
             assert not sol.converged or float(sol.point @ sol.point) <= 0.125
 
+    def test_overflowed_segment_falls_back_to_least_squares(self):
+        # the dot products of the two-column affine minimizer overflow here;
+        # least squares still reaches the edge point (0.25, 0.25)
+        G = np.array([[1e200, -1e200, 0.5], [1e200, 1e200, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = min_norm_in_hull(G)
+        assert_allclose(sol.point, [0.25, 0.25])
+
 
 class TestAdversarialConditioning:
     """Ill-conditioned hulls must keep certificates honest, never hang."""
@@ -228,32 +250,83 @@ class TestAdversarialConditioning:
             v = rng.normal(size=40) * float(10.0 ** rng.uniform(-3, 3))
             yield G, scale, v
 
-    def test_feasibility_certificates_and_termination(self, rng):
+    @staticmethod
+    def _check(sol, S, vv):
         eps = np.finfo(float).eps
+        assert np.all(sol.weights >= 0.0)
+        assert abs(sol.weights.sum() - 1.0) <= 1e-12
+        rebuilt = S @ sol.weights
+        # reconstruction up to cancellation-aware rounding
+        magnitude = np.abs(S) @ sol.weights
+        assert np.all(np.abs(rebuilt - sol.point) <= 16 * eps * magnitude + 1e-300)
+        assert sol.iterations <= 2000
+        data_scale = max(1.0, float(np.max(np.sum(S**2, axis=0))), float(vv @ vv))
+        tol = 1e-10 + 1e-10 * data_scale
+        if sol.converged:
+            w = sol.point - vv
+            slack = float(np.min(w @ S - w @ sol.point))
+            assert slack >= -tol
+        return tol
+
+    def test_feasibility_certificates_and_termination(self, rng):
         for G, scale, v in [*self._instances(rng, 240), *self._wide_instances(rng, 30)]:
-            for sol, s_eff, vv in (
-                (min_norm_in_hull(G), 1.0, np.zeros(G.shape[0])),
-                (project_onto_scaled_hull(G, scale, v), scale, v),
+            m = G.shape[1]
+            for solve, s_eff, vv in (
+                (lambda start=None: min_norm_in_hull(G, start), 1.0, np.zeros(G.shape[0])),
+                (lambda start=None: project_onto_scaled_hull(G, scale, v, start), scale, v),
             ):
-                assert np.all(sol.weights >= 0.0)
-                assert abs(sol.weights.sum() - 1.0) <= 1e-12
                 S = s_eff * G
-                rebuilt = S @ sol.weights
-                # reconstruction up to cancellation-aware rounding
-                magnitude = np.abs(S) @ sol.weights
-                assert np.all(
-                    np.abs(rebuilt - sol.point) <= 16 * eps * magnitude + 1e-300
+                cold = solve()
+                tol = self._check(cold, S, vv)
+                starts = (
+                    cold.weights,
+                    np.eye(m)[int(rng.integers(m))],
+                    np.full(m, 1.0 / m),
+                    rng.dirichlet(np.ones(m)),
                 )
-                assert sol.iterations <= 2000
-                if sol.converged:
-                    w = sol.point - vv
-                    slack = float(np.min(w @ S - w @ sol.point))
-                    data_scale = max(
-                        1.0,
-                        float(np.max(np.sum(S**2, axis=0))),
-                        float(vv @ vv),
-                    )
-                    assert slack >= -(1e-10 + 1e-10 * data_scale)
+                for start in starts:
+                    warm = solve(start)
+                    self._check(warm, S, vv)
+                    if cold.converged and warm.converged:
+                        # 0.5 ||p - v||^2 is 1-strongly convex in p, so a gap
+                        # g puts p within sqrt(2 g) of the projection
+                        dist = float(np.linalg.norm(cold.point - warm.point))
+                        assert dist <= 2.0 * math.sqrt(2.0 * tol)
+
+
+class TestWarmStart:
+    def test_own_solution_takes_no_major_cycle(self, rng):
+        prob = get_problem("ex1:n=40,p=20,seed=0")
+        for x in sample_starts(prob, 8, 5):
+            G = prob.gradient_columns(x)
+            v = rng.normal(size=prob.n)
+            for solve in (
+                lambda start=None: min_norm_in_hull(G, start),
+                lambda start=None: project_onto_scaled_hull(G, 0.1, v, start),
+            ):
+                cold = solve()
+                warm = solve(cold.weights)
+                assert cold.converged and warm.converged
+                assert warm.iterations == 0
+                assert_allclose(warm.point, cold.point, rtol=1e-8, atol=1e-12)
+
+    def test_start_without_positive_entry_is_a_cold_start(self, rng):
+        G = rng.normal(size=(6, 4))
+        v = rng.normal(size=6)
+        cold = project_onto_scaled_hull(G, 2.0, v)
+        for start in (np.zeros(4), -np.ones(4), np.full(4, np.nan)):
+            warm = project_onto_scaled_hull(G, 2.0, v, start)
+            assert np.array_equal(warm.weights, cold.weights)
+            assert warm.iterations == cold.iterations
+
+    def test_start_shape_must_match_columns(self):
+        for m in (2, 3):
+            G = np.eye(3)[:, :m]
+            for start in (np.ones(m + 1), np.ones((m, 1)), 1.0):
+                with pytest.raises(ValueError):
+                    min_norm_in_hull(G, start)
+                with pytest.raises(ValueError):
+                    project_onto_scaled_hull(G, 1.0, np.zeros(3), start)
 
 
 class TestSolutionInvariants:

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import mograd.solvers
+from mograd.harness import sample_starts
 from mograd.problems import InvalidConfig, get_problem, kkt_residual, quadratic_pair
 from mograd.simplex_qp import DEFAULT_TOL
 from mograd.solvers import (
@@ -23,7 +25,7 @@ from mograd.solvers import (
     trace_csv_rows,
 )
 
-from conftest import single_objective_problem, spd_quadratic_problem
+from conftest import single_objective_problem, spd_quadratic_problem, wrap_hull_qps
 
 
 class TestMomentum:
@@ -321,3 +323,26 @@ class TestTraceStructure:
         assert trace_csv_rows(trace, prob) == [
             ["k", "kkt_residual", "iter_gap", "f1", "f2", "step", "qp_gap"]
         ]
+
+
+class TestWarmStartedQPs:
+    """Warm-starting the hull QPs changes their work, not the runs."""
+
+    @pytest.mark.parametrize("key", ["ex1:n=10,p=8,seed=1", "ex2:n=10,p=12,seed=2"])
+    def test_cold_and_warm_runs_agree(self, key, monkeypatch):
+        prob = get_problem(key)
+        starts = sample_starts(prob, 2, 0)
+        cfgs = [SolverConfig(variant=v, epsilon=1e-4, k_max=48) for v in VARIANTS]
+
+        def runs(cold):
+            cycles = wrap_hull_qps(monkeypatch, mograd.solvers, cold)
+            traces = [run_solver(prob, cfg, x0) for cfg in cfgs for x0 in starts]
+            return traces, sum(cycles)
+
+        warm, warm_cycles = runs(cold=False)
+        cold, cold_cycles = runs(cold=True)
+        assert warm_cycles < cold_cycles
+        for w, c in zip(warm, cold):
+            assert (w.iterations, w.termination) == (c.iterations, c.termination)
+            gap = np.linalg.norm(w.x_final - c.x_final)
+            assert gap <= 1e-8 * np.linalg.norm(c.x_final)
