@@ -2,10 +2,13 @@
 
 Verbs: ``run`` (solver comparison batch), ``front`` (Pareto-front scan),
 ``flow`` (trajectory sweep with merit-bound report), ``trace`` (single traced
-run), ``list`` (problem registry).  A JSON config file can seed any verb: its
-keys are the dests of the verb's flags (``flow_beta`` for ``--beta``), a
-flag given overrides the key of the same name, and any other key is a
-configuration error.  Defaults live in ExperimentConfig and SolverConfig.
+run), ``list`` (problem registry).  ``_VERBS`` names the flags each verb
+reads; ``--solver`` and ``--eps`` repeat only on ``run`` and ``--alpha`` only
+on ``flow``.  A JSON config file can seed any verb: its keys are the dests
+of the verb's flags (``flow_beta`` for ``--beta``), a repeatable key takes a
+value or a list under the same rule, a flag given overrides the key of the
+same name, and any other key or repeat is a configuration error.  Defaults
+live in ExperimentConfig and SolverConfig.
 
 Exit codes: 0 on success, 1 on configuration errors, 2 when any run failed.
 """
@@ -16,13 +19,7 @@ import argparse
 import json
 import sys
 
-from .harness import (
-    ExperimentConfig,
-    flow_experiment,
-    pareto_scan,
-    run_batch,
-    run_trace,
-)
+from .harness import ExperimentConfig, flow_experiment, pareto_scan, run_batch, run_trace
 from .problems import InvalidConfig, available_problems
 from .solvers import VARIANTS, SolverConfig
 
@@ -40,51 +37,56 @@ def _point(text):
     return tuple(float(v) for v in text.split(","))
 
 
-def _add_common(sub):
-    sub.add_argument("--problem", help="registry key, e.g. jos1 or ex1:n=20,p=10,seed=3")
-    sub.add_argument("--solver", action="append", choices=VARIANTS, dest="solvers")
-    sub.add_argument("--alpha", action="append", type=float,
-                     help="inertial coefficient; repeat for a flow sweep")
-    sub.add_argument("--beta", type=float, dest="flow_beta", help="flow correction weight")
-    sub.add_argument("--p", type=float, dest="flow_p", help="flow correction decay exponent")
-    sub.add_argument("--step", type=float, help="constant step size")
-    sub.add_argument("--s0", type=float, help="initial line-search step")
-    sub.add_argument("--sigma", type=float, help="backtracking shrink factor")
-    sub.add_argument("--eps", action="append", type=float, dest="epsilons",
-                     help="stop tolerance; repeat for a sweep")
-    sub.add_argument("--k-max", type=int, dest="k_max")
-    sub.add_argument("--starts", type=int, dest="n_starts")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--workers", type=int)
-    sub.add_argument("--merit-stride", type=int, dest="merit_stride")
-    sub.add_argument("--out", help="output directory for CSV/JSON artifacts")
-    sub.add_argument("--config", help="JSON config file; flags override it")
+# every flag's argparse options; the dest is the flag's config-file key
+_FLAGS = {
+    "--problem": dict(help="registry key, e.g. jos1 or ex1:n=20,p=10,seed=3"),
+    "--solver": dict(action="append", choices=VARIANTS, dest="solvers"),
+    "--alpha": dict(action="append", type=float, help="inertial coefficient"),
+    "--step": dict(type=float, help="constant step size"),
+    "--s0": dict(type=float, help="initial line-search step"),
+    "--sigma": dict(type=float, help="backtracking shrink factor"),
+    "--eps": dict(action="append", type=float, dest="epsilons", help="stop tolerance"),
+    "--k-max": dict(type=int, dest="k_max"),
+    "--starts": dict(type=int, dest="n_starts"),
+    "--seed": dict(type=int),
+    "--workers": dict(type=int),
+    # default None, not False: an absent flag leaves the file's value
+    "--traces": dict(action="store_true", default=None, dest="write_traces", help="write traces"),
+    "--beta": dict(type=float, dest="flow_beta", help="flow correction weight"),
+    "--p": dict(type=float, dest="flow_p", help="flow correction decay exponent"),
+    "--h": dict(type=float, dest="flow_h", help="grid step"),
+    "--t0": dict(type=float, dest="flow_t0"),
+    "--t-end": dict(type=float, dest="flow_t_end"),
+    "--x0": dict(type=_point, dest="flow_x0", help="comma-separated start point"),
+    "--merit-stride": dict(type=int, dest="merit_stride"),
+    "--bound-scale": dict(type=float, dest="bound_coeff_scale", help="bound coefficient / alpha"),
+}
+_SOLVER_FLAGS = ("--problem", "--solver", "--alpha", "--step", "--s0", "--sigma",
+                 "--eps", "--k-max", "--seed")
+# verb: (description, the flags it reads, the flags it lets repeat)
+_VERBS = {
+    "run": ("batch solver comparison over a tolerance sweep",
+            _SOLVER_FLAGS + ("--starts", "--workers", "--traces"), ("--solver", "--eps")),
+    "front": ("Pareto-front scan from sampled start points",
+              _SOLVER_FLAGS + ("--starts", "--workers"), ()),
+    "flow": ("flow trajectory sweep with merit-bound report",
+             ("--problem", "--alpha", "--beta", "--p", "--h", "--t0", "--t-end", "--x0",
+              "--merit-stride", "--bound-scale"), ("--alpha",)),
+    "trace": ("single run with per-iteration CSV export", _SOLVER_FLAGS + ("--x0",), ()),
+}
 
 
 def build_parser():
     parser = _Parser(prog="mograd", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="verb", required=True)
-    for verb, desc in (
-        ("run", "batch solver comparison over a tolerance sweep"),
-        ("front", "Pareto-front scan from sampled start points"),
-        ("flow", "flow trajectory sweep with merit-bound report"),
-        ("trace", "single run with per-iteration CSV export"),
-    ):
-        sub = subs.add_parser(verb, description=desc)
-        _add_common(sub)
-        if verb == "run":
-            # default None, not False: an absent flag leaves the file's value
-            sub.add_argument("--traces", action="store_true", default=None,
-                             dest="write_traces", help="write per-run trace CSVs")
-        if verb == "flow":
-            sub.add_argument("--h", type=float, dest="flow_h", help="grid step")
-            sub.add_argument("--t0", type=float, dest="flow_t0")
-            sub.add_argument("--t-end", type=float, dest="flow_t_end")
-            sub.add_argument("--bound-scale", type=float, dest="bound_coeff_scale",
-                             help="bound coefficient multiple of alpha (1 or 10)")
-        if verb in ("flow", "trace"):
-            sub.add_argument("--x0", type=_point, dest="flow_x0",
-                             help="comma-separated start point")
+    for verb, (desc, flags, repeats) in _VERBS.items():
+        epilog = f"repeatable: {' '.join(repeats)}" if repeats else None
+        # no abbreviations: on run, --p would be read as --problem
+        sub = subs.add_parser(verb, description=desc, epilog=epilog, allow_abbrev=False)
+        for flag in flags:
+            sub.add_argument(flag, **_FLAGS[flag])
+        sub.add_argument("--out", help="output directory for CSV/JSON artifacts")
+        sub.add_argument("--config", help="JSON config file; flags override it")
     subs.add_parser("list", description="list the problem registry")
     return parser
 
@@ -102,14 +104,15 @@ def _experiment_config(args):
     settings.update((k, v) for k, v in vars(args).items() if k in keys and v is not None)
     if not settings.get("problem"):
         raise InvalidConfig("a problem key is required (--problem or config file)")
-
+    _, flags, repeats = _VERBS[args.verb]
+    for flag in flags:
+        key = _FLAGS[flag].get("dest", flag[2:])
+        if _FLAGS[flag].get("action") == "append" and key in settings:
+            if not isinstance(settings[key], list):
+                settings[key] = [settings[key]]
+            if len(settings[key]) > 1 and flag not in repeats:
+                raise InvalidConfig(f"{args.verb} takes a single {flag[2:]} ({flag})")
     alphas = settings.pop("alpha", [])
-    if isinstance(alphas, (int, float)):
-        alphas = [alphas]
-    if len(alphas) > 1 and args.verb != "flow":
-        raise InvalidConfig(
-            f"{args.verb} takes a single alpha; repeat --alpha only for a flow sweep"
-        )
     solver_common = {k: settings.pop(k) for k in ("sigma", "k_max") if k in settings}
     if alphas:
         solver_common["alpha"] = float(alphas[0])
@@ -121,7 +124,8 @@ def _experiment_config(args):
         if rule_step is not None:
             kwargs["step"] = float(rule_step)
         solvers.append(SolverConfig(variant=name, **kwargs))
-    return ExperimentConfig(solvers=solvers, flow_alphas=alphas, **settings)
+    flow_alphas = alphas if args.verb == "flow" else ()
+    return ExperimentConfig(solvers=solvers, flow_alphas=flow_alphas, **settings)
 
 
 def main(argv=None):
@@ -141,11 +145,9 @@ def main(argv=None):
         if args.verb == "run":
             summary = run_batch(cfg, out_dir=out)
             for cell in summary.cells:
-                print(
-                    f"{cell.problem} {cell.solver} eps={cell.epsilon:g}: "
-                    f"{cell.converged}/{cell.starts} converged, "
-                    f"{cell.total_iterations} iterations, {cell.total_time_s:.2f}s"
-                )
+                print(f"{cell.problem} {cell.solver} eps={cell.epsilon:g}: {cell.converged}/"
+                      f"{cell.starts} converged, {cell.total_iterations} iterations, "
+                      f"{cell.total_time_s:.2f}s")
             return 2 if summary.failures else 0
         if args.verb == "front":
             points, failures = pareto_scan(cfg, out_dir=out)
@@ -154,18 +156,13 @@ def main(argv=None):
         if args.verb == "flow":
             report, failures = flow_experiment(cfg, out_dir=out)
             for entry in report:
-                print(
-                    f"{entry['system']} alpha={entry['alpha']:g}: "
-                    f"bound {entry['coeff']:g}/t^2 holds at "
-                    f"{100 * entry['fraction']:.1f}% of {entry['samples']} samples"
-                )
+                print(f"{entry['system']} alpha={entry['alpha']:g}: bound {entry['coeff']:g}/t^2 "
+                      f"holds at {100 * entry['fraction']:.1f}% of {entry['samples']} samples")
             return 2 if failures else 0
         if args.verb == "trace":
-            trace = run_trace(cfg, out_dir=out, x0=cfg.flow_x0 or None)
-            print(
-                f"{cfg.problem} {cfg.solvers[0].variant}: {trace.termination} "
-                f"after {trace.iterations} iterations, final kkt {trace.final_residual:.3e}"
-            )
+            trace = run_trace(cfg, out_dir=out)
+            print(f"{cfg.problem} {cfg.solvers[0].variant}: {trace.termination} after "
+                  f"{trace.iterations} iterations, final kkt {trace.final_residual:.3e}")
             return 2 if trace.termination == "qp_failure" else 0
         raise InvalidConfig(f"unknown verb {args.verb!r}")
     except (InvalidConfig, ValueError, OSError, json.JSONDecodeError) as exc:

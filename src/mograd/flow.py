@@ -73,6 +73,8 @@ class FlowConfig:
         if not self.t0 < self.t_end < math.inf:
             raise ValueError("t_end must be finite and exceed t0")
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
+        if self.x0.ndim != 1 or not np.all(np.isfinite(self.x0)):
+            raise ValueError("x0 must be a finite 1-D point")
 
 
 @dataclass

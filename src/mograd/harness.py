@@ -39,9 +39,9 @@ class ExperimentConfig:
 
     ``solvers`` are templates; ``epsilons`` is crossed with them at run time.
     The flow fields are only consulted by :func:`flow_experiment` (and
-    ``flow_x0`` by the command line's ``trace``).  Counts must be whole
-    numbers (``2.0`` becomes ``2``, ``2.7`` is rejected) and reals are coerced
-    to float; ``epsilons`` must not be empty.
+    ``flow_x0`` by :func:`run_trace`).  Counts must be whole numbers (``2.0``
+    becomes ``2``, ``2.7`` is rejected), reals are coerced to float and
+    ``write_traces`` must be a bool; ``epsilons`` must not be empty.
     """
 
     problem: str
@@ -80,7 +80,8 @@ class ExperimentConfig:
         for name in ("epsilons", "flow_alphas", "flow_x0"):
             object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         object.__setattr__(self, "solvers", tuple(self.solvers))
-        object.__setattr__(self, "write_traces", bool(self.write_traces))
+        if not isinstance(self.write_traces, bool):
+            raise InvalidConfig(f"write_traces must be true or false, not {self.write_traces!r}")
         if self.n_starts < 1:
             raise InvalidConfig("n_starts must be at least 1")
         if self.workers < 1:
@@ -176,9 +177,18 @@ def write_json(path, payload):
 
 
 def _config_echo(cfg):
+    # a template's epsilon is never run: every entry point takes cfg.epsilons
     echo = asdict(cfg)
-    echo["solvers"] = [asdict(s) for s in cfg.solvers]
+    for solver in echo["solvers"]:
+        del solver["epsilon"]
     return echo
+
+
+def _single_run(cfg, entry):
+    """The one (solver, epsilon) pair that ``pareto_scan`` and ``run_trace`` run."""
+    if len(cfg.solvers) != 1 or len(cfg.epsilons) != 1:
+        raise InvalidConfig(f"{entry} takes exactly one solver and one epsilon")
+    return replace(cfg.solvers[0], epsilon=cfg.epsilons[0])
 
 
 # ---------------------------------------------------------------------------
@@ -309,19 +319,16 @@ def run_batch(cfg, out_dir=None):
 
 
 def pareto_scan(cfg, out_dir=None):
-    """Run the first configured solver from every start and emit the front.
+    """Run the one configured solver from every start and emit the front.
 
     ``front.csv`` holds one row per start with the final objective vector and
     KKT residual; non-converged points are flagged, never dropped.
     """
-    if not cfg.solvers:
-        raise InvalidConfig("pareto_scan needs a solver")
+    solver_cfg = _single_run(cfg, "pareto_scan")
     prob = _worker_problem(cfg.problem)
     starts = sample_starts(prob, cfg.n_starts, cfg.seed)
-    eps = cfg.epsilons[0]
-    solver_cfg = cfg.solvers[0]
     tasks = [
-        (cfg.problem, solver_cfg, eps, idx, tuple(starts[idx]), False)
+        (cfg.problem, solver_cfg, solver_cfg.epsilon, idx, tuple(starts[idx]), False)
         for idx in range(cfg.n_starts)
     ]
     results = _map_tasks(tasks, cfg.workers)
@@ -420,16 +427,11 @@ def flow_experiment(cfg, out_dir=None):
     return report, failures
 
 
-def run_trace(cfg, out_dir=None, x0=None):
-    """Single run with full tracing; exports the per-iteration CSV."""
-    if not cfg.solvers:
-        raise InvalidConfig("trace needs a solver")
+def run_trace(cfg, out_dir=None):
+    """Single traced run from ``cfg.flow_x0`` (else a seeded start); exports its CSV."""
+    solver_cfg = _single_run(cfg, "run_trace")
     prob = get_problem(cfg.problem)
-    if x0 is None:
-        x0 = sample_starts(prob, 1, cfg.seed)[0]
-    else:
-        x0 = np.asarray(x0, dtype=float)
-    solver_cfg = replace(cfg.solvers[0], epsilon=cfg.epsilons[0])
+    x0 = np.asarray(cfg.flow_x0) if cfg.flow_x0 else sample_starts(prob, 1, cfg.seed)[0]
     trace = run_solver(prob, solver_cfg, x0)
     if out_dir is not None:
         out = Path(out_dir)

@@ -418,8 +418,8 @@ def toi4():
 def _check_family_args(n, p, delta):
     if n < 1 or p < 1:
         raise InvalidConfig("n and p must be positive")
-    if delta < 0:
-        raise InvalidConfig("delta must be nonnegative")
+    if not 0.0 <= delta < math.inf:
+        raise InvalidConfig(f"delta must be finite and nonnegative, not {delta}")
 
 
 def regularized_logsumexp_triple(n=200, p=100, delta=0.05, seed=0):

@@ -42,6 +42,11 @@ class TestConfigValidation:
             with pytest.raises(ValueError):
                 FlowConfig(**{"alpha": 5.0, "x0": X0, **field})
 
+    def test_x0_is_a_finite_point(self):
+        for x0 in ([np.nan, 0.0], [0.0, np.inf], [[0.1, 0.2]], 0.5):
+            with pytest.raises(ValueError, match="x0"):
+                FlowConfig(alpha=5.0, x0=x0)
+
 
 class TestIntegration:
     def test_exact_time_grid(self):

@@ -71,6 +71,12 @@ class TestExperimentConfig:
         with pytest.raises(InvalidConfig):
             ExperimentConfig(problem="jos1", epsilons=())
 
+    def test_write_traces_must_be_a_bool(self):
+        # bool("no") is True, so coercion would write the traces
+        for value in ("no", "false", 0, 1, None):
+            with pytest.raises(InvalidConfig, match="write_traces"):
+                ExperimentConfig(problem="jos1", write_traces=value)
+
     def test_bound_scale_must_be_positive_and_finite(self):
         for scale in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(InvalidConfig):
@@ -262,6 +268,12 @@ class TestParetoScan:
         assert lines[0] == "start_index,f1,f2,kkt_residual,converged"
         assert len(lines) == 6
 
+    def test_takes_exactly_one_solver_and_one_epsilon(self):
+        solver = JOS1_CFG["solvers"][0]
+        for extra in (dict(solvers=(solver, solver)), dict(epsilons=(1e-2, 1e-4)), dict(solvers=())):
+            with pytest.raises(InvalidConfig, match="one solver and one epsilon"):
+                pareto_scan(ExperimentConfig(**{**JOS1_CFG, **extra}))
+
     def test_single_start_at_first_objective_minimizer(self):
         # argmin f1 = (1, 0) is already critical: the scan emits (0, f2(1,0))
         from mograd.harness import _run_one
@@ -384,6 +396,18 @@ class TestRunTrace:
         assert float(last[1]) < 1e-6
         payload = json.loads((tmp_path / "trace.json").read_text())
         assert payload["termination"] == "converged"
+
+
+    def test_takes_exactly_one_solver_and_one_epsilon(self):
+        solver = JOS1_CFG["solvers"][0]
+        for extra in (dict(solvers=(solver, solver)), dict(epsilons=(1e-2, 1e-4)), dict(solvers=())):
+            with pytest.raises(InvalidConfig, match="one solver and one epsilon"):
+                run_trace(ExperimentConfig(**{**JOS1_CFG, **extra}))
+
+    def test_starts_at_flow_x0(self, tmp_path):
+        trace = run_trace(ExperimentConfig(**JOS1_CFG, flow_x0=(0.3, 0.4)), out_dir=tmp_path)
+        assert list(trace.points[0]) == [0.3, 0.4]
+        assert json.loads((tmp_path / "trace.json").read_text())["x0"] == [0.3, 0.4]
 
 
 class TestCli:
@@ -546,59 +570,172 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("mograd: ")
         assert not out_dir.exists()
 
-    # every setting of the flow verb: flag, config key, value A, value B
-    FLOW_SETTINGS = (
+    # every setting of each verb: flag, config key, value A, value B
+    SOLVER_SETTINGS = (
         ("--problem", "problem", "quad2", "lse2"),
         ("--solver", "solvers", ["mfisc_ls"], ["accg_const"]),
         ("--alpha", "alpha", [6.0], [5.0]),
         ("--step", "step", 0.04, 0.05),
         ("--s0", "s0", 3.0, 2.0),
         ("--sigma", "sigma", 0.6, 0.5),
-        ("--k-max", "k_max", 20, 10),
-        ("--beta", "flow_beta", 4.0, 3.5),
-        ("--p", "flow_p", 2.0, 1.5),
         ("--eps", "epsilons", [1e-4], [1e-3]),
-        ("--starts", "n_starts", 4, 3),
+        ("--k-max", "k_max", 20, 10),
         ("--seed", "seed", 2, 1),
-        ("--workers", "workers", 2, 3),
-        ("--merit-stride", "merit_stride", 400, 500),
-        ("--h", "flow_h", 0.004, 0.005),
-        ("--t0", "flow_t0", 1.5, 1.0),
-        ("--t-end", "flow_t_end", 1.508, 1.01),
-        ("--x0", "flow_x0", [0.3, 0.4], [0.1, 0.2]),
-        ("--bound-scale", "bound_coeff_scale", 10.0, 1.0),
     )
+    BATCH_SETTINGS = (("--starts", "n_starts", 3, 2), ("--workers", "workers", 2, 1))
+    VERB_SETTINGS = {
+        # run alone sweeps solvers and tolerances
+        "run": tuple(row for row in SOLVER_SETTINGS if row[1] not in ("solvers", "epsilons"))
+        + BATCH_SETTINGS + (
+            ("--solver", "solvers", ["mfisc_ls", "accg_const"], ["steepest_ls"]),
+            ("--eps", "epsilons", [1e-4, 1e-3], [1e-2]),
+            ("--traces", "write_traces", True, False),
+        ),
+        "front": SOLVER_SETTINGS + BATCH_SETTINGS,
+        "flow": (
+            ("--problem", "problem", "quad2", "lse2"),
+            ("--alpha", "alpha", [6.0, 7.0], [5.0]),
+            ("--beta", "flow_beta", 4.0, 3.5),
+            ("--p", "flow_p", 2.0, 1.5),
+            ("--h", "flow_h", 0.004, 0.005),
+            ("--t0", "flow_t0", 1.5, 1.0),
+            ("--t-end", "flow_t_end", 1.508, 1.01),
+            ("--x0", "flow_x0", [0.3, 0.4], [0.1, 0.2]),
+            ("--merit-stride", "merit_stride", 400, 500),
+            ("--bound-scale", "bound_coeff_scale", 10.0, 1.0),
+        ),
+        "trace": SOLVER_SETTINGS + (("--x0", "flow_x0", [0.3, 0.4], [0.1, 0.2]),),
+    }
+    ECHO_FILES = {
+        "run": "summary.json", "front": "front.json", "flow": "bound_report.json", "trace": "trace.json",
+    }
+    SOLVER_ECHO = dict(alpha=6.0, k_max=20, sigma=0.6)
 
     def test_flag_overrides_the_config_key_of_the_same_name(self, tmp_path):
-        keys = {key for _, key, _, _ in self.FLOW_SETTINGS}
-        assert keys == set(vars(build_parser().parse_args(["flow"]))) - {"verb", "out", "config"}
+        def parsed_keys(verb):
+            return set(vars(build_parser().parse_args([verb]))) - {"verb", "out", "config"}
 
-        def flags(column):
+        counts = {verb: len(parsed_keys(verb)) for verb in self.VERB_SETTINGS}
+        assert counts == {"run": 12, "front": 11, "flow": 10, "trace": 10}
+
+        def flags(table, column):
             argv = []
-            for flag, _, *values in self.FLOW_SETTINGS:
+            for flag, _, *values in table:
                 value = values[column]
                 if flag == "--x0":
                     argv.append("--x0=" + ",".join(map(str, value)))
+                elif flag == "--traces":
+                    argv += [flag] if value else []
                 else:
                     for v in value if isinstance(value, list) else [value]:
                         argv += [flag, str(v)]
             return argv
 
-        def echo(name, file_column, argv):
-            argv = ["flow", *argv, "--out", str(tmp_path / name)]
+        def echo(verb, name, file_column, argv):
+            table = self.VERB_SETTINGS[verb]
+            argv = [verb, *argv, "--out", str(tmp_path / name)]
             if file_column is not None:
                 cfg_file = tmp_path / f"{name}.json"
                 cfg_file.write_text(json.dumps(
-                    {key: values[file_column] for _, key, *values in self.FLOW_SETTINGS}
+                    {key: values[file_column] for _, key, *values in table}
                 ))
                 argv += ["--config", str(cfg_file)]
-            assert cli_main(argv) == 0
-            return json.loads((tmp_path / name / "bound_report.json").read_text())["config"]
+            assert cli_main(argv) == 0, (verb, name)
+            return json.loads((tmp_path / name / self.ECHO_FILES[verb]).read_text())["config"]
 
-        from_flags = echo("flags", None, flags(0))
-        assert from_flags["flow_x0"] == [0.3, 0.4]
-        assert from_flags["solvers"] == [dict(
-            variant="mfisc_ls", alpha=6.0, step=3.0, epsilon=1e-6, k_max=20, sigma=0.6
-        )]
-        assert echo("file", 0, []) == from_flags
-        assert echo("both", 1, flags(0)) == from_flags
+        for verb, table in self.VERB_SETTINGS.items():
+            keys = [key for _, key, _, _ in table]
+            assert sorted(keys) == sorted(parsed_keys(verb)), verb
+            from_flags = echo(verb, f"{verb}-flags", None, flags(table, 0))
+            assert echo(verb, f"{verb}-file", 0, []) == from_flags, verb
+            assert echo(verb, f"{verb}-both", 1, flags(table, 0)) == from_flags, verb
+            # every setting reaches the config; the solver keys are checked below
+            for _, key, value, _ in table:
+                if key in ExperimentConfig.__dataclass_fields__ and key != "solvers":
+                    assert from_flags[key] == value, (verb, key)
+            if verb == "flow":
+                assert from_flags["flow_alphas"] == [6.0, 7.0]
+                assert from_flags["solvers"] == []
+                continue
+            assert from_flags["flow_alphas"] == []
+            # a template's epsilon is not echoed: the run uses "epsilons"
+            expected = [dict(variant="mfisc_ls", step=3.0, **self.SOLVER_ECHO)]
+            if verb == "run":
+                expected.append(dict(variant="accg_const", step=0.04, **self.SOLVER_ECHO))
+            assert from_flags["solvers"] == expected, verb
+
+    # one valid value of each flag that some verb does not read, and its config key
+    DROPPED_VALUES = {
+        "--solver": ("solvers", "accg_const"), "--step": ("step", 0.1), "--s0": ("s0", 2.0),
+        "--sigma": ("sigma", 0.5), "--eps": ("epsilons", 1e-3), "--k-max": ("k_max", 5),
+        "--starts": ("n_starts", 7), "--seed": ("seed", 9), "--workers": ("workers", 2),
+        "--beta": ("flow_beta", 4.0), "--p": ("flow_p", 2.0), "--merit-stride": ("merit_stride", 400),
+    }
+    DROPPED = {
+        "run": ("--beta", "--p", "--merit-stride"),
+        "front": ("--beta", "--p", "--merit-stride"),
+        "flow": ("--solver", "--step", "--s0", "--sigma", "--k-max", "--eps", "--starts", "--seed",
+                 "--workers"),
+        "trace": ("--beta", "--p", "--merit-stride", "--starts", "--workers"),
+    }
+    # a small run of each verb that exits 0
+    BASE = {
+        "run": {"problem": "jos1", "solvers": ["mfisc_const"], "step": 0.05, "n_starts": 2},
+        "front": {"problem": "jos1", "solvers": ["mfisc_const"], "step": 0.05, "n_starts": 2},
+        "flow": {"problem": "quad2", "alpha": 5, "flow_h": 0.005, "flow_t_end": 1.01},
+        "trace": {"problem": "jos1", "solvers": ["mfisc_const"], "step": 0.05},
+    }
+
+    @pytest.mark.parametrize(
+        "verb, flag", [(verb, flag) for verb, flags in DROPPED.items() for flag in flags]
+    )
+    def test_setting_the_verb_does_not_read_exits_one(self, tmp_path, capsys, verb, flag):
+        key, value = self.DROPPED_VALUES[flag]
+        base_file = tmp_path / "base.json"
+        base_file.write_text(json.dumps(self.BASE[verb]))
+        assert cli_main([verb, "--config", str(base_file), "--out", str(tmp_path / "base")]) == 0
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            cli_main([verb, "--config", str(base_file), flag, str(value), "--out", str(out_dir)])
+        assert err.value.code == 1
+        assert flag in capsys.readouterr().err
+        cfg_file = tmp_path / "exp.json"
+        cfg_file.write_text(json.dumps({**self.BASE[verb], key: value}))
+        assert cli_main([verb, "--config", str(cfg_file), "--out", str(out_dir)]) == 1
+        assert key in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_solver_and_eps_repeat_only_on_run(self, tmp_path, capsys):
+        base = ["--problem", "jos1", "--solver", "mfisc_const", "--step", "0.05", "--eps", "1e-2"]
+        for verb in ("front", "trace"):
+            out_dir = tmp_path / verb
+            for extra, flag in ((["--solver", "accg_const"], "--solver"), (["--eps", "1e-4"], "--eps")):
+                assert cli_main([verb, *base, *extra, "--out", str(out_dir)]) == 1
+                err = capsys.readouterr().err.splitlines()
+                assert len(err) == 1 and f"single {flag[2:]} ({flag})" in err[0]
+            for settings in (
+                {"solvers": ["mfisc_const", "accg_const"]}, {"epsilons": [1e-2, 1e-4]}
+            ):
+                cfg_file = tmp_path / "exp.json"
+                cfg_file.write_text(json.dumps({**self.BASE[verb], **settings}))
+                assert cli_main([verb, "--config", str(cfg_file), "--out", str(out_dir)]) == 1
+                assert "takes a single" in capsys.readouterr().err
+            assert not out_dir.exists()
+        # run sweeps both; a config file's single value needs no list
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({**self.BASE["run"], "epsilons": 1e-2}))
+        argv = ["run", "--config", str(cfg_file), "--solver", "mfisc_const", "--solver", "accg_const",
+                "--out", str(tmp_path / "run")]
+        assert cli_main(argv) == 0
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert [(c["solver"], c["epsilon"]) for c in summary["cells"]] == [
+            ("mfisc_const", 1e-2), ("accg_const", 1e-2)
+        ]
+
+    def test_write_traces_string_is_config_error(self, tmp_path, capsys):
+        cfg_file = tmp_path / "exp.json"
+        cfg_file.write_text(json.dumps({**self.BASE["run"], "write_traces": "no"}))
+        out_dir = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg_file), "--out", str(out_dir)]) == 1
+        assert "write_traces" in capsys.readouterr().err
+        assert not out_dir.exists()

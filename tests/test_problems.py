@@ -263,6 +263,12 @@ class TestSeededFamilies:
         with pytest.raises(InvalidConfig):
             regularized_logsumexp_triple(5, 5, -0.1, 1)
 
+    def test_non_finite_delta_is_rejected(self):
+        # a NaN delta used to build a problem with lipschitz = nan
+        for key in ("ex2:n=3,p=3,delta=nan", "ex1:n=3,p=3,delta=inf", "ex2:n=3,p=3,delta=-inf"):
+            with pytest.raises(InvalidConfig, match="delta"):
+                get_problem(key)
+
     def test_zero_delta_disables_merit(self):
         assert regularized_logsumexp_triple(5, 4, 0.0, 1).merit_supported is False
         assert regularized_logsumexp_triple(5, 4, 0.05, 1).merit_supported is True
