@@ -31,6 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .merit import merit_value
+from .problems import InvalidConfig
 from .simplex_qp import min_norm_in_hull, project_onto_scaled_hull
 
 FLOW_COMPLETED = "completed"
@@ -118,8 +119,12 @@ class BoundReport:
 
 
 def _integrate(prob, cfg, system):
-    steps = max(int(round((cfg.t_end - cfg.t0) / cfg.h)), 1)
     n = prob.n
+    if cfg.x0.shape != (n,):
+        raise InvalidConfig(
+            f"x0 has dimension {cfg.x0.shape[0]}, but {prob.name} has dimension {n}"
+        )
+    steps = max(int(round((cfg.t_end - cfg.t0) / cfg.h)), 1)
     points = np.empty((steps + 1, n))
     residuals = np.empty(steps + 1)
     points[0] = cfg.x0

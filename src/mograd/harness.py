@@ -176,10 +176,23 @@ def write_json(path, payload):
     return path
 
 
-def _config_echo(cfg):
+_SOLVER_FIELDS = ("problem", "solvers", "epsilons", "seed")
+# the ExperimentConfig fields each entry point reads, the split of the CLI's
+# verb table; its JSON summary echoes only these
+_ENTRY_FIELDS = {
+    "run_batch": _SOLVER_FIELDS + ("n_starts", "workers", "write_traces"),
+    "pareto_scan": _SOLVER_FIELDS + ("n_starts", "workers"),
+    "flow_experiment": ("problem", "flow_alphas", "flow_beta", "flow_p", "flow_t0", "flow_h",
+                        "flow_t_end", "flow_x0", "merit_stride", "bound_coeff_scale"),
+    "run_trace": _SOLVER_FIELDS + ("flow_x0",),
+}
+
+
+def _config_echo(cfg, entry):
+    fields = _ENTRY_FIELDS[entry]
+    echo = {key: value for key, value in asdict(cfg).items() if key in fields}
     # a template's epsilon is never run: every entry point takes cfg.epsilons
-    echo = asdict(cfg)
-    for solver in echo["solvers"]:
+    for solver in echo.get("solvers", ()):
         del solver["epsilon"]
     return echo
 
@@ -304,7 +317,7 @@ def run_batch(cfg, out_dir=None):
         write_json(
             out / "summary.json",
             {
-                "config": _config_echo(cfg),
+                "config": _config_echo(cfg, "run_batch"),
                 "cells": [asdict(c) for c in cells],
                 "failures": failures,
             },
@@ -354,7 +367,7 @@ def pareto_scan(cfg, out_dir=None):
         write_csv(out / "front.csv", rows)
         write_json(
             out / "front.json",
-            {"config": _config_echo(cfg), "failures": failures},
+            {"config": _config_echo(cfg, "pareto_scan"), "failures": failures},
         )
     return points, failures
 
@@ -370,9 +383,8 @@ def flow_experiment(cfg, out_dir=None):
         raise InvalidConfig("flow_experiment needs a non-empty alpha sweep")
     prob = get_problem(cfg.problem)
     if cfg.flow_x0:
+        # the flows check its dimension against the problem's
         x0 = np.asarray(cfg.flow_x0, dtype=float)
-        if x0.shape != (prob.n,):
-            raise InvalidConfig(f"flow x0 must have dimension {prob.n}")
     else:
         lo, hi = prob.init_box
         x0 = 0.5 * (lo + hi)
@@ -422,7 +434,11 @@ def flow_experiment(cfg, out_dir=None):
     if out_dir is not None:
         write_json(
             Path(out_dir) / "bound_report.json",
-            {"config": _config_echo(cfg), "trajectories": report, "failures": failures},
+            {
+                "config": _config_echo(cfg, "flow_experiment"),
+                "trajectories": report,
+                "failures": failures,
+            },
         )
     return report, failures
 
@@ -439,7 +455,7 @@ def run_trace(cfg, out_dir=None):
         write_json(
             out / "trace.json",
             {
-                "config": _config_echo(cfg),
+                "config": _config_echo(cfg, "run_trace"),
                 "termination": trace.termination,
                 "iterations": trace.iterations,
                 "final_kkt": trace.final_residual,

@@ -149,44 +149,56 @@ def _small_objectives(values, x):
         return np.array(values(*x))
 
 
-def _logsumexp(z):
-    zmax = z.max()
-    return float(zmax + np.log(np.exp(z - zmax).sum()))
+def _stacked(mats, offs, delta):
+    """The family data as an ``(m, p, n)`` matrix stack, its transpose view and
+    ``(m, p)`` offsets, with the gradient Lipschitz constant of the family.
+
+    Each oracle is then one batched ``matmul`` over the stack.  Every slice
+    keeps the layout of its matrix, so numpy hands BLAS the same
+    matrix-vector products a loop over the objectives would, and the batched
+    oracles keep every bit of the per-objective formulas.
+    """
+    A3 = np.stack([np.asarray(A, dtype=float) for A in mats])
+    B = np.stack([np.asarray(b, dtype=float) for b in offs])
+    lipschitz = delta + max(spectral_norm(A) ** 2 for A in A3)
+    return A3, A3.transpose(0, 2, 1), B, float(lipschitz)
 
 
-def _softmax(z):
-    e = np.exp(z - z.max())
-    return e / e.sum()
+def _columns(delta, x, H):
+    """``delta * x + H[j]`` for each objective j, as a C-contiguous (n, m)."""
+    m, n = H.shape
+    cols = np.empty((n, m))
+    np.add(delta * x[:, None], H.T, out=cols)
+    return cols
 
 
 def logsumexp_family(name, mats, offs, delta, init_box, **kwargs):
     """Objectives f_j = delta/2 ||x||^2 + log sum_i exp(<a_i^j, x> - b_i^j)."""
-    mats = [np.asarray(A, dtype=float) for A in mats]
-    offs = [np.asarray(b, dtype=float) for b in offs]
-    m = len(mats)
-    n = mats[0].shape[1]
-    lipschitz = delta + max(spectral_norm(A) ** 2 for A in mats)
+    A3, AT3, B, lipschitz = _stacked(mats, offs, delta)
+    m, _, n = A3.shape
+
+    def shifted(x):
+        # the max-shifted exponents of each objective and their shifts
+        Z = A3 @ x - B
+        zmax = Z.max(axis=1)
+        return np.exp(Z - zmax[:, None]), zmax
 
     def objectives(x):
         reg = 0.5 * delta * float(x @ x)
-        return np.array(
-            [reg + _logsumexp(A @ x - b) for A, b in zip(mats, offs)]
-        )
+        E, zmax = shifted(x)
+        return reg + (zmax + np.log(E.sum(axis=1)))
 
     def gradient_columns(x):
-        cols = np.empty((n, m))
-        for j, (A, b) in enumerate(zip(mats, offs)):
-            cols[:, j] = delta * x + A.T @ _softmax(A @ x - b)
-        return cols
+        E, _ = shifted(x)
+        softmax = E / E.sum(axis=1)[:, None]
+        return _columns(delta, x, (AT3 @ softmax[:, :, None])[:, :, 0])
 
     def objectives_batch(X):
-        out = np.empty((X.shape[0], m))
         reg = 0.5 * delta * np.einsum("ij,ij->i", X, X)
-        for j, (A, b) in enumerate(zip(mats, offs)):
-            Z = X @ A.T - b
-            zmax = Z.max(axis=1)
-            out[:, j] = reg + zmax + np.log(np.exp(Z - zmax[:, None]).sum(axis=1))
-        return out
+        Z = X @ AT3 - B[:, None, :]
+        zmax = Z.max(axis=2)
+        lse = reg + zmax + np.log(np.exp(Z - zmax[:, :, None]).sum(axis=2))
+        return np.ascontiguousarray(lse.T)
 
     return ProblemInstance(
         name=name,
@@ -195,7 +207,7 @@ def logsumexp_family(name, mats, offs, delta, init_box, **kwargs):
         objectives=objectives,
         gradient_columns=gradient_columns,
         init_box=init_box,
-        lipschitz=float(lipschitz),
+        lipschitz=lipschitz,
         objectives_batch=objectives_batch,
         **kwargs,
     )
@@ -203,23 +215,17 @@ def logsumexp_family(name, mats, offs, delta, init_box, **kwargs):
 
 def least_squares_family(name, mats, offs, delta, init_box, **kwargs):
     """Objectives f_j = delta/2 ||x||^2 + 1/2 ||A^j x - b^j||^2."""
-    mats = [np.asarray(A, dtype=float) for A in mats]
-    offs = [np.asarray(b, dtype=float) for b in offs]
-    m = len(mats)
-    n = mats[0].shape[1]
-    lipschitz = delta + max(spectral_norm(A) ** 2 for A in mats)
+    A3, AT3, B, lipschitz = _stacked(mats, offs, delta)
+    m, _, n = A3.shape
 
     def objectives(x):
         reg = 0.5 * delta * float(x @ x)
-        return np.array(
-            [reg + 0.5 * float(((A @ x - b) ** 2).sum()) for A, b in zip(mats, offs)]
-        )
+        R = A3 @ x - B
+        return reg + 0.5 * (R**2).sum(axis=1)
 
     def gradient_columns(x):
-        cols = np.empty((n, m))
-        for j, (A, b) in enumerate(zip(mats, offs)):
-            cols[:, j] = delta * x + A.T @ (A @ x - b)
-        return cols
+        R = A3 @ x - B
+        return _columns(delta, x, (AT3 @ R[:, :, None])[:, :, 0])
 
     return ProblemInstance(
         name=name,
@@ -228,7 +234,7 @@ def least_squares_family(name, mats, offs, delta, init_box, **kwargs):
         objectives=objectives,
         gradient_columns=gradient_columns,
         init_box=init_box,
-        lipschitz=float(lipschitz),
+        lipschitz=lipschitz,
         **kwargs,
     )
 

@@ -149,10 +149,19 @@ def _affine_minimizer(A):
 
     Solved as least squares on the column differences ``A[:, i] - A[:, 0]``:
     the Gram/KKT form would square the condition number of near-collinear
-    hulls.  One column is its own minimizer; for two, that least-squares
-    problem has one column and is the unclamped segment formula of
-    ``_closed_form``, with no ``lstsq`` call unless its dot products
-    overflow.
+    hulls.  Faces of up to three columns are solved in closed form:
+
+    * one column is its own minimizer;
+    * for two, the least-squares problem has one column and is the unclamped
+      segment formula of ``_closed_form``;
+    * for three, modified Gram-Schmidt on the two difference columns,
+      applied to the right-hand side as well, gives the QR factors and the
+      projected right-hand side, and back substitution the weights.
+
+    ``lstsq`` solves faces of four or more columns, faces of two or three
+    columns whose dot products overflow, and faces of three whose
+    differences are nearly dependent, where the minimizer is (nearly) not
+    unique and ``lstsq`` picks the one of least norm.
     """
     k = A.shape[1]
     if k == 1:
@@ -166,8 +175,49 @@ def _affine_minimizer(A):
             # lstsq's minimum-norm answer z = 0 for equal columns
             z = -ad / dd if dd > 0.0 else 0.0
             return np.array([1.0 - z, z])
+    elif k == 3:
+        w = _face3(A)
+        if w is not None:
+            return w
     z = np.linalg.lstsq(A[:, 1:] - A[:, :1], -A[:, 0], rcond=None)[0]
     return np.concatenate(([1.0 - z.sum()], z))
+
+
+# A three-column face goes to lstsq when its difference columns are
+# dependent to about half the working precision: when r11 * r22, the product
+# of their singular values, is at most this fraction of the sum of their
+# squares.  There the closed form would amplify rounding where lstsq
+# truncates to the minimizer of least norm.
+_DEPENDENT_RTOL = 1e-8
+
+
+def _face3(A):
+    """The affine minimizer of three columns by modified Gram-Schmidt, or None.
+
+    With a = A[:, 0] and d_i = A[:, i] - a, it minimizes
+    ||a + z_1 d_1 + z_2 d_2||: d_1 = r11 q_1 and d_2 = r12 q_1 + r22 q_2, the
+    right-hand side -a is reduced by q_1 and then by q_2, and back
+    substitution gives z.  None for a degenerate or overflowing face.
+    """
+    a = A[:, 0]
+    d1 = A[:, 1] - a
+    d2 = A[:, 2] - a
+    r11 = math.sqrt(d1 @ d1)
+    if not 0.0 < r11 < math.inf:
+        return None
+    q1 = d1 / r11
+    r12 = float(q1 @ d2)
+    u = d2 - r12 * q1
+    r22 = math.sqrt(u @ u)
+    if not r11 * r22 > _DEPENDENT_RTOL * (r11 * r11 + r12 * r12 + r22 * r22):
+        return None
+    c1 = -float(q1 @ a)
+    c2 = -float(u @ (a + c1 * q1)) / r22
+    z2 = c2 / r22
+    z1 = (c1 - r12 * z2) / r11
+    if not (math.isfinite(z1) and math.isfinite(z2)):
+        return None
+    return np.array([1.0 - (z1 + z2), z1, z2])
 
 
 def _minor_cycles(P, active, lam, mu):

@@ -47,6 +47,12 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="x0"):
                 FlowConfig(alpha=5.0, x0=x0)
 
+    @pytest.mark.parametrize("integrate", [mavng_integrate, mavd_integrate])
+    def test_x0_must_match_the_problem_dimension(self, integrate):
+        cfg = FlowConfig(alpha=5.0, x0=[0.3, 0.4, 0.5], t_end=1.1)
+        with pytest.raises(ValueError, match="x0 has dimension 3, but quad2 has dimension 2"):
+            integrate(quadratic_pair(), cfg)
+
 
 class TestIntegration:
     def test_exact_time_grid(self):

@@ -197,6 +197,13 @@ class TestRunBatch:
         assert payload["cells"][0]["total_time_s"] > 0.0
         assert payload["config"]["seed"] == 5
 
+    def test_summary_json_echoes_only_what_the_batch_reads(self, tmp_path):
+        run_batch(ExperimentConfig(**JOS1_CFG, flow_alphas=(5.0,)), out_dir=tmp_path)
+        config = json.loads((tmp_path / "summary.json").read_text())["config"]
+        assert set(config) == {
+            "problem", "solvers", "epsilons", "n_starts", "seed", "workers", "write_traces"
+        }
+
     def test_builds_the_problem_once(self, tmp_path, monkeypatch):
         import mograd.harness as harness
         import mograd.problems as problems
@@ -346,6 +353,21 @@ class TestFlowExperiment:
         assert (tmp_path / "bound_report.json").exists()
         header = (tmp_path / "mavng_a50.csv").read_text().splitlines()[0]
         assert header == "t,x1,x2,kkt_residual,merit"
+
+    def test_start_of_the_wrong_dimension_writes_nothing(self, tmp_path):
+        cfg = ExperimentConfig(problem="quad2", flow_alphas=(5.0,), flow_x0=(0.3, 0.4, 0.5))
+        with pytest.raises(InvalidConfig, match="x0 has dimension 3, but quad2 has dimension 2"):
+            flow_experiment(cfg, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_bound_report_echoes_only_what_the_flow_reads(self, tmp_path):
+        cfg = ExperimentConfig(**JOS1_CFG, flow_alphas=(5.0,), flow_h=0.005, flow_t_end=1.01)
+        flow_experiment(cfg, out_dir=tmp_path)
+        config = json.loads((tmp_path / "bound_report.json").read_text())["config"]
+        assert set(config) == {
+            "problem", "merit_stride", "flow_alphas", "flow_beta", "flow_p", "flow_t0", "flow_h",
+            "flow_t_end", "flow_x0", "bound_coeff_scale",
+        }
 
     def test_beta_equal_alpha_writes_identical_state_columns(self, tmp_path):
         cfg = ExperimentConfig(
@@ -653,11 +675,13 @@ class TestCli:
             for _, key, value, _ in table:
                 if key in ExperimentConfig.__dataclass_fields__ and key != "solvers":
                     assert from_flags[key] == value, (verb, key)
+            # the echo holds exactly the settings the verb reads: the solver
+            # flags fold into "solvers" and the flow's alphas into "flow_alphas"
             if verb == "flow":
+                assert set(from_flags) == set(keys) - {"alpha"} | {"flow_alphas"}
                 assert from_flags["flow_alphas"] == [6.0, 7.0]
-                assert from_flags["solvers"] == []
                 continue
-            assert from_flags["flow_alphas"] == []
+            assert set(from_flags) == set(keys) - {"alpha", "step", "s0", "sigma", "k_max"}
             # a template's epsilon is not echoed: the run uses "epsilons"
             expected = [dict(variant="mfisc_ls", step=3.0, **self.SOLVER_ECHO)]
             if verb == "run":

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from mograd.problems import (
     InvalidConfig,
+    _stream,
     available_problems,
     finite_difference_gradients,
     get_problem,
@@ -123,13 +124,74 @@ class TestSmallOracles:
             assert np.isinf(F).any()
             assert got.tobytes() == F.tobytes()
 
-    @pytest.mark.parametrize("key", ["quad2", "lse2", "jos1", "jos1:n=5", "sd", "toi4"])
+    @pytest.mark.parametrize(
+        "key", ["quad2", "lse2", "jos1", "jos1:n=5", "sd", "toi4", "ex1:n=4,p=3", "ex2:n=4,p=3"]
+    )
     def test_gradient_columns_layout(self, key, rng):
         prob = get_problem(key)
         cols = prob.gradient_columns(rng.uniform(*prob.init_box))
-        assert cols.shape == (prob.n, 2)
+        assert cols.shape == (prob.n, prob.m)
         assert cols.dtype == np.float64
         assert cols.flags.c_contiguous
+
+
+# The family oracles as a loop over the objectives, one matrix-vector chain
+# each: the stacked oracles batch these products and must keep every bit.
+def _family_data(key):
+    if key == "lse2":
+        A = np.array([[10.0, 10.0], [10.0, -10.0], [-10.0, -10.0], [-10.0, 10.0]])
+        b = np.array([0.0, -20.0, 0.0, 20.0])
+        return "lse", [A, A], [b, -b], 0.0
+    family, params = key.split(":")
+    n, p, seed = (int(item.split("=")[1]) for item in params.split(","))
+    low = -1.0 if family == "ex1" else 0.0
+    mats = [_stream(seed, 2 * j).uniform(low, 1.0, size=(p, n)) for j in range(3)]
+    offs = [_stream(seed, 2 * j + 1).uniform(low, 1.0, size=p) for j in range(3)]
+    return ("lse" if family == "ex1" else "ls"), mats, offs, 0.05
+
+
+def _family_reference(kind, mats, offs, delta, x):
+    reg = 0.5 * delta * float(x @ x)
+    F, cols = [], []
+    for A, b in zip(mats, offs):
+        z = A @ x - b
+        if kind == "lse":
+            e = np.exp(z - z.max())
+            F.append(reg + float(z.max() + np.log(e.sum())))
+            cols.append(delta * x + A.T @ (e / e.sum()))
+        else:
+            F.append(reg + 0.5 * float((z**2).sum()))
+            cols.append(delta * x + A.T @ z)
+    return np.array(F), np.stack(cols, axis=1)
+
+
+def _family_batch_reference(mats, offs, delta, X):
+    reg = 0.5 * delta * np.einsum("ij,ij->i", X, X)
+    out = np.empty((X.shape[0], len(mats)))
+    for j, (A, b) in enumerate(zip(mats, offs)):
+        Z = X @ A.T - b
+        zmax = Z.max(axis=1)
+        out[:, j] = reg + zmax + np.log(np.exp(Z - zmax[:, None]).sum(axis=1))
+    return out
+
+
+class TestFamilyOracles:
+    @pytest.mark.parametrize("key", ["ex1:n=40,p=20,seed=0", "ex2:n=10,p=9,seed=4", "lse2"])
+    def test_bitwise_equal_to_per_objective_formulas(self, key, rng):
+        prob = get_problem(key)
+        kind, mats, offs, delta = _family_data(key)
+        # at |x| = 100 the exponents of ex1 reach the thousands, and exp
+        # overflows unless each objective is shifted by its own maximum
+        for magnitude in (1e-3, 1.0, 10.0, 100.0):
+            X = rng.uniform(-magnitude, magnitude, size=(100, prob.n))
+            for x in X:
+                F, G = _family_reference(kind, mats, offs, delta, x)
+                assert np.isfinite(F).all()
+                assert prob.objectives(x).tobytes() == F.tobytes()
+                assert prob.gradient_columns(x).tobytes() == G.tobytes()
+            if prob.objectives_batch is not None:
+                ref = _family_batch_reference(mats, offs, delta, X)
+                assert prob.objectives_batch(X).tobytes() == ref.tobytes()
 
 
 class TestLogSumExpPair:
@@ -245,8 +307,6 @@ class TestSeededFamilies:
     def test_least_squares_gradient_identity(self, rng):
         prob = regularized_least_squares_triple(7, 6, 0.05, 4)
         # rebuild the data from the same named streams the factory uses
-        from mograd.problems import _stream
-
         mats = [_stream(4, 2 * j).uniform(0.0, 1.0, size=(6, 7)) for j in range(3)]
         offs = [_stream(4, 2 * j + 1).uniform(0.0, 1.0, size=6) for j in range(3)]
         for _ in range(10):

@@ -8,6 +8,7 @@ from mograd.harness import sample_starts
 from mograd.problems import get_problem
 from mograd.simplex_qp import (
     NonFiniteInput,
+    _affine_minimizer,
     min_norm_in_hull,
     project_onto_scaled_hull,
 )
@@ -203,6 +204,50 @@ class TestOverflow:
         with np.errstate(over="ignore", invalid="ignore"):
             sol = min_norm_in_hull(G)
         assert_allclose(sol.point, [0.25, 0.25])
+
+
+def _lstsq_affine_minimizer(A):
+    # the least-squares route on the column differences, all through lstsq
+    z = np.linalg.lstsq(A[:, 1:] - A[:, :1], -A[:, 0], rcond=None)[0]
+    return np.concatenate(([1.0 - z.sum()], z))
+
+
+_A, _B = np.random.default_rng(20261018).normal(size=(2, 5))
+# three-column faces whose difference columns are dependent or overflow
+DEGENERATE_FACES = {
+    "first two equal": np.column_stack([_A, _A, _B]),
+    "last two equal": np.column_stack([_A, _B, _B]),
+    "outer two equal": np.column_stack([_A, _B, _A]),
+    "third between the others": np.column_stack([_A, _B, 0.3 * _A + 0.7 * _B]),
+    "third on the line beyond": np.column_stack([_A, _B, 2.5 * _A - 1.5 * _B]),
+    "squares overflow": np.column_stack([_A, _B, -_A]) * 1e200,
+    "differences overflow": np.column_stack([_A, _B, _B[::-1]]) * 1e160,
+}
+
+
+class TestThreeColumnFace:
+    """The closed-form three-column affine minimizer and its lstsq fallback."""
+
+    def test_agrees_with_least_squares_on_random_faces(self, rng):
+        for n in (2, 3, 5, 40):
+            for scale in (1e-6, 1.0, 1e6):
+                for _ in range(200):
+                    A = rng.normal(size=(n, 3)) * scale
+                    w = _affine_minimizer(A)
+                    ref = _lstsq_affine_minimizer(A)
+                    assert w.sum() == pytest.approx(1.0, abs=1e-12)
+                    rel = np.abs(w - ref).max() / max(1.0, np.abs(ref).max())
+                    assert rel <= 1e-12, (n, scale)
+
+    @pytest.mark.parametrize("A", DEGENERATE_FACES.values(), ids=DEGENERATE_FACES.keys())
+    def test_degenerate_faces_take_the_least_squares_answer(self, A):
+        # the minimizer is not unique (or its dot products overflow): lstsq's
+        # least-norm answer, bit for bit, and never a NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = _affine_minimizer(A)
+            ref = _lstsq_affine_minimizer(A)
+        assert np.isfinite(ref).all()
+        assert w.tobytes() == ref.tobytes()
 
 
 class TestAdversarialConditioning:
