@@ -84,6 +84,8 @@ class Trajectory:
 
     ``merit`` holds NaN where the merit value was not sampled; fill it with
     :func:`attach_merit` before running :func:`merit_bound_scan`.
+    ``termination`` is ``qp_failure`` when a hull QP, the one at the last
+    point included, did not certify its gap; the points up to it are kept.
     """
 
     config: FlowConfig
@@ -171,8 +173,12 @@ def _integrate(prob, cfg, system):
         x_prev, x_curr = x_curr, x_next
 
     if termination == FLOW_COMPLETED:
-        u = min_norm_in_hull(prob.gradient_columns(x_curr), start=hull_w).point
+        hull = min_norm_in_hull(prob.gradient_columns(x_curr), start=hull_w)
+        u = hull.point
         residuals[steps] = math.sqrt(u @ u)
+        if not hull.converged:
+            # every point is kept, but the last residual is not certified
+            termination = FLOW_QP_FAILURE
     residuals[0] = residuals[1]
 
     count = reached + 1

@@ -147,6 +147,9 @@ def sample_starts(prob, n_starts, seed):
 
 
 def _fmt(value):
+    # most cells are floats from ndarray.tolist(): test for them first
+    if type(value) is float:
+        return "" if math.isnan(value) else repr(value)
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value)).lower()
     if isinstance(value, (int, np.integer)):
@@ -423,14 +426,12 @@ def flow_experiment(cfg, out_dir=None):
                     + [f"x{i + 1}" for i in range(prob.n)]
                     + ["kkt_residual", "merit"]
                 )
-                rows = [header]
-                for i in range(len(traj)):
-                    rows.append(
-                        [traj.times[i]]
-                        + list(traj.points[i])
-                        + [traj.kkt_residuals[i], traj.merit[i]]
-                    )
-                write_csv(Path(out_dir) / f"{system}_a{alpha:g}.csv", rows)
+                table = np.column_stack(
+                    [traj.times, traj.points, traj.kkt_residuals, traj.merit]
+                )
+                write_csv(
+                    Path(out_dir) / f"{system}_a{alpha:g}.csv", [header] + table.tolist()
+                )
     if out_dir is not None:
         write_json(
             Path(out_dir) / "bound_report.json",

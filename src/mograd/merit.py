@@ -14,11 +14,14 @@ functions and smooth maps", Math. Prog. 2019).  At z, with
 parts = F(z) - F(x) and gradient columns G, the step d = -t G theta
 minimizes the model max_i [parts_i + g_i.d] + |d|^2 / (2t); its weights
 theta come from one min-norm QP over the simplex.  A step is accepted when h
-falls by at least a quarter of the model's predicted decrease, and t then
-doubles; otherwise t halves.  Starting from z = x (where h = 0) and only
-accepting descent steps keeps the returned phi nonnegative by construction;
-a warm start is used only when it is already below that baseline.  The stop
-tests (see ``MeritResult``) use fixed constants: no caller needs others.
+falls by at least a quarter of the model's predicted decrease; t then
+doubles if h fell by at least three quarters of it (the usual trust-region
+ratio rule) and stays otherwise, so that t does not oscillate around the
+largest acceptable step; a rejected step halves t.  Starting from z = x
+(where h = 0) and only accepting descent steps keeps the returned phi
+nonnegative by construction; a warm start is used only when it is already
+below that baseline.  The stop tests (see ``MeritResult``) use fixed
+constants: no caller needs others.
 
 ``merit_grid_oracle`` is an independent check for two-dimensional problems:
 it maximizes min_i [f_i(x) - f_i(z)] over a dense rectangular grid, a lower
@@ -146,6 +149,7 @@ def merit_value(prob, x, warm_start=None):
         cand_parts = prob.objectives(cand) - fx
         cand_h = float(np.max(cand_parts))
         accepted = cand_h <= h - 0.25 * pred
+        expand = cand_h <= h - 0.75 * pred
         if accepted:
             z, parts, h = cand, cand_parts, cand_h
         if residual <= _INNER_TOL:
@@ -153,7 +157,8 @@ def merit_value(prob, x, warm_start=None):
             break
         if accepted:
             grads = prob.gradient_columns(z)
-            t *= 2.0
+            if expand:
+                t *= 2.0
             halvings = 0
         else:
             t *= 0.5

@@ -31,7 +31,12 @@ Frank-Wolfe gap
 which upper-bounds the objective suboptimality, so a returned gap below the
 tolerance is a genuine optimality certificate.  For ``m == 1`` and ``m == 2``
 closed forms replace the iteration (bi-objective problems dominate the
-benchmark suite).
+benchmark suite).  They run on Python floats, not numpy arrays: with the few
+rows of a bi-objective problem, numpy's per-call dispatch costs several
+times the arithmetic.  Past about n = 25 numpy would be faster (at n = 100
+about 12 us against 45 us per solve); only ``jos1`` takes that many
+variables, and no workload of the benchmark or the tests gives it more
+than 5.
 
 Both certify at the fixed tolerance ``DEFAULT_TOL``, relaxed relative to the
 squared scale of the data (see ``_REL_TOL``).  That tolerance is only the
@@ -98,9 +103,16 @@ def _validate_columns(G):
     G = np.asarray(G, dtype=float)
     if G.ndim != 2 or G.shape[0] < 1 or G.shape[1] < 1:
         raise ValueError("gradient matrix must be 2-D with columns per objective")
+    return G
+
+
+def _check_finite(G, v=None):
+    # G is checked as given, not scaled: a finite G whose scaled columns
+    # overflow gets a solution flagged unconverged, not an exception
     if not np.isfinite(G).all():
         raise NonFiniteInput("gradient matrix contains NaN or Inf")
-    return G
+    if v is not None and not np.isfinite(v).all():
+        raise NonFiniteInput("target vector contains NaN or Inf")
 
 
 def _effective_tol(S, v):
@@ -124,24 +136,66 @@ def _fw_gap(S, v, theta):
     return p, max(float(r @ p - (r @ S).min()), 0.0)
 
 
-def _closed_form(S, v):
-    """Exact solution for one or two columns of ``S``."""
-    if S.shape[1] == 1:
-        theta = np.ones(1)
+def _closed_form(G, scale, v):
+    """Exact solution for one or two columns of ``scale * G``, target list ``v``.
+
+    One pass over the rows of ``G.tolist()`` gives the segment formula, a
+    second the point ``scale * G @ theta`` and the Frank-Wolfe certificate
+    ``r.p - min_i r.s_i`` for ``r = p - v``, all on Python floats (see the
+    module docstring for the sizes where that pays).
+
+    ``G`` has passed ``_validate_columns`` only.  Its finiteness, and that
+    of ``v``, are checked on a sum that the pass computes anyway and that is
+    not finite when any input is not; only then does ``_check_finite`` run
+    to raise, or to find that a square merely overflowed.
+    """
+    rows = G.tolist()
+    if len(rows[0]) == 1:
+        point = [scale * row[0] for row in rows]
+        rp = 0.0
+        for p, y in zip(point, v):
+            rp += (p - y) * p
+        if not math.isfinite(rp):
+            _check_finite(G, np.array(v))
+        theta = [1.0]
+        # the certificate r.p - r.s_1 with p = s_1; NaN when rp overflowed
+        slack = rp - rp
     else:
         # 1-D projection of v onto the segment [s_2, s_1]
-        s2 = S[:, 1]
-        d = S[:, 0] - s2
-        denom = d @ d
-        if denom > 0.0:
-            # np.clip's result, NaN and -0.0 included
-            t = min(max(float((v - s2) @ d / denom), 0.0), 1.0)
-        else:
+        dd = vd = 0.0
+        for (a, b), y in zip(rows, v):
+            s2 = scale * b
+            d = scale * a - s2
+            dd += d * d
+            vd += (y - s2) * d
+        if not math.isfinite(dd + vd):
+            _check_finite(G, np.array(v))
+        t = vd / dd if dd > 0.0 else 1.0
+        # np.clip's result, NaN and -0.0 included
+        if t < 0.0:
+            t = 0.0
+        elif t > 1.0:
             t = 1.0
-        theta = np.array([t, 1.0 - t])
-    point, gap = _fw_gap(S, v, theta)
-    converged = gap <= DEFAULT_TOL or gap <= _effective_tol(S, v)
-    return HullSolution(theta, point, gap, converged, 0)
+        u = 1.0 - t
+        theta = [t, u]
+        # the point and the Frank-Wolfe certificate r.p - min_i r.s_i, r = p - v
+        point = []
+        rp = r1 = r2 = 0.0
+        for (a, b), y in zip(rows, v):
+            s1 = scale * a
+            s2 = scale * b
+            p = s1 * t + s2 * u
+            r = p - y
+            rp += r * p
+            r1 += r * s1
+            r2 += r * s2
+            point.append(p)
+        # numpy's min: NaN when either is NaN, where Python's min drops one
+        slack = rp - (r1 if r1 <= r2 else r2 if r2 < r1 else math.nan)
+    # max(), not a comparison, so that a NaN slack stays a NaN gap
+    gap = max(slack, 0.0)
+    converged = gap <= DEFAULT_TOL or gap <= _effective_tol(scale * G, np.array(v))
+    return HullSolution(np.array(theta), np.array(point), gap, converged, 0)
 
 
 def _affine_minimizer(A):
@@ -316,7 +370,7 @@ def _wolfe(S, v, start):
 
 def _validate_start(start, m):
     # the solvers pass their previous weights, already an array; skipping
-    # the conversion call matters at m <= 2, where a solve costs ~15 us
+    # the conversion call matters at m <= 2, where a solve costs about 5 us
     if not isinstance(start, np.ndarray):
         start = np.asarray(start, dtype=float)
     if start.shape != (m,):
@@ -345,12 +399,12 @@ def project_onto_scaled_hull(G, scale, v, start=None):
     v = np.asarray(v, dtype=float)
     if v.shape != (G.shape[0],):
         raise ValueError("target vector shape does not match gradient columns")
-    if not np.isfinite(v).all():
-        raise NonFiniteInput("target vector contains NaN or Inf")
     if start is not None:
         start = _validate_start(start, G.shape[1])
-    S = scale * G
-    return _closed_form(S, v) if G.shape[1] <= 2 else _wolfe(S, v, start)
+    if G.shape[1] <= 2:
+        return _closed_form(G, scale, v.tolist())
+    _check_finite(G, v)
+    return _wolfe(scale * G, v, start)
 
 
 def min_norm_in_hull(G, start=None):
@@ -363,6 +417,8 @@ def min_norm_in_hull(G, start=None):
     G = _validate_columns(G)
     if start is not None:
         start = _validate_start(start, G.shape[1])
+    if G.shape[1] <= 2:
+        return _closed_form(G, 1.0, [0.0] * G.shape[0])
+    _check_finite(G)
     # 1.0 * G == G exactly, so G serves as the scaled columns
-    v = np.zeros(G.shape[0])
-    return _closed_form(G, v) if G.shape[1] <= 2 else _wolfe(G, v, start)
+    return _wolfe(G, np.zeros(G.shape[0]), start)

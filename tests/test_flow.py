@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,28 @@ class TestIntegration:
         assert warm.termination == cold.termination == "completed"
         assert len(warm) == len(cold)
         assert np.max(np.abs(warm.points - cold.points)) <= 1e-8 * np.max(np.abs(cold.points))
+
+    def test_uncertified_final_residual_ends_qp_failure(self, monkeypatch):
+        # ten steps: nine hull QPs in the loop, the tenth at the last point
+        prob = quadratic_pair()
+        cfg = short_cfg(t_end=1.1, h=0.01)
+        certified = mavng_integrate(prob, cfg)
+        calls = []
+
+        def solve(G, start=None, _qp=mograd.flow.min_norm_in_hull):
+            calls.append(None)
+            sol = _qp(G, start)
+            return replace(sol, converged=False) if len(calls) == 10 else sol
+
+        monkeypatch.setattr(mograd.flow, "min_norm_in_hull", solve)
+        failed = mavng_integrate(prob, cfg)
+        assert len(calls) == 10
+        assert certified.termination == "completed"
+        assert failed.termination == "qp_failure"
+        # every point is kept, the last one included
+        assert len(failed) == len(certified) == 11
+        assert np.array_equal(failed.points, certified.points)
+        assert np.array_equal(failed.kkt_residuals, certified.kkt_residuals)
 
 
 class TestMeritAttachment:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mograd.cli import build_parser
+from mograd.flow import FlowConfig, attach_merit, mavng_integrate
 from mograd.cli import main as cli_main
 from mograd.harness import (
     ExperimentConfig,
@@ -353,6 +354,21 @@ class TestFlowExperiment:
         assert (tmp_path / "bound_report.json").exists()
         header = (tmp_path / "mavng_a50.csv").read_text().splitlines()[0]
         assert header == "t,x1,x2,kkt_residual,merit"
+
+    def test_csv_cells_are_the_trajectory_values(self, tmp_path):
+        # each cell is repr() of the float, blank where merit was not sampled
+        cfg = ExperimentConfig(
+            problem="quad2", flow_alphas=(50.0,), flow_t_end=1.5, flow_x0=(-0.2, -0.1),
+            merit_stride=7,
+        )
+        flow_experiment(cfg, out_dir=tmp_path)
+        prob = quadratic_pair()
+        traj = mavng_integrate(prob, FlowConfig(alpha=50.0, x0=np.array([-0.2, -0.1]), t_end=1.5))
+        attach_merit(prob, traj, stride=7)
+        table = np.column_stack([traj.times, traj.points, traj.kkt_residuals, traj.merit])
+        expected = [",".join("" if math.isnan(v) else repr(float(v)) for v in row) for row in table]
+        lines = (tmp_path / "mavng_a50.csv").read_text().splitlines()
+        assert lines[1:] == expected
 
     def test_start_of_the_wrong_dimension_writes_nothing(self, tmp_path):
         cfg = ExperimentConfig(problem="quad2", flow_alphas=(5.0,), flow_x0=(0.3, 0.4, 0.5))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mograd.flow import FlowConfig, attach_merit, mavd_integrate, mavng_integrate
+from mograd.harness import sample_starts
 from mograd.merit import (
     DimensionUnsupported,
     MeritUnavailable,
@@ -170,6 +171,27 @@ class TestExactReference:
             result = merit_value(prob, x)
             assert result.converged
             assert abs(result.phi - quad2_exact_phi(prob, x)) <= 1e-8
+
+
+# phi at sample_starts(ex2:n=5,p=8,seed=1, 8, 0), and the subproblems the
+# cold solves took in all, when t doubled after every accepted step
+EX2_COLD_PHI = (
+    2.304080736442076, 0.25600571156928587, 36.99239860691383, 0.26123505947176834,
+    9.993137603814866, 22.42874388036572, 1.8497188231054968, 45.27986857903679,
+)
+EX2_COLD_SUBPROBLEMS_ALWAYS_DOUBLING = 5374
+
+
+class TestStepRule:
+    def test_ratio_rule_saves_subproblems_on_ill_conditioned_data(self):
+        # doubling t after every accepted step makes it oscillate around the
+        # largest acceptable step and wastes every second subproblem
+        prob = get_problem("ex2:n=5,p=8,seed=1")
+        results = [merit_value(prob, x) for x in sample_starts(prob, 8, 0)]
+        assert all(r.converged for r in results)
+        assert sum(r.iterations for r in results) < EX2_COLD_SUBPROBLEMS_ALWAYS_DOUBLING
+        for result, phi in zip(results, EX2_COLD_PHI):
+            assert result.phi == pytest.approx(phi, rel=1e-10)
 
 
 class TestDegenerateColumns:

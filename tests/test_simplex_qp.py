@@ -7,8 +7,10 @@ from numpy.testing import assert_allclose
 from mograd.harness import sample_starts
 from mograd.problems import get_problem
 from mograd.simplex_qp import (
+    DEFAULT_TOL,
     NonFiniteInput,
     _affine_minimizer,
+    _effective_tol,
     min_norm_in_hull,
     project_onto_scaled_hull,
 )
@@ -204,6 +206,87 @@ class TestOverflow:
         with np.errstate(over="ignore", invalid="ignore"):
             sol = min_norm_in_hull(G)
         assert_allclose(sol.point, [0.25, 0.25])
+
+
+def _numpy_closed_form(S, v):
+    """The closed form for one or two columns of ``S`` in numpy, as reference."""
+    if S.shape[1] == 1:
+        theta = np.ones(1)
+    else:
+        s2 = S[:, 1]
+        d = S[:, 0] - s2
+        denom = d @ d
+        t = min(max(float((v - s2) @ d / denom), 0.0), 1.0) if denom > 0.0 else 1.0
+        theta = np.array([t, 1.0 - t])
+    p = S @ theta
+    r = p - v
+    gap = max(float(r @ p - (r @ S).min()), 0.0)
+    return p, gap <= DEFAULT_TOL or gap <= _effective_tol(S, v)
+
+
+def _closed_form_cases(rng):
+    """(G, scale, v) with n in {1, 2, 4, 7, 20}, entries from 1e-150 to 1e150."""
+    for n in (1, 2, 4, 7, 20):
+        for magnitude in (1e-150, 1e-50, 1.0, 1e50, 1e150):
+            for _ in range(4):
+                G = magnitude * rng.normal(size=(n, 2))
+                scale = float(10.0 ** rng.uniform(-2.0, 2.0))
+                S = scale * G
+                d = S[:, 0] - S[:, 1]
+                yield G, scale, scale * magnitude * rng.normal(size=n)
+                yield G[:, :1], scale, scale * magnitude * rng.normal(size=n)
+                # t clamped at 1 and at 0, and two equal columns
+                yield G, scale, S[:, 0] + 3.0 * d
+                yield G, scale, S[:, 1] - 3.0 * d
+                yield G[:, [0, 0]], scale, scale * magnitude * rng.normal(size=n)
+
+
+class TestClosedForm:
+    """The m <= 2 closed forms on Python floats against numpy's."""
+
+    def test_agrees_with_numpy(self, rng):
+        for G, scale, v in _closed_form_cases(rng):
+            S = scale * G
+            norm = np.sqrt(np.einsum("ij,ij->j", S, S).max())
+            for sol, (point, converged) in (
+                (project_onto_scaled_hull(G, scale, v), _numpy_closed_form(S, v)),
+                (min_norm_in_hull(S), _numpy_closed_form(S, np.zeros(len(v)))),
+            ):
+                assert np.max(np.abs(sol.point - point)) <= 1e-12 * norm
+                assert sol.converged == converged
+                assert sol.iterations == 0
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, m, bad):
+        # distinct columns, and equal ones, whose segment has length 0
+        base = np.arange(1.0, 1.0 + 3 * m).reshape(3, m)
+        for G in (base, np.repeat(base[:, :1], m, axis=1)):
+            bad_G = G.copy()
+            bad_G[1, -1] = bad
+            bad_v = np.ones(3)
+            bad_v[2] = bad
+            with pytest.raises(NonFiniteInput, match="gradient matrix contains NaN or Inf"):
+                min_norm_in_hull(bad_G)
+            with pytest.raises(NonFiniteInput, match="gradient matrix contains NaN or Inf"):
+                project_onto_scaled_hull(bad_G, 2.0, np.ones(3))
+            with pytest.raises(NonFiniteInput, match="target vector contains NaN or Inf"):
+                project_onto_scaled_hull(G, 2.0, bad_v)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_overflowing_scaled_columns_are_not_certified(self, m):
+        # G is finite, so no exception; scale * G, or the squares of G at
+        # unit scale, are not, so no certificate
+        G = np.array([[1e200, 2.0], [3.0, -1e200], [5.0, 6.0]])[:, :m]
+        with np.errstate(over="ignore", invalid="ignore"):
+            sols = [
+                project_onto_scaled_hull(G, 1e200, np.zeros(3)),
+                project_onto_scaled_hull(G, 1e200, np.array([1.0, -2.0, 3.0])),
+                project_onto_scaled_hull(G, 1.0, np.zeros(3)),
+                min_norm_in_hull(G),
+            ]
+        for sol in sols:
+            assert not sol.converged
 
 
 def _lstsq_affine_minimizer(A):
