@@ -219,7 +219,7 @@ def _worker_problem(key):
 
 
 def _run_one(task):
-    problem_key, solver_cfg, epsilon, start_index, x0, keep_trace = task
+    problem_key, solver_cfg, epsilon, start_index, x0, keep_trace, with_f = task
     prob = _worker_problem(problem_key)
     cfg = replace(solver_cfg, epsilon=epsilon)
     t0 = time.perf_counter()
@@ -234,7 +234,8 @@ def _run_one(task):
         final_kkt=trace.final_residual,
         wall_time=wall,
     )
-    final_f = tuple(float(v) for v in prob.objectives(trace.x_final))
+    # the final objective vector costs an oracle call; only the front reads it
+    final_f = tuple(float(v) for v in prob.objectives(trace.x_final)) if with_f else None
     return record, final_f, trace if keep_trace else None
 
 
@@ -263,7 +264,7 @@ def run_batch(cfg, out_dir=None):
         for eps in cfg.epsilons:
             for idx in range(cfg.n_starts):
                 tasks.append(
-                    (cfg.problem, solver_cfg, eps, idx, tuple(starts[idx]), cfg.write_traces)
+                    (cfg.problem, solver_cfg, eps, idx, tuple(starts[idx]), cfg.write_traces, False)
                 )
     results = _map_tasks(tasks, cfg.workers)
 
@@ -344,7 +345,7 @@ def pareto_scan(cfg, out_dir=None):
     prob = _worker_problem(cfg.problem)
     starts = sample_starts(prob, cfg.n_starts, cfg.seed)
     tasks = [
-        (cfg.problem, solver_cfg, solver_cfg.epsilon, idx, tuple(starts[idx]), False)
+        (cfg.problem, solver_cfg, solver_cfg.epsilon, idx, tuple(starts[idx]), False, True)
         for idx in range(cfg.n_starts)
     ]
     results = _map_tasks(tasks, cfg.workers)

@@ -99,7 +99,7 @@ class TestRunBatch:
         from mograd.harness import _run_one
 
         record, final_f, _ = _run_one(
-            ("quad2", cfg.solvers[0], 1e-6, 0, tuple(prob.pareto_param(0.5)), False)
+            ("quad2", cfg.solvers[0], 1e-6, 0, tuple(prob.pareto_param(0.5)), False, True)
         )
         assert record.iterations == 0
         assert record.termination == "converged"
@@ -191,6 +191,28 @@ class TestRunBatch:
         pareto_scan(ExperimentConfig(**JOS1_CFG))
         assert len(kept) == JOS1_CFG["n_starts"]
         assert all(trace is None for trace in kept)
+
+    def test_final_objectives_only_for_the_front(self, monkeypatch):
+        # a constant-step run calls no objective; only pareto_scan reads a
+        # run's final objective vector, so only it pays that oracle call
+        import dataclasses
+
+        import mograd.harness as harness
+
+        prob = get_problem(JOS1_CFG["problem"])
+        calls = []
+
+        def objectives(x):
+            calls.append(x)
+            return prob.objectives(x)
+
+        counted = dataclasses.replace(prob, objectives=objectives)
+        monkeypatch.setattr(harness, "_worker_problem", lambda key: counted)
+        cfg = ExperimentConfig(**JOS1_CFG)
+        run_batch(cfg)
+        assert calls == []
+        pareto_scan(cfg)
+        assert len(calls) == JOS1_CFG["n_starts"]
 
     def test_summary_json_carries_timings(self, tmp_path):
         run_batch(ExperimentConfig(**JOS1_CFG), out_dir=tmp_path)
@@ -288,7 +310,7 @@ class TestParetoScan:
 
         prob = quadratic_pair()
         record, final_f, _ = _run_one(
-            ("quad2", SolverConfig(variant=MFISC_CONST, step=0.05), 1e-6, 0, (1.0, 0.0), False)
+            ("quad2", SolverConfig(variant=MFISC_CONST, step=0.05), 1e-6, 0, (1.0, 0.0), False, True)
         )
         assert record.iterations == 0
         assert final_f == pytest.approx((0.0, 1.5))

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import mograd.simplex_qp
+import mograd.solvers
 from mograd.harness import sample_starts
 from mograd.problems import get_problem
 from mograd.simplex_qp import (
@@ -14,7 +16,7 @@ from mograd.simplex_qp import (
     min_norm_in_hull,
     project_onto_scaled_hull,
 )
-from mograd.solvers import ACCG_LS, KMAX, MFISC_LS, SolverConfig, run_solver
+from mograd.solvers import ACCG_LS, KMAX, MFISC_LS, STEEPEST_LS, SolverConfig, run_solver
 
 from conftest import grid_min_hull_objective
 
@@ -199,6 +201,36 @@ class TestOverflow:
             assert not sol.converged or sol.gap <= 1e-10
             assert not sol.converged or float(sol.point @ sol.point) <= 0.125
 
+    @pytest.mark.parametrize(
+        "G, scale",
+        [
+            # every scaled column overflows
+            ([[1e300, -1e300, 2e300], [1e300, 3e300, -1e300]], 1e10),
+            # the columns are finite, their differences overflow
+            ([[1.5e308, -1.5e308, 1e308, 2.0], [-1.5e308, 1.5e308, 3.0, 1e308]], 1.0),
+        ],
+    )
+    def test_wolfe_stops_on_a_face_that_is_not_finite(self, G, scale, capfd):
+        # least squares on such a face fails in LAPACK, which prints to the
+        # terminal and raises; Wolfe's method must stop unconverged instead,
+        # from a cold start and from the whole face alike
+        G = np.array(G)
+        m = G.shape[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            sols = [
+                solve(start)
+                for start in (None, np.ones(m))
+                for solve in (
+                    lambda start: project_onto_scaled_hull(G, scale, np.zeros(2), start),
+                    lambda start: project_onto_scaled_hull(G, scale, np.ones(2), start),
+                    lambda start: min_norm_in_hull(G, start),
+                )
+            ]
+        for sol in sols:
+            assert not sol.converged
+            assert np.all(sol.weights >= 0.0) and sol.weights.sum() == pytest.approx(1.0)
+        assert capfd.readouterr() == ("", "")
+
     def test_overflowed_segment_falls_back_to_least_squares(self):
         # the dot products of the two-column affine minimizer overflow here;
         # least squares still reaches the edge point (0.25, 0.25)
@@ -221,7 +253,8 @@ def _numpy_closed_form(S, v):
     p = S @ theta
     r = p - v
     gap = max(float(r @ p - (r @ S).min()), 0.0)
-    return p, gap <= DEFAULT_TOL or gap <= _effective_tol(S, v)
+    q_scale = max(1.0, float(np.einsum("ij,ij->j", S, S).max()), float(v @ v))
+    return p, gap <= DEFAULT_TOL or gap <= _effective_tol(q_scale)
 
 
 def _closed_form_cases(rng):
@@ -273,11 +306,19 @@ class TestClosedForm:
             with pytest.raises(NonFiniteInput, match="target vector contains NaN or Inf"):
                 project_onto_scaled_hull(G, 2.0, bad_v)
 
-    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
     def test_overflowing_scaled_columns_are_not_certified(self, m):
         # G is finite, so no exception; scale * G, or the squares of G at
-        # unit scale, are not, so no certificate
-        G = np.array([[1e200, 2.0], [3.0, -1e200], [5.0, 6.0]])[:, :m]
+        # unit scale, are not, so no certificate.  Only the second column has
+        # a small first entry, and its second entry is huge: every point of
+        # the hull has a square that overflows.
+        G = np.array(
+            [
+                [1e200, 2.0, 1e200, 3e200, 2e200],
+                [3.0, -1e200, -1e200, 4.0, 2e200],
+                [5.0, 6.0, 7.0, 8.0, 9.0],
+            ]
+        )[:, :m]
         with np.errstate(over="ignore", invalid="ignore"):
             sols = [
                 project_onto_scaled_hull(G, 1e200, np.zeros(3)),
@@ -420,6 +461,191 @@ class TestAdversarialConditioning:
                         # g puts p within sqrt(2 g) of the projection
                         dist = float(np.linalg.norm(cold.point - warm.point))
                         assert dist <= 2.0 * math.sqrt(2.0 * tol)
+
+
+# Wolfe's method as it was before its per-call costs were cut (numpy arrays
+# and ``@`` throughout, the zero target subtracted, the certificate always
+# recomputed), kept as the reference of the library's path.
+
+
+def _reference_face3(A):
+    a = A[:, 0]
+    d1 = A[:, 1] - a
+    d2 = A[:, 2] - a
+    r11 = math.sqrt(d1 @ d1)
+    if not 0.0 < r11 < math.inf:
+        return None
+    q1 = d1 / r11
+    r12 = float(q1 @ d2)
+    u = d2 - r12 * q1
+    r22 = math.sqrt(u @ u)
+    if not r11 * r22 > 1e-8 * (r11 * r11 + r12 * r12 + r22 * r22):
+        return None
+    c1 = -float(q1 @ a)
+    c2 = -float(u @ (a + c1 * q1)) / r22
+    z2 = c2 / r22
+    z1 = (c1 - r12 * z2) / r11
+    if not (math.isfinite(z1) and math.isfinite(z2)):
+        return None
+    return np.array([1.0 - (z1 + z2), z1, z2])
+
+
+def _reference_affine_minimizer(A):
+    k = A.shape[1]
+    if k == 1:
+        return np.ones(1)
+    if k == 2:
+        a = A[:, 0]
+        d = A[:, 1] - a
+        dd = float(d @ d)
+        ad = float(a @ d)
+        if dd < math.inf and math.isfinite(ad):
+            z = -ad / dd if dd > 0.0 else 0.0
+            return np.array([1.0 - z, z])
+    elif k == 3:
+        w = _reference_face3(A)
+        if w is not None:
+            return w
+    return _lstsq_affine_minimizer(A)
+
+
+def _reference_minor_cycles(P, active, lam, mu):
+    while (mu <= 0.0).any():
+        neg = np.nonzero(mu <= 0.0)[0]
+        ratios = lam[neg] / (lam[neg] - mu[neg])
+        lam = lam + float(ratios.min()) * (mu - lam)
+        lam[neg[np.argmin(ratios)]] = 0.0
+        keep = lam > 0.0
+        active = [a for a, k in zip(active, keep) if k]
+        lam = lam[keep]
+        mu = _reference_affine_minimizer(P[:, active])
+    return active, mu
+
+
+def _reference_wolfe(S, v, start):
+    """(weights, point, gap, converged, iterations) of the reference path."""
+    m = S.shape[1]
+    P = S - v[:, None]
+    full = list(range(m))
+
+    def columns(face):
+        # a gathered face is laid out differently from P, and its dot
+        # products round differently: the whole face is P itself
+        return P if face == full else P[:, face]
+
+    face = [] if start is None else [i for i, w in enumerate(start.tolist()) if w > 0.0]
+    if not face:
+        face = [int(np.einsum("ij,ij->j", P, P).argmin())]
+    lam = np.array([1.0 / len(face)] * len(face))
+    active, lam = _reference_minor_cycles(P, face, lam, _reference_affine_minimizer(columns(face)))
+    x = columns(active) @ lam
+    stop = None
+    cycles = 0
+    while cycles < 500:
+        dots = x @ P
+        j = int(dots.argmin())
+        xx = x @ x
+        gap = xx - dots[j]
+        if gap <= 1e-12 * xx or j in active:
+            break
+        if stop is None:
+            q = float(np.einsum("ij,ij->j", P, P).max())
+            stop = 1e-12 * q if math.isfinite(q) else 0.0
+        if gap <= stop:
+            break
+        entering = active + [j]
+        mu = _reference_affine_minimizer(columns(entering))
+        if not mu[-1] > 0.0:
+            break
+        cycles += 1
+        active, lam = _reference_minor_cycles(P, entering, np.append(lam, 0.0), mu)
+        x = columns(active) @ lam
+    if active == full:
+        theta = lam / lam.sum()
+    else:
+        theta = np.zeros(m)
+        theta[active] = lam
+        theta /= theta.sum()
+    p = S @ theta
+    r = p - v
+    gap = max(float(r @ p - (r @ S).min()), 0.0)
+    q_scale = max(1.0, float(np.einsum("ij,ij->j", S, S).max()), float(v @ v))
+    tol = max(DEFAULT_TOL, 1e-12 * q_scale) if math.isfinite(q_scale) else DEFAULT_TOL
+    return theta, p, gap, gap <= DEFAULT_TOL or gap <= tol, cycles
+
+
+class TestWolfeReference:
+    """The library's Wolfe path against the reference, value for value.
+
+    Every call goes through both entry points' public names.  The library's
+    path differs from the reference in how often it dispatches to numpy,
+    not in the floating-point operations on the data, so the results are
+    equal; only an exact zero may differ in sign, as ``ndarray.dot`` and
+    ``@`` can give one opposite signs (seen on a product of length 1).
+    """
+
+    @staticmethod
+    def _assert_same(sol, ref):
+        weights, point, gap, converged, iterations = ref
+        assert np.array_equal(sol.weights, weights)
+        assert np.array_equal(sol.point, point)
+        assert sol.gap == gap
+        assert sol.converged == converged
+        assert sol.iterations == iterations
+
+    def _check_call(self, kind, args, start):
+        if kind == "min_norm":
+            (G,) = args
+            sol = min_norm_in_hull(G, start)
+            ref = _reference_wolfe(G, np.zeros(G.shape[0]), start)
+        else:
+            G, scale, v = args
+            sol = project_onto_scaled_hull(G, scale, v, start)
+            ref = _reference_wolfe(scale * G, v, start)
+        self._assert_same(sol, ref)
+
+    @pytest.mark.parametrize("family", ["ex1:n=40,p=20", "ex2:n=40,p=40"])
+    def test_warm_started_chains_along_solver_runs(self, family, monkeypatch):
+        # the solvers' own call sequences: each QP warm-started from the
+        # weights of its previous solve, as in the tri-objective tables
+        calls = []
+        for name, kind in (
+            ("min_norm_in_hull", "min_norm"),
+            ("project_onto_scaled_hull", "project"),
+        ):
+
+            def record(*args, start=None, _qp=getattr(mograd.simplex_qp, name), _kind=kind):
+                calls.append((_kind, args, start))
+                return _qp(*args, start=start)
+
+            monkeypatch.setattr(mograd.solvers, name, record)
+        for draw in (0, 1):
+            prob = get_problem(f"{family},seed={draw}")
+            x0 = sample_starts(prob, 1, draw)[0]
+            for variant in (MFISC_LS, ACCG_LS, STEEPEST_LS):
+                run_solver(prob, SolverConfig(variant=variant, epsilon=1e-4, k_max=48), x0)
+        monkeypatch.undo()
+        kinds = {kind for kind, _, _ in calls}
+        assert kinds == {"min_norm", "project"}
+        assert sum(start is not None for _, _, start in calls) > len(calls) // 2
+        for kind, args, start in calls:
+            self._check_call(kind, args, start)
+
+    def test_adversarial_instances(self, rng):
+        inst = TestAdversarialConditioning()
+        cases = [*inst._instances(rng, 240), *inst._wide_instances(rng, 30)]
+        checked = 0
+        for G, scale, v in cases:
+            m = G.shape[1]
+            if m < 3:
+                continue
+            cold = min_norm_in_hull(G)
+            for start in (None, cold.weights, np.eye(m)[int(rng.integers(m))],
+                          np.full(m, 1.0 / m), rng.dirichlet(np.ones(m))):
+                self._check_call("min_norm", (G,), start)
+                self._check_call("project", (G, scale, v), start)
+                checked += 1
+        assert checked >= 500
 
 
 class TestWarmStart:
