@@ -211,9 +211,10 @@ def attach_merit(prob, traj, stride=10):
     the previous maximizer since it moves continuously along the trajectory.
     Returns the trajectory with its ``merit`` array filled in place.
     """
-    if stride < 1:
-        raise ValueError("stride must be at least 1")
-    indices = list(range(0, len(traj), stride))
+    # 2.0 counts as a whole number, as in ExperimentConfig; 2.5, inf and NaN do not
+    if not (stride >= 1 and float(stride).is_integer()):
+        raise ValueError(f"stride must be a whole number of at least 1, not {stride!r}")
+    indices = list(range(0, len(traj), int(stride)))
     if indices[-1] != len(traj) - 1:
         indices.append(len(traj) - 1)
     warm = None
@@ -226,6 +227,9 @@ def attach_merit(prob, traj, stride=10):
 
 def merit_bound_scan(traj, coeff, t_min=None, t_max=None):
     """Fraction of merit-sampled points satisfying merit <= coeff / t^2."""
+    # a NaN coeff would make every comparison false, not raise
+    if not 0.0 < coeff < math.inf:
+        raise ValueError(f"coeff must be positive and finite, not {coeff!r}")
     mask = ~np.isnan(traj.merit)
     if t_min is not None:
         mask &= traj.times >= t_min

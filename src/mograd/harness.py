@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .flow import FlowConfig, attach_merit, mavd_integrate, mavng_integrate, merit_bound_scan
-from .problems import InvalidConfig, get_problem
+from .problems import InvalidConfig, _stream, get_problem
 from .solvers import QP_FAILURE, run_solver, trace_csv_rows
 
 _START_STREAM = 104729  # stream index reserved for start-point sampling
@@ -135,11 +135,8 @@ class BatchSummary:
 
 def sample_starts(prob, n_starts, seed):
     """Seeded uniform start points from the problem's sampling box."""
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(_START_STREAM,)))
-    )
     lo, hi = prob.init_box
-    return rng.uniform(lo, hi, size=(n_starts, prob.n))
+    return _stream(seed, _START_STREAM).uniform(lo, hi, size=(n_starts, prob.n))
 
 
 # ---------------------------------------------------------------------------

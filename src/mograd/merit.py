@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .problems import as_point
 from .simplex_qp import min_norm_in_hull
 
 _EPS = float(np.finfo(float).eps)
@@ -112,12 +113,16 @@ def _subproblem_weights(grads, parts, t):
 
 
 def merit_value(prob, x, warm_start=None):
-    """Evaluate phi at ``x`` by solving the inner min-max problem."""
+    """Evaluate phi at ``x`` by solving the inner min-max problem.
+
+    ``x`` must be a finite point of dimension ``prob.n``, and a
+    ``warm_start`` must have that shape: ValueError otherwise.
+    """
     if not prob.merit_supported:
         raise MeritUnavailable(
             f"{prob.name}: inner problem is not level bounded; merit disabled"
         )
-    x = np.asarray(x, dtype=float)
+    x = as_point(prob, x)
     fx = prob.objectives(x)
 
     z = x.copy()
@@ -125,6 +130,8 @@ def merit_value(prob, x, warm_start=None):
     h = 0.0
     if warm_start is not None:
         cand = np.asarray(warm_start, dtype=float)
+        if cand.shape != (prob.n,):
+            raise ValueError(f"expected a warm start of dimension {prob.n}")
         cand_parts = prob.objectives(cand) - fx
         cand_h = float(np.max(cand_parts))
         if cand_h < h:

@@ -75,18 +75,23 @@ class ProblemInstance:
     merit_supported: bool = True
 
 
+def as_point(prob, x):
+    """``x`` as a float array of shape ``(prob.n,)``; ValueError unless finite."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (prob.n,):
+        raise ValueError(f"expected a point of dimension {prob.n}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("point contains NaN or Inf")
+    return x
+
+
 def kkt_residual(prob, x):
     """Norm of the minimum-norm element of the gradient hull at ``x``.
 
     Zero exactly at Pareto-critical points (up to the QP tolerance
     ``simplex_qp.DEFAULT_TOL``).
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (prob.n,):
-        raise ValueError(f"expected a point of dimension {prob.n}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("point contains NaN or Inf")
-    sol = min_norm_in_hull(prob.gradient_columns(x))
+    sol = min_norm_in_hull(prob.gradient_columns(as_point(prob, x)))
     return float(np.linalg.norm(sol.point))
 
 
@@ -141,12 +146,14 @@ def _small_objectives(values, x):
     Python floats do the same IEEE double arithmetic as numpy scalars, and
     ``**`` calls the same libm ``pow``, without numpy's dispatch on every
     operation.  Python's ``**`` raises OverflowError where numpy's returns
-    inf, so an overflowing point is evaluated on numpy scalars instead.
+    inf, so an overflowing point is evaluated on numpy scalars instead, with
+    their overflow and invalid-value warnings off.
     """
     try:
         return np.array(values(*x.tolist()))
     except OverflowError:
-        return np.array(values(*x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.array(values(*x))
 
 
 def _stacked(mats, offs, delta):

@@ -13,12 +13,13 @@ single-objective case:
   to an arbitrary vector ``v``, i.e. it minimizes
   ``0.5 * ||scale * G @ theta - v||^2`` over the simplex.
 
-For ``m >= 3`` both are solved exactly by Wolfe's min-norm-point method
-(P. Wolfe, "Finding the nearest point in a polytope", Math. Prog. 11, 1976),
-a finite active-set algorithm, with a fixed cap on its major cycles as a
-guard against cycling under rounding.  Wolfe's method is finite from any
-corral, a face of the simplex whose affine minimizer has only positive
-weights, so it can start from a face other than a single vertex: both QPs
+For ``m == 2`` a closed form solves both.  For any other ``m`` they are
+solved exactly by Wolfe's min-norm-point method (P. Wolfe, "Finding the
+nearest point in a polytope", Math. Prog. 11, 1976), a finite active-set
+algorithm, with a fixed cap on its major cycles as a guard against cycling
+under rounding.  Wolfe's method is finite from any corral, a face of the
+simplex whose affine minimizer has only positive weights (a single column
+is one), so it can start from a face other than a single vertex: both QPs
 take an optional ``start``, and the weights of a previous solve of a nearby
 problem (the solvers' and the flows' consecutive iterates) make the support
 of that solve the start face.  Minor cycles turn the start face into a
@@ -28,19 +29,19 @@ optimal corral and make no major cycle, so what they cost is the fixed
 cost of a call: about 22 us for ``min_norm_in_hull`` and 33 us for
 ``project_onto_scaled_hull`` on a three-column face at n = 40 (2-core x86
 host, Python 3.11.7, numpy 2.4.6).  That path keeps numpy's dispatches few:
-``min_norm_in_hull`` passes no target, so nothing is subtracted; products
-go through ``ndarray.dot``, which computes those of ``@`` (up to the sign of
-an exact zero) with less overhead; and when the corral is the whole face
-with weights that sum to exactly 1, the zero-target loop's last iterate x,
-x.x and x @ G are the certificate's own p, r.p and r @ S.  Termination is
-certified by the Frank-Wolfe gap
+``min_norm_in_hull`` passes no target, so nothing is subtracted, and
+products go through ``ndarray.dot``, which computes those of ``@`` (up to
+the sign of an exact zero) with less overhead.  Termination is certified by
+the Frank-Wolfe gap
 
     gap(theta) = max_i <p - v, p - scale * g_i>,   p = scale * G @ theta,
 
 which upper-bounds the objective suboptimality, so a returned gap below the
-tolerance is a genuine optimality certificate.  For ``m == 1`` and ``m == 2``
-closed forms replace the iteration (bi-objective problems dominate the
-benchmark suite).  They run on Python floats, not numpy arrays: with the few
+tolerance is a genuine optimality certificate.  Wolfe's method reports the
+gap its loop computed at its last iterate x = p - v, ||x||^2 - min_i <x,
+p_i> over the shifted points p_i = scale * g_i - v: the same gap in exact
+arithmetic.  The closed form for ``m == 2`` (bi-objective problems dominate
+the benchmark suite) runs on Python floats, not numpy arrays: with the few
 rows of a bi-objective problem, numpy's per-call dispatch costs several
 times the arithmetic.  Past about n = 25 numpy would be faster (at n = 100
 about 12 us against 45 us per solve); only ``jos1`` takes that many
@@ -54,8 +55,8 @@ most ``_REL_TOL`` times the largest squared norm of the shifted points, or
 when rounding stalls it: on data as small as the flows' h^2-scaled hulls an
 absolute stopping test would accept any vertex.  The certificate compares the
 gap with ``DEFAULT_TOL`` first; the relative allowance is needed only for
-data of large magnitude.  The closed forms sum the squared norms of the
-scale in their pass over the rows, on Python floats.  Wolfe's method
+data of large magnitude.  The closed form sums the squared norms of the
+scale in its pass over the rows, on Python floats.  Wolfe's method
 computes the scale (a column-norm reduction and a dot product) only when the
 first comparison fails, and for the zero target it reuses the column norms
 of its stopping test.
@@ -102,11 +103,14 @@ class HullSolution:
         weights: simplex vector theta, nonnegative with sum 1.
         point: the hull element ``scale * G @ weights``.
         gap: Frank-Wolfe optimality gap at termination (certified bound on
-            the objective suboptimality; nonnegative).
+            the objective suboptimality; nonnegative, or NaN when it
+            overflowed).  The closed form (m = 2) computes it at ``point``;
+            Wolfe's method reports its loop's gap at its last iterate, and
+            inf when a face that is not finite stopped it before the first.
         converged: whether the gap met the effective tolerance.  When False
             the last iterate is returned and ``gap`` reports its gap.
         iterations: major cycles of Wolfe's method, i.e. columns added to
-            the active set (0 for the closed forms).  The minor cycles that
+            the active set (0 for the closed form).  The minor cycles that
             make the start face a corral are not counted, so a solve started
             from its own solution reports 0.
     """
@@ -152,19 +156,8 @@ def _effective_tol(q_scale):
     return max(DEFAULT_TOL, _REL_TOL * q_scale)
 
 
-def _fw_gap(S, v, theta):
-    """Frank-Wolfe gap max_i <p - v, p - s_i> for p = S @ theta, columns s_i.
-
-    ``v`` None is the zero target.
-    """
-    p = S.dot(theta)
-    r = p if v is None else p - v
-    # max(), not a comparison, so that a NaN slack stays a NaN gap
-    return p, max(float(r.dot(p) - r.dot(S).min()), 0.0)
-
-
 def _closed_form(G, scale, v):
-    """Exact solution for one or two columns of ``scale * G``, target list ``v``.
+    """Exact solution for the two columns of ``scale * G``, target list ``v``.
 
     One pass over the rows of ``G.tolist()`` gives the segment formula, a
     second the point ``scale * G @ theta``, the Frank-Wolfe certificate
@@ -178,59 +171,43 @@ def _closed_form(G, scale, v):
     to raise, or to find that a square merely overflowed.
     """
     rows = G.tolist()
-    if len(rows[0]) == 1:
-        point = [scale * row[0] for row in rows]
-        rp = pp = vv = 0.0
-        for p, y in zip(point, v):
-            rp += (p - y) * p
-            pp += p * p
-            vv += y * y
-        if not math.isfinite(rp):
-            _check_finite(G, np.array(v))
-        theta = [1.0]
-        # the certificate r.p - r.s_1 with p = s_1; NaN when rp overflowed
-        slack = rp - rp
-        q_scale = max(1.0, pp, vv)
-    else:
-        # 1-D projection of v onto the segment [s_2, s_1]
-        dd = vd = 0.0
-        for (a, b), y in zip(rows, v):
-            s2 = scale * b
-            d = scale * a - s2
-            dd += d * d
-            vd += (y - s2) * d
-        if not math.isfinite(dd + vd):
-            _check_finite(G, np.array(v))
-        t = vd / dd if dd > 0.0 else 1.0
-        # np.clip's result, NaN and -0.0 included
-        if t < 0.0:
-            t = 0.0
-        elif t > 1.0:
-            t = 1.0
-        u = 1.0 - t
-        theta = [t, u]
-        # the point and the Frank-Wolfe certificate r.p - min_i r.s_i, r = p - v
-        point = []
-        rp = r1 = r2 = c1 = c2 = vv = 0.0
-        for (a, b), y in zip(rows, v):
-            s1 = scale * a
-            s2 = scale * b
-            p = s1 * t + s2 * u
-            r = p - y
-            rp += r * p
-            r1 += r * s1
-            r2 += r * s2
-            c1 += s1 * s1
-            c2 += s2 * s2
-            vv += y * y
-            point.append(p)
-        # numpy's min: NaN when either is NaN, where Python's min drops one
-        slack = rp - (r1 if r1 <= r2 else r2 if r2 < r1 else math.nan)
-        q_scale = max(1.0, c1, c2, vv)
+    # 1-D projection of v onto the segment [s_2, s_1]
+    dd = vd = 0.0
+    for (a, b), y in zip(rows, v):
+        s2 = scale * b
+        d = scale * a - s2
+        dd += d * d
+        vd += (y - s2) * d
+    if not math.isfinite(dd + vd):
+        _check_finite(G, np.array(v))
+    t = vd / dd if dd > 0.0 else 1.0
+    # np.clip's result, NaN and -0.0 included
+    if t < 0.0:
+        t = 0.0
+    elif t > 1.0:
+        t = 1.0
+    u = 1.0 - t
+    # the point and the Frank-Wolfe certificate r.p - min_i r.s_i, r = p - v
+    point = []
+    rp = r1 = r2 = c1 = c2 = vv = 0.0
+    for (a, b), y in zip(rows, v):
+        s1 = scale * a
+        s2 = scale * b
+        p = s1 * t + s2 * u
+        r = p - y
+        rp += r * p
+        r1 += r * s1
+        r2 += r * s2
+        c1 += s1 * s1
+        c2 += s2 * s2
+        vv += y * y
+        point.append(p)
+    # numpy's min: NaN when either is NaN, where Python's min drops one;
     # max(), not a comparison, so that a NaN slack stays a NaN gap
-    gap = max(slack, 0.0)
+    gap = max(rp - (r1 if r1 <= r2 else r2 if r2 < r1 else math.nan), 0.0)
+    q_scale = max(1.0, c1, c2, vv)
     converged = gap <= DEFAULT_TOL or gap <= _effective_tol(q_scale)
-    return HullSolution(np.array(theta), np.array(point), gap, converged, 0)
+    return HullSolution(np.array([t, u]), np.array(point), gap, converged, 0)
 
 
 def _affine_minimizer(A):
@@ -341,7 +318,7 @@ def _minor_cycles(P, active, lam, mu):
 
 
 def _wolfe(S, v, start):
-    """Wolfe's min-norm-point method for three or more columns of ``S``.
+    """Wolfe's min-norm-point method for one column or three or more of ``S``.
 
     It runs on the shifted points p_i = s_i - v: the point x of conv{p_i}
     nearest the origin gives the projection v + x, with the same weights.
@@ -357,9 +334,12 @@ def _wolfe(S, v, start):
     again, until the gap ||x||^2 - min_i <x, p_i> meets Wolfe's relative test
     or rounding stalls the method.  The stall test ``j in active`` is sound
     because x is always the affine minimizer of a corral, where every active
-    column has <x, p_i> = ||x||^2.  A face whose differences are not finite
-    (the scaled data overflowed) stops the method at the last corral,
-    unconverged.
+    column has <x, p_i> = ||x||^2.  A single column is a corral at once and
+    makes no major cycle.  The returned gap is the loop's at its last
+    iterate, the Frank-Wolfe gap of the returned weights; the point is
+    ``S @ theta``.  A face whose differences are not finite (the scaled data
+    overflowed) stops the method at the last corral, unconverged, with a gap
+    of inf when it stopped before the first gap.
     """
     m = S.shape[1]
     P = S if v is None else S - v[:, None]
@@ -378,6 +358,9 @@ def _wolfe(S, v, start):
         face = [int(col_sq.argmin())]
     active, lam = face, None
     cycles = 0
+    # the gap at the last iterate; a face that is not finite can stop the
+    # method before the first one
+    gap = math.inf
     finite = True
     try:
         active, lam = _minor_cycles(P, face, lam, _affine_minimizer(columns(face)))
@@ -427,14 +410,9 @@ def _wolfe(S, v, start):
     total = theta.sum()
     if total != 1.0:
         theta = theta / total
-    if total == 1.0 and active == full and v is None and finite:
-        # theta is lam itself, so the certificate's p = S @ theta, r.p and
-        # r @ S for r = p are the loop's x, x.x and x @ P
-        point = x
-        # max(), not a comparison, so that a NaN slack stays a NaN gap
-        gap = max(float(gap), 0.0)
-    else:
-        point, gap = _fw_gap(S, v, theta)
+    point = S.dot(theta)
+    # max(), not a comparison, so that a NaN gap stays NaN
+    gap = max(float(gap), 0.0)
     # a solve stopped on a face that is not finite is never certified, and
     # a gap within DEFAULT_TOL needs no scale
     if not finite or gap <= DEFAULT_TOL:
@@ -450,7 +428,7 @@ def _wolfe(S, v, start):
 
 def _validate_start(start, m):
     # the solvers pass their previous weights, already an array; skipping
-    # the conversion call matters at m <= 2, where a solve costs about 5 us
+    # the conversion call matters at m = 2, where a solve costs about 5 us
     if not isinstance(start, np.ndarray):
         start = np.asarray(start, dtype=float)
     if start.shape != (m,):
@@ -471,7 +449,7 @@ def project_onto_scaled_hull(G, scale, v, start=None):
     ``start``, of shape ``(m,)``, warm-starts Wolfe's method from the face
     of its positive entries, typically the weights of the previous solve of a
     nearby problem.  It changes the work, not the answer: a start with no
-    positive entry is a cold start, and the closed forms (m <= 2) ignore it.
+    positive entry is a cold start, and the closed form (m = 2) ignores it.
     """
     G = _validate_columns(G)
     if not 0.0 < scale < math.inf:
@@ -481,7 +459,7 @@ def project_onto_scaled_hull(G, scale, v, start=None):
         raise ValueError("target vector shape does not match gradient columns")
     if start is not None:
         start = _validate_start(start, G.shape[1])
-    if G.shape[1] <= 2:
+    if G.shape[1] == 2:
         return _closed_form(G, scale, v.tolist())
     _check_finite(G, v)
     return _wolfe(scale * G, v, start)
@@ -497,7 +475,7 @@ def min_norm_in_hull(G, start=None):
     G = _validate_columns(G)
     if start is not None:
         start = _validate_start(start, G.shape[1])
-    if G.shape[1] <= 2:
+    if G.shape[1] == 2:
         return _closed_form(G, 1.0, [0.0] * G.shape[0])
     _check_finite(G)
     # 1.0 * G == G exactly, so G serves as the scaled columns, and no

@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .problems import InvalidConfig
-from .simplex_qp import NonFiniteInput, min_norm_in_hull, project_onto_scaled_hull
+from .simplex_qp import min_norm_in_hull, project_onto_scaled_hull
 
 MFISC_CONST = "mfisc_const"
 ACCG_CONST = "accg_const"
@@ -258,9 +258,10 @@ def run_solver(prob, cfg, x0):
             if line_search:
                 step, capped = line_search_backtracking(prob, y, step, cfg.sigma, d, grads_y)
                 trace.ls_cap_hits += capped
-        except (ValueError, NonFiniteInput):
+        except ValueError:
             # oracle evaluation failed at a probe point (an objective outside
-            # the smoothness assumptions); abort with the partial trace
+            # the smoothness assumptions), or the QP's NonFiniteInput, a
+            # ValueError too; abort with the partial trace
             trace.termination = QP_FAILURE
             break
 

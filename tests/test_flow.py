@@ -181,6 +181,26 @@ class TestMeritAttachment:
         expected = set(range(0, len(traj), 100)) | {len(traj) - 1}
         assert set(np.nonzero(sampled)[0]) == expected
 
+    @pytest.mark.parametrize("stride", [2.5, 0, -3, float("nan"), float("inf")])
+    def test_stride_must_be_a_whole_number_of_at_least_one(self, stride):
+        prob = quadratic_pair()
+        traj = mavng_integrate(prob, short_cfg(t_end=1.2))
+        with pytest.raises(ValueError, match="whole number"):
+            attach_merit(prob, traj, stride=stride)
+
+    def test_whole_float_stride_samples_as_its_int(self):
+        prob = quadratic_pair()
+        a = attach_merit(prob, mavng_integrate(prob, short_cfg(t_end=1.2)), stride=100)
+        b = attach_merit(prob, mavng_integrate(prob, short_cfg(t_end=1.2)), stride=100.0)
+        assert a.merit.tobytes() == b.merit.tobytes()
+
+    @pytest.mark.parametrize("coeff", [float("nan"), 0.0, -1.0, float("inf")])
+    def test_scan_coeff_must_be_positive_and_finite(self, coeff):
+        prob = quadratic_pair()
+        traj = attach_merit(prob, mavng_integrate(prob, short_cfg(t_end=1.2)), stride=100)
+        with pytest.raises(ValueError, match="coeff must be positive and finite"):
+            merit_bound_scan(traj, coeff)
+
     def test_scan_requires_samples(self):
         traj = mavng_integrate(quadratic_pair(), short_cfg(t_end=1.2))
         with pytest.raises(MissingMerit):

@@ -1,11 +1,16 @@
 import hashlib
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mograd
 from mograd.cli import build_parser
 from mograd.flow import FlowConfig, attach_merit, mavng_integrate
 from mograd.cli import main as cli_main
@@ -142,6 +147,36 @@ class TestRunBatch:
             ExperimentConfig(**{**JOS1_CFG, "workers": 3}), out_dir=tmp_path / "w3"
         )
         assert _tree_digest(tmp_path / "w1") == _tree_digest(tmp_path / "w3")
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_platforms_without_fork_give_the_same_output(self, tmp_path, method):
+        # spawn and forkserver workers re-import the main module, so the
+        # pooled batch runs from a script in a child interpreter
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        script = tmp_path / "batch.py"
+        script.write_text(
+            "import multiprocessing, sys\n"
+            "from mograd.harness import ExperimentConfig, run_batch\n"
+            "from mograd.solvers import MFISC_CONST, SolverConfig\n"
+            "if __name__ == '__main__':\n"
+            "    multiprocessing.set_start_method(sys.argv[1])\n"
+            "    solver = SolverConfig(variant=MFISC_CONST, alpha=50.0, step=0.05)\n"
+            "    cfg = ExperimentConfig(problem='jos1', solvers=(solver,), epsilons=(1e-4,),\n"
+            "                           n_starts=8, seed=5, workers=2)\n"
+            "    run_batch(cfg, out_dir=sys.argv[2])\n"
+        )
+        src = str(Path(mograd.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run(
+            [sys.executable, str(script), method, str(tmp_path / "w2")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        run_batch(ExperimentConfig(**JOS1_CFG), out_dir=tmp_path / "w1")
+        for name in ("summary.csv", "runs.csv"):
+            assert _digest(tmp_path / "w2" / name) == _digest(tmp_path / "w1" / name)
 
     def test_trace_files_written_on_request(self, tmp_path):
         cfg = ExperimentConfig(**{**JOS1_CFG, "n_starts": 2, "write_traces": True})

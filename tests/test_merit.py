@@ -143,6 +143,23 @@ class TestMeritValue:
         with pytest.raises(MeritUnavailable):
             merit_value(prob, np.zeros(5))
 
+    def test_non_finite_point_is_rejected_before_the_inner_solve(self, capfd):
+        # a NaN reaching the inner least-squares solve makes LAPACK print to
+        # the terminal before it raises
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                merit_value(quadratic_pair(), [bad, 0.0])
+        assert capfd.readouterr() == ("", "")
+
+    def test_point_must_match_the_problem_dimension(self):
+        for x in (np.zeros((1, 1, 2)), np.zeros(3)):
+            with pytest.raises(ValueError, match="dimension 2"):
+                merit_value(quadratic_pair(), x)
+
+    def test_warm_start_must_match_the_problem_dimension(self):
+        with pytest.raises(ValueError, match="warm start of dimension 2"):
+            merit_value(quadratic_pair(), [1.0, 0.0], warm_start=[1.0])
+
     def test_tri_objective_strongly_convex(self):
         prob = regularized_logsumexp_triple(6, 5, 0.1, 2)
         result = merit_value(prob, np.linspace(-1.0, 1.0, 6))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -123,6 +125,15 @@ class TestSmallOracles:
                 got = prob.objectives(x)
             assert np.isinf(F).any()
             assert got.tobytes() == F.tobytes()
+
+    @pytest.mark.parametrize("key", ["quad2", "toi4"])
+    def test_overflowing_point_warns_nothing(self, key):
+        # the numpy-scalar fallback returns inf without numpy's overflow warning
+        prob = get_problem(key)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            F = prob.objectives(np.full(prob.n, 1e200))
+        assert np.isposinf(F).any()
 
     @pytest.mark.parametrize(
         "key", ["quad2", "lse2", "jos1", "jos1:n=5", "sd", "toi4", "ex1:n=4,p=3", "ex2:n=4,p=3"]
