@@ -8,7 +8,7 @@ on ``flow``.  A JSON config file can seed any verb: its keys are the dests
 of the verb's flags (``flow_beta`` for ``--beta``), a repeatable key takes a
 value or a list under the same rule, a flag given overrides the key of the
 same name, and any other key or repeat is a configuration error.  Defaults
-live in ExperimentConfig and SolverConfig.
+live in ExperimentConfig (the flow ones in FlowConfig) and SolverConfig.
 
 Exit codes: 0 on success, 1 on configuration errors, 2 when any run failed.
 """

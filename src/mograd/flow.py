@@ -138,7 +138,7 @@ def _integrate(prob, cfg, system):
     x_curr = cfg.x0.copy()
     # each QP warm-starts from its own previous weights, as in run_solver
     hull_w = proj_w = None
-    for k in range(1, steps):
+    for k in range(1, steps + 1):
         t_k = cfg.t0 + k * cfg.h
         grads = prob.gradient_columns(x_curr)
         hull = min_norm_in_hull(grads, start=hull_w)
@@ -150,6 +150,9 @@ def _integrate(prob, cfg, system):
         if not hull.converged:
             termination = FLOW_QP_FAILURE
             reached = k
+            break
+        if k == steps:
+            # the last pass only certifies the residual at the last point
             break
 
         dx = x_curr - x_prev
@@ -172,13 +175,6 @@ def _integrate(prob, cfg, system):
         points[k + 1] = x_next
         x_prev, x_curr = x_curr, x_next
 
-    if termination == FLOW_COMPLETED:
-        hull = min_norm_in_hull(prob.gradient_columns(x_curr), start=hull_w)
-        u = hull.point
-        residuals[steps] = math.sqrt(u @ u)
-        if not hull.converged:
-            # every point is kept, but the last residual is not certified
-            termination = FLOW_QP_FAILURE
     residuals[0] = residuals[1]
 
     count = reached + 1

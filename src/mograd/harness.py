@@ -39,7 +39,8 @@ class ExperimentConfig:
 
     ``solvers`` are templates; ``epsilons`` is crossed with them at run time.
     The flow fields are only consulted by :func:`flow_experiment` (and
-    ``flow_x0`` by :func:`run_trace`).  Counts must be whole numbers (``2.0``
+    ``flow_x0`` by :func:`run_trace`); their defaults are
+    :class:`~mograd.flow.FlowConfig`'s.  Counts must be whole numbers (``2.0``
     becomes ``2``, ``2.7`` is rejected), reals are coerced to float and
     ``write_traces`` must be a bool; ``epsilons`` must not be empty.
     """
@@ -53,11 +54,11 @@ class ExperimentConfig:
     write_traces: bool = False
     merit_stride: int = 10
     flow_alphas: tuple = ()
-    flow_beta: float = 3.0
-    flow_p: float = 1.0
-    flow_t0: float = 1.0
-    flow_h: float = 1e-3
-    flow_t_end: float = 20.0
+    flow_beta: float = FlowConfig.beta
+    flow_p: float = FlowConfig.p
+    flow_t0: float = FlowConfig.t0
+    flow_h: float = FlowConfig.h
+    flow_t_end: float = FlowConfig.t_end
     flow_x0: tuple = ()
     bound_coeff_scale: float = 1.0
 

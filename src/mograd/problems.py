@@ -54,7 +54,9 @@ class ProblemInstance:
         gradient_columns: x -> (n, m) matrix of per-objective gradients.
         init_box: (low, high) arrays bounding the start-point sampling box.
         lipschitz: max over objectives of a gradient Lipschitz constant, or
-            None when no global constant is available.
+            None when no global constant is available.  The matrix families
+            store ``delta + max_j ||A_j||_2^2`` from an SVD (see ``_stacked``):
+            exact for least squares, conservative for log-sum-exp.
         pareto_param: optional map lambda in [0, 1] -> point on the Pareto
             set; every emitted point must be Pareto critical.
         objectives_batch: optional vectorized evaluator X (N, n) -> (N, m);
@@ -117,27 +119,11 @@ def _box(lo, hi, n):
 
 def _stream(seed, index):
     """Named Philox substream: reproducible across platforms and runs."""
+    if seed < 0:
+        raise InvalidConfig(f"seed must be nonnegative, not {seed}")
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
     )
-
-
-# Power-iteration steps of spectral_norm.  The Lipschitz constants it feeds
-# set the default constant step 0.9/L, so a change moves run outputs.
-_POWER_ITERS = 100
-
-
-def spectral_norm(A):
-    """Largest singular value via power iteration on A^T A (fixed start)."""
-    A = np.asarray(A, dtype=float)
-    v = np.ones(A.shape[1]) / math.sqrt(A.shape[1])
-    for _ in range(_POWER_ITERS):
-        w = A.T @ (A @ v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-    return float(np.linalg.norm(A @ v))
 
 
 def _small_objectives(values, x):
@@ -164,11 +150,16 @@ def _stacked(mats, offs, delta):
     keeps the layout of its matrix, so numpy hands BLAS the same
     matrix-vector products a loop over the objectives would, and the batched
     oracles keep every bit of the per-objective formulas.
+
+    The constant is ``delta + max_j ||A_j||_2^2``, with each spectral norm
+    the largest singular value from one batched SVD, exact to rounding.  It
+    is the Hessian bound of the least-squares objectives, and conservative
+    for log-sum-exp, whose Hessian is at most ``delta I + A_j^T A_j / 2``.
     """
     A3 = np.stack([np.asarray(A, dtype=float) for A in mats])
     B = np.stack([np.asarray(b, dtype=float) for b in offs])
-    lipschitz = delta + max(spectral_norm(A) ** 2 for A in A3)
-    return A3, A3.transpose(0, 2, 1), B, float(lipschitz)
+    lipschitz = delta + float(np.linalg.norm(A3, 2, axis=(1, 2)).max()) ** 2
+    return A3, A3.transpose(0, 2, 1), B, lipschitz
 
 
 def _columns(delta, x, H):
@@ -498,8 +489,8 @@ def available_problems():
 def get_problem(key):
     """Build a problem from a registry key like ``ex1:n=20,p=10,seed=3``.
 
-    Parameters omitted from the key take the factory defaults; unknown names
-    or parameters raise :class:`InvalidConfig`.
+    Parameters omitted from the key take the factory defaults; unknown names,
+    unknown or repeated parameters raise :class:`InvalidConfig`.
     """
     name, _, spec = key.partition(":")
     name = name.strip()
@@ -515,5 +506,7 @@ def get_problem(key):
             pname = pname.strip()
             if not eq or pname not in allowed:
                 raise InvalidConfig(f"problem {name!r} does not take parameter {item!r}")
+            if pname in kwargs:
+                raise InvalidConfig(f"problem key {key!r} repeats parameter {pname!r}")
             kwargs[pname] = int(raw) if pname in _INT_PARAMS else float(raw)
     return factory(**kwargs)

@@ -538,6 +538,17 @@ class TestCli:
     def test_unknown_problem_is_config_error(self, capsys):
         assert cli_main(["run", "--problem", "nope", "--solver", "mfisc_const"]) == 1
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--problem", "quad2", "--seed", "-1"], "seed must be nonnegative, not -1"),
+            (["--problem", "jos1:n=3,n=5"], "repeats parameter 'n'"),
+        ],
+    )
+    def test_bad_seed_or_key_is_config_error(self, capsys, args, message):
+        assert cli_main(["run", "--solver", "accg_ls", "--starts", "1"] + args) == 1
+        assert message in capsys.readouterr().err
+
     def test_usage_error_exits_one(self):
         with pytest.raises(SystemExit) as err:
             cli_main(["run", "--bogus-flag"])

@@ -153,12 +153,15 @@ def _family_data(key):
         A = np.array([[10.0, 10.0], [10.0, -10.0], [-10.0, -10.0], [-10.0, 10.0]])
         b = np.array([0.0, -20.0, 0.0, 20.0])
         return "lse", [A, A], [b, -b], 0.0
-    family, params = key.split(":")
-    n, p, seed = (int(item.split("=")[1]) for item in params.split(","))
+    family, _, spec = key.partition(":")
+    factory = {"ex1": regularized_logsumexp_triple, "ex2": regularized_least_squares_triple}
+    params = dict(zip(("n", "p", "delta", "seed"), factory[family].__defaults__))
+    params.update(item.split("=") for item in spec.split(",") if spec)
+    n, p, seed = (int(params[name]) for name in ("n", "p", "seed"))
     low = -1.0 if family == "ex1" else 0.0
     mats = [_stream(seed, 2 * j).uniform(low, 1.0, size=(p, n)) for j in range(3)]
     offs = [_stream(seed, 2 * j + 1).uniform(low, 1.0, size=p) for j in range(3)]
-    return ("lse" if family == "ex1" else "ls"), mats, offs, 0.05
+    return ("lse" if family == "ex1" else "ls"), mats, offs, float(params["delta"])
 
 
 def _family_reference(kind, mats, offs, delta, x):
@@ -203,6 +206,22 @@ class TestFamilyOracles:
             if prob.objectives_batch is not None:
                 ref = _family_batch_reference(mats, offs, delta, X)
                 assert prob.objectives_batch(X).tobytes() == ref.tobytes()
+
+
+# the tri-table's n = 40 draws, and the registry defaults (n = 200 and n = 100)
+_LIPSCHITZ_KEYS = (
+    ["lse2", "ex1", "ex2"]
+    + [f"ex1:n=40,p=20,seed={seed}" for seed in range(4)]
+    + [f"ex2:n=40,p=40,seed={seed}" for seed in range(4)]
+)
+
+
+class TestFamilyLipschitz:
+    @pytest.mark.parametrize("key", _LIPSCHITZ_KEYS)
+    def test_equals_the_exact_spectral_norm_bound(self, key):
+        _, mats, _, delta = _family_data(key)
+        sigma = max(np.linalg.svd(A, compute_uv=False)[0] for A in mats)
+        assert get_problem(key).lipschitz == delta + sigma**2
 
 
 class TestLogSumExpPair:
@@ -409,6 +428,20 @@ class TestRegistry:
             get_problem("quad2:n=3")
         with pytest.raises(InvalidConfig):
             get_problem("ex1:bogus=1")
+
+    @pytest.mark.parametrize("key", ["jos1:n=3,n=5", "ex1:n=4,p=3,seed=1,seed=2"])
+    def test_repeated_parameter_is_rejected(self, key):
+        # the last value used to win while the key still named both
+        name = key.split(",")[-1].split("=")[0]
+        with pytest.raises(InvalidConfig, match=f"repeats parameter '{name}'"):
+            get_problem(key)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**40)])
+    def test_negative_seed_is_rejected(self, seed):
+        with pytest.raises(InvalidConfig, match=f"seed must be nonnegative, not {seed}"):
+            get_problem(f"ex2:n=3,p=3,seed={seed}")
+        with pytest.raises(InvalidConfig, match="seed"):
+            _stream(seed, 0)
 
 
 class TestIdenticalObjectivesFamily:
