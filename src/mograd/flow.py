@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .merit import merit_value
-from .problems import InvalidConfig
+from .problems import as_point, whole_number
 from .simplex_qp import min_norm_in_hull, project_onto_scaled_hull
 
 FLOW_COMPLETED = "completed"
@@ -122,10 +122,7 @@ class BoundReport:
 
 def _integrate(prob, cfg, system):
     n = prob.n
-    if cfg.x0.shape != (n,):
-        raise InvalidConfig(
-            f"x0 has dimension {cfg.x0.shape[0]}, but {prob.name} has dimension {n}"
-        )
+    as_point(prob, cfg.x0, "x0")
     steps = max(int(round((cfg.t_end - cfg.t0) / cfg.h)), 1)
     points = np.empty((steps + 1, n))
     residuals = np.empty(steps + 1)
@@ -200,17 +197,14 @@ def mavd_integrate(prob, cfg):
     return _integrate(prob, replace(cfg, beta=cfg.alpha), "mavd")
 
 
-def attach_merit(prob, traj, stride=10):
+def attach_merit(prob, traj, stride):
     """Sample merit values along the trajectory every ``stride`` grid points.
 
     The final sample is always evaluated; the inner solve warm-starts from
     the previous maximizer since it moves continuously along the trajectory.
     Returns the trajectory with its ``merit`` array filled in place.
     """
-    # 2.0 counts as a whole number, as in ExperimentConfig; 2.5, inf and NaN do not
-    if not (stride >= 1 and float(stride).is_integer()):
-        raise ValueError(f"stride must be a whole number of at least 1, not {stride!r}")
-    indices = list(range(0, len(traj), int(stride)))
+    indices = list(range(0, len(traj), whole_number("stride", stride, 1)))
     if indices[-1] != len(traj) - 1:
         indices.append(len(traj) - 1)
     warm = None

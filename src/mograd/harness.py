@@ -27,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .flow import FlowConfig, attach_merit, mavd_integrate, mavng_integrate, merit_bound_scan
-from .problems import InvalidConfig, _stream, get_problem
-from .solvers import QP_FAILURE, run_solver, trace_csv_rows
+from .problems import InvalidConfig, _stream, get_problem, whole_number
+from .solvers import QP_FAILURE, SolverConfig, run_solver, trace_csv_rows
 
 _START_STREAM = 104729  # stream index reserved for start-point sampling
 
@@ -47,7 +47,7 @@ class ExperimentConfig:
 
     problem: str
     solvers: tuple = ()
-    epsilons: tuple = (1e-6,)
+    epsilons: tuple = (SolverConfig.epsilon,)
     n_starts: int = 10
     seed: int = 0
     workers: int = 1
@@ -65,16 +65,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.problem, str):
             raise InvalidConfig(f"problem must be a registry key string, not {self.problem!r}")
-        for name in ("n_starts", "seed", "workers", "merit_stride"):
-            value = getattr(self, name)
-            try:
-                count = int(value)
-            except (TypeError, ValueError, OverflowError):
-                count = None
-            # int() truncates, so 2.7 would silently run as 2
-            if count is None or count != value:
-                raise InvalidConfig(f"{name} must be a whole number, not {value!r}")
-            object.__setattr__(self, name, count)
+        for name, minimum in (("n_starts", 1), ("seed", 0), ("workers", 1), ("merit_stride", 1)):
+            object.__setattr__(self, name, whole_number(name, getattr(self, name), minimum))
         reals = ("flow_beta", "flow_p", "flow_t0", "flow_h", "flow_t_end", "bound_coeff_scale")
         for name in reals:
             object.__setattr__(self, name, float(getattr(self, name)))
@@ -83,12 +75,6 @@ class ExperimentConfig:
         object.__setattr__(self, "solvers", tuple(self.solvers))
         if not isinstance(self.write_traces, bool):
             raise InvalidConfig(f"write_traces must be true or false, not {self.write_traces!r}")
-        if self.n_starts < 1:
-            raise InvalidConfig("n_starts must be at least 1")
-        if self.workers < 1:
-            raise InvalidConfig("workers must be at least 1")
-        if self.merit_stride < 1:
-            raise InvalidConfig("merit_stride must be at least 1")
         if not self.epsilons:
             raise InvalidConfig("epsilons must not be empty")
         if not 0.0 < self.bound_coeff_scale < math.inf:

@@ -28,8 +28,10 @@ stream 2j holds the matrix of objective j, stream 2j+1 its offset vector.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -41,6 +43,21 @@ Array = np.ndarray
 
 class InvalidConfig(ValueError):
     """Raised for out-of-range problem parameters or unknown registry keys."""
+
+
+def whole_number(name, value, minimum):
+    """``value`` as an int of at least ``minimum``, the one check of a count:
+    ``2.0`` becomes ``2``; 2.5, NaN, inf, None and strings raise InvalidConfig."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count != value:
+        raise InvalidConfig(f"{name} must be a whole number, not {value!r}")
+    if count < minimum:
+        least = "nonnegative" if minimum == 0 else f"a whole number of at least {minimum}"
+        raise InvalidConfig(f"{name} must be {least}, not {count}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -77,13 +94,15 @@ class ProblemInstance:
     merit_supported: bool = True
 
 
-def as_point(prob, x):
-    """``x`` as a float array of shape ``(prob.n,)``; ValueError unless finite."""
+def as_point(prob, x, what="point"):
+    """``x`` as a finite float array of shape ``(prob.n,)``, the one check of a
+    point; else :class:`InvalidConfig` (a ValueError) naming ``what``."""
     x = np.asarray(x, dtype=float)
     if x.shape != (prob.n,):
-        raise ValueError(f"expected a point of dimension {prob.n}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("point contains NaN or Inf")
+        size = f"dimension {x.shape[0]}" if x.ndim == 1 else f"shape {x.shape}"
+        raise InvalidConfig(f"{what} has {size}, but {prob.name} has dimension {prob.n}")
+    if not np.isfinite(x).all():
+        raise InvalidConfig(f"{what} contains NaN or Inf")
     return x
 
 
@@ -119,8 +138,7 @@ def _box(lo, hi, n):
 
 def _stream(seed, index):
     """Named Philox substream: reproducible across platforms and runs."""
-    if seed < 0:
-        raise InvalidConfig(f"seed must be nonnegative, not {seed}")
+    seed = whole_number("seed", seed, 0)
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
     )
@@ -306,8 +324,7 @@ def logsumexp_pair():
 
 def jos1(n=2):
     """JOS1 with f1 = ||x||^2 / n and f2 = ||x - 2||^2 / n (Jin et al. 2001)."""
-    if n < 2:
-        raise InvalidConfig("jos1 requires n >= 2")
+    n = whole_number("n", n, 2)
 
     def objectives(x):
         d = x - 2.0
@@ -419,11 +436,12 @@ def toi4():
 # seeded tri-objective families
 
 
-def _check_family_args(n, p, delta):
-    if n < 1 or p < 1:
-        raise InvalidConfig("n and p must be positive")
+def _check_family_args(n, p, delta, seed):
+    """``(n, p, delta, seed)``, delta as a finite nonnegative float."""
     if not 0.0 <= delta < math.inf:
         raise InvalidConfig(f"delta must be finite and nonnegative, not {delta}")
+    n, p = whole_number("n", n, 1), whole_number("p", p, 1)
+    return n, p, float(delta), whole_number("seed", seed, 0)
 
 
 def regularized_logsumexp_triple(n=200, p=100, delta=0.05, seed=0):
@@ -434,16 +452,16 @@ def regularized_logsumexp_triple(n=200, p=100, delta=0.05, seed=0):
     merit function's inner problem loses level boundedness, and merit
     evaluation is disabled.
     """
-    _check_family_args(n, p, delta)
+    n, p, delta, seed = _check_family_args(n, p, delta, seed)
     mats, offs = [], []
     for j in range(3):
         mats.append(_stream(seed, 2 * j).uniform(-1.0, 1.0, size=(p, n)))
         offs.append(_stream(seed, 2 * j + 1).uniform(-1.0, 1.0, size=p))
     return logsumexp_family(
-        f"ex1:n={n},p={p},delta={delta:g},seed={seed}",
+        f"ex1:n={n},p={p},delta={delta!r},seed={seed}",
         mats,
         offs,
-        delta=float(delta),
+        delta=delta,
         init_box=_box(-2.0, 2.0, n),
         merit_supported=delta > 0.0,
     )
@@ -451,16 +469,16 @@ def regularized_logsumexp_triple(n=200, p=100, delta=0.05, seed=0):
 
 def regularized_least_squares_triple(n=100, p=100, delta=0.05, seed=0):
     """Three ridge-regularized least-squares objectives with uniform[0,1] data."""
-    _check_family_args(n, p, delta)
+    n, p, delta, seed = _check_family_args(n, p, delta, seed)
     mats, offs = [], []
     for j in range(3):
         mats.append(_stream(seed, 2 * j).uniform(0.0, 1.0, size=(p, n)))
         offs.append(_stream(seed, 2 * j + 1).uniform(0.0, 1.0, size=p))
     return least_squares_family(
-        f"ex2:n={n},p={p},delta={delta:g},seed={seed}",
+        f"ex2:n={n},p={p},delta={delta!r},seed={seed}",
         mats,
         offs,
-        delta=float(delta),
+        delta=delta,
         init_box=_box(-2.0, 2.0, n),
     )
 
@@ -469,44 +487,50 @@ def regularized_least_squares_triple(n=100, p=100, delta=0.05, seed=0):
 # registry
 
 _FACTORIES = {
-    "quad2": (quadratic_pair, ()),
-    "lse2": (logsumexp_pair, ()),
-    "jos1": (jos1, ("n",)),
-    "sd": (sd, ()),
-    "toi4": (toi4, ()),
-    "ex1": (regularized_logsumexp_triple, ("n", "p", "delta", "seed")),
-    "ex2": (regularized_least_squares_triple, ("n", "p", "delta", "seed")),
+    "quad2": quadratic_pair,
+    "lse2": logsumexp_pair,
+    "jos1": jos1,
+    "sd": sd,
+    "toi4": toi4,
+    "ex1": regularized_logsumexp_triple,
+    "ex2": regularized_least_squares_triple,
 }
 
-_INT_PARAMS = {"n", "p", "seed"}
+
+@lru_cache(maxsize=None)
+def _key_params(factory):
+    return tuple(inspect.signature(factory).parameters)
 
 
 def available_problems():
     """Registry names with their optional key parameters."""
-    return {name: params for name, (_, params) in sorted(_FACTORIES.items())}
+    return {name: _key_params(factory) for name, factory in sorted(_FACTORIES.items())}
 
 
 def get_problem(key):
     """Build a problem from a registry key like ``ex1:n=20,p=10,seed=3``.
 
-    Parameters omitted from the key take the factory defaults; unknown names,
-    unknown or repeated parameters raise :class:`InvalidConfig`.
+    The key sets factory arguments: an integer literal as an exact int (a
+    seed past 2**53 keeps every digit), any other number as a float, which
+    the factory checks.  Bad names and parameters raise InvalidConfig.
     """
     name, _, spec = key.partition(":")
     name = name.strip()
     if name not in _FACTORIES:
-        raise InvalidConfig(
-            f"unknown problem {name!r}; available: {', '.join(sorted(_FACTORIES))}"
-        )
-    factory, allowed = _FACTORIES[name]
+        raise InvalidConfig(f"unknown problem {name!r}; available: {', '.join(sorted(_FACTORIES))}")
+    factory = _FACTORIES[name]
     kwargs = {}
-    if spec:
-        for item in spec.split(","):
-            pname, eq, raw = item.partition("=")
-            pname = pname.strip()
-            if not eq or pname not in allowed:
-                raise InvalidConfig(f"problem {name!r} does not take parameter {item!r}")
-            if pname in kwargs:
-                raise InvalidConfig(f"problem key {key!r} repeats parameter {pname!r}")
-            kwargs[pname] = int(raw) if pname in _INT_PARAMS else float(raw)
+    for item in spec.split(",") if spec else ():
+        pname, eq, raw = item.partition("=")
+        pname = pname.strip()
+        if not eq or pname not in _key_params(factory):
+            raise InvalidConfig(f"problem {name!r} does not take parameter {item!r}")
+        if pname in kwargs:
+            raise InvalidConfig(f"problem key {key!r} repeats parameter {pname!r}")
+        # an integer literal is a run of digits with an optional sign
+        number = int if raw.strip().lstrip("+-").isdigit() else float
+        try:
+            kwargs[pname] = number(raw)
+        except ValueError:
+            raise InvalidConfig(f"{pname} must be a number, not {raw!r}, in key {key!r}") from None
     return factory(**kwargs)

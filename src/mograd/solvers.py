@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import InvalidConfig
+from .problems import InvalidConfig, as_point, whole_number
 from .simplex_qp import min_norm_in_hull, project_onto_scaled_hull
 
 MFISC_CONST = "mfisc_const"
@@ -87,8 +87,7 @@ class SolverConfig:
             raise InvalidConfig("step must be positive and finite")
         if not 0.0 < self.epsilon < math.inf:
             raise InvalidConfig("epsilon must be positive and finite")
-        if self.k_max < 1:
-            raise InvalidConfig("k_max must be at least 1")
+        object.__setattr__(self, "k_max", whole_number("k_max", self.k_max, 1))
         if not 0.0 < self.sigma < 1.0:
             raise InvalidConfig("sigma must lie in (0, 1)")
 
@@ -107,15 +106,16 @@ class IterationTrace:
     exported.
     """
 
-    variant: str
-    problem: str
     points: list = field(default_factory=list)
     kkt_residuals: list = field(default_factory=list)
     steps: list = field(default_factory=list)
     qp_gaps: list = field(default_factory=list)
     termination: str = KMAX
-    x_final: Optional[np.ndarray] = None
     ls_cap_hits: int = 0
+
+    @property
+    def x_final(self):
+        return self.points[-1]
 
     @property
     def iterations(self):
@@ -196,11 +196,7 @@ def _resolve_steps(prob, cfg):
 
 def run_solver(prob, cfg, x0):
     """Run one variant from ``x0`` and return its :class:`IterationTrace`."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (prob.n,):
-        raise InvalidConfig(f"start point must have dimension {prob.n}")
-    if not np.isfinite(x0).all():
-        raise InvalidConfig("start point contains NaN or Inf")
+    x = as_point(prob, x0, "x0").copy()
     # the step s is fixed for *_const; otherwise it is the carried-over
     # accepted step, which also scales the projection subproblem
     step = _resolve_steps(prob, cfg)
@@ -212,8 +208,7 @@ def run_solver(prob, cfg, x0):
     else:
         alpha = cfg.alpha
 
-    trace = IterationTrace(variant=cfg.variant, problem=prob.name)
-    x = x0.copy()
+    trace = IterationTrace()
     x_prev = x
     k = 1
     # each QP warm-starts from its own previous weights: consecutive hulls
@@ -269,7 +264,6 @@ def run_solver(prob, cfg, x0):
         x_prev, x = x, y + step * d
         k += 1
 
-    trace.x_final = x
     return trace
 
 

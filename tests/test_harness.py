@@ -57,6 +57,12 @@ class TestSampling:
         assert np.all(a >= lo) and np.all(a <= hi)
         assert not np.array_equal(a, sample_starts(prob, 12, seed=4))
 
+    def test_whole_float_seed_samples_as_its_int(self):
+        prob = get_problem("quad2")
+        assert np.array_equal(sample_starts(prob, 2, 3.0), sample_starts(prob, 2, 3))
+        with pytest.raises(InvalidConfig, match="seed must be a whole number"):
+            sample_starts(prob, 2, 3.5)
+
 
 class TestExperimentConfig:
     def test_counts_are_ints(self):
@@ -272,7 +278,7 @@ class TestRunBatch:
             builds.append(1)
             return quadratic_pair()
 
-        monkeypatch.setitem(problems._FACTORIES, "quad2", (counting_factory, ()))
+        monkeypatch.setitem(problems._FACTORIES, "quad2", counting_factory)
         cfg = ExperimentConfig(
             problem="quad2",
             solvers=(SolverConfig(variant=MFISC_CONST, step=0.05),),
@@ -534,6 +540,20 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "summary.csv").exists()
         assert "converged" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [("jos1:n=abc", "n must be a number, not 'abc'"), ("jos1:n=2.5", "n must be a whole number")],
+    )
+    def test_bad_key_parameter_is_config_error_naming_it(self, capsys, key, message):
+        assert cli_main(["run", "--problem", key, "--solver", "accg_ls", "--starts", "1"]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_whole_float_seed_in_a_key_runs(self, capsys):
+        key = "ex2:n=4,p=3,seed=2.0"
+        args = ["--solver", "accg_ls", "--starts", "2", "--eps", "1e-2"]
+        assert cli_main(["run", "--problem", key] + args) == 0
+        assert "ex2:n=4,p=3,seed=2.0 accg_ls" in capsys.readouterr().out
 
     def test_unknown_problem_is_config_error(self, capsys):
         assert cli_main(["run", "--problem", "nope", "--solver", "mfisc_const"]) == 1

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from numpy.testing import assert_allclose
 from mograd.problems import (
     InvalidConfig,
     _stream,
+    as_point,
     available_problems,
     finite_difference_gradients,
     get_problem,
@@ -19,6 +21,7 @@ from mograd.problems import (
     regularized_logsumexp_triple,
     sd,
     toi4,
+    whole_number,
 )
 
 from conftest import single_objective_problem
@@ -418,8 +421,8 @@ class TestRegistry:
         # registry defaults mirror the reference experiment sizes
         import mograd.problems as problems
 
-        assert problems._FACTORIES["ex1"][0].__defaults__[:3] == (200, 100, 0.05)
-        assert problems._FACTORIES["ex2"][0].__defaults__[:3] == (100, 100, 0.05)
+        assert problems._FACTORIES["ex1"].__defaults__[:3] == (200, 100, 0.05)
+        assert problems._FACTORIES["ex2"].__defaults__[:3] == (100, 100, 0.05)
 
     def test_bad_keys(self):
         with pytest.raises(InvalidConfig):
@@ -442,6 +445,94 @@ class TestRegistry:
             get_problem(f"ex2:n=3,p=3,seed={seed}")
         with pytest.raises(InvalidConfig, match="seed"):
             _stream(seed, 0)
+
+
+def assert_same_data(a, b):
+    """``a`` and ``b`` agree bit for bit on their data and oracles."""
+    assert (a.n, a.m, a.lipschitz, a.merit_supported) == (b.n, b.m, b.lipschitz, b.merit_supported)
+    for lo_hi_a, lo_hi_b in zip(a.init_box, b.init_box):
+        assert np.array_equal(lo_hi_a, lo_hi_b)
+    lo, hi = a.init_box
+    x = lo + (hi - lo) * np.linspace(0.2, 0.8, a.n)
+    assert np.array_equal(a.objectives(x), b.objectives(x))
+    assert np.array_equal(a.gradient_columns(x), b.gradient_columns(x))
+
+
+class TestKeyParameters:
+    """The factory owns each key parameter's name, type and range."""
+
+    @pytest.mark.parametrize(
+        "key",
+        sorted(available_problems())
+        + ["jos1:n=5", "ex1:n=4,p=3,delta=0,seed=7", "ex2:n=3,p=2,delta=0.123456789"],
+    )
+    def test_name_rebuilds_the_problem(self, key):
+        # delta used to print with :g, so 0.123456789 came back as 0.123457
+        prob = get_problem(key)
+        again = get_problem(prob.name)
+        assert again.name == prob.name
+        assert_same_data(prob, again)
+
+    @pytest.mark.parametrize("key", ["jos1:n=abc", "jos1:n=2.5", "jos1:n=", "jos1:n=nan"])
+    def test_bad_count_is_refused_by_name(self, key):
+        with pytest.raises(InvalidConfig, match="^n must be"):
+            get_problem(key)
+
+    def test_whole_float_seed_builds_the_int_seed_data(self):
+        two = get_problem("ex2:n=4,p=3,seed=2")
+        assert_same_data(get_problem("ex2:n=4,p=3,seed=2.0"), two)
+        assert get_problem("ex2:n=4,p=3,seed=2.0").name == two.name
+
+    @pytest.mark.parametrize("seed", [2**60, 2**60 + 1])
+    def test_large_seed_is_parsed_exactly(self, seed):
+        # a float parse would round 2**60 + 1 to 2**60
+        prob = get_problem(f"ex2:n=3,p=2,seed={seed}")
+        assert_same_data(prob, regularized_least_squares_triple(n=3, p=2, seed=seed))
+        assert prob.name.endswith(f"seed={seed}")
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: jos1(2.5),
+            lambda: jos1(math.nan),
+            lambda: jos1(1),
+            lambda: regularized_least_squares_triple(n=2.5),
+            lambda: regularized_logsumexp_triple(p=math.inf),
+            lambda: regularized_least_squares_triple(3, 3, seed=1.5),
+        ],
+    )
+    def test_direct_factory_calls_check_their_counts(self, build):
+        with pytest.raises(InvalidConfig, match="whole number"):
+            build()
+
+
+class TestWholeNumber:
+    @pytest.mark.parametrize("value", [2, 2.0, np.int64(2), np.float64(2.0)])
+    def test_whole_values_become_ints(self, value):
+        count = whole_number("count", value, 1)
+        assert type(count) is int and count == 2
+
+    @pytest.mark.parametrize("value", [2.5, math.nan, math.inf, -math.inf, None, "3"])
+    def test_other_values_are_refused(self, value):
+        with pytest.raises(InvalidConfig, match="count must be a whole number"):
+            whole_number("count", value, 1)
+
+    def test_minimum(self):
+        with pytest.raises(InvalidConfig, match="count must be a whole number of at least 2, not 1"):
+            whole_number("count", 1.0, 2)
+        with pytest.raises(InvalidConfig, match="seed must be nonnegative, not -1"):
+            whole_number("seed", -1, 0)
+        assert whole_number("seed", 0, 0) == 0
+
+
+class TestAsPoint:
+    def test_message_names_the_point_and_the_problem(self):
+        prob = quadratic_pair()
+        with pytest.raises(InvalidConfig, match=r"point has shape \(1, 2\), but quad2"):
+            as_point(prob, np.zeros((1, 2)))
+        with pytest.raises(InvalidConfig, match="x0 contains NaN or Inf"):
+            as_point(prob, [0.0, np.inf], "x0")
+        assert as_point(prob, [1, 2]).dtype == float
 
 
 class TestIdenticalObjectivesFamily:

@@ -153,6 +153,31 @@ class TestConfigValidation:
         assert trace.steps[0] == pytest.approx(0.45)
 
 
+    @pytest.mark.parametrize("k_max", [2.5, math.nan, math.inf, "3", None, 0])
+    def test_k_max_must_be_a_whole_number(self, k_max):
+        # a NaN k_max used to pass, and a run that never converged never stopped
+        with pytest.raises(InvalidConfig, match="k_max"):
+            SolverConfig(variant=MFISC_LS, k_max=k_max)
+
+    def test_whole_float_k_max_becomes_an_int(self):
+        cfg = SolverConfig(variant=MFISC_LS, k_max=2.0)
+        assert type(cfg.k_max) is int and cfg.k_max == 2
+
+    def test_start_point_is_checked_against_the_problem(self):
+        cfg = SolverConfig(variant=MFISC_CONST, step=0.05)
+        with pytest.raises(InvalidConfig, match="x0 has dimension 3, but quad2 has dimension 2"):
+            run_solver(quadratic_pair(), cfg, np.zeros(3))
+        with pytest.raises(InvalidConfig, match="x0 contains NaN or Inf"):
+            run_solver(quadratic_pair(), cfg, [np.nan, 0.0])
+
+    @pytest.mark.parametrize("k_max, termination", [(3, KMAX), (10**4, CONVERGED)])
+    def test_final_point_is_the_last_recorded_point(self, k_max, termination):
+        cfg = SolverConfig(variant=MFISC_CONST, step=0.05, epsilon=1e-4, k_max=k_max)
+        trace = run_solver(quadratic_pair(), cfg, np.array([-1.0, 0.5]))
+        assert trace.termination == termination
+        assert trace.x_final is trace.points[-1]
+
+
 class TestConstantStepRuns:
     def test_pareto_start_stops_immediately(self):
         prob = quadratic_pair()
