@@ -37,6 +37,14 @@ def _point(text):
     return tuple(float(v) for v in text.split(","))
 
 
+def _count(text):
+    # the number it spells, which whole_number checks as it does a config file's
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 # every flag's argparse options; the dest is the flag's config-file key
 _FLAGS = {
     "--problem": dict(help="registry key, e.g. jos1 or ex1:n=20,p=10,seed=3"),
@@ -46,10 +54,10 @@ _FLAGS = {
     "--s0": dict(type=float, help="initial line-search step"),
     "--sigma": dict(type=float, help="backtracking shrink factor"),
     "--eps": dict(action="append", type=float, dest="epsilons", help="stop tolerance"),
-    "--k-max": dict(type=int, dest="k_max"),
-    "--starts": dict(type=int, dest="n_starts"),
-    "--seed": dict(type=int),
-    "--workers": dict(type=int),
+    "--k-max": dict(type=_count, dest="k_max"),
+    "--starts": dict(type=_count, dest="n_starts"),
+    "--seed": dict(type=_count),
+    "--workers": dict(type=_count),
     # default None, not False: an absent flag leaves the file's value
     "--traces": dict(action="store_true", default=None, dest="write_traces", help="write traces"),
     "--beta": dict(type=float, dest="flow_beta", help="flow correction weight"),
@@ -58,7 +66,7 @@ _FLAGS = {
     "--t0": dict(type=float, dest="flow_t0"),
     "--t-end": dict(type=float, dest="flow_t_end"),
     "--x0": dict(type=_point, dest="flow_x0", help="comma-separated start point"),
-    "--merit-stride": dict(type=int, dest="merit_stride"),
+    "--merit-stride": dict(type=_count, dest="merit_stride"),
     "--bound-scale": dict(type=float, dest="bound_coeff_scale", help="bound coefficient / alpha"),
 }
 _SOLVER_FLAGS = ("--problem", "--solver", "--alpha", "--step", "--s0", "--sigma",

@@ -10,7 +10,10 @@ Wall-clock timings therefore never enter a CSV; they are reported in the
 JSON summaries, whose ``*_time_s`` entries are the only non-reproducible
 fields.  Start points are drawn from a named Philox stream, runs fan out
 over a process pool (workers rebuild problems from their registry keys), and
-results are ordered by start index before writing.
+results are ordered by start index before writing.  A tolerance sweep runs
+each (solver, start) once, at its tightest epsilon, and reads every looser
+row off that run (``IterationTrace.until``); a row's ``wall_time`` is its
+time to stop, which ``summary.json``'s ``total_time_s`` sums.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import csv
 import json
 import math
 import multiprocessing
-import time
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -28,7 +30,7 @@ import numpy as np
 
 from .flow import FlowConfig, attach_merit, mavd_integrate, mavng_integrate, merit_bound_scan
 from .problems import InvalidConfig, _stream, get_problem, whole_number
-from .solvers import QP_FAILURE, SolverConfig, run_solver, trace_csv_rows
+from .solvers import QP_FAILURE, SolverConfig, run_solver, tolerance, trace_csv_rows
 
 _START_STREAM = 104729  # stream index reserved for start-point sampling
 
@@ -42,7 +44,8 @@ class ExperimentConfig:
     ``flow_x0`` by :func:`run_trace`); their defaults are
     :class:`~mograd.flow.FlowConfig`'s.  Counts must be whole numbers (``2.0``
     becomes ``2``, ``2.7`` is rejected), reals are coerced to float and
-    ``write_traces`` must be a bool; ``epsilons`` must not be empty.
+    ``write_traces`` must be a bool; ``epsilons`` must be a non-empty tuple
+    of tolerances, each checked here, before any run.
     """
 
     problem: str
@@ -70,7 +73,8 @@ class ExperimentConfig:
         reals = ("flow_beta", "flow_p", "flow_t0", "flow_h", "flow_t_end", "bound_coeff_scale")
         for name in reals:
             object.__setattr__(self, name, float(getattr(self, name)))
-        for name in ("epsilons", "flow_alphas", "flow_x0"):
+        object.__setattr__(self, "epsilons", tuple(tolerance(v) for v in self.epsilons))
+        for name in ("flow_alphas", "flow_x0"):
             object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         object.__setattr__(self, "solvers", tuple(self.solvers))
         if not isinstance(self.write_traces, bool):
@@ -185,10 +189,10 @@ def _config_echo(cfg, entry):
 
 
 def _single_run(cfg, entry):
-    """The one (solver, epsilon) pair that ``pareto_scan`` and ``run_trace`` run."""
+    """The one solver that ``pareto_scan`` and ``run_trace`` run at their one epsilon."""
     if len(cfg.solvers) != 1 or len(cfg.epsilons) != 1:
         raise InvalidConfig(f"{entry} takes exactly one solver and one epsilon")
-    return replace(cfg.solvers[0], epsilon=cfg.epsilons[0])
+    return cfg.solvers[0]
 
 
 # ---------------------------------------------------------------------------
@@ -203,24 +207,19 @@ def _worker_problem(key):
 
 
 def _run_one(task):
-    problem_key, solver_cfg, epsilon, start_index, x0, keep_trace, with_f = task
+    """One run at the tightest epsilon; (record, final F, trace) per epsilon."""
+    problem_key, solver_cfg, epsilons, start_index, x0, keep_trace, with_f = task
     prob = _worker_problem(problem_key)
-    cfg = replace(solver_cfg, epsilon=epsilon)
-    t0 = time.perf_counter()
-    trace = run_solver(prob, cfg, np.asarray(x0))
-    wall = time.perf_counter() - t0
-    record = RunRecord(
-        solver=cfg.variant,
-        epsilon=epsilon,
-        start_index=start_index,
-        iterations=trace.iterations,
-        termination=trace.termination,
-        final_kkt=trace.final_residual,
-        wall_time=wall,
-    )
-    # the final objective vector costs an oracle call; only the front reads it
-    final_f = tuple(float(v) for v in prob.objectives(trace.x_final)) if with_f else None
-    return record, final_f, trace if keep_trace else None
+    trace = run_solver(prob, replace(solver_cfg, epsilon=min(epsilons)), np.asarray(x0))
+    results = []
+    for epsilon in epsilons:
+        row = trace.until(epsilon)
+        record = RunRecord(solver_cfg.variant, epsilon, start_index, row.iterations,
+                           row.termination, row.final_residual, row.elapsed[-1])
+        # the final objective vector costs an oracle call; only the front reads it
+        final_f = tuple(float(v) for v in prob.objectives(row.x_final)) if with_f else None
+        results.append((record, final_f, row if keep_trace else None))
+    return results
 
 
 def _map_tasks(tasks, workers):
@@ -231,7 +230,7 @@ def _map_tasks(tasks, workers):
 
 
 def run_batch(cfg, out_dir=None):
-    """Run every (solver, epsilon, start) cell and write the summary tables.
+    """Run every (solver, start) once and write the (solver, epsilon) tables.
 
     Writes ``summary.csv`` (per-cell totals), ``runs.csv`` (one row per
     start, none dropped: failed runs keep their termination status), and
@@ -243,35 +242,33 @@ def run_batch(cfg, out_dir=None):
     prob = _worker_problem(cfg.problem)
     starts = sample_starts(prob, cfg.n_starts, cfg.seed)
 
-    tasks = []
-    for solver_cfg in cfg.solvers:
-        for eps in cfg.epsilons:
-            for idx in range(cfg.n_starts):
-                tasks.append(
-                    (cfg.problem, solver_cfg, eps, idx, tuple(starts[idx]), cfg.write_traces, False)
-                )
-    results = _map_tasks(tasks, cfg.workers)
+    tasks = [
+        (cfg.problem, solver_cfg, cfg.epsilons, idx, tuple(starts[idx]), cfg.write_traces, False)
+        for solver_cfg in cfg.solvers
+        for idx in range(cfg.n_starts)
+    ]
+    by_task = _map_tasks(tasks, cfg.workers)
 
-    runs = [record for record, _, _ in results]
-    cells = []
+    results, cells = [], []
     failures = 0
-    pos = 0
-    for solver_cfg in cfg.solvers:
-        for eps in cfg.epsilons:
-            chunk = runs[pos : pos + cfg.n_starts]
-            pos += cfg.n_starts
+    for s, solver_cfg in enumerate(cfg.solvers):
+        for j, eps in enumerate(cfg.epsilons):
+            # task s * n_starts + idx ran solver s from start idx
+            chunk = [rows[j] for rows in by_task[s * cfg.n_starts : (s + 1) * cfg.n_starts]]
+            results += chunk
             cells.append(
                 CellSummary(
                     problem=cfg.problem,
                     solver=solver_cfg.variant,
                     epsilon=eps,
                     starts=cfg.n_starts,
-                    converged=sum(r.termination == "converged" for r in chunk),
-                    total_iterations=sum(r.iterations for r in chunk),
-                    total_time_s=sum(r.wall_time for r in chunk),
+                    converged=sum(r.termination == "converged" for r, _, _ in chunk),
+                    total_iterations=sum(r.iterations for r, _, _ in chunk),
+                    total_time_s=sum(r.wall_time for r, _, _ in chunk),
                 )
             )
-            failures += sum(r.termination == QP_FAILURE for r in chunk)
+            failures += sum(r.termination == QP_FAILURE for r, _, _ in chunk)
+    runs = [record for record, _, _ in results]
 
     summary = BatchSummary(config=cfg, cells=cells, runs=runs, failures=failures)
     if out_dir is not None:
@@ -286,17 +283,7 @@ def run_batch(cfg, out_dir=None):
         )
         write_csv(
             out / "runs.csv",
-            [
-                [
-                    "problem",
-                    "solver",
-                    "epsilon",
-                    "start_index",
-                    "iterations",
-                    "termination",
-                    "final_kkt",
-                ]
-            ]
+            [["problem", "solver", "epsilon", "start_index", "iterations", "termination", "final_kkt"]]
             + [
                 [cfg.problem, r.solver, r.epsilon, r.start_index, r.iterations, r.termination, r.final_kkt]
                 for r in runs
@@ -312,8 +299,6 @@ def run_batch(cfg, out_dir=None):
         )
         if cfg.write_traces:
             for (record, _, trace) in results:
-                if trace is None:
-                    continue
                 name = f"trace_{record.solver}_eps{record.epsilon:g}_start{record.start_index}.csv"
                 write_csv(out / name, trace_csv_rows(trace, prob))
     return summary
@@ -329,10 +314,10 @@ def pareto_scan(cfg, out_dir=None):
     prob = _worker_problem(cfg.problem)
     starts = sample_starts(prob, cfg.n_starts, cfg.seed)
     tasks = [
-        (cfg.problem, solver_cfg, solver_cfg.epsilon, idx, tuple(starts[idx]), False, True)
+        (cfg.problem, solver_cfg, cfg.epsilons, idx, tuple(starts[idx]), False, True)
         for idx in range(cfg.n_starts)
     ]
-    results = _map_tasks(tasks, cfg.workers)
+    results = [rows[0] for rows in _map_tasks(tasks, cfg.workers)]
 
     header = (
         ["start_index"]
@@ -432,9 +417,9 @@ def flow_experiment(cfg, out_dir=None):
 def run_trace(cfg, out_dir=None):
     """Single traced run from ``cfg.flow_x0`` (else a seeded start); exports its CSV."""
     solver_cfg = _single_run(cfg, "run_trace")
-    prob = get_problem(cfg.problem)
-    x0 = np.asarray(cfg.flow_x0) if cfg.flow_x0 else sample_starts(prob, 1, cfg.seed)[0]
-    trace = run_solver(prob, solver_cfg, x0)
+    prob = _worker_problem(cfg.problem)
+    x0 = cfg.flow_x0 or tuple(sample_starts(prob, 1, cfg.seed)[0])
+    [(_, _, trace)] = _run_one((cfg.problem, solver_cfg, cfg.epsilons, 0, x0, True, False))
     if out_dir is not None:
         out = Path(out_dir)
         write_csv(out / "trace.csv", trace_csv_rows(trace, prob))

@@ -33,6 +33,8 @@ run at the QP layer's tolerance ``simplex_qp.DEFAULT_TOL``.
 from __future__ import annotations
 
 import math
+import numbers
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -56,6 +58,13 @@ QP_FAILURE = "qp_failure"
 
 DEFAULT_LS_STEP0 = 10.0
 SAFE_DIV_FLOOR = 1e-300
+
+
+def tolerance(value):
+    """``value`` as a stop tolerance epsilon: a positive, finite real number."""
+    if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
+        raise InvalidConfig(f"epsilon must be a positive, finite number, not {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -85,8 +94,7 @@ class SolverConfig:
             raise InvalidConfig("alpha must be finite and >= 3 (correction factor alpha - 3 >= 0)")
         if self.step is not None and not 0.0 < self.step < math.inf:
             raise InvalidConfig("step must be positive and finite")
-        if not 0.0 < self.epsilon < math.inf:
-            raise InvalidConfig("epsilon must be positive and finite")
+        object.__setattr__(self, "epsilon", tolerance(self.epsilon))
         object.__setattr__(self, "k_max", whole_number("k_max", self.k_max, 1))
         if not 0.0 < self.sigma < 1.0:
             raise InvalidConfig("sigma must lie in (0, 1)")
@@ -100,18 +108,24 @@ class IterationTrace:
     exists for the final point as well; ``iterations`` therefore counts
     records minus one, the number of steps actually performed.  ``step`` and
     ``qp_gap`` describe the step leaving the iterate (``step`` is NaN on the
-    final record).  No objective values or iterate gaps are recorded: the
-    solver never needs F outside its line search, so :func:`trace_csv_rows`
-    evaluates F at ``points``, and the gaps between them, when the trace is
-    exported.
+    final record; ``capped`` lists the records whose line search hit its
+    cap), ``hull_gap`` is the min-norm QP's gap alone, ``elapsed`` the
+    seconds from the run's start (in no CSV), and ``hull_certified`` whether
+    the last record's min-norm QP certified.  No objective values or iterate
+    gaps are recorded: the solver never needs F outside its line search, so
+    :func:`trace_csv_rows` evaluates F at ``points``, and the gaps between
+    them, when the trace is exported.
     """
 
     points: list = field(default_factory=list)
     kkt_residuals: list = field(default_factory=list)
     steps: list = field(default_factory=list)
     qp_gaps: list = field(default_factory=list)
+    hull_gaps: list = field(default_factory=list)
+    elapsed: list = field(default_factory=list)
+    capped: list = field(default_factory=list)
     termination: str = KMAX
-    ls_cap_hits: int = 0
+    hull_certified: bool = True
 
     @property
     def x_final(self):
@@ -124,6 +138,31 @@ class IterationTrace:
     @property
     def final_residual(self):
         return self.kkt_residuals[-1] if self.kkt_residuals else float("nan")
+
+    @property
+    def ls_cap_hits(self):
+        return len(self.capped)
+
+    def until(self, epsilon):
+        """This run as it ends at a looser tolerance ``epsilon``, which enters
+        only the stop test: at the first record below ``epsilon``, ``converged``
+        unless that record's min-norm QP failed; without one, this run."""
+        stop = next((i for i, r in enumerate(self.kkt_residuals) if r < epsilon), None)
+        if stop is None:
+            return self
+        end = stop + 1
+        certified = stop < len(self.points) - 1 or self.hull_certified
+        return IterationTrace(
+            points=self.points[:end],
+            kkt_residuals=self.kkt_residuals[:end],
+            steps=self.steps[:stop] + [float("nan")],
+            qp_gaps=self.qp_gaps[:stop] + [self.hull_gaps[stop]],
+            hull_gaps=self.hull_gaps[:end],
+            elapsed=self.elapsed[:end],
+            capped=[i for i in self.capped if i < stop],
+            termination=CONVERGED if certified else QP_FAILURE,
+            hull_certified=certified,
+        )
 
 
 def mfisc_momentum(dx, k, alpha, u):
@@ -196,6 +235,7 @@ def _resolve_steps(prob, cfg):
 
 def run_solver(prob, cfg, x0):
     """Run one variant from ``x0`` and return its :class:`IterationTrace`."""
+    t0 = time.perf_counter()
     x = as_point(prob, x0, "x0").copy()
     # the step s is fixed for *_const; otherwise it is the carried-over
     # accepted step, which also scales the projection subproblem
@@ -225,9 +265,12 @@ def run_solver(prob, cfg, x0):
         trace.kkt_residuals.append(residual)
         trace.steps.append(float("nan"))
         trace.qp_gaps.append(hull.gap)
+        trace.hull_gaps.append(hull.gap)
+        trace.elapsed.append(time.perf_counter() - t0)
 
         if not hull.converged:
             trace.termination = QP_FAILURE
+            trace.hull_certified = False
             break
         if residual < cfg.epsilon:
             trace.termination = CONVERGED
@@ -252,7 +295,8 @@ def run_solver(prob, cfg, x0):
                 d = -(grads_y @ proj.weights)
             if line_search:
                 step, capped = line_search_backtracking(prob, y, step, cfg.sigma, d, grads_y)
-                trace.ls_cap_hits += capped
+                if capped:
+                    trace.capped.append(k - 1)
         except ValueError:
             # oracle evaluation failed at a probe point (an objective outside
             # the smoothness assumptions), or the QP's NonFiniteInput, a

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,14 +17,23 @@ from mograd.flow import FlowConfig, attach_merit, mavng_integrate
 from mograd.cli import main as cli_main
 from mograd.harness import (
     ExperimentConfig,
+    _run_one,
     flow_experiment,
     pareto_scan,
     run_batch,
     run_trace,
     sample_starts,
+    write_csv,
 )
 from mograd.problems import InvalidConfig, get_problem, quadratic_pair
-from mograd.solvers import ACCG_CONST, MFISC_CONST, SolverConfig
+from mograd.solvers import (
+    ACCG_CONST,
+    MFISC_CONST,
+    VARIANTS,
+    SolverConfig,
+    run_solver,
+    trace_csv_rows,
+)
 
 from conftest import dense_front_distance
 
@@ -83,6 +93,12 @@ class TestExperimentConfig:
         with pytest.raises(InvalidConfig):
             ExperimentConfig(problem="jos1", epsilons=())
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1e-3, "1e-2", None])
+    def test_every_epsilon_is_checked(self, bad):
+        # a sweep runs at its tightest epsilon only; the others are still checked
+        with pytest.raises(InvalidConfig, match="epsilon must be a positive, finite number"):
+            ExperimentConfig(problem="jos1", epsilons=(1e-3, bad))
+
     def test_write_traces_must_be_a_bool(self):
         # bool("no") is True, so coercion would write the traces
         for value in ("no", "false", 0, 1, None):
@@ -107,10 +123,8 @@ class TestRunBatch:
         )
         # place the sampled start on the Pareto set by overriding the box:
         # simpler to run directly from the parametrized point
-        from mograd.harness import _run_one
-
-        record, final_f, _ = _run_one(
-            ("quad2", cfg.solvers[0], 1e-6, 0, tuple(prob.pareto_param(0.5)), False, True)
+        [(record, final_f, _)] = _run_one(
+            ("quad2", cfg.solvers[0], cfg.epsilons, 0, tuple(prob.pareto_param(0.5)), False, True)
         )
         assert record.iterations == 0
         assert record.termination == "converged"
@@ -224,7 +238,7 @@ class TestRunBatch:
 
         def spy(tasks, workers):
             results = real_map(tasks, workers)
-            kept.extend(trace for _, _, trace in results)
+            kept.extend(trace for rows in results for _, _, trace in rows)
             return results
 
         monkeypatch.setattr(harness, "_map_tasks", spy)
@@ -347,14 +361,121 @@ class TestParetoScan:
 
     def test_single_start_at_first_objective_minimizer(self):
         # argmin f1 = (1, 0) is already critical: the scan emits (0, f2(1,0))
-        from mograd.harness import _run_one
-
         prob = quadratic_pair()
-        record, final_f, _ = _run_one(
-            ("quad2", SolverConfig(variant=MFISC_CONST, step=0.05), 1e-6, 0, (1.0, 0.0), False, True)
+        [(record, final_f, _)] = _run_one(
+            ("quad2", SolverConfig(variant=MFISC_CONST, step=0.05), (1e-6,), 0, (1.0, 0.0), False, True)
         )
         assert record.iterations == 0
         assert final_f == pytest.approx((0.0, 1.5))
+
+
+class TestToleranceSweep:
+    """A sweep runs each (solver, start) once, at its tightest epsilon; every
+    row must equal a separate run at the row's epsilon."""
+
+    # unsorted, with a duplicate and one epsilon above every start residual
+    EPSILONS = (1e-3, 1e-6, 1e9, 1e-2, 1e-6)
+
+    def _check_rows(self, tmp_path, key, solvers, epsilons, n_starts=2):
+        cfg = ExperimentConfig(problem=key, solvers=solvers, epsilons=epsilons,
+                               n_starts=n_starts, seed=3, write_traces=True)
+        summary = run_batch(cfg, out_dir=tmp_path / "batch")
+        prob = get_problem(key)
+        starts = sample_starts(prob, n_starts, cfg.seed)
+        runs = iter(summary.runs)
+        for solver in solvers:
+            walls = {}
+            for eps in epsilons:
+                for idx, x0 in enumerate(starts):
+                    record = next(runs)
+                    single = run_solver(prob, replace(solver, epsilon=eps), x0)
+                    assert (record.solver, record.epsilon, record.start_index, record.iterations,
+                            record.termination, record.final_kkt) == (
+                        solver.variant, eps, idx, single.iterations,
+                        single.termination, single.final_residual)
+                    name = f"trace_{solver.variant}_eps{eps:g}_start{idx}.csv"
+                    write_csv(tmp_path / "single.csv", trace_csv_rows(single, prob))
+                    assert (tmp_path / "batch" / name).read_bytes() == \
+                        (tmp_path / "single.csv").read_bytes(), name
+                    walls.setdefault(idx, {})[eps] = (record.iterations, record.wall_time)
+            for idx, x0 in enumerate(starts):
+                # a row's time is its time to stop: a row that stops earlier
+                # than the run at the tightest epsilon took less time
+                tight_iterations, tight_wall = walls[idx][min(epsilons)]
+                for iterations, wall in walls[idx].values():
+                    assert 0.0 < wall <= tight_wall
+                    assert (wall < tight_wall) == (iterations < tight_iterations)
+                rows = _run_one((key, solver, epsilons, idx, tuple(x0), True, False))
+                for eps, (_, _, trace) in zip(epsilons, rows):
+                    single = run_solver(prob, replace(solver, epsilon=eps), x0)
+                    assert (trace.ls_cap_hits, trace.hull_certified) == \
+                        (single.ls_cap_hits, single.hull_certified)
+        return summary.runs
+
+    @pytest.mark.parametrize("key", ["jos1", "quad2", "toi4", "sd", "ex1:n=5,p=4,seed=1"])
+    def test_rows_equal_separate_runs(self, tmp_path, key):
+        solvers = tuple(
+            SolverConfig(variant=v, k_max=150,
+                         step=0.05 if key == "jos1" and v.endswith("_const") else None)
+            for v in VARIANTS
+        )
+        runs = self._check_rows(tmp_path, key, solvers, self.EPSILONS)
+        assert {(r.iterations, r.termination) for r in runs if r.epsilon == 1e9} == {(0, "converged")}
+
+    def test_failed_min_norm_qp_on_the_last_record(self, tmp_path, monkeypatch):
+        import mograd.solvers
+
+        # the min-norm QP fails once the residual is below tau, so the row at
+        # tau stops on the run's last record and must end qp_failure too; the
+        # line search reports a cap on every call, so caps are read off as well
+        tau = 1e-3
+        real_hull = mograd.solvers.min_norm_in_hull
+        real_search = mograd.solvers.line_search_backtracking
+
+        def hull(*args, **kwargs):
+            sol = real_hull(*args, **kwargs)
+            if math.sqrt(sol.point @ sol.point) < tau:
+                sol = replace(sol, converged=False)
+            return sol
+
+        def search(*args):
+            return real_search(*args)[0], True
+
+        monkeypatch.setattr(mograd.solvers, "min_norm_in_hull", hull)
+        monkeypatch.setattr(mograd.solvers, "line_search_backtracking", search)
+        solvers = (SolverConfig(variant="mfisc_const", step=0.05), SolverConfig(variant="accg_ls"))
+        runs = self._check_rows(tmp_path, "quad2", solvers, (tau, 1e-8, 1e-1))
+        assert [r.termination for r in runs if r.epsilon == tau] == ["qp_failure"] * 4
+        assert [r.termination for r in runs if r.epsilon == 1e-1] == ["converged"] * 4
+
+    def test_failed_projection_qp_after_an_accepted_record(self, tmp_path, monkeypatch):
+        import mograd.solvers
+
+        # the projection QP fails once the residual is below tau: the run at
+        # 1e-8 ends qp_failure on a record that the row at tau accepts
+        tau = 1e-3
+        real_hull = mograd.solvers.min_norm_in_hull
+        real_project = mograd.solvers.project_onto_scaled_hull
+        residual = [math.inf]
+
+        def hull(*args, **kwargs):
+            sol = real_hull(*args, **kwargs)
+            residual[0] = math.sqrt(sol.point @ sol.point)
+            return sol
+
+        def project(*args, **kwargs):
+            sol = real_project(*args, **kwargs)
+            return replace(sol, converged=False) if residual[0] < tau else sol
+
+        monkeypatch.setattr(mograd.solvers, "min_norm_in_hull", hull)
+        monkeypatch.setattr(mograd.solvers, "project_onto_scaled_hull", project)
+        solvers = (SolverConfig(variant="mfisc_const", step=0.05), SolverConfig(variant="accg_ls"))
+        runs = self._check_rows(tmp_path, "quad2", solvers, (tau, 1e-8))
+        tight = [r for r in runs if r.epsilon == 1e-8]
+        loose = [r for r in runs if r.epsilon == tau]
+        assert [r.termination for r in tight] == ["qp_failure"] * 4
+        assert [r.termination for r in loose] == ["converged"] * 4
+        assert [r.iterations for r in loose] == [r.iterations for r in tight]
 
 
 class TestComparisonTables:
@@ -540,6 +661,27 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "summary.csv").exists()
         assert "converged" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag, key", [("--starts", "n_starts"), ("--seed", "seed"), ("--k-max", "k_max"),
+                      ("--workers", "workers")],
+    )
+    def test_count_flags_follow_the_whole_number_rule(self, tmp_path, capsys, flag, key):
+        # as in a config file: 2.0 runs as 2, while 2.5 exits 1 naming the key
+        base = ["run", "--problem", "jos1", "--solver", "accg_const", "--step", "0.05",
+                "--eps", "1e-2", "--starts", "2"]
+        assert cli_main(base + [flag, "2.0", "--out", str(tmp_path)]) == 0
+        assert len((tmp_path / "runs.csv").read_text().splitlines()) == 3
+        capsys.readouterr()
+        assert cli_main(base + [flag, "2.5"]) == 1
+        assert f"{key} must be a whole number, not 2.5" in capsys.readouterr().err
+
+    def test_merit_stride_flag_follows_the_whole_number_rule(self, tmp_path, capsys):
+        base = ["flow", "--problem", "quad2", "--alpha", "5", "--t-end", "1.5",
+                "--x0=-0.2,-0.1", "--merit-stride"]
+        assert cli_main(base + ["250.0", "--out", str(tmp_path)]) == 0
+        assert cli_main(base + ["2.5"]) == 1
+        assert "merit_stride must be a whole number, not 2.5" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "key, message",

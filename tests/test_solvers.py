@@ -342,6 +342,19 @@ class TestTraceStructure:
         assert trace.termination == CONVERGED and trace.iterations > 0
         assert calls == []
 
+    def test_until_stops_where_a_run_at_that_epsilon_stops(self):
+        # an epsilon equal to a recorded residual: a run stops strictly below it
+        prob = quadratic_pair()
+        cfg = SolverConfig(variant=MFISC_CONST, step=0.05, epsilon=1e-8)
+        x0 = np.array([2.0, -2.0])
+        trace = run_solver(prob, cfg, x0)
+        eps = min(trace.kkt_residuals[:6])
+        row = trace.until(eps)
+        single = run_solver(prob, dataclasses.replace(cfg, epsilon=eps), x0)
+        assert row.iterations > trace.kkt_residuals.index(eps)
+        assert (row.iterations, row.termination, row.final_residual) == \
+            (single.iterations, single.termination, single.final_residual)
+
     def test_zero_iteration_run_exports_header_only(self):
         prob = quadratic_pair()
         trace = run_solver(prob, SolverConfig(variant=MFISC_CONST, step=0.05, epsilon=1e-6), prob.pareto_param(0.25))
