@@ -20,7 +20,7 @@ import json
 import sys
 
 from .harness import ExperimentConfig, flow_experiment, pareto_scan, run_batch, run_trace
-from .problems import InvalidConfig, available_problems
+from .problems import InvalidConfig, available_problems, real_number
 from .solvers import VARIANTS, SolverConfig
 
 
@@ -120,17 +120,18 @@ def _experiment_config(args):
                 settings[key] = [settings[key]]
             if len(settings[key]) > 1 and flag not in repeats:
                 raise InvalidConfig(f"{args.verb} takes a single {flag[2:]} ({flag})")
-    alphas = settings.pop("alpha", [])
+    alphas = [real_number("alpha", v) for v in settings.pop("alpha", [])]
     solver_common = {k: settings.pop(k) for k in ("sigma", "k_max") if k in settings}
     if alphas:
-        solver_common["alpha"] = float(alphas[0])
-    step, s0 = settings.pop("step", None), settings.pop("s0", None)
+        solver_common["alpha"] = alphas[0]
+    steps = {key: settings.pop(key, None) for key in ("step", "s0")}
     solvers = []
     for name in settings.pop("solvers", ()):
         kwargs = dict(solver_common)
-        rule_step = step if name.endswith("_const") else s0
-        if rule_step is not None:
-            kwargs["step"] = float(rule_step)
+        # the constant step for *_const, the line search's first trial step otherwise
+        key = "step" if name.endswith("_const") else "s0"
+        if steps[key] is not None:
+            kwargs["step"] = real_number(key, steps[key])
         solvers.append(SolverConfig(variant=name, **kwargs))
     flow_alphas = alphas if args.verb == "flow" else ()
     return ExperimentConfig(solvers=solvers, flow_alphas=flow_alphas, **settings)

@@ -21,6 +21,21 @@ the same template as the discrete solvers' y_k - proj_{s C(y_k)}(pi_k) step.
 Zero initial velocity is imposed by x_1 = x_0.  The baseline flow without
 the correction term is the b = a case (the (a - b) factor removes r
 exactly), so ``mavd_integrate`` is literally ``mavng_integrate`` at b = a.
+
+The step runs on Python floats: x_{k-1}, x_k, u_k, v_k and x_{k+1} are lists
+of floats, the two norms come from ``math.hypot`` and ``math.dist``, and the
+points and residuals become arrays once, after the loop.  The oracle still
+takes x_k as an array, and the QPs take its gradient matrix.  With the two
+coordinates of the flows' problems, numpy's dispatch on each small vector
+cost more than its arithmetic: on quad2 a whole step, its oracle call and
+two QPs included, fell from about 16.6 to 12.9 us, and the bench's traced
+``flow.self_us_per_step``, which also holds the tracer's own overhead, from
+about 17.8 to 13.0 us (2-core x86 host, Python 3.11.7, numpy 2.4.6).  One
+loop serves every m and n, with no size switch, and at large n the float
+loop costs more than numpy's: a whole step of ``jos1:n=100`` takes about
+143 us against 113, and of the m = 3 flow ``ex1:n=40,p=20,seed=0`` about
+72 us against 62.  The norms may differ from numpy's dot products in their
+last bit, so a step may round differently there.
 """
 
 from __future__ import annotations
@@ -121,67 +136,63 @@ class BoundReport:
 
 
 def _integrate(prob, cfg, system):
-    n = prob.n
     as_point(prob, cfg.x0, "x0")
     steps = max(int(round((cfg.t_end - cfg.t0) / cfg.h)), 1)
-    points = np.empty((steps + 1, n))
-    residuals = np.empty(steps + 1)
-    points[0] = cfg.x0
-    points[1] = cfg.x0
+    alpha, h = cfg.alpha, cfg.h
+    scale = h * h
+    # the points as lists of Python floats (see the module docstring); the
+    # row of x_1 = x_0 is the zero initial velocity
+    x_prev = x_curr = cfg.x0.tolist()
+    rows = [x_curr, x_curr]
+    residuals = []
     termination = FLOW_COMPLETED
-    reached = steps
 
-    x_prev = cfg.x0.copy()
-    x_curr = cfg.x0.copy()
     # each QP warm-starts from its own previous weights, as in run_solver
     hull_w = proj_w = None
     for k in range(1, steps + 1):
-        t_k = cfg.t0 + k * cfg.h
-        grads = prob.gradient_columns(x_curr)
+        t_k = cfg.t0 + k * h
+        grads = prob.gradient_columns(np.array(x_curr))
         hull = min_norm_in_hull(grads, start=hull_w)
         hull_w = hull.weights
-        u = hull.point
-        # math.sqrt(x @ x) is how numpy computes the 2-norm of a real vector
-        residual = math.sqrt(u @ u)
-        residuals[k] = residual
+        u = hull.point.tolist()
+        residual = math.hypot(*u)
+        residuals.append(residual)
         if not hull.converged:
             termination = FLOW_QP_FAILURE
-            reached = k
             break
         if k == steps:
             # the last pass only certifies the residual at the last point
             break
 
-        dx = x_curr - x_prev
-        norm_dx = math.sqrt(dx @ dx)
-        coeff = (cfg.alpha - cfg.beta) * cfg.h / t_k**cfg.p
+        # ||x_k - x_{k-1}||, the norm of the differences v_k starts from
+        norm_dx = math.dist(x_curr, x_prev)
+        coeff = (alpha - cfg.beta) * h / t_k**cfg.p
         if coeff != 0.0 and norm_dx > 0.0 and residual >= _RESIDUAL_FLOOR:
-            v_k = dx - coeff * (norm_dx / residual) * u
+            c = coeff * (norm_dx / residual)
+            v_k = [a - b - c * w for a, b, w in zip(x_curr, x_prev, u)]
         else:
-            v_k = dx  # dx - 0.0 == dx exactly
+            v_k = [a - b for a, b in zip(x_curr, x_prev)]
 
-        proj = project_onto_scaled_hull(grads, cfg.h * cfg.h, v_k, start=proj_w)
+        proj = project_onto_scaled_hull(grads, scale, v_k, start=proj_w)
         proj_w = proj.weights
         if not proj.converged:
             termination = FLOW_QP_FAILURE
-            reached = k
             break
-        damping = t_k / (t_k + cfg.alpha * cfg.h)
-        x_next = x_curr + damping * (v_k - proj.point)
-
-        points[k + 1] = x_next
+        damping = t_k / (t_k + alpha * h)
+        x_next = [x + damping * (v - q) for x, v, q in zip(x_curr, v_k, proj.point.tolist())]
+        rows.append(x_next)
         x_prev, x_curr = x_curr, x_next
 
-    residuals[0] = residuals[1]
-
-    count = reached + 1
-    times = cfg.t0 + np.arange(count) * cfg.h
+    # every point up to the last step taken, each with its residual; x_0
+    # shares x_1's
+    count = len(rows)
+    times = cfg.t0 + np.arange(count) * h
     return Trajectory(
         config=cfg,
         system=system,
         times=times,
-        points=points[:count],
-        kkt_residuals=residuals[:count],
+        points=np.array(rows),
+        kkt_residuals=np.array(residuals[:1] + residuals),
         merit=np.full(count, np.nan),
         termination=termination,
     )

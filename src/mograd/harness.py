@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .flow import FlowConfig, attach_merit, mavd_integrate, mavng_integrate, merit_bound_scan
-from .problems import InvalidConfig, _stream, get_problem, whole_number
+from .problems import InvalidConfig, _stream, get_problem, real_number, whole_number
 from .solvers import QP_FAILURE, SolverConfig, run_solver, tolerance, trace_csv_rows
 
 _START_STREAM = 104729  # stream index reserved for start-point sampling
@@ -43,9 +43,10 @@ class ExperimentConfig:
     The flow fields are only consulted by :func:`flow_experiment` (and
     ``flow_x0`` by :func:`run_trace`); their defaults are
     :class:`~mograd.flow.FlowConfig`'s.  Counts must be whole numbers (``2.0``
-    becomes ``2``, ``2.7`` is rejected), reals are coerced to float and
-    ``write_traces`` must be a bool; ``epsilons`` must be a non-empty tuple
-    of tolerances, each checked here, before any run.
+    becomes ``2``, ``2.7`` is rejected), reals finite numbers (``3`` becomes
+    ``3.0``; a bool or a string is rejected) and ``write_traces`` a bool;
+    ``epsilons`` must be a non-empty tuple of distinct tolerances, each
+    checked here, before any run.
     """
 
     problem: str
@@ -72,10 +73,17 @@ class ExperimentConfig:
             object.__setattr__(self, name, whole_number(name, getattr(self, name), minimum))
         reals = ("flow_beta", "flow_p", "flow_t0", "flow_h", "flow_t_end", "bound_coeff_scale")
         for name in reals:
-            object.__setattr__(self, name, float(getattr(self, name)))
-        object.__setattr__(self, "epsilons", tuple(tolerance(v) for v in self.epsilons))
+            object.__setattr__(self, name, real_number(name, getattr(self, name)))
         for name in ("flow_alphas", "flow_x0"):
-            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+            values = getattr(self, name)
+            # a string would pass as its characters: "12" as (1.0, 2.0)
+            if isinstance(values, str):
+                raise InvalidConfig(f"{name} must be a list of numbers, not {values!r}")
+            object.__setattr__(self, name, tuple(real_number(name, v) for v in values))
+        object.__setattr__(self, "epsilons", tuple(tolerance(v) for v in self.epsilons))
+        for i, eps in enumerate(self.epsilons):
+            if eps in self.epsilons[:i]:
+                raise InvalidConfig(f"epsilons repeats {eps!r}")
         object.__setattr__(self, "solvers", tuple(self.solvers))
         if not isinstance(self.write_traces, bool):
             raise InvalidConfig(f"write_traces must be true or false, not {self.write_traces!r}")

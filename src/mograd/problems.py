@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -58,6 +59,15 @@ def whole_number(name, value, minimum):
         least = "nonnegative" if minimum == 0 else f"a whole number of at least {minimum}"
         raise InvalidConfig(f"{name} must be {least}, not {count}")
     return count
+
+
+def real_number(name, value):
+    """``value`` as a float, the one check of a real setting: a finite
+    ``numbers.Real`` (3 becomes 3.0); bools, strings, None, NaN and inf
+    raise InvalidConfig naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise InvalidConfig(f"{name} must be a finite number, not {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)

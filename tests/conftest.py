@@ -6,13 +6,17 @@ differences, and fronts against dense samplings of the known parametrized
 Pareto sets.
 """
 
+import math
 import zlib
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
+import mograd.flow
 import mograd.simplex_qp
+from mograd.flow import FLOW_COMPLETED, FLOW_QP_FAILURE, Trajectory
 from mograd.problems import ProblemInstance
 
 
@@ -126,6 +130,68 @@ def wrap_hull_qps(monkeypatch, module, cold):
 
         monkeypatch.setattr(module, name, solve)
     return cycles
+
+
+def reference_integrate(prob, cfg, system):
+    """The flow step of ``mograd.flow`` on numpy vectors, one row at a time.
+
+    The reference for the Python-float loop of ``mograd.flow._integrate``:
+    the same steps in the same order, with numpy's vector arithmetic and the
+    norms from ``math.sqrt(v @ v)``.  It calls the two hull QPs through the
+    names ``mograd.flow`` imports, looked up on each call, so a test's
+    monkeypatch reaches both integrators.  ``system`` "mavd" runs at
+    beta = alpha.
+    """
+    if system == "mavd":
+        cfg = replace(cfg, beta=cfg.alpha)
+    steps = max(int(round((cfg.t_end - cfg.t0) / cfg.h)), 1)
+    points = np.empty((steps + 1, prob.n))
+    residuals = np.empty(steps + 1)
+    points[0] = points[1] = cfg.x0
+    termination = FLOW_COMPLETED
+    reached = steps
+    x_prev = cfg.x0.copy()
+    x_curr = cfg.x0.copy()
+    hull_w = proj_w = None
+    for k in range(1, steps + 1):
+        t_k = cfg.t0 + k * cfg.h
+        grads = prob.gradient_columns(x_curr)
+        hull = mograd.flow.min_norm_in_hull(grads, start=hull_w)
+        hull_w = hull.weights
+        u = hull.point
+        residual = math.sqrt(u @ u)
+        residuals[k] = residual
+        if not hull.converged:
+            termination, reached = FLOW_QP_FAILURE, k
+            break
+        if k == steps:
+            break
+        dx = x_curr - x_prev
+        norm_dx = math.sqrt(dx @ dx)
+        coeff = (cfg.alpha - cfg.beta) * cfg.h / t_k**cfg.p
+        if coeff != 0.0 and norm_dx > 0.0 and residual >= 1e-12:
+            v_k = dx - coeff * (norm_dx / residual) * u
+        else:
+            v_k = dx
+        proj = mograd.flow.project_onto_scaled_hull(grads, cfg.h * cfg.h, v_k, start=proj_w)
+        proj_w = proj.weights
+        if not proj.converged:
+            termination, reached = FLOW_QP_FAILURE, k
+            break
+        x_next = x_curr + t_k / (t_k + cfg.alpha * cfg.h) * (v_k - proj.point)
+        points[k + 1] = x_next
+        x_prev, x_curr = x_curr, x_next
+    residuals[0] = residuals[1]
+    count = reached + 1
+    return Trajectory(
+        config=cfg,
+        system=system,
+        times=cfg.t0 + np.arange(count) * cfg.h,
+        points=points[:count],
+        kkt_residuals=residuals[:count],
+        merit=np.full(count, np.nan),
+        termination=termination,
+    )
 
 
 @pytest.fixture

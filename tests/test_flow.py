@@ -15,7 +15,7 @@ from mograd.flow import (
 from mograd.harness import sample_starts
 from mograd.problems import get_problem, logsumexp_pair, quadratic_pair
 
-from conftest import pareto_segment_distance, wrap_hull_qps
+from conftest import pareto_segment_distance, reference_integrate, wrap_hull_qps
 
 X0 = np.array([-0.2, -0.1])
 
@@ -170,6 +170,76 @@ class TestIntegration:
         assert len(failed) == len(certified) == 11
         assert np.array_equal(failed.points, certified.points)
         assert np.array_equal(failed.kkt_residuals, certified.kkt_residuals)
+
+
+def assert_matches_reference(traj, ref):
+    """Same grid and termination; points and residuals within 1e-14 of the
+    reference, relative to each array's largest entry.  The float loop's
+    norms come from math.hypot and math.dist, not numpy's dot, so a step may
+    round differently in its last bit; a residual that is the small
+    difference of two gradients carries that bit at a larger relative size,
+    hence the array scale."""
+    assert traj.termination == ref.termination
+    assert len(traj) == len(ref)
+    assert np.array_equal(traj.times, ref.times)
+    for got, want in ((traj.points, ref.points), (traj.kkt_residuals, ref.kkt_residuals)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+class TestReferenceLoop:
+    """The Python-float step against the numpy reference loop of conftest."""
+
+    CASES = {
+        "quad2-a50": ("quad2", dict(alpha=50.0, x0=X0, h=5e-3, t_end=20.0)),
+        "quad2-a100": ("quad2", dict(alpha=100.0, x0=X0, h=5e-3, t_end=20.0)),
+        "lse2": ("lse2", dict(alpha=50.0, x0=np.array([0.0, 3.0]), h=5e-3, t_end=10.0)),
+        # three objectives: both QPs run Wolfe's method
+        "ex1": ("ex1:n=10,p=8,seed=1", dict(alpha=20.0, h=5e-3, t_end=3.0)),
+    }
+
+    def _case(self, name):
+        key, kwargs = self.CASES[name]
+        prob = get_problem(key)
+        return prob, FlowConfig(**{"x0": sample_starts(prob, 1, 0)[0], **kwargs})
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("integrate", [mavng_integrate, mavd_integrate])
+    def test_matches_the_numpy_loop(self, name, integrate):
+        prob, cfg = self._case(name)
+        traj = integrate(prob, cfg)
+        assert traj.termination == "completed"
+        assert_matches_reference(traj, reference_integrate(prob, cfg, traj.system))
+
+    @pytest.mark.parametrize("name", ["quad2-a50", "ex1"])
+    def test_failed_projection_keeps_the_points_before_it(self, monkeypatch, name):
+        prob, cfg = self._case(name)
+        cfg = replace(cfg, t_end=cfg.t0 + 20 * cfg.h)
+        certified = mavng_integrate(prob, cfg)
+        at = 7
+
+        def run(integrate):
+            # the projection at step k = 7 reports no certificate
+            calls = []
+
+            def project(*args, start=None, _qp=mograd.flow.project_onto_scaled_hull):
+                calls.append(None)
+                sol = _qp(*args, start=start)
+                return replace(sol, converged=False) if len(calls) == at else sol
+
+            monkeypatch.setattr(mograd.flow, "project_onto_scaled_hull", project)
+            traj = integrate()
+            monkeypatch.undo()
+            assert len(calls) == at
+            return traj
+
+        failed = run(lambda: mavng_integrate(prob, cfg))
+        assert failed.termination == "qp_failure"
+        # x_0 to x_7: the step that failed adds no point
+        assert len(failed) == at + 1
+        assert np.array_equal(failed.points, certified.points[: at + 1])
+        assert np.array_equal(failed.kkt_residuals, certified.kkt_residuals[: at + 1])
+        assert_matches_reference(failed, run(lambda: reference_integrate(prob, cfg, "mavng")))
 
 
 class TestMeritAttachment:

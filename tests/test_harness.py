@@ -99,6 +99,38 @@ class TestExperimentConfig:
         with pytest.raises(InvalidConfig, match="epsilon must be a positive, finite number"):
             ExperimentConfig(problem="jos1", epsilons=(1e-3, bad))
 
+    def test_repeated_epsilon_is_refused(self):
+        # it would write its summary.csv cells and runs.csv block twice, and
+        # its second trace CSVs over the first
+        for epsilons in ((1e-3, 1e-6, 1e-3), (1e-2, 0.01)):
+            with pytest.raises(InvalidConfig, match=f"epsilons repeats {epsilons[-1]!r}"):
+                ExperimentConfig(problem="jos1", epsilons=epsilons)
+
+    REALS = ("flow_beta", "flow_p", "flow_t0", "flow_h", "flow_t_end", "bound_coeff_scale")
+
+    @pytest.mark.parametrize("name", REALS)
+    @pytest.mark.parametrize("value", ["abc", "3", True, None, math.nan, math.inf])
+    def test_reals_refuse_what_is_not_a_finite_number(self, name, value):
+        with pytest.raises(InvalidConfig, match=f"{name} must be a finite number, not {value!r}"):
+            ExperimentConfig(problem="quad2", **{name: value})
+
+    def test_reals_become_floats(self):
+        cfg = ExperimentConfig(problem="quad2", flow_beta=3, flow_t_end=np.float64(5.0),
+                               flow_alphas=[50, np.int64(7)], flow_x0=np.array([1, 2]))
+        assert (cfg.flow_beta, cfg.flow_t_end) == (3.0, 5.0)
+        assert type(cfg.flow_beta) is type(cfg.flow_t_end) is float
+        assert cfg.flow_alphas == (50.0, 7.0) and cfg.flow_x0 == (1.0, 2.0)
+        assert {type(v) for v in cfg.flow_alphas + cfg.flow_x0} == {float}
+
+    @pytest.mark.parametrize("name", ["flow_alphas", "flow_x0"])
+    def test_point_and_sweep_refuse_strings_and_non_numbers(self, name):
+        # float() over the characters of "12" ran the flow from (1.0, 2.0)
+        with pytest.raises(InvalidConfig, match=f"{name} must be a list of numbers, not '12'"):
+            ExperimentConfig(problem="quad2", **{name: "12"})
+        for entry in ("5", True, math.nan):
+            with pytest.raises(InvalidConfig, match=f"{name} must be a finite number"):
+                ExperimentConfig(problem="quad2", **{name: (1.0, entry)})
+
     def test_write_traces_must_be_a_bool(self):
         # bool("no") is True, so coercion would write the traces
         for value in ("no", "false", 0, 1, None):
@@ -373,8 +405,8 @@ class TestToleranceSweep:
     """A sweep runs each (solver, start) once, at its tightest epsilon; every
     row must equal a separate run at the row's epsilon."""
 
-    # unsorted, with a duplicate and one epsilon above every start residual
-    EPSILONS = (1e-3, 1e-6, 1e9, 1e-2, 1e-6)
+    # unsorted, with one epsilon above every start residual
+    EPSILONS = (1e-3, 1e-6, 1e9, 1e-2)
 
     def _check_rows(self, tmp_path, key, solvers, epsilons, n_starts=2):
         cfg = ExperimentConfig(problem=key, solvers=solvers, epsilons=epsilons,
@@ -1001,6 +1033,36 @@ class TestCli:
         assert [(c["solver"], c["epsilon"]) for c in summary["cells"]] == [
             ("mfisc_const", 1e-2), ("accg_const", 1e-2)
         ]
+
+    def test_repeated_eps_exits_one(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        argv = ["run", "--problem", "jos1", "--solver", "accg_const", "--step", "0.05",
+                "--starts", "1", "--eps", "1e-2", "--eps", "1e-2", "--out", str(out_dir)]
+        assert cli_main(argv) == 1
+        assert "epsilons repeats 0.01" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("verb, key, value", [
+        ("flow", "flow_beta", "abc"),
+        ("flow", "flow_beta", "3"),
+        ("flow", "flow_beta", True),
+        ("flow", "flow_x0", "12"),
+        ("flow", "alpha", "50"),
+        ("run", "alpha", "50"),
+        ("run", "step", "0.05"),
+        ("run", "s0", True),
+    ])
+    def test_real_config_value_must_be_a_json_number(self, tmp_path, capsys, verb, key, value):
+        settings = {**self.BASE[verb], key: value}
+        if key == "s0":
+            settings["solvers"] = ["accg_ls"]
+        cfg_file = tmp_path / "exp.json"
+        cfg_file.write_text(json.dumps(settings))
+        out_dir = tmp_path / "out"
+        assert cli_main([verb, "--config", str(cfg_file), "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"mograd: {key} must be")
+        assert not out_dir.exists()
 
     def test_write_traces_string_is_config_error(self, tmp_path, capsys):
         cfg_file = tmp_path / "exp.json"
