@@ -21,6 +21,15 @@ JOS1, SD and TOI4 follow their standard forms from the benchmark literature:
 * TOI4 (after Ph. Toint's quadratic test set, in its common bi-objective
   adaptation): f1 = x1^2 + x2^2 + 1, f2 = 0.5 (x1 - x2)^2 + 0.5 (x3 - x4)^2 + 1.
 
+The bi-objective oracles do their elementwise work on Python floats, which
+do numpy's IEEE double arithmetic without its dispatch on every operation:
+quad2 and toi4 entirely (``_small_objectives``), sd its orthant test,
+reciprocal sum and gradient column.  Dot products stay numpy's (sd's linear
+objective, jos1's two squared norms): on random points of the start box a
+left-to-right sum on floats differs from numpy's dot in the last bit on 16%
+of jos1's ``x @ x`` and 21% of sd's linear objective, so floats could not
+keep every bit.
+
 The two seeded tri-objective families draw their data from named Philox
 streams so the same (n, p, delta, seed) always yields bit-identical problems:
 stream 2j holds the matrix of objective j, stream 2j+1 its offset vector.
@@ -341,10 +350,8 @@ def jos1(n=2):
         return np.array([float(x @ x) / n, float(d @ d) / n])
 
     def gradient_columns(x):
-        cols = np.empty((n, 2))
-        cols[:, 0] = 2.0 * x / n
-        cols[:, 1] = 2.0 * (x - 2.0) / n
-        return cols
+        # the columns 2 x / n and 2 (x - 2) / n, as one C-contiguous array
+        return (2.0 * np.subtract.outer(x, (0.0, 2.0))) / n
 
     def objectives_batch(X):
         f1 = np.einsum("ij,ij->i", X, X) / n
@@ -366,7 +373,7 @@ def jos1(n=2):
 
 
 _SD_LINEAR = np.array([2.0, math.sqrt(2.0), math.sqrt(2.0), 1.0])
-_SD_RECIP = np.array([2.0, 2.0 * math.sqrt(2.0), 2.0 * math.sqrt(2.0), 2.0])
+_SD_RECIP = (2.0, 2.0 * math.sqrt(2.0), 2.0 * math.sqrt(2.0), 2.0)
 
 
 def sd():
@@ -378,21 +385,35 @@ def sd():
     """
     lo = np.array([1.0, math.sqrt(2.0), math.sqrt(2.0), 1.0])
     hi = np.full(4, 3.0)
+    l1, l2, l3, l4 = _SD_LINEAR.tolist()
+    r1, r2, r3, r4 = _SD_RECIP
 
+    # Python floats (see the module docstring); the reciprocal sum adds left
+    # to right, as numpy's sum of four entries does
     def objectives(x):
-        if (x <= 0.0).any():
+        linear = float(_SD_LINEAR @ x)
+        x1, x2, x3, x4 = x.tolist()
+        if x1 <= 0.0 or x2 <= 0.0 or x3 <= 0.0 or x4 <= 0.0:
             # extended-value form: line searches treat the orthant boundary
             # as an infinite barrier and backtrack instead of crashing
-            return np.array([float(_SD_LINEAR @ x), np.inf])
-        return np.array([float(_SD_LINEAR @ x), float((_SD_RECIP / x).sum())])
+            return np.array([linear, np.inf])
+        return np.array([linear, r1 / x1 + r2 / x2 + r3 / x3 + r4 / x4])
 
     def gradient_columns(x):
-        if (x <= 0.0).any():
+        x1, x2, x3, x4 = x.tolist()
+        if x1 <= 0.0 or x2 <= 0.0 or x3 <= 0.0 or x4 <= 0.0:
             raise ValueError("sd gradients are defined on the positive orthant")
-        cols = np.empty((4, 2))
-        cols[:, 0] = _SD_LINEAR
-        cols[:, 1] = -_SD_RECIP / (x * x)
-        return cols
+        try:
+            return np.array([
+                [l1, -r1 / (x1 * x1)],
+                [l2, -r2 / (x2 * x2)],
+                [l3, -r3 / (x3 * x3)],
+                [l4, -r4 / (x4 * x4)],
+            ])
+        except ZeroDivisionError:
+            # an x_i * x_i underflowed to 0.0, where numpy's division gives -inf
+            with np.errstate(divide="ignore"):
+                return np.column_stack((_SD_LINEAR, -np.array(_SD_RECIP) / (x * x)))
 
     def pareto_param(lam):
         # Critical points balance 2 theta = (1 - theta) * 2 / x1^2 and the

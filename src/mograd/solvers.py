@@ -40,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import InvalidConfig, as_point, whole_number
+from .problems import InvalidConfig, as_point, real_number, whole_number
 from .simplex_qp import min_norm_in_hull, project_onto_scaled_hull
 
 MFISC_CONST = "mfisc_const"
@@ -61,8 +61,9 @@ SAFE_DIV_FLOOR = 1e-300
 
 
 def tolerance(value):
-    """``value`` as a stop tolerance epsilon: a positive, finite real number."""
-    if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
+    """``value`` as a stop tolerance epsilon: a positive, finite real number,
+    not a bool."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
         raise InvalidConfig(f"epsilon must be a positive, finite number, not {value!r}")
     return float(value)
 
@@ -90,10 +91,12 @@ class SolverConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise InvalidConfig(f"unknown variant {self.variant!r}; one of {VARIANTS}")
-        if not 3.0 <= self.alpha < math.inf:
-            raise InvalidConfig("alpha must be finite and >= 3 (correction factor alpha - 3 >= 0)")
-        if self.step is not None and not 0.0 < self.step < math.inf:
-            raise InvalidConfig("step must be positive and finite")
+        for name in ("alpha", "sigma") + (() if self.step is None else ("step",)):
+            object.__setattr__(self, name, real_number(name, getattr(self, name)))
+        if self.alpha < 3.0:
+            raise InvalidConfig("alpha must be >= 3 (correction factor alpha - 3 >= 0)")
+        if self.step is not None and self.step <= 0.0:
+            raise InvalidConfig("step must be positive")
         object.__setattr__(self, "epsilon", tolerance(self.epsilon))
         object.__setattr__(self, "k_max", whole_number("k_max", self.k_max, 1))
         if not 0.0 < self.sigma < 1.0:
@@ -196,20 +199,27 @@ def line_search_backtracking(prob, w, s0, sigma, d, grads):
     which every caller already holds.  Returns (s, capped); after 200
     shrinkages the last candidate is returned with capped=True rather than
     failing.
+
+    The trial point ``w + s d``, the slopes ``grads.T @ d`` and ``d @ d``
+    are numpy's; the test itself runs on the m Python floats of each trial,
+    each gain formed as ``(f_i(w + s d) - f_i(w)) - s slope_i``, numpy's
+    order for ``trial - fw - s * slopes``, so it accepts the same steps.
     """
     w = np.asarray(w, dtype=float)
     d = np.asarray(d, dtype=float)
-    fw = prob.objectives(w)
-    slopes = grads.T @ d
+    fw = prob.objectives(w).tolist()
+    slopes = (grads.T @ d).tolist()
     dd = float(d @ d)
     s = float(s0)
     for _ in range(200):
-        trial = prob.objectives(w + s * d)
+        trial = prob.objectives(w + s * d).tolist()
         # non-finite trials (extended-value objectives) always shrink; the
         # min over objectives would otherwise let an affine objective accept
-        if np.isfinite(trial).all():
-            gain = trial - fw - s * slopes
-            if float(gain.min()) <= 0.5 * s * dd:
+        if all(map(math.isfinite, trial)):
+            gains = [(t - f) - s * g for t, f, g in zip(trial, fw, slopes)]
+            # a NaN gain (from a non-finite f_i(w) or slope) rejects the
+            # step, as it made numpy's min NaN
+            if min(gains) <= 0.5 * s * dd and not any(map(math.isnan, gains)):
                 return s, False
         s *= sigma
     return s, True

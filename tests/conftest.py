@@ -17,7 +17,7 @@ import pytest
 import mograd.flow
 import mograd.simplex_qp
 from mograd.flow import FLOW_COMPLETED, FLOW_QP_FAILURE, Trajectory
-from mograd.problems import ProblemInstance
+from mograd.problems import ProblemInstance, get_problem
 
 
 @lru_cache(maxsize=8)
@@ -192,6 +192,83 @@ def reference_integrate(prob, cfg, system):
         merit=np.full(count, np.nan),
         termination=termination,
     )
+
+
+def reference_sd_oracles():
+    """The ``sd`` objectives and gradient columns on numpy vectors.
+
+    The reference for the Python-float oracles of ``mograd.problems.sd``:
+    the orthant test, the reciprocal sum and the gradient column as numpy
+    expressions, with the same ``inf`` objective and ``ValueError`` outside
+    the positive orthant.
+    """
+    linear = np.array([2.0, math.sqrt(2.0), math.sqrt(2.0), 1.0])
+    recip = np.array([2.0, 2.0 * math.sqrt(2.0), 2.0 * math.sqrt(2.0), 2.0])
+
+    def objectives(x):
+        if (x <= 0.0).any():
+            return np.array([float(linear @ x), np.inf])
+        return np.array([float(linear @ x), float((recip / x).sum())])
+
+    def gradient_columns(x):
+        if (x <= 0.0).any():
+            raise ValueError("sd gradients are defined on the positive orthant")
+        cols = np.empty((4, 2))
+        cols[:, 0] = linear
+        cols[:, 1] = -recip / (x * x)
+        return cols
+
+    return objectives, gradient_columns
+
+
+def reference_jos1_oracles(n):
+    """The ``jos1`` oracles at dimension ``n`` with the gradient filled by two
+    strided column stores, the reference for ``np.subtract.outer``."""
+
+    def objectives(x):
+        d = x - 2.0
+        return np.array([float(x @ x) / n, float(d @ d) / n])
+
+    def gradient_columns(x):
+        cols = np.empty((n, 2))
+        cols[:, 0] = 2.0 * x / n
+        cols[:, 1] = 2.0 * (x - 2.0) / n
+        return cols
+
+    return objectives, gradient_columns
+
+
+def reference_problem(key):
+    """``get_problem(key)`` with the reference oracles for ``sd`` and ``jos1``;
+    any other problem as it is."""
+    prob = get_problem(key)
+    if prob.name == "sd":
+        objectives, gradient_columns = reference_sd_oracles()
+    elif prob.name.startswith("jos1"):
+        objectives, gradient_columns = reference_jos1_oracles(prob.n)
+    else:
+        return prob
+    return replace(prob, objectives=objectives, gradient_columns=gradient_columns)
+
+
+def reference_line_search(prob, w, s0, sigma, d, grads):
+    """``mograd.solvers.line_search_backtracking`` with its decrease test on
+    numpy vectors: ``np.isfinite(trial).all()`` and the min of the gains
+    ``trial - fw - s * slopes``, NaN if any gain is NaN."""
+    w = np.asarray(w, dtype=float)
+    d = np.asarray(d, dtype=float)
+    fw = prob.objectives(w)
+    slopes = grads.T @ d
+    dd = float(d @ d)
+    s = float(s0)
+    for _ in range(200):
+        trial = prob.objectives(w + s * d)
+        if np.isfinite(trial).all():
+            gain = trial - fw - s * slopes
+            if float(gain.min()) <= 0.5 * s * dd:
+                return s, False
+        s *= sigma
+    return s, True
 
 
 @pytest.fixture

@@ -93,7 +93,7 @@ class TestExperimentConfig:
         with pytest.raises(InvalidConfig):
             ExperimentConfig(problem="jos1", epsilons=())
 
-    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1e-3, "1e-2", None])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1e-3, "1e-2", None, True])
     def test_every_epsilon_is_checked(self, bad):
         # a sweep runs at its tightest epsilon only; the others are still checked
         with pytest.raises(InvalidConfig, match="epsilon must be a positive, finite number"):
@@ -1051,6 +1051,8 @@ class TestCli:
         ("run", "alpha", "50"),
         ("run", "step", "0.05"),
         ("run", "s0", True),
+        ("run", "sigma", "0.5"),
+        ("trace", "sigma", True),
     ])
     def test_real_config_value_must_be_a_json_number(self, tmp_path, capsys, verb, key, value):
         settings = {**self.BASE[verb], key: value}
@@ -1062,6 +1064,15 @@ class TestCli:
         assert cli_main([verb, "--config", str(cfg_file), "--out", str(out_dir)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"mograd: {key} must be")
+        assert not out_dir.exists()
+
+    def test_bool_epsilon_is_config_error(self, tmp_path, capsys):
+        # true used to run at epsilon 1.0 and exit 0
+        cfg_file = tmp_path / "exp.json"
+        cfg_file.write_text(json.dumps({**self.BASE["run"], "epsilons": True}))
+        out_dir = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg_file), "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err == "mograd: epsilon must be a positive, finite number, not True\n"
         assert not out_dir.exists()
 
     def test_write_traces_string_is_config_error(self, tmp_path, capsys):

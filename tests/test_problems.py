@@ -24,7 +24,7 @@ from mograd.problems import (
     whole_number,
 )
 
-from conftest import single_objective_problem
+from conftest import reference_problem, single_objective_problem
 
 DESK_PROBLEMS = [
     "quad2",
@@ -147,6 +147,48 @@ class TestSmallOracles:
         assert cols.shape == (prob.n, prob.m)
         assert cols.dtype == np.float64
         assert cols.flags.c_contiguous
+
+
+def _edge_points(rng, n):
+    """Points at magnitudes 1e-3 to 1e3 with either sign, and with entries
+    of 0.0, -0.0, NaN, +-inf and a tiny 1e-170, whose square underflows."""
+    points = list(rng.choice([-1.0, 1.0], size=(300, n)) * 10.0 ** rng.uniform(-3, 3, (300, n)))
+    points += list(10.0 ** rng.uniform(-3, 3, (300, n)))
+    for special in (0.0, -0.0, math.nan, math.inf, -math.inf, 1e-170):
+        for i in range(n):
+            x = 10.0 ** rng.uniform(-3, 3, n)
+            x[i] = special
+            points.append(x)
+    return points
+
+
+class TestReferenceOracles:
+    """The Python-float sd and jos1 oracles keep every bit of the numpy ones
+    in conftest, the C-contiguous layout and the ValueError included."""
+
+    @pytest.mark.parametrize("key", ["sd", "jos1", "jos1:n=7"])
+    def test_bitwise_equal_on_edge_points(self, key, rng):
+        prob, ref = get_problem(key), reference_problem(key)
+        raised = 0
+        for x in _edge_points(rng, prob.n):
+            # numpy warns where a tiny x_i * x_i underflows to a zero divisor
+            with np.errstate(divide="ignore"):
+                F = ref.objectives(x)
+                try:
+                    G = ref.gradient_columns(x)
+                except ValueError as exc:
+                    G = exc
+            assert prob.objectives(x).tobytes() == F.tobytes(), x
+            if isinstance(G, ValueError):
+                raised += 1
+                with pytest.raises(ValueError, match=str(G)):
+                    prob.gradient_columns(x)
+                continue
+            got = prob.gradient_columns(x)
+            assert got.flags.c_contiguous and got.dtype == np.float64
+            assert got.shape == G.shape and got.tobytes() == G.tobytes(), x
+        # sd's orthant test ran on both sides
+        assert (raised > 0) == (prob.name == "sd")
 
 
 # The family oracles as a loop over the objectives, one matrix-vector chain

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import mograd.solvers
-from mograd.harness import sample_starts
+from mograd.harness import sample_starts, write_csv
 from mograd.problems import InvalidConfig, get_problem, kkt_residual, quadratic_pair
 from mograd.simplex_qp import DEFAULT_TOL
 from mograd.solvers import (
@@ -22,10 +22,17 @@ from mograd.solvers import (
     line_search_backtracking,
     mfisc_momentum,
     run_solver,
+    tolerance,
     trace_csv_rows,
 )
 
-from conftest import single_objective_problem, spd_quadratic_problem, wrap_hull_qps
+from conftest import (
+    reference_line_search,
+    reference_problem,
+    single_objective_problem,
+    spd_quadratic_problem,
+    wrap_hull_qps,
+)
 
 
 class TestMomentum:
@@ -107,6 +114,110 @@ class TestLineSearch:
         assert s == pytest.approx(0.5**200, rel=1e-12)
 
 
+REGISTRY_KEYS = ["quad2", "lse2", "jos1", "jos1:n=7", "sd", "toi4",
+                 "ex1:n=10,p=8,seed=1", "ex2:n=6,p=5,seed=2"]
+
+
+class TestReferenceLineSearch:
+    """The float decrease test accepts the steps of the numpy one in conftest."""
+
+    @pytest.mark.parametrize("key", REGISTRY_KEYS)
+    def test_same_steps_on_every_registry_problem(self, key, rng):
+        prob = get_problem(key)
+        lo, hi = prob.init_box
+        backtracked = 0
+        for _ in range(40):
+            w = rng.uniform(lo, hi)
+            grads = prob.gradient_columns(w)
+            theta = rng.dirichlet(np.ones(prob.m))
+            for d in (-(grads @ theta), rng.normal(size=prob.n), -w):
+                for s0, sigma in ((10.0, 0.8), (1e3, 0.5), (0.1, 0.3)):
+                    got = line_search_backtracking(prob, w, s0, sigma, d, grads)
+                    assert got == reference_line_search(prob, w, s0, sigma, d, grads)
+                    backtracked += got[0] != s0
+        assert backtracked > 0
+
+    def test_trials_outside_the_sd_orthant_shrink_alike(self, rng):
+        prob = get_problem("sd")
+        for _ in range(40):
+            w = rng.uniform(*prob.init_box)
+            c = rng.uniform(0.5, 5.0)
+            d = -c * w  # w + s d = (1 - s c) w leaves the orthant once s >= 1/c
+            grads = prob.gradient_columns(w)
+            got = line_search_backtracking(prob, w, 10.0, 0.8, d, grads)
+            assert not (w + 10.0 * d > 0.0).all()
+            assert got == reference_line_search(prob, w, 10.0, 0.8, d, grads)
+            assert got[0] < 10.0
+
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_nan_gain_rejects_every_step(self, column):
+        # a NaN slope makes one gain NaN: numpy's min was NaN, so no step
+        # passed, even where the other objective's gain would have
+        prob = quadratic_pair()
+        w = np.array([0.3, -0.7])
+        grads = prob.gradient_columns(w)
+        d = -grads.sum(axis=1)
+        assert not line_search_backtracking(prob, w, 1.0, 0.8, d, grads)[1]
+        grads[:, column] = math.nan
+        got = line_search_backtracking(prob, w, 1.0, 0.8, d, grads)
+        with np.errstate(invalid="ignore"):  # numpy warns on the NaN gains
+            assert got == reference_line_search(prob, w, 1.0, 0.8, d, grads)
+        assert got[1]
+
+    def test_nonfinite_objective_at_w_alike(self):
+        # f_2(w) = inf outside sd's orthant: each gain is -inf, or NaN where
+        # the slope is -inf too
+        prob = get_problem("sd")
+        w = np.array([-1.0, 2.0, 2.0, 2.0])
+        d = np.array([3.0, 0.0, 0.0, 0.0])
+        grads = np.array([[2.0, -1.0], [1.0, -1.0], [1.0, -1.0], [1.0, -1.0]])
+        for slope in (-1.0, -math.inf):
+            grads[0, 1] = slope
+            got = line_search_backtracking(prob, w, 10.0, 0.8, d, grads)
+            with np.errstate(invalid="ignore"):  # numpy warns on -inf + inf
+                assert got == reference_line_search(prob, w, 10.0, 0.8, d, grads)
+            # the -inf gain accepts the first trial, the NaN gain none
+            assert got[1] == math.isinf(slope)
+
+    def test_shrink_cap_alike(self):
+        # along an ascent direction of quad2 the test needs s <= 1, out of
+        # reach of 200 shrinks by 0.99 from 1e3
+        prob = quadratic_pair()
+        w = np.array([0.3, -0.7])
+        grads = prob.gradient_columns(w)
+        d = grads.sum(axis=1)
+        got = line_search_backtracking(prob, w, 1e3, 0.99, d, grads)
+        assert got == reference_line_search(prob, w, 1e3, 0.99, d, grads)
+        assert got[1]
+
+
+class TestReferenceRuns:
+    @pytest.mark.parametrize("key", ["jos1", "sd", "quad2", "toi4"])
+    def test_trace_csvs_byte_identical(self, key, tmp_path, monkeypatch):
+        prob = get_problem(key)
+        starts = sample_starts(prob, 3, 7)
+        terminations = set()
+        paths = []
+        for side in ("new", "reference"):
+            if side == "reference":
+                prob = reference_problem(key)
+                monkeypatch.setattr(mograd.solvers, "line_search_backtracking", reference_line_search)
+            for variant in VARIANTS:
+                step = 0.05 if key == "jos1" and variant.endswith("_const") else None
+                cfg = SolverConfig(variant=variant, step=step, epsilon=1e-6, k_max=150)
+                for i, x0 in enumerate(starts):
+                    trace = run_solver(prob, cfg, x0)
+                    terminations.add(trace.termination)
+                    path = tmp_path / side / f"{variant}_{i}.csv"
+                    paths.append(write_csv(path, trace_csv_rows(trace, prob)))
+        half = len(paths) // 2
+        for new, ref in zip(paths[:half], paths[half:]):
+            assert new.read_bytes() == ref.read_bytes(), new.name
+        if key == "sd":
+            # the runs whose momentum point leaves the orthant are covered
+            assert "qp_failure" in terminations
+
+
 class TestConfigValidation:
     def test_alpha_floor(self):
         for alpha in (2.9, math.nan, math.inf):
@@ -128,6 +239,26 @@ class TestConfigValidation:
             "accg_ls",
             "steepest_ls",
         }
+
+    @pytest.mark.parametrize("field", ["alpha", "sigma", "step"])
+    @pytest.mark.parametrize("value", ["0.5", "5", True, None, math.nan])
+    def test_reals_refuse_what_is_not_a_finite_number(self, field, value):
+        # a string used to reach a bare '<' TypeError that named no field
+        if field == "step" and value is None:
+            value = "abc"  # None is the default step
+        with pytest.raises(InvalidConfig, match=f"^{field} must be a finite number, not "):
+            SolverConfig(variant=MFISC_LS, **{field: value})
+
+    def test_reals_become_floats(self):
+        cfg = SolverConfig(variant=MFISC_LS, alpha=5, sigma=0.5, step=2)
+        assert (cfg.alpha, cfg.sigma, cfg.step) == (5.0, 0.5, 2.0)
+        assert all(type(v) is float for v in (cfg.alpha, cfg.sigma, cfg.step))
+
+    def test_bool_epsilon_is_refused(self):
+        # True used to pass as epsilon 1.0
+        with pytest.raises(InvalidConfig, match="epsilon must be a positive, finite number, not True"):
+            SolverConfig(variant=MFISC_LS, epsilon=True)
+        assert tolerance(1) == 1.0
 
     def test_sigma_range(self):
         with pytest.raises(InvalidConfig):
