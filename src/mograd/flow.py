@@ -25,17 +25,32 @@ exactly), so ``mavd_integrate`` is literally ``mavng_integrate`` at b = a.
 The step runs on Python floats: x_{k-1}, x_k, u_k, v_k and x_{k+1} are lists
 of floats, the two norms come from ``math.hypot`` and ``math.dist``, and the
 points and residuals become arrays once, after the loop.  The oracle still
-takes x_k as an array, and the QPs take its gradient matrix.  With the two
-coordinates of the flows' problems, numpy's dispatch on each small vector
-cost more than its arithmetic: on quad2 a whole step, its oracle call and
-two QPs included, fell from about 16.6 to 12.9 us, and the bench's traced
-``flow.self_us_per_step``, which also holds the tracer's own overhead, from
-about 17.8 to 13.0 us (2-core x86 host, Python 3.11.7, numpy 2.4.6).  One
-loop serves every m and n, with no size switch, and at large n the float
-loop costs more than numpy's: a whole step of ``jos1:n=100`` takes about
-143 us against 113, and of the m = 3 flow ``ex1:n=40,p=20,seed=0`` about
-72 us against 62.  The norms may differ from numpy's dot products in their
-last bit, so a step may round differently there.
+takes x_k as an array.  With the two coordinates of the flows' problems,
+numpy's dispatch on each small vector cost more than its arithmetic: on
+quad2 a whole step, its oracle call and two QPs included, fell from about
+16.6 to 12.9 us, and the bench's traced ``flow.self_us_per_step``, which
+also holds the tracer's own overhead, from about 17.8 to 13.0 us (2-core
+x86 host, Python 3.11.7, numpy 2.4.6).  One loop serves every m and n, with
+no size switch, and at large n the float loop costs more than numpy's: a
+whole step of ``jos1:n=100`` takes about 143 us against 113, and of the
+m = 3 flow ``ex1:n=40,p=20,seed=0`` about 72 us against 62.  The norms may
+differ from numpy's dot products in their last bit, so a step may round
+differently there.
+
+The hull QPs split on m as ``simplex_qp`` does.  At m = 2 the step takes
+the rows of its gradient matrix once, ``G.tolist()``, and solves both QPs
+with the closed-form kernel ``simplex_qp.closed_form_rows`` on those rows
+and the lists it already holds: no vector of the step goes through numpy
+and back, and no ``HullSolution`` is built.  That took a quad2 step from
+about 13.1 to 8.8 us, and a ``jos1:n=100`` step from about 126 to 115 us
+(fastest of 21 and 9 runs, alternating with the previous loop in one
+process, same host).  For any other m the step calls
+``min_norm_in_hull`` and ``project_onto_scaled_hull`` on the gradient
+matrix, each warm-started from its previous weights, which Wolfe's method
+uses and the closed form would ignore.  Every check of the QPs still runs
+on every step (the shape of the gradient matrix, the length of the target,
+finite inputs) except the scale check: h^2 does not change, so it is
+checked once, before the first step.
 """
 
 from __future__ import annotations
@@ -47,7 +62,12 @@ import numpy as np
 
 from .merit import merit_value
 from .problems import as_point, whole_number
-from .simplex_qp import min_norm_in_hull, project_onto_scaled_hull
+from .simplex_qp import (
+    _validate_columns,
+    closed_form_rows,
+    min_norm_in_hull,
+    project_onto_scaled_hull,
+)
 
 FLOW_COMPLETED = "completed"
 FLOW_QP_FAILURE = "qp_failure"
@@ -137,9 +157,13 @@ class BoundReport:
 
 def _integrate(prob, cfg, system):
     as_point(prob, cfg.x0, "x0")
-    steps = max(int(round((cfg.t_end - cfg.t0) / cfg.h)), 1)
     alpha, h = cfg.alpha, cfg.h
     scale = h * h
+    # a positive finite h can still square to 0 or inf; the projection's
+    # scale check, made once for every step
+    if not 0.0 < scale < math.inf:
+        raise ValueError("scale must be positive and finite")
+    steps = max(int(round((cfg.t_end - cfg.t0) / h)), 1)
     # the points as lists of Python floats (see the module docstring); the
     # row of x_1 = x_0 is the zero initial velocity
     x_prev = x_curr = cfg.x0.tolist()
@@ -147,17 +171,23 @@ def _integrate(prob, cfg, system):
     residuals = []
     termination = FLOW_COMPLETED
 
-    # each QP warm-starts from its own previous weights, as in run_solver
+    # at m != 2 each QP warm-starts from its own previous weights, as in
+    # run_solver; at m = 2 both solves are the closed form on G's rows
     hull_w = proj_w = None
     for k in range(1, steps + 1):
         t_k = cfg.t0 + k * h
-        grads = prob.gradient_columns(np.array(x_curr))
-        hull = min_norm_in_hull(grads, start=hull_w)
-        hull_w = hull.weights
-        u = hull.point.tolist()
+        grads = _validate_columns(prob.gradient_columns(np.array(x_curr)))
+        pair = grads.shape[1] == 2
+        if pair:
+            G = grads.tolist()
+            _, u, _, certified = closed_form_rows(G, 1.0, [0.0] * len(G))
+        else:
+            hull = min_norm_in_hull(grads, start=hull_w)
+            hull_w = hull.weights
+            u, certified = hull.point.tolist(), hull.converged
         residual = math.hypot(*u)
         residuals.append(residual)
-        if not hull.converged:
+        if not certified:
             termination = FLOW_QP_FAILURE
             break
         if k == steps:
@@ -173,13 +203,19 @@ def _integrate(prob, cfg, system):
         else:
             v_k = [a - b for a, b in zip(x_curr, x_prev)]
 
-        proj = project_onto_scaled_hull(grads, scale, v_k, start=proj_w)
-        proj_w = proj.weights
-        if not proj.converged:
+        if pair:
+            if len(v_k) != len(G):
+                raise ValueError("target vector shape does not match gradient columns")
+            _, q, _, certified = closed_form_rows(G, scale, v_k)
+        else:
+            proj = project_onto_scaled_hull(grads, scale, v_k, start=proj_w)
+            proj_w = proj.weights
+            q, certified = proj.point.tolist(), proj.converged
+        if not certified:
             termination = FLOW_QP_FAILURE
             break
         damping = t_k / (t_k + alpha * h)
-        x_next = [x + damping * (v - q) for x, v, q in zip(x_curr, v_k, proj.point.tolist())]
+        x_next = [x + damping * (v - p) for x, v, p in zip(x_curr, v_k, q)]
         rows.append(x_next)
         x_prev, x_curr = x_curr, x_next
 

@@ -162,7 +162,14 @@ def write_csv(path, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            # a row of floats, the bulk of a trajectory file, is written
+            # directly: repr never quotes, and a finite or infinite float's
+            # repr holds no "nan", so the replace blanks exactly the NaN
+            # cells.  A lone cell keeps csv's "" for an empty row.
+            if len(row) > 1 and all(type(v) is float for v in row):
+                fh.write(",".join(map(repr, row)).replace("nan", "") + "\n")
+            else:
+                writer.writerow([_fmt(v) for v in row])
     return path
 
 

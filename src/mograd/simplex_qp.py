@@ -46,7 +46,14 @@ rows of a bi-objective problem, numpy's per-call dispatch costs several
 times the arithmetic.  Past about n = 25 numpy would be faster (at n = 100
 about 12 us against 45 us per solve); only ``jos1`` takes that many
 variables, and no workload of the benchmark or the tests gives it more
-than 5.
+than 5.  The closed form has two layers: ``closed_form_rows``, a kernel on
+the rows of ``G`` and a target list that returns plain floats and a list,
+and the m = 2 path of both QPs, a thin wrapper that builds the
+``HullSolution`` arrays from them.  The flow step (``mograd.flow``) calls
+the kernel itself at m = 2: it holds its points as lists already, and the
+two arrays of a ``HullSolution`` would only be turned back into lists.
+For any other m it calls the two QPs, whose warm starts Wolfe's method
+uses.
 
 Both certify at the fixed tolerance ``DEFAULT_TOL``, relaxed relative to the
 squared scale of the data (see ``_REL_TOL``).  That tolerance is only the
@@ -156,21 +163,28 @@ def _effective_tol(q_scale):
     return max(DEFAULT_TOL, _REL_TOL * q_scale)
 
 
-def _closed_form(G, scale, v):
-    """Exact solution for the two columns of ``scale * G``, target list ``v``.
+def closed_form_rows(rows, scale, v):
+    """Exact solution for two columns, on Python floats: the float kernel.
 
-    One pass over the rows of ``G.tolist()`` gives the segment formula, a
-    second the point ``scale * G @ theta``, the Frank-Wolfe certificate
-    ``r.p - min_i r.s_i`` for ``r = p - v`` and the squared norms of the
-    tolerance's scale, all on Python floats (see the module docstring for
-    the sizes where that pays).
+    ``rows`` are the rows of ``G`` as lists of two floats (``G.tolist()``),
+    ``v`` the target as a list of floats, and the hull is
+    ``scale * conv{g_1, g_2}``.  Returns ``(t, point, gap, converged)``:
+    the weights are ``(t, 1 - t)``, ``point`` is ``scale * G @ (t, 1 - t)``
+    as a list, and ``gap`` and ``converged`` are those of a
+    :class:`HullSolution`.  ``min_norm_in_hull`` and
+    ``project_onto_scaled_hull`` wrap it for m = 2, and the flow step calls
+    it directly on the rows it already holds.
 
-    ``G`` has passed ``_validate_columns`` only.  Its finiteness, and that
-    of ``v``, are checked on a sum that the pass computes anyway and that is
-    not finite when any input is not; only then does ``_check_finite`` run
-    to raise, or to find that a square merely overflowed.
+    One pass over the rows gives the segment formula, a second the point,
+    the Frank-Wolfe certificate ``r.p - min_i r.s_i`` for ``r = p - v`` and
+    the squared norms of the tolerance's scale (see the module docstring for
+    the sizes where floats pay).  The caller has checked ``scale``, the
+    shape of ``G`` and the length of ``v``.  The finiteness of the rows and
+    of ``v`` is checked on a sum that the first pass computes anyway and
+    that is not finite when any input is not; only then does
+    ``_check_finite`` run, to raise ``NonFiniteInput`` or to find that a
+    square merely overflowed.
     """
-    rows = G.tolist()
     # 1-D projection of v onto the segment [s_2, s_1]
     dd = vd = 0.0
     for (a, b), y in zip(rows, v):
@@ -179,7 +193,7 @@ def _closed_form(G, scale, v):
         dd += d * d
         vd += (y - s2) * d
     if not math.isfinite(dd + vd):
-        _check_finite(G, np.array(v))
+        _check_finite(np.array(rows), np.array(v))
     t = vd / dd if dd > 0.0 else 1.0
     # np.clip's result, NaN and -0.0 included
     if t < 0.0:
@@ -206,8 +220,7 @@ def _closed_form(G, scale, v):
     # max(), not a comparison, so that a NaN slack stays a NaN gap
     gap = max(rp - (r1 if r1 <= r2 else r2 if r2 < r1 else math.nan), 0.0)
     q_scale = max(1.0, c1, c2, vv)
-    converged = gap <= DEFAULT_TOL or gap <= _effective_tol(q_scale)
-    return HullSolution(np.array([t, u]), np.array(point), gap, converged, 0)
+    return t, point, gap, gap <= DEFAULT_TOL or gap <= _effective_tol(q_scale)
 
 
 def _affine_minimizer(A):
@@ -219,7 +232,7 @@ def _affine_minimizer(A):
 
     * one column is its own minimizer;
     * for two, the least-squares problem has one column and is the unclamped
-      segment formula of ``_closed_form``;
+      segment formula of ``closed_form_rows``;
     * for three, modified Gram-Schmidt on the two difference columns,
       applied to the right-hand side as well, gives the QR factors and the
       projected right-hand side, and back substitution the weights.
@@ -460,7 +473,8 @@ def project_onto_scaled_hull(G, scale, v, start=None):
     if start is not None:
         start = _validate_start(start, G.shape[1])
     if G.shape[1] == 2:
-        return _closed_form(G, scale, v.tolist())
+        t, point, gap, converged = closed_form_rows(G.tolist(), scale, v.tolist())
+        return HullSolution(np.array([t, 1.0 - t]), np.array(point), gap, converged, 0)
     _check_finite(G, v)
     return _wolfe(scale * G, v, start)
 
@@ -476,7 +490,8 @@ def min_norm_in_hull(G, start=None):
     if start is not None:
         start = _validate_start(start, G.shape[1])
     if G.shape[1] == 2:
-        return _closed_form(G, 1.0, [0.0] * G.shape[0])
+        t, point, gap, converged = closed_form_rows(G.tolist(), 1.0, [0.0] * G.shape[0])
+        return HullSolution(np.array([t, 1.0 - t]), np.array(point), gap, converged, 0)
     _check_finite(G)
     # 1.0 * G == G exactly, so G serves as the scaled columns, and no
     # target is the zero target: subtracting 0.0 would change no bit

@@ -345,7 +345,7 @@ def trace_csv_rows(trace, prob):
         dx = x - x_prev
         rows.append(
             [i + 1, trace.kkt_residuals[i], math.sqrt(dx @ dx)]
-            + list(prob.objectives(x))
+            + prob.objectives(x).tolist()
             + [trace.steps[i], trace.qp_gaps[i]]
         )
         x_prev = x

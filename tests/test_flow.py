@@ -14,6 +14,7 @@ from mograd.flow import (
 )
 from mograd.harness import sample_starts
 from mograd.problems import get_problem, logsumexp_pair, quadratic_pair
+from mograd.simplex_qp import NonFiniteInput
 
 from conftest import pareto_segment_distance, reference_integrate, wrap_hull_qps
 
@@ -54,6 +55,58 @@ class TestConfigValidation:
         cfg = FlowConfig(alpha=5.0, x0=[0.3, 0.4, 0.5], t_end=1.1)
         with pytest.raises(ValueError, match="x0 has dimension 3, but quad2 has dimension 2"):
             integrate(quadratic_pair(), cfg)
+
+    @pytest.mark.parametrize("key", ["quad2", "ex1:n=10,p=8,seed=1"])
+    @pytest.mark.parametrize("h", [1e-170, 1e-310, 1e160])
+    def test_step_whose_square_leaves_the_floats_is_refused_before_a_step(self, key, h):
+        # h passes FlowConfig, but h * h, the projection's scale, underflows
+        # to 0 or overflows to inf: the flow refuses it before its first
+        # oracle call, at two objectives and at three, and before it counts
+        # the steps, which a subnormal h would overflow
+        prob = get_problem(key)
+        calls = []
+
+        def gradient_columns(x):
+            calls.append(None)
+            return prob.gradient_columns(x)
+
+        counted = replace(prob, gradient_columns=gradient_columns)
+        cfg = FlowConfig(alpha=5.0, x0=sample_starts(prob, 1, 0)[0], h=h, t_end=2.0)
+        with pytest.raises(ValueError, match="^scale must be positive and finite$"):
+            mavng_integrate(counted, cfg)
+        assert calls == []
+
+    @pytest.mark.parametrize("key", ["quad2", "ex1:n=10,p=8,seed=1"])
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            (lambda G: G[:, 0], ValueError, "gradient matrix must be 2-D with columns per objective"),
+            (
+                lambda G: np.vstack([G, G[:1]]),
+                ValueError,
+                "target vector shape does not match gradient columns",
+            ),
+            (lambda G: np.full_like(G, np.nan), NonFiniteInput, "gradient matrix contains NaN or Inf"),
+        ],
+        ids=["1-D", "extra row", "NaN"],
+    )
+    def test_gradient_matrix_is_checked_on_every_step(self, key, bad, error, message):
+        # the third gradient matrix is malformed: the QPs' checks still run
+        # on every step, whether the step solves them with the closed-form
+        # kernel (two objectives) or calls them (three)
+        prob = get_problem(key)
+        calls = []
+
+        def gradient_columns(x):
+            calls.append(None)
+            G = prob.gradient_columns(x)
+            return bad(G) if len(calls) == 3 else G
+
+        counted = replace(prob, gradient_columns=gradient_columns)
+        cfg = FlowConfig(alpha=5.0, x0=sample_starts(prob, 1, 0)[0], t_end=1.1, h=0.01)
+        with pytest.raises(error, match=f"^{message}$"):
+            mavng_integrate(counted, cfg)
+        assert len(calls) == 3
 
 
 class TestIntegration:
@@ -156,12 +209,17 @@ class TestIntegration:
         certified = mavng_integrate(prob, cfg)
         calls = []
 
-        def solve(G, start=None, _qp=mograd.flow.min_norm_in_hull):
-            calls.append(None)
-            sol = _qp(G, start)
-            return replace(sol, converged=False) if len(calls) == 10 else sol
+        def solve(rows, scale, v, _qp=mograd.flow.closed_form_rows):
+            # two objectives: the flow solves both QPs with the closed-form
+            # kernel, the min-norm ones at unit scale
+            t, point, gap, converged = _qp(rows, scale, v)
+            if scale == 1.0:
+                calls.append(None)
+                if len(calls) == 10:
+                    converged = False
+            return t, point, gap, converged
 
-        monkeypatch.setattr(mograd.flow, "min_norm_in_hull", solve)
+        monkeypatch.setattr(mograd.flow, "closed_form_rows", solve)
         failed = mavng_integrate(prob, cfg)
         assert len(calls) == 10
         assert certified.termination == "completed"
@@ -219,7 +277,10 @@ class TestReferenceLoop:
         at = 7
 
         def run(integrate):
-            # the projection at step k = 7 reports no certificate
+            # the projection at step k = 7 reports no certificate: a call of
+            # the public QP, or, in the float loop at m = 2, of the
+            # closed-form kernel at the scale h^2 (its min-norm solves run at
+            # unit scale)
             calls = []
 
             def project(*args, start=None, _qp=mograd.flow.project_onto_scaled_hull):
@@ -227,7 +288,16 @@ class TestReferenceLoop:
                 sol = _qp(*args, start=start)
                 return replace(sol, converged=False) if len(calls) == at else sol
 
+            def kernel(rows, scale, v, _qp=mograd.flow.closed_form_rows):
+                t, point, gap, converged = _qp(rows, scale, v)
+                if scale != 1.0:
+                    calls.append(None)
+                    if len(calls) == at:
+                        converged = False
+                return t, point, gap, converged
+
             monkeypatch.setattr(mograd.flow, "project_onto_scaled_hull", project)
+            monkeypatch.setattr(mograd.flow, "closed_form_rows", kernel)
             traj = integrate()
             monkeypatch.undo()
             assert len(calls) == at

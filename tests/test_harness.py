@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 import multiprocessing
@@ -17,6 +19,7 @@ from mograd.flow import FlowConfig, attach_merit, mavng_integrate
 from mograd.cli import main as cli_main
 from mograd.harness import (
     ExperimentConfig,
+    _fmt,
     _run_one,
     flow_experiment,
     pareto_scan,
@@ -55,6 +58,34 @@ JOS1_CFG = dict(
     n_starts=8,
     seed=5,
 )
+
+
+class TestWriteCsv:
+    def test_float_rows_match_the_csv_writer(self, tmp_path):
+        # all-float rows of two or more cells are joined directly; the bytes
+        # must be those of csv.writer over _fmt's cells
+        nan, inf = math.nan, math.inf
+        rows = [
+            ["t", "x1", "merit"],
+            [nan, inf, -inf],
+            [-0.0, 5e-324, 1e308],
+            [0.1 + 0.2, -nan, 1.0],
+            [nan, nan],
+            [-1e-308, 2.5e-320, 1.5e300],
+            [nan],
+            [1.5],
+            [],
+            [3, "mavng", 0.25, nan],
+            [True, np.float64(0.1), 2.0],
+            [np.int64(4), 1e-7],
+            [0.5, np.float64(nan)],
+        ]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+        path = write_csv(tmp_path / "rows.csv", rows)
+        assert path.read_bytes() == buf.getvalue().encode()
 
 
 class TestSampling:

@@ -13,6 +13,7 @@ from mograd.simplex_qp import (
     NonFiniteInput,
     _affine_minimizer,
     _effective_tol,
+    closed_form_rows,
     min_norm_in_hull,
     project_onto_scaled_hull,
 )
@@ -328,6 +329,63 @@ class TestClosedForm:
             ]
         for sol in sols:
             assert not sol.converged
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestClosedFormKernel:
+    """The float kernel of the flow step against the m = 2 path of both QPs:
+    the same weights, point, gap and certificate, bit for bit, and the same
+    exceptions."""
+
+    @staticmethod
+    def assert_same(kernel, sol):
+        t, point, gap, converged = kernel
+        assert _bits([t, 1.0 - t]) == _bits(sol.weights)
+        assert _bits(point) == _bits(sol.point)
+        assert _bits(gap) == _bits(sol.gap)
+        assert converged is sol.converged
+
+    def test_matches_both_qps(self, rng):
+        overflowing = [
+            (np.array([[1e200, -1e200], [1e200, 1e200]]), 1.0, np.array([1e200, 3e199])),
+            (np.array([[1e200, 2.0], [3.0, -1e200], [5.0, 6.0]]), 1e200, np.zeros(3)),
+        ]
+        cases = [c for c in _closed_form_cases(rng) if c[0].shape[1] == 2] + overflowing
+        for G, scale, v in cases:
+            rows = G.tolist()
+            self.assert_same(
+                closed_form_rows(rows, scale, v.tolist()), project_onto_scaled_hull(G, scale, v)
+            )
+            self.assert_same(closed_form_rows(rows, 1.0, [0.0] * len(v)), min_norm_in_hull(G))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises_as_the_qps_do(self, bad):
+        # distinct columns, and equal ones, whose segment has length 0
+        base = np.arange(1.0, 7.0).reshape(3, 2)
+        for G in (base, base[:, [0, 0]]):
+            bad_G = G.copy()
+            bad_G[1, -1] = bad
+            bad_v = np.ones(3)
+            bad_v[2] = bad
+            solves = {
+                "gradient matrix": [
+                    lambda: min_norm_in_hull(bad_G),
+                    lambda: closed_form_rows(bad_G.tolist(), 1.0, [0.0] * 3),
+                    lambda: project_onto_scaled_hull(bad_G, 2.0, np.ones(3)),
+                    lambda: closed_form_rows(bad_G.tolist(), 2.0, [1.0] * 3),
+                ],
+                "target vector": [
+                    lambda: project_onto_scaled_hull(G, 2.0, bad_v),
+                    lambda: closed_form_rows(G.tolist(), 2.0, bad_v.tolist()),
+                ],
+            }
+            for message, calls in solves.items():
+                for solve in calls:
+                    with pytest.raises(NonFiniteInput, match=f"^{message} contains NaN or Inf$"):
+                        solve()
 
 
 def _lstsq_affine_minimizer(A):
