@@ -49,8 +49,8 @@ process, same host).  For any other m the step calls
 matrix, each warm-started from its previous weights, which Wolfe's method
 uses and the closed form would ignore.  Every check of the QPs still runs
 on every step (the shape of the gradient matrix, the length of the target,
-finite inputs) except the scale check: h^2 does not change, so it is
-checked once, before the first step.
+finite inputs) except the scale check: h^2 does not change, so
+``FlowConfig`` checks it, with the step count (t_end - t0) / h.
 """
 
 from __future__ import annotations
@@ -106,8 +106,14 @@ class FlowConfig:
             raise ValueError("t0 must be finite and at least 1")
         if not 0.0 < self.h < math.inf:
             raise ValueError("h must be positive and finite")
+        # a positive finite h can still square to 0 or inf, the projection's
+        # scale on every step
+        if not 0.0 < self.h * self.h < math.inf:
+            raise ValueError("h * h, the projection's scale, must be positive and finite")
         if not self.t0 < self.t_end < math.inf:
             raise ValueError("t_end must be finite and exceed t0")
+        if not (self.t_end - self.t0) / self.h < math.inf:
+            raise ValueError("(t_end - t0) / h, the number of steps, must be finite")
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
         if self.x0.ndim != 1 or not np.all(np.isfinite(self.x0)):
             raise ValueError("x0 must be a finite 1-D point")
@@ -158,11 +164,8 @@ class BoundReport:
 def _integrate(prob, cfg, system):
     as_point(prob, cfg.x0, "x0")
     alpha, h = cfg.alpha, cfg.h
+    # FlowConfig has checked the scale and the step count
     scale = h * h
-    # a positive finite h can still square to 0 or inf; the projection's
-    # scale check, made once for every step
-    if not 0.0 < scale < math.inf:
-        raise ValueError("scale must be positive and finite")
     steps = max(int(round((cfg.t_end - cfg.t0) / h)), 1)
     # the points as lists of Python floats (see the module docstring); the
     # row of x_1 = x_0 is the zero initial velocity

@@ -45,15 +45,17 @@ the benchmark suite) runs on Python floats, not numpy arrays: with the few
 rows of a bi-objective problem, numpy's per-call dispatch costs several
 times the arithmetic.  Past about n = 25 numpy would be faster (at n = 100
 about 12 us against 45 us per solve); only ``jos1`` takes that many
-variables, and no workload of the benchmark or the tests gives it more
-than 5.  The closed form has two layers: ``closed_form_rows``, a kernel on
-the rows of ``G`` and a target list that returns plain floats and a list,
-and the m = 2 path of both QPs, a thin wrapper that builds the
-``HullSolution`` arrays from them.  The flow step (``mograd.flow``) calls
-the kernel itself at m = 2: it holds its points as lists already, and the
-two arrays of a ``HullSolution`` would only be turned back into lists.
-For any other m it calls the two QPs, whose warm starts Wolfe's method
-uses.
+variables, and no workload of the benchmark gives it more than 5.  The
+closed form has two layers: ``closed_form_rows``, a kernel on the rows of
+``G`` and a target list that returns plain floats and a list, and the
+m = 2 path of both QPs, a thin wrapper that builds the ``HullSolution``
+arrays from them.  The kernel has two callers besides that wrapper, the
+solvers' step (``mograd.solvers``) and the flow step (``mograd.flow``):
+at m = 2 each holds its vectors as lists already, and the two arrays of a
+``HullSolution`` would only be turned back into lists.  Each makes the
+wrapper's checks itself (the matrix's shape, the scale, the target's
+length).  For any other m both call the two QPs, whose warm starts
+Wolfe's method uses.
 
 Both certify at the fixed tolerance ``DEFAULT_TOL``, relaxed relative to the
 squared scale of the data (see ``_REL_TOL``).  That tolerance is only the
@@ -172,8 +174,8 @@ def closed_form_rows(rows, scale, v):
     the weights are ``(t, 1 - t)``, ``point`` is ``scale * G @ (t, 1 - t)``
     as a list, and ``gap`` and ``converged`` are those of a
     :class:`HullSolution`.  ``min_norm_in_hull`` and
-    ``project_onto_scaled_hull`` wrap it for m = 2, and the flow step calls
-    it directly on the rows it already holds.
+    ``project_onto_scaled_hull`` wrap it for m = 2, and the solvers' and the
+    flow's steps call it directly on the rows they already hold.
 
     One pass over the rows gives the segment formula, a second the point,
     the Frank-Wolfe certificate ``r.p - min_i r.s_i`` for ``r = p - v`` and

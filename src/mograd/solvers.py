@@ -28,6 +28,32 @@ Every run stops when the KKT residual ||u_k|| falls below epsilon, when k_max
 is reached, or when a hull subproblem fails to certify its tolerance
 (termination ``qp_failure``, partial trace kept).  Both hull subproblems
 run at the QP layer's tolerance ``simplex_qp.DEFAULT_TOL``.
+
+The steps split on m, as ``simplex_qp`` and the flow do.  At m = 2 they
+run on Python floats (``_pair_steps``): x_k, x_{k-1}, u_k, pi_k, y_k, d_k
+and x_{k+1} are lists, the rows of each gradient matrix are taken once
+(``G.tolist()``), and both hull QPs are the closed-form kernel
+``simplex_qp.closed_form_rows``, the min-norm solve at scale 1 with a zero
+target and the projection at scale s with target pi_k.  ||u_k|| and
+||Delta_k|| come from ``math.hypot`` (``math.dist`` for the difference),
+and d_k = -(theta_1 g_1 + theta_2 g_2) row by row.  Arrays are built only
+for the oracles, the trace and the line search: x_k, y_k and d_k.  With
+the few variables of the bi-objective problems, numpy's dispatch on each
+small vector, and the two ``HullSolution`` records of a step, cost more
+than the arithmetic: a ``quad2`` iteration fell by about a quarter (22
+to 17 us in the quietest of three measurements).  At large n the float
+passes cost more than numpy's: a ``jos1:n=100`` iteration rose by 6-13%
+over the three (102 to 116 us in the quietest; bench bi-table settings,
+alternating in one process; 2-core x86 host, Python 3.11.7, numpy
+2.4.6).  The norms and the direction may differ from numpy's dot
+products, which may fuse a multiply and an add, in their last bit, so a
+step may round differently there.  The checks of the public QPs still
+run on every step: the shape of each gradient matrix, the projection's
+scale (the line search can shrink the carried-over step to 0.0) and
+target length, and finite inputs.  Any other m takes the numpy steps
+(``_array_steps``) through ``min_norm_in_hull`` and
+``project_onto_scaled_hull``, each warm-started from its previous weights,
+which Wolfe's method uses.
 """
 
 from __future__ import annotations
@@ -41,7 +67,12 @@ from typing import Optional
 import numpy as np
 
 from .problems import InvalidConfig, as_point, real_number, whole_number
-from .simplex_qp import min_norm_in_hull, project_onto_scaled_hull
+from .simplex_qp import (
+    _validate_columns,
+    closed_form_rows,
+    min_norm_in_hull,
+    project_onto_scaled_hull,
+)
 
 MFISC_CONST = "mfisc_const"
 ACCG_CONST = "accg_const"
@@ -250,15 +281,42 @@ def run_solver(prob, cfg, x0):
     # the step s is fixed for *_const; otherwise it is the carried-over
     # accepted step, which also scales the projection subproblem
     step = _resolve_steps(prob, cfg)
-    line_search = cfg.variant not in _CONST_VARIANTS
     if cfg.variant == STEEPEST_LS:
         alpha = None
     elif cfg.variant in (ACCG_CONST, ACCG_LS):
         alpha = 3.0
     else:
         alpha = cfg.alpha
-
     trace = IterationTrace()
+    # the split on m of simplex_qp and the flow (see the module docstring)
+    steps = _pair_steps if prob.m == 2 else _array_steps
+    steps(prob, cfg, trace, x, step, alpha, t0)
+    return trace
+
+
+def _record(trace, cfg, x, residual, gap, certified, k, t0):
+    """Append the record at iterate ``x``; True when the run stops there."""
+    trace.points.append(x)
+    trace.kkt_residuals.append(residual)
+    trace.steps.append(float("nan"))
+    trace.qp_gaps.append(gap)
+    trace.hull_gaps.append(gap)
+    trace.elapsed.append(time.perf_counter() - t0)
+    if not certified:
+        trace.termination = QP_FAILURE
+        trace.hull_certified = False
+    elif residual < cfg.epsilon:
+        trace.termination = CONVERGED
+    elif k >= cfg.k_max:
+        trace.termination = KMAX
+    else:
+        return False
+    return True
+
+
+def _array_steps(prob, cfg, trace, x, step, alpha, t0):
+    """The steps of :func:`run_solver` on numpy vectors, for m != 2."""
+    line_search = cfg.variant not in _CONST_VARIANTS
     x_prev = x
     k = 1
     # each QP warm-starts from its own previous weights: consecutive hulls
@@ -270,23 +328,7 @@ def run_solver(prob, cfg, x0):
         hull_w = hull.weights
         u = hull.point
         residual = math.sqrt(u @ u)
-
-        trace.points.append(x)
-        trace.kkt_residuals.append(residual)
-        trace.steps.append(float("nan"))
-        trace.qp_gaps.append(hull.gap)
-        trace.hull_gaps.append(hull.gap)
-        trace.elapsed.append(time.perf_counter() - t0)
-
-        if not hull.converged:
-            trace.termination = QP_FAILURE
-            trace.hull_certified = False
-            break
-        if residual < cfg.epsilon:
-            trace.termination = CONVERGED
-            break
-        if k >= cfg.k_max:
-            trace.termination = KMAX
+        if _record(trace, cfg, x, residual, hull.gap, hull.converged, k, t0):
             break
 
         try:
@@ -318,7 +360,69 @@ def run_solver(prob, cfg, x0):
         x_prev, x = x, y + step * d
         k += 1
 
-    return trace
+
+def _pair_steps(prob, cfg, trace, x, step, alpha, t0):
+    """The steps of :func:`run_solver` at m = 2, on Python floats (see the
+    module docstring): the steps of :func:`_array_steps`, in the same order,
+    with both hull QPs solved by the closed-form kernel."""
+    line_search = cfg.variant not in _CONST_VARIANTS
+    x_prev = x_curr = x.tolist()
+    k = 1
+    while True:
+        grads_x = _validate_columns(prob.gradient_columns(x))
+        rows = grads_x.tolist()
+        _, u, gap, certified = closed_form_rows(rows, 1.0, [0.0] * len(rows))
+        residual = math.hypot(*u)
+        if _record(trace, cfg, x, residual, gap, certified, k, t0):
+            break
+
+        try:
+            if alpha is None:
+                y, w, d, grads_y = x_curr, x, [-a for a in u], grads_x
+            else:
+                # mfisc_momentum's pi in one pass, with ||u|| the residual
+                # and ||Delta_k|| from math.dist, math.hypot of the
+                # differences
+                denom = k + alpha - 1.0
+                c = (k - 1.0) / denom
+                norm_dx = math.dist(x_curr, x_prev) if alpha != 3.0 else 0.0
+                if norm_dx > 0.0:
+                    r = ((alpha - 3.0) / denom) * (norm_dx / max(residual, SAFE_DIV_FLOOR))
+                    # strict: a u of another length is numpy's broadcast
+                    # ValueError
+                    pi = [c * (a - b) - r * e for a, b, e in zip(x_curr, x_prev, u, strict=True)]
+                else:
+                    pi = [c * (a - b) for a, b in zip(x_curr, x_prev)]
+                y = [a + p for a, p in zip(x_curr, pi)]
+                w = np.array(y)
+                grads_y = _validate_columns(prob.gradient_columns(w))
+                rows = grads_y.tolist()
+                # project_onto_scaled_hull's checks: the line search can
+                # shrink the carried-over step to 0.0
+                if not 0.0 < step < math.inf:
+                    raise ValueError("scale must be positive and finite")
+                if len(pi) != len(rows):
+                    raise ValueError("target vector shape does not match gradient columns")
+                t, _, gap, certified = closed_form_rows(rows, step, pi)
+                trace.qp_gaps[-1] = max(trace.qp_gaps[-1], gap)
+                if not certified:
+                    trace.termination = QP_FAILURE
+                    break
+                s = 1.0 - t
+                d = [-(a * t + b * s) for a, b in rows]
+            if line_search:
+                step, capped = line_search_backtracking(prob, w, step, cfg.sigma, np.array(d), grads_y)
+                if capped:
+                    trace.capped.append(k - 1)
+        except ValueError:
+            # as in _array_steps
+            trace.termination = QP_FAILURE
+            break
+
+        trace.steps[-1] = step
+        x_prev, x_curr = x_curr, [a + step * b for a, b in zip(y, d)]
+        x = np.array(x_curr)
+        k += 1
 
 
 def trace_csv_rows(trace, prob):

@@ -16,8 +16,19 @@ import pytest
 
 import mograd.flow
 import mograd.simplex_qp
+import mograd.solvers
 from mograd.flow import FLOW_COMPLETED, FLOW_QP_FAILURE, Trajectory
-from mograd.problems import ProblemInstance, get_problem
+from mograd.problems import ProblemInstance, as_point, get_problem
+from mograd.solvers import (
+    ACCG_CONST,
+    ACCG_LS,
+    CONVERGED,
+    KMAX,
+    QP_FAILURE,
+    STEEPEST_LS,
+    IterationTrace,
+    mfisc_momentum,
+)
 
 
 @lru_cache(maxsize=8)
@@ -192,6 +203,78 @@ def reference_integrate(prob, cfg, system):
         merit=np.full(count, np.nan),
         termination=termination,
     )
+
+
+def reference_run_solver(prob, cfg, x0):
+    """``mograd.solvers.run_solver`` with every step on numpy vectors.
+
+    The reference for the Python-float steps of the solvers at m = 2: the
+    same steps in the same order through the two public hull QPs, with
+    numpy's vector arithmetic, ``d = -(grads_y @ weights)`` and the norms
+    from ``math.sqrt(v @ v)``.  The QPs and the line search are looked up
+    on ``mograd.solvers`` at each call, so a test's monkeypatch reaches
+    both loops.  The trace's ``elapsed`` times are not recorded.
+    """
+    solvers = mograd.solvers
+    x = as_point(prob, x0, "x0").copy()
+    step = solvers._resolve_steps(prob, cfg)
+    line_search = cfg.variant not in solvers._CONST_VARIANTS
+    if cfg.variant == STEEPEST_LS:
+        alpha = None
+    elif cfg.variant in (ACCG_CONST, ACCG_LS):
+        alpha = 3.0
+    else:
+        alpha = cfg.alpha
+    trace = IterationTrace()
+    x_prev = x
+    k = 1
+    hull_w = proj_w = None
+    while True:
+        grads_x = prob.gradient_columns(x)
+        hull = solvers.min_norm_in_hull(grads_x, start=hull_w)
+        hull_w = hull.weights
+        u = hull.point
+        residual = math.sqrt(u @ u)
+        trace.points.append(x)
+        trace.kkt_residuals.append(residual)
+        trace.steps.append(float("nan"))
+        trace.qp_gaps.append(hull.gap)
+        trace.hull_gaps.append(hull.gap)
+        if not hull.converged:
+            trace.termination = QP_FAILURE
+            trace.hull_certified = False
+            break
+        if residual < cfg.epsilon:
+            trace.termination = CONVERGED
+            break
+        if k >= cfg.k_max:
+            trace.termination = KMAX
+            break
+        try:
+            if alpha is None:
+                y, d, grads_y = x, -u, grads_x
+            else:
+                pi = mfisc_momentum(x - x_prev, k, alpha, u)
+                y = x + pi
+                grads_y = prob.gradient_columns(y)
+                proj = solvers.project_onto_scaled_hull(grads_y, step, pi, start=proj_w)
+                proj_w = proj.weights
+                trace.qp_gaps[-1] = max(trace.qp_gaps[-1], proj.gap)
+                if not proj.converged:
+                    trace.termination = QP_FAILURE
+                    break
+                d = -(grads_y @ proj.weights)
+            if line_search:
+                step, capped = solvers.line_search_backtracking(prob, y, step, cfg.sigma, d, grads_y)
+                if capped:
+                    trace.capped.append(k - 1)
+        except ValueError:
+            trace.termination = QP_FAILURE
+            break
+        trace.steps[-1] = step
+        x_prev, x = x, y + step * d
+        k += 1
+    return trace
 
 
 def reference_sd_oracles():

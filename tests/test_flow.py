@@ -59,10 +59,10 @@ class TestConfigValidation:
     @pytest.mark.parametrize("key", ["quad2", "ex1:n=10,p=8,seed=1"])
     @pytest.mark.parametrize("h", [1e-170, 1e-310, 1e160])
     def test_step_whose_square_leaves_the_floats_is_refused_before_a_step(self, key, h):
-        # h passes FlowConfig, but h * h, the projection's scale, underflows
-        # to 0 or overflows to inf: the flow refuses it before its first
-        # oracle call, at two objectives and at three, and before it counts
-        # the steps, which a subnormal h would overflow
+        # h is positive and finite, but h * h, the projection's scale,
+        # underflows to 0 or overflows to inf: FlowConfig refuses it, so no
+        # flow of two objectives or of three starts; the scale is checked
+        # before the step count, which a subnormal h would overflow
         prob = get_problem(key)
         calls = []
 
@@ -71,10 +71,17 @@ class TestConfigValidation:
             return prob.gradient_columns(x)
 
         counted = replace(prob, gradient_columns=gradient_columns)
-        cfg = FlowConfig(alpha=5.0, x0=sample_starts(prob, 1, 0)[0], h=h, t_end=2.0)
-        with pytest.raises(ValueError, match="^scale must be positive and finite$"):
-            mavng_integrate(counted, cfg)
+        with pytest.raises(ValueError, match=r"^h \* h, the projection's scale, must be positive and finite$"):
+            mavng_integrate(counted, FlowConfig(alpha=5.0, x0=sample_starts(prob, 1, 0)[0], h=h, t_end=2.0))
         assert calls == []
+
+    @pytest.mark.parametrize("t_end, h", [(1e300, 1e-10), (1e308, 0.5)])
+    def test_step_count_must_be_finite(self, t_end, h):
+        # (t_end - t0) / h overflows the floats: the step count used to
+        # raise an OverflowError inside the flow, after the config passed
+        assert 0.0 < h * h < np.inf and t_end < np.inf
+        with pytest.raises(ValueError, match=r"^\(t_end - t0\) / h, the number of steps, must be finite$"):
+            FlowConfig(alpha=5.0, x0=X0, h=h, t_end=t_end)
 
     @pytest.mark.parametrize("key", ["quad2", "ex1:n=10,p=8,seed=1"])
     @pytest.mark.parametrize(

@@ -492,19 +492,22 @@ class TestToleranceSweep:
         # tau stops on the run's last record and must end qp_failure too; the
         # line search reports a cap on every call, so caps are read off as well
         tau = 1e-3
-        real_hull = mograd.solvers.min_norm_in_hull
+        real_kernel = mograd.solvers.closed_form_rows
         real_search = mograd.solvers.line_search_backtracking
 
-        def hull(*args, **kwargs):
-            sol = real_hull(*args, **kwargs)
-            if math.sqrt(sol.point @ sol.point) < tau:
-                sol = replace(sol, converged=False)
-            return sol
+        def kernel(rows, scale, v):
+            # two objectives: the solver's QPs are the closed-form kernel,
+            # the min-norm ones at unit scale (these runs project at the
+            # steps 0.05 and 10 * 0.8^j, never 1.0)
+            t, point, gap, converged = real_kernel(rows, scale, v)
+            if scale == 1.0 and math.hypot(*point) < tau:
+                converged = False
+            return t, point, gap, converged
 
         def search(*args):
             return real_search(*args)[0], True
 
-        monkeypatch.setattr(mograd.solvers, "min_norm_in_hull", hull)
+        monkeypatch.setattr(mograd.solvers, "closed_form_rows", kernel)
         monkeypatch.setattr(mograd.solvers, "line_search_backtracking", search)
         solvers = (SolverConfig(variant="mfisc_const", step=0.05), SolverConfig(variant="accg_ls"))
         runs = self._check_rows(tmp_path, "quad2", solvers, (tau, 1e-8, 1e-1))
@@ -517,21 +520,19 @@ class TestToleranceSweep:
         # the projection QP fails once the residual is below tau: the run at
         # 1e-8 ends qp_failure on a record that the row at tau accepts
         tau = 1e-3
-        real_hull = mograd.solvers.min_norm_in_hull
-        real_project = mograd.solvers.project_onto_scaled_hull
+        real_kernel = mograd.solvers.closed_form_rows
         residual = [math.inf]
 
-        def hull(*args, **kwargs):
-            sol = real_hull(*args, **kwargs)
-            residual[0] = math.sqrt(sol.point @ sol.point)
-            return sol
+        def kernel(rows, scale, v):
+            # the min-norm solves at unit scale, as above
+            t, point, gap, converged = real_kernel(rows, scale, v)
+            if scale == 1.0:
+                residual[0] = math.hypot(*point)
+            elif residual[0] < tau:
+                converged = False
+            return t, point, gap, converged
 
-        def project(*args, **kwargs):
-            sol = real_project(*args, **kwargs)
-            return replace(sol, converged=False) if residual[0] < tau else sol
-
-        monkeypatch.setattr(mograd.solvers, "min_norm_in_hull", hull)
-        monkeypatch.setattr(mograd.solvers, "project_onto_scaled_hull", project)
+        monkeypatch.setattr(mograd.solvers, "closed_form_rows", kernel)
         solvers = (SolverConfig(variant="mfisc_const", step=0.05), SolverConfig(variant="accg_ls"))
         runs = self._check_rows(tmp_path, "quad2", solvers, (tau, 1e-8))
         tight = [r for r in runs if r.epsilon == 1e-8]
@@ -724,6 +725,14 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "summary.csv").exists()
         assert "converged" in capsys.readouterr().out
+
+    def test_flow_step_count_overflow_is_one_line(self, tmp_path, capsys):
+        # (t_end - t0) / h = 1e310 used to end in an OverflowError traceback
+        code = cli_main(["flow", "--problem", "quad2", "--alpha", "5", "--t-end", "1e300",
+                         "--h", "1e-10", "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "mograd: (t_end - t0) / h, the number of steps, must be finite\n"
 
     @pytest.mark.parametrize(
         "flag, key", [("--starts", "n_starts"), ("--seed", "seed"), ("--k-max", "k_max"),

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 import mograd.solvers
 from mograd.harness import sample_starts, write_csv
 from mograd.problems import InvalidConfig, get_problem, kkt_residual, quadratic_pair
-from mograd.simplex_qp import DEFAULT_TOL
+from mograd.simplex_qp import DEFAULT_TOL, NonFiniteInput
 from mograd.solvers import (
     ACCG_CONST,
     ACCG_LS,
@@ -16,6 +16,7 @@ from mograd.solvers import (
     KMAX,
     MFISC_CONST,
     MFISC_LS,
+    QP_FAILURE,
     STEEPEST_LS,
     VARIANTS,
     SolverConfig,
@@ -29,6 +30,7 @@ from mograd.solvers import (
 from conftest import (
     reference_line_search,
     reference_problem,
+    reference_run_solver,
     single_objective_problem,
     spd_quadratic_problem,
     wrap_hull_qps,
@@ -216,6 +218,194 @@ class TestReferenceRuns:
         if key == "sd":
             # the runs whose momentum point leaves the orthant are covered
             assert "qp_failure" in terminations
+
+
+# The float steps at m = 2 against the numpy loop: points and residuals
+# agree to this bound, relative to each run's largest entry.  The largest
+# moves measured on TestReferenceLoop's runs are 4.2e-13 for the points and
+# 3.8e-12 for the residuals, both on an sd mfisc_ls run whose momentum point
+# lies near the orthant's boundary, where the gradient -r / x^2 amplifies a
+# last-bit difference in x; on the other problems they stay below 1e-13.
+RELATIVE_BOUND = 1e-11
+
+
+def assert_matches_reference(trace, ref):
+    """The reference's (iterations, termination, capped) and certified flag;
+    points and residuals within RELATIVE_BOUND of it.  The float steps take
+    their norms from math.hypot and d from a float multiply-add, where numpy
+    may fuse one, so a point may round differently in its last bit."""
+    assert (trace.iterations, trace.termination, trace.capped, trace.hull_certified) == \
+        (ref.iterations, ref.termination, ref.capped, ref.hull_certified)
+    for got, want in (
+        (np.array(trace.points), np.array(ref.points)),
+        (np.array(trace.kkt_residuals), np.array(ref.kkt_residuals)),
+    ):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= RELATIVE_BOUND * np.max(np.abs(want))
+
+
+def reference_config(key, variant, **kwargs):
+    """A variant at the bench's bi-table settings: epsilon 1e-6, k_max 150,
+    the constant step 0.05 on jos1 (its Lipschitz constant is loose)."""
+    step = 0.05 if key.startswith("jos1") and variant.endswith("_const") else None
+    return SolverConfig(**{"variant": variant, "step": step, "epsilon": 1e-6, "k_max": 150, **kwargs})
+
+
+class TestReferenceLoop:
+    """The Python-float steps at m = 2 against the numpy loop of conftest."""
+
+    @pytest.mark.parametrize("key", ["jos1", "jos1:n=7", "quad2", "toi4", "sd"])
+    def test_matches_the_numpy_loop(self, key):
+        prob = get_problem(key)
+        terminations = set()
+        for variant in VARIANTS:
+            cfg = reference_config(key, variant)
+            for x0 in sample_starts(prob, 16, 0):
+                trace = run_solver(prob, cfg, x0)
+                assert_matches_reference(trace, reference_run_solver(prob, cfg, x0))
+                terminations.add(trace.termination)
+        if key == "sd":
+            # the runs whose momentum point leaves the orthant are covered
+            assert QP_FAILURE in terminations
+
+    @staticmethod
+    def uncertify(monkeypatch, at):
+        """Make the ``at``-th hull QP solve of a run report no certificate:
+        a call of the closed-form kernel in the float steps, or of either
+        public QP in the reference, counted together.  Both loops solve
+        the min-norm QP at x_k, then the projection at y_k, so odd calls
+        are min-norm solves (every call, for steepest_ls)."""
+        calls = []
+
+        def kernel(rows, scale, v, _qp=mograd.solvers.closed_form_rows):
+            t, point, gap, converged = _qp(rows, scale, v)
+            calls.append(None)
+            return t, point, gap, converged and len(calls) != at
+
+        def public(name):
+            def solve(*args, start=None, _qp=getattr(mograd.solvers, name)):
+                sol = _qp(*args, start=start)
+                calls.append(None)
+                return dataclasses.replace(sol, converged=sol.converged and len(calls) != at)
+
+            return solve
+
+        monkeypatch.setattr(mograd.solvers, "closed_form_rows", kernel)
+        for name in ("min_norm_in_hull", "project_onto_scaled_hull"):
+            monkeypatch.setattr(mograd.solvers, name, public(name))
+        return calls
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("at", [5, 6], ids=["min-norm", "projection"])
+    def test_uncertified_kernel_result_keeps_the_points_before_it(self, monkeypatch, variant, at):
+        prob = get_problem("quad2")
+        cfg = reference_config("quad2", variant)
+        x0 = sample_starts(prob, 1, 0)[0]
+        certified = run_solver(prob, cfg, x0)
+        assert certified.termination == CONVERGED and certified.iterations > 5
+        runs = []
+        for solver in (run_solver, reference_run_solver):
+            calls = self.uncertify(monkeypatch, at)
+            runs.append(solver(prob, cfg, x0))
+            monkeypatch.undo()
+            assert len(calls) == at
+        failed, ref = runs
+        assert failed.termination == QP_FAILURE
+        if variant == STEEPEST_LS:
+            # every solve is a min-norm QP, the at-th one at x_at
+            kept, hull_failed = at, True
+        else:
+            # the min-norm QP at x_3, then the projection at y_3; x_3 is
+            # recorded either way
+            kept, hull_failed = 3, at == 5
+        assert len(failed.points) == kept
+        assert failed.hull_certified is not hull_failed
+        assert all(np.array_equal(p, q) for p, q in zip(failed.points, certified.points))
+        assert failed.kkt_residuals == certified.kkt_residuals[:kept]
+        assert_matches_reference(failed, ref)
+
+    @pytest.mark.parametrize("variant", [MFISC_LS, ACCG_LS, STEEPEST_LS])
+    def test_line_search_step_underflowing_to_zero(self, monkeypatch, variant):
+        # the third line search's step underflows to 0.0, and the next
+        # projection refuses that scale; steepest_ls makes no projection
+        # and stays at its point, taking steps of 0.0, until k_max
+        prob = get_problem("quad2")
+        cfg = reference_config("quad2", variant)
+        x0 = sample_starts(prob, 1, 0)[0]
+        runs = []
+        for solver in (run_solver, reference_run_solver):
+            calls = []
+
+            def search(*args, _ls=mograd.solvers.line_search_backtracking):
+                s, capped = _ls(*args)
+                calls.append(None)
+                return (s * 1e-200 * 1e-200 if len(calls) == 3 else s), capped
+
+            monkeypatch.setattr(mograd.solvers, "line_search_backtracking", search)
+            runs.append(solver(prob, cfg, x0))
+            monkeypatch.undo()
+        trace, ref = runs
+        assert trace.steps[2] == 0.0
+        assert_matches_reference(trace, ref)
+        if variant == STEEPEST_LS:
+            assert trace.termination == KMAX
+            assert all(np.array_equal(p, trace.points[3]) for p in trace.points[3:])
+        else:
+            assert trace.termination == QP_FAILURE
+            # x_4 = y_3 is recorded; its projection at scale 0.0 fails
+            assert len(trace.points) == 4 and trace.hull_certified
+
+    MALFORMED = {
+        "1-D": lambda G: G[:, 0],
+        "extra row": lambda G: np.vstack([G, G[:1]]),
+        "NaN": lambda G: np.full_like(G, np.nan),
+    }
+
+    @pytest.mark.parametrize(
+        "variant, where",
+        # steepest_ls evaluates no momentum point y
+        [(v, "x") for v in VARIANTS] + [(v, "y") for v in VARIANTS if v != STEEPEST_LS],
+    )
+    @pytest.mark.parametrize("kind", sorted(MALFORMED))
+    def test_malformed_gradient_matrix(self, variant, where, kind):
+        # the gradient oracle's 3rd call is at x_2 (x_3 for steepest_ls),
+        # its 4th at y_2: at x the QP's error propagates, at y it ends the
+        # run qp_failure, as in the reference
+        prob = get_problem("quad2")
+        at = 3 if where == "x" else 4
+        calls = []
+
+        def gradient_columns(x):
+            calls.append(None)
+            G = prob.gradient_columns(x)
+            return self.MALFORMED[kind](G) if len(calls) == at else G
+
+        counted = dataclasses.replace(prob, gradient_columns=gradient_columns)
+        cfg = reference_config("quad2", variant)
+        x0 = sample_starts(prob, 1, 0)[0]
+        outcomes = []
+        for solver in (run_solver, reference_run_solver):
+            calls.clear()
+            try:
+                outcomes.append(solver(counted, cfg, x0))
+            except ValueError as exc:
+                outcomes.append((type(exc), str(exc)))
+        trace, ref = outcomes
+        if isinstance(ref, tuple):
+            assert trace == ref
+        else:
+            assert_matches_reference(trace, ref)
+        if where == "y":
+            assert trace.termination == QP_FAILURE and len(trace.points) == 2
+        elif kind != "extra row":
+            assert trace == (ValueError, "gradient matrix must be 2-D with columns per objective") \
+                if kind == "1-D" else (NonFiniteInput, "gradient matrix contains NaN or Inf")
+        else:
+            # no error of the min-norm QP, whose zero target takes the
+            # matrix's length: the mfisc_* momentum and the steepest_ls
+            # direction then fail on u's extra entry, and the accg_*
+            # momentum never reads u
+            assert trace.termination == (CONVERGED if variant.startswith("accg") else QP_FAILURE)
 
 
 class TestConfigValidation:
