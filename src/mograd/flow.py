@@ -22,35 +22,30 @@ Zero initial velocity is imposed by x_1 = x_0.  The baseline flow without
 the correction term is the b = a case (the (a - b) factor removes r
 exactly), so ``mavd_integrate`` is literally ``mavng_integrate`` at b = a.
 
-The step runs on Python floats: x_{k-1}, x_k, u_k, v_k and x_{k+1} are lists
-of floats, the two norms come from ``math.hypot`` and ``math.dist``, and the
-points and residuals become arrays once, after the loop.  The oracle still
-takes x_k as an array.  With the two coordinates of the flows' problems,
-numpy's dispatch on each small vector cost more than its arithmetic: on
-quad2 a whole step, its oracle call and two QPs included, fell from about
-16.6 to 12.9 us, and the bench's traced ``flow.self_us_per_step``, which
-also holds the tracer's own overhead, from about 17.8 to 13.0 us (2-core
-x86 host, Python 3.11.7, numpy 2.4.6).  One loop serves every m and n, with
-no size switch, and at large n the float loop costs more than numpy's: a
-whole step of ``jos1:n=100`` takes about 143 us against 113, and of the
-m = 3 flow ``ex1:n=40,p=20,seed=0`` about 72 us against 62.  The norms may
-differ from numpy's dot products in their last bit, so a step may round
-differently there.
+The step runs on Python floats: x_{k-1}, x_k, u_k, v_k and x_{k+1} are
+lists, and the points and residuals become arrays once, after the loop; the
+oracle still takes x_k as an array.  v_k is the solvers' list helper
+``solvers.corrected_momentum`` at c = 1, with its guard: r_k is left out
+where its coefficient, ||x_k - x_{k-1}|| or ||u_k|| is 0.  With the two
+coordinates of the flows' problems, numpy's dispatch on each small vector
+costs more than its arithmetic: a quad2 step, its oracle call and two QPs
+included, fell from about 16.6 to 12.9 us (2-core x86 host, Python 3.11.7,
+numpy 2.4.6).  One loop serves every m and n, and at large n it costs more
+than numpy's: a ``jos1:n=100`` step takes about 143 us against 113, and an
+m = 3 ``ex1:n=40,p=20,seed=0`` step about 72 us against 62.  The norms come
+from ``math.hypot`` and ``math.dist`` and may differ from numpy's dot
+products in their last bit.
 
-The hull QPs split on m as ``simplex_qp`` does.  At m = 2 the step takes
-the rows of its gradient matrix once, ``G.tolist()``, and solves both QPs
-with the closed-form kernel ``simplex_qp.closed_form_rows`` on those rows
-and the lists it already holds: no vector of the step goes through numpy
-and back, and no ``HullSolution`` is built.  That took a quad2 step from
-about 13.1 to 8.8 us, and a ``jos1:n=100`` step from about 126 to 115 us
-(fastest of 21 and 9 runs, alternating with the previous loop in one
-process, same host).  For any other m the step calls
-``min_norm_in_hull`` and ``project_onto_scaled_hull`` on the gradient
-matrix, each warm-started from its previous weights, which Wolfe's method
-uses and the closed form would ignore.  Every check of the QPs still runs
-on every step (the shape of the gradient matrix, the length of the target,
-finite inputs) except the scale check: h^2 does not change, so
-``FlowConfig`` checks it, with the step count (t_end - t0) / h.
+The hull QPs split on m as ``simplex_qp`` does.  At m = 2 the step solves
+both with the closed-form kernel ``simplex_qp.closed_form_rows`` on the
+rows of its gradient matrix (``G.tolist()``, once) and the lists it holds,
+so no vector goes through numpy and back and no ``HullSolution`` is built:
+a quad2 step fell from about 13.1 to 8.8 us (same host).  For any other m
+it calls ``min_norm_in_hull`` and ``project_onto_scaled_hull``, each
+warm-started from its previous weights, which Wolfe's method uses.
+``problems.gradient_matrix`` checks the shape of every gradient matrix, the
+QPs (or the kernel) its finiteness, and ``FlowConfig`` the projection's
+scale h^2, which does not change, with the step count (t_end - t0) / h.
 """
 
 from __future__ import annotations
@@ -61,19 +56,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .merit import merit_value
-from .problems import as_point, whole_number
-from .simplex_qp import (
-    _validate_columns,
-    closed_form_rows,
-    min_norm_in_hull,
-    project_onto_scaled_hull,
-)
+from .problems import as_point, gradient_matrix, whole_number
+from .simplex_qp import closed_form_rows, min_norm_in_hull, project_onto_scaled_hull
+from .solvers import corrected_momentum
 
 FLOW_COMPLETED = "completed"
 FLOW_QP_FAILURE = "qp_failure"
-
-# the correction term divides by ||u_k||; below this residual it is left out
-_RESIDUAL_FLOOR = 1e-12
 
 
 class MissingMerit(ValueError):
@@ -142,23 +130,19 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
-class BoundSample:
-    t: float
-    merit: float
-    bound: float
-
-    @property
-    def holds(self):
-        return self.merit <= self.bound
-
-
-@dataclass(frozen=True)
 class BoundReport:
-    """Pointwise comparison of sampled merit values against coeff / t^2."""
+    """Pointwise comparison of sampled merit values against coeff / t^2:
+    the ``times`` and ``merit`` of the samples in the window, and the
+    ``fraction`` of them with merit <= coeff / t^2."""
 
     coeff: float
-    samples: list
+    times: np.ndarray
+    merit: np.ndarray
     fraction: float
+
+    @property
+    def count(self):
+        return len(self.times)
 
 
 def _integrate(prob, cfg, system):
@@ -176,11 +160,11 @@ def _integrate(prob, cfg, system):
 
     # at m != 2 each QP warm-starts from its own previous weights, as in
     # run_solver; at m = 2 both solves are the closed form on G's rows
+    pair = prob.m == 2
     hull_w = proj_w = None
     for k in range(1, steps + 1):
         t_k = cfg.t0 + k * h
-        grads = _validate_columns(prob.gradient_columns(np.array(x_curr)))
-        pair = grads.shape[1] == 2
+        grads = gradient_matrix(prob, np.array(x_curr))
         if pair:
             G = grads.tolist()
             _, u, _, certified = closed_form_rows(G, 1.0, [0.0] * len(G))
@@ -197,18 +181,9 @@ def _integrate(prob, cfg, system):
             # the last pass only certifies the residual at the last point
             break
 
-        # ||x_k - x_{k-1}||, the norm of the differences v_k starts from
-        norm_dx = math.dist(x_curr, x_prev)
         coeff = (alpha - cfg.beta) * h / t_k**cfg.p
-        if coeff != 0.0 and norm_dx > 0.0 and residual >= _RESIDUAL_FLOOR:
-            c = coeff * (norm_dx / residual)
-            v_k = [a - b - c * w for a, b, w in zip(x_curr, x_prev, u)]
-        else:
-            v_k = [a - b for a, b in zip(x_curr, x_prev)]
-
+        v_k = corrected_momentum(1.0, x_curr, x_prev, coeff, u, residual)
         if pair:
-            if len(v_k) != len(G):
-                raise ValueError("target vector shape does not match gradient columns")
             _, q, _, certified = closed_form_rows(G, scale, v_k)
         else:
             proj = project_onto_scaled_hull(grads, scale, v_k, start=proj_w)
@@ -277,9 +252,6 @@ def merit_bound_scan(traj, coeff, t_min=None, t_max=None):
         mask &= traj.times <= t_max
     if not np.any(mask):
         raise MissingMerit("trajectory has no merit samples in the window")
-    samples = [
-        BoundSample(float(t), float(phi), float(coeff / (t * t)))
-        for t, phi in zip(traj.times[mask], traj.merit[mask])
-    ]
-    fraction = float(np.mean([s.holds for s in samples]))
-    return BoundReport(coeff=float(coeff), samples=samples, fraction=fraction)
+    times, merit = traj.times[mask], traj.merit[mask]
+    fraction = float(np.mean(merit <= coeff / (times * times)))
+    return BoundReport(coeff=float(coeff), times=times, merit=merit, fraction=fraction)

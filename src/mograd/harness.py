@@ -401,7 +401,7 @@ def flow_experiment(cfg, out_dir=None):
                     "alpha": alpha,
                     "coeff": coeff,
                     "fraction": scan.fraction,
-                    "samples": len(scan.samples),
+                    "samples": scan.count,
                     "termination": traj.termination,
                 }
             )

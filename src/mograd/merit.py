@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import as_point
+from .problems import as_point, gradient_matrix
 from .simplex_qp import min_norm_in_hull
 
 _EPS = float(np.finfo(float).eps)
@@ -137,7 +137,7 @@ def merit_value(prob, x, warm_start=None):
         if cand_h < h:
             z, parts, h = cand.copy(), cand_parts, cand_h
 
-    grads = prob.gradient_columns(z)
+    grads = gradient_matrix(prob, z)
     residual = np.inf
     converged = False
     t = 1.0
@@ -163,7 +163,7 @@ def merit_value(prob, x, warm_start=None):
             converged = True
             break
         if accepted:
-            grads = prob.gradient_columns(z)
+            grads = gradient_matrix(prob, z)
             if expand:
                 t *= 2.0
             halvings = 0

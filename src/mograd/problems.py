@@ -125,13 +125,25 @@ def as_point(prob, x, what="point"):
     return x
 
 
+def gradient_matrix(prob, x):
+    """``prob.gradient_columns(x)`` as a float array of shape exactly
+    ``(prob.n, prob.m)``, the one check of a gradient oracle's result; else a
+    ValueError naming both shapes.  Finiteness is the hull QPs' check."""
+    G = np.asarray(prob.gradient_columns(x), dtype=float)
+    if G.shape != (prob.n, prob.m):
+        raise ValueError(
+            f"gradient matrix has shape {G.shape}, but {prob.name} needs {(prob.n, prob.m)}"
+        )
+    return G
+
+
 def kkt_residual(prob, x):
     """Norm of the minimum-norm element of the gradient hull at ``x``.
 
     Zero exactly at Pareto-critical points (up to the QP tolerance
     ``simplex_qp.DEFAULT_TOL``).
     """
-    sol = min_norm_in_hull(prob.gradient_columns(as_point(prob, x)))
+    sol = min_norm_in_hull(gradient_matrix(prob, as_point(prob, x)))
     return float(np.linalg.norm(sol.point))
 
 

@@ -46,16 +46,9 @@ rows of a bi-objective problem, numpy's per-call dispatch costs several
 times the arithmetic.  Past about n = 25 numpy would be faster (at n = 100
 about 12 us against 45 us per solve); only ``jos1`` takes that many
 variables, and no workload of the benchmark gives it more than 5.  The
-closed form has two layers: ``closed_form_rows``, a kernel on the rows of
-``G`` and a target list that returns plain floats and a list, and the
-m = 2 path of both QPs, a thin wrapper that builds the ``HullSolution``
-arrays from them.  The kernel has two callers besides that wrapper, the
-solvers' step (``mograd.solvers``) and the flow step (``mograd.flow``):
-at m = 2 each holds its vectors as lists already, and the two arrays of a
-``HullSolution`` would only be turned back into lists.  Each makes the
-wrapper's checks itself (the matrix's shape, the scale, the target's
-length).  For any other m both call the two QPs, whose warm starts
-Wolfe's method uses.
+float kernel ``closed_form_rows`` works on the rows of ``G`` and a target
+list; the m = 2 path of both QPs wraps it in a ``HullSolution``, and the
+solvers' and the flow's steps call it directly on the lists they hold.
 
 Both certify at the fixed tolerance ``DEFAULT_TOL``, relaxed relative to the
 squared scale of the data (see ``_REL_TOL``).  That tolerance is only the
@@ -180,12 +173,13 @@ def closed_form_rows(rows, scale, v):
     One pass over the rows gives the segment formula, a second the point,
     the Frank-Wolfe certificate ``r.p - min_i r.s_i`` for ``r = p - v`` and
     the squared norms of the tolerance's scale (see the module docstring for
-    the sizes where floats pay).  The caller has checked ``scale``, the
-    shape of ``G`` and the length of ``v``.  The finiteness of the rows and
-    of ``v`` is checked on a sum that the first pass computes anyway and
-    that is not finite when any input is not; only then does
-    ``_check_finite`` run, to raise ``NonFiniteInput`` or to find that a
-    square merely overflowed.
+    the sizes where floats pay).  The caller has checked ``scale`` and the
+    shape of ``G`` (the steps through ``problems.gradient_matrix``), and
+    gives ``v`` the rows' length (the steps build it from points of n
+    entries).  The finiteness of the rows and of ``v`` is checked on a sum
+    that the first pass computes anyway and that is not finite when any
+    input is not; only then does ``_check_finite`` run, to raise
+    ``NonFiniteInput`` or to find that a square merely overflowed.
     """
     # 1-D projection of v onto the segment [s_2, s_1]
     dd = vd = 0.0

@@ -15,10 +15,10 @@ variant is two independent choices:
 
       pi_k = (k-1)/(k+a-1) Delta_k - (a-3)/(k+a-1) (||Delta_k|| / ||u_k||) u_k
 
-  with a = ``alpha``; ``accg_*`` use the same formula at a = 3, where the
-  correction vanishes and pi_k = (k-1)/(k+2) Delta_k; ``steepest_ls`` has no
-  momentum, so y_k = x_k and the step is d_k = -u_k (multiobjective steepest
-  descent).
+  with a = ``alpha``, the correction left out where ||Delta_k|| or ||u_k||
+  is 0; ``accg_*`` use the same formula at a = 3, where the correction
+  vanishes and pi_k = (k-1)/(k+2) Delta_k; ``steepest_ls`` has no momentum,
+  so y_k = x_k and the step is d_k = -u_k (multiobjective steepest descent).
 * step rule - ``*_const`` use the constant step s < 1/L; the ``*_ls``
   variants scale the theta subproblem by the previous accepted step s_{k-1}
   and choose s by multiobjective backtracking from it, so the accepted step
@@ -30,30 +30,27 @@ is reached, or when a hull subproblem fails to certify its tolerance
 run at the QP layer's tolerance ``simplex_qp.DEFAULT_TOL``.
 
 The steps split on m, as ``simplex_qp`` and the flow do.  At m = 2 they
-run on Python floats (``_pair_steps``): x_k, x_{k-1}, u_k, pi_k, y_k, d_k
-and x_{k+1} are lists, the rows of each gradient matrix are taken once
-(``G.tolist()``), and both hull QPs are the closed-form kernel
-``simplex_qp.closed_form_rows``, the min-norm solve at scale 1 with a zero
-target and the projection at scale s with target pi_k.  ||u_k|| and
-||Delta_k|| come from ``math.hypot`` (``math.dist`` for the difference),
-and d_k = -(theta_1 g_1 + theta_2 g_2) row by row.  Arrays are built only
-for the oracles, the trace and the line search: x_k, y_k and d_k.  With
-the few variables of the bi-objective problems, numpy's dispatch on each
-small vector, and the two ``HullSolution`` records of a step, cost more
-than the arithmetic: a ``quad2`` iteration fell by about a quarter (22
-to 17 us in the quietest of three measurements).  At large n the float
-passes cost more than numpy's: a ``jos1:n=100`` iteration rose by 6-13%
-over the three (102 to 116 us in the quietest; bench bi-table settings,
-alternating in one process; 2-core x86 host, Python 3.11.7, numpy
-2.4.6).  The norms and the direction may differ from numpy's dot
-products, which may fuse a multiply and an add, in their last bit, so a
-step may round differently there.  The checks of the public QPs still
-run on every step: the shape of each gradient matrix, the projection's
-scale (the line search can shrink the carried-over step to 0.0) and
-target length, and finite inputs.  Any other m takes the numpy steps
-(``_array_steps``) through ``min_norm_in_hull`` and
+run on Python floats (``_pair_steps``): the vectors of a step are lists,
+the rows of each gradient matrix are taken once (``G.tolist()``), and both
+hull QPs are the closed-form kernel ``simplex_qp.closed_form_rows``, the
+min-norm solve at scale 1 with a zero target and the projection at scale s
+with target pi_k.  Arrays are built only for the oracles, the trace and the
+line search.  With the few variables of the bi-objective problems, numpy's
+dispatch on each small vector costs more than the arithmetic: a ``quad2``
+iteration fell by about a quarter (22 to 17 us), while a ``jos1:n=100``
+iteration rose by 6-13% (102 to 116 us; bench bi-table settings; 2-core
+x86 host, Python 3.11.7, numpy 2.4.6).  The norms come from ``math.hypot``
+and ``math.dist``, and may differ from numpy's dot products in their last
+bit, so a step may round differently there.  Any other m takes the numpy
+steps (``_array_steps``) through ``min_norm_in_hull`` and
 ``project_onto_scaled_hull``, each warm-started from its previous weights,
 which Wolfe's method uses.
+
+Each rule of a step has one owner: ``problems.gradient_matrix`` checks the
+shape of every gradient matrix, the QPs (or the kernel) check finiteness,
+:func:`corrected_momentum` and its numpy form :func:`mfisc_momentum` write
+the correction, and the float steps check the projection's scale, which the
+line search can shrink to 0.0.
 """
 
 from __future__ import annotations
@@ -66,13 +63,8 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import InvalidConfig, as_point, real_number, whole_number
-from .simplex_qp import (
-    _validate_columns,
-    closed_form_rows,
-    min_norm_in_hull,
-    project_onto_scaled_hull,
-)
+from .problems import InvalidConfig, as_point, gradient_matrix, real_number, whole_number
+from .simplex_qp import closed_form_rows, min_norm_in_hull, project_onto_scaled_hull
 
 MFISC_CONST = "mfisc_const"
 ACCG_CONST = "accg_const"
@@ -88,7 +80,6 @@ KMAX = "k_max"
 QP_FAILURE = "qp_failure"
 
 DEFAULT_LS_STEP0 = 10.0
-SAFE_DIV_FLOOR = 1e-300
 
 
 def tolerance(value):
@@ -205,21 +196,41 @@ def mfisc_momentum(dx, k, alpha, u):
     pi_k = (k-1)/(k+alpha-1) Delta_k
            - (alpha-3)/(k+alpha-1) (||Delta_k|| / ||u||) u
 
-    At alpha = 3 the correction is skipped, leaving the plain accelerated
-    momentum ((k-1)/(k+2)) Delta_k.  The correction is exactly zero whenever
-    Delta_k = 0 (in particular at k = 1 where x_0 = x_1), regardless of u;
-    ||u|| is floored at SAFE_DIV_FLOOR, which never fires in normal operation
-    because runs stop before ||u|| < epsilon.
+    The numpy form of :func:`corrected_momentum`, with its guard: the
+    correction is left out when its coefficient, ||Delta_k|| or ||u|| is 0,
+    so alpha = 3 leaves the plain accelerated momentum ((k-1)/(k+2)) Delta_k
+    and k = 1 (x_0 = x_1) leaves 0, whatever u is.
     """
     denom = k + alpha - 1.0
     pi = ((k - 1.0) / denom) * dx
-    if alpha != 3.0:
+    coeff = (alpha - 3.0) / denom
+    if coeff != 0.0:
         # math.sqrt(x @ x) is how numpy computes the 2-norm of a real vector
         norm_dx = math.sqrt(dx @ dx)
         if norm_dx > 0.0:
-            norm_u = max(math.sqrt(u @ u), SAFE_DIV_FLOOR)
-            pi = pi - ((alpha - 3.0) / denom) * (norm_dx / norm_u) * u
+            norm_u = math.sqrt(u @ u)
+            if norm_u > 0.0:
+                pi = pi - (coeff * (norm_dx / norm_u)) * u
     return pi
+
+
+def corrected_momentum(c, x_curr, x_prev, coeff, u, norm_u):
+    """c Delta - coeff (||Delta|| / ||u||) u on lists of floats, for
+    Delta = ``x_curr`` - ``x_prev`` and ||u|| = ``norm_u``.
+
+    The list form of :func:`mfisc_momentum`, with the same guard: the
+    correction is left out when ``coeff``, ||Delta|| or ||u|| is 0, since it
+    is undefined only at u = 0.  The solvers call it with c = (k-1)/(k+a-1)
+    and coeff = (a-3)/(k+a-1), the flow with c = 1 (1.0 (a - b) is a - b
+    bit for bit).  ||Delta|| is ``math.dist``, math.hypot of the
+    differences.
+    """
+    if coeff != 0.0:
+        norm_dx = math.dist(x_curr, x_prev)
+        if norm_dx > 0.0 and norm_u > 0.0:
+            r = coeff * (norm_dx / norm_u)
+            return [c * (a - b) - r * e for a, b, e in zip(x_curr, x_prev, u)]
+    return [c * (a - b) for a, b in zip(x_curr, x_prev)]
 
 
 def line_search_backtracking(prob, w, s0, sigma, d, grads):
@@ -247,7 +258,9 @@ def line_search_backtracking(prob, w, s0, sigma, d, grads):
         # non-finite trials (extended-value objectives) always shrink; the
         # min over objectives would otherwise let an affine objective accept
         if all(map(math.isfinite, trial)):
-            gains = [(t - f) - s * g for t, f, g in zip(trial, fw, slopes)]
+            # strict: an F of another length than the slopes is refused, not
+            # cut to the shorter
+            gains = [(t - f) - s * g for t, f, g in zip(trial, fw, slopes, strict=True)]
             # a NaN gain (from a non-finite f_i(w) or slope) rejects the
             # step, as it made numpy's min NaN
             if min(gains) <= 0.5 * s * dd and not any(map(math.isnan, gains)):
@@ -323,7 +336,7 @@ def _array_steps(prob, cfg, trace, x, step, alpha, t0):
     # are nearly the same, so the optimal face rarely changes
     hull_w = proj_w = None
     while True:
-        grads_x = prob.gradient_columns(x)
+        grads_x = gradient_matrix(prob, x)
         hull = min_norm_in_hull(grads_x, start=hull_w)
         hull_w = hull.weights
         u = hull.point
@@ -337,7 +350,7 @@ def _array_steps(prob, cfg, trace, x, step, alpha, t0):
             else:
                 pi = mfisc_momentum(x - x_prev, k, alpha, u)
                 y = x + pi
-                grads_y = prob.gradient_columns(y)
+                grads_y = gradient_matrix(prob, y)
                 proj = project_onto_scaled_hull(grads_y, step, pi, start=proj_w)
                 proj_w = proj.weights
                 trace.qp_gaps[-1] = max(trace.qp_gaps[-1], proj.gap)
@@ -351,8 +364,9 @@ def _array_steps(prob, cfg, trace, x, step, alpha, t0):
                     trace.capped.append(k - 1)
         except ValueError:
             # oracle evaluation failed at a probe point (an objective outside
-            # the smoothness assumptions), or the QP's NonFiniteInput, a
-            # ValueError too; abort with the partial trace
+            # the smoothness assumptions, or an oracle result of the wrong
+            # shape or length), or the QP's NonFiniteInput, a ValueError
+            # too; abort with the partial trace
             trace.termination = QP_FAILURE
             break
 
@@ -369,7 +383,7 @@ def _pair_steps(prob, cfg, trace, x, step, alpha, t0):
     x_prev = x_curr = x.tolist()
     k = 1
     while True:
-        grads_x = _validate_columns(prob.gradient_columns(x))
+        grads_x = gradient_matrix(prob, x)
         rows = grads_x.tolist()
         _, u, gap, certified = closed_form_rows(rows, 1.0, [0.0] * len(rows))
         residual = math.hypot(*u)
@@ -380,29 +394,18 @@ def _pair_steps(prob, cfg, trace, x, step, alpha, t0):
             if alpha is None:
                 y, w, d, grads_y = x_curr, x, [-a for a in u], grads_x
             else:
-                # mfisc_momentum's pi in one pass, with ||u|| the residual
-                # and ||Delta_k|| from math.dist, math.hypot of the
-                # differences
                 denom = k + alpha - 1.0
-                c = (k - 1.0) / denom
-                norm_dx = math.dist(x_curr, x_prev) if alpha != 3.0 else 0.0
-                if norm_dx > 0.0:
-                    r = ((alpha - 3.0) / denom) * (norm_dx / max(residual, SAFE_DIV_FLOOR))
-                    # strict: a u of another length is numpy's broadcast
-                    # ValueError
-                    pi = [c * (a - b) - r * e for a, b, e in zip(x_curr, x_prev, u, strict=True)]
-                else:
-                    pi = [c * (a - b) for a, b in zip(x_curr, x_prev)]
+                pi = corrected_momentum(
+                    (k - 1.0) / denom, x_curr, x_prev, (alpha - 3.0) / denom, u, residual
+                )
                 y = [a + p for a, p in zip(x_curr, pi)]
                 w = np.array(y)
-                grads_y = _validate_columns(prob.gradient_columns(w))
+                grads_y = gradient_matrix(prob, w)
                 rows = grads_y.tolist()
-                # project_onto_scaled_hull's checks: the line search can
+                # project_onto_scaled_hull's scale check: the line search can
                 # shrink the carried-over step to 0.0
                 if not 0.0 < step < math.inf:
                     raise ValueError("scale must be positive and finite")
-                if len(pi) != len(rows):
-                    raise ValueError("target vector shape does not match gradient columns")
                 t, _, gap, certified = closed_form_rows(rows, step, pi)
                 trace.qp_gaps[-1] = max(trace.qp_gaps[-1], gap)
                 if not certified:

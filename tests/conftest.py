@@ -18,7 +18,7 @@ import mograd.flow
 import mograd.simplex_qp
 import mograd.solvers
 from mograd.flow import FLOW_COMPLETED, FLOW_QP_FAILURE, Trajectory
-from mograd.problems import ProblemInstance, as_point, get_problem
+from mograd.problems import ProblemInstance, as_point, get_problem, gradient_matrix
 from mograd.solvers import (
     ACCG_CONST,
     ACCG_LS,
@@ -111,17 +111,30 @@ def spd_quadratic_problem(seed=42, n=5):
     return prob, Q
 
 
+@lru_cache(maxsize=8)
+def _pareto_set(key, samples):
+    """``get_problem(key).pareto_param`` at ``samples`` evenly spaced lambdas
+    in [0, 1], built once per problem; a problem's name is its registry key."""
+    prob = get_problem(key)
+    return np.array([prob.pareto_param(lam) for lam in np.linspace(0.0, 1.0, samples)])
+
+
+@lru_cache(maxsize=8)
+def _pareto_front(key, samples):
+    """The objective values of :func:`_pareto_set`, built once per problem."""
+    prob = get_problem(key)
+    return np.array([prob.objectives(x) for x in _pareto_set(key, samples)])
+
+
 def dense_front_distance(prob, f_point, samples=20001):
     """Objective-space distance from f_point to the parametrized front."""
-    lams = np.linspace(0.0, 1.0, samples)
-    front = np.array([prob.objectives(prob.pareto_param(lam)) for lam in lams])
+    front = _pareto_front(prob.name, samples)
     return float(np.min(np.linalg.norm(front - np.asarray(f_point), axis=1)))
 
 
 def pareto_segment_distance(prob, x, samples=20001):
     """Decision-space distance from x to the parametrized Pareto set."""
-    lams = np.linspace(0.0, 1.0, samples)
-    seg = np.array([prob.pareto_param(lam) for lam in lams])
+    seg = _pareto_set(prob.name, samples)
     return float(np.min(np.linalg.norm(seg - np.asarray(x), axis=1)))
 
 
@@ -166,7 +179,7 @@ def reference_integrate(prob, cfg, system):
     hull_w = proj_w = None
     for k in range(1, steps + 1):
         t_k = cfg.t0 + k * cfg.h
-        grads = prob.gradient_columns(x_curr)
+        grads = gradient_matrix(prob, x_curr)
         hull = mograd.flow.min_norm_in_hull(grads, start=hull_w)
         hull_w = hull.weights
         u = hull.point
@@ -180,7 +193,7 @@ def reference_integrate(prob, cfg, system):
         dx = x_curr - x_prev
         norm_dx = math.sqrt(dx @ dx)
         coeff = (cfg.alpha - cfg.beta) * cfg.h / t_k**cfg.p
-        if coeff != 0.0 and norm_dx > 0.0 and residual >= 1e-12:
+        if coeff != 0.0 and norm_dx > 0.0 and residual > 0.0:
             v_k = dx - coeff * (norm_dx / residual) * u
         else:
             v_k = dx
@@ -230,7 +243,7 @@ def reference_run_solver(prob, cfg, x0):
     k = 1
     hull_w = proj_w = None
     while True:
-        grads_x = prob.gradient_columns(x)
+        grads_x = gradient_matrix(prob, x)
         hull = solvers.min_norm_in_hull(grads_x, start=hull_w)
         hull_w = hull.weights
         u = hull.point
@@ -256,7 +269,7 @@ def reference_run_solver(prob, cfg, x0):
             else:
                 pi = mfisc_momentum(x - x_prev, k, alpha, u)
                 y = x + pi
-                grads_y = prob.gradient_columns(y)
+                grads_y = gradient_matrix(prob, y)
                 proj = solvers.project_onto_scaled_hull(grads_y, step, pi, start=proj_w)
                 proj_w = proj.weights
                 trace.qp_gaps[-1] = max(trace.qp_gaps[-1], proj.gap)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -83,24 +84,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=r"^\(t_end - t0\) / h, the number of steps, must be finite$"):
             FlowConfig(alpha=5.0, x0=X0, h=h, t_end=t_end)
 
+    @pytest.mark.parametrize("integrate", [mavng_integrate, mavd_integrate])
     @pytest.mark.parametrize("key", ["quad2", "ex1:n=10,p=8,seed=1"])
     @pytest.mark.parametrize(
-        "bad, error, message",
-        [
-            (lambda G: G[:, 0], ValueError, "gradient matrix must be 2-D with columns per objective"),
-            (
-                lambda G: np.vstack([G, G[:1]]),
-                ValueError,
-                "target vector shape does not match gradient columns",
-            ),
-            (lambda G: np.full_like(G, np.nan), NonFiniteInput, "gradient matrix contains NaN or Inf"),
-        ],
+        "bad",
+        [lambda G: G[:, 0], lambda G: np.vstack([G, G[:1]]), lambda G: np.full_like(G, np.nan)],
         ids=["1-D", "extra row", "NaN"],
     )
-    def test_gradient_matrix_is_checked_on_every_step(self, key, bad, error, message):
-        # the third gradient matrix is malformed: the QPs' checks still run
-        # on every step, whether the step solves them with the closed-form
-        # kernel (two objectives) or calls them (three)
+    def test_gradient_matrix_is_checked_on_every_step(self, integrate, key, bad):
+        # the third gradient matrix is malformed: problems.gradient_matrix
+        # refuses a shape other than (n, m), and the QPs a NaN, whether the
+        # step solves them with the closed-form kernel (two objectives) or
+        # calls them (three)
         prob = get_problem(key)
         calls = []
 
@@ -110,9 +105,16 @@ class TestConfigValidation:
             return bad(G) if len(calls) == 3 else G
 
         counted = replace(prob, gradient_columns=gradient_columns)
-        cfg = FlowConfig(alpha=5.0, x0=sample_starts(prob, 1, 0)[0], t_end=1.1, h=0.01)
+        x0 = sample_starts(prob, 1, 0)[0]
+        shape = bad(prob.gradient_columns(x0)).shape
+        if shape == (prob.n, prob.m):
+            error, message = NonFiniteInput, "gradient matrix contains NaN or Inf"
+        else:
+            error = ValueError
+            message = re.escape(f"gradient matrix has shape {shape}, but {prob.name} needs {(prob.n, prob.m)}")
+        cfg = FlowConfig(alpha=5.0, x0=x0, t_end=1.1, h=0.01)
         with pytest.raises(error, match=f"^{message}$"):
-            mavng_integrate(counted, cfg)
+            integrate(counted, cfg)
         assert len(calls) == 3
 
 
@@ -371,8 +373,8 @@ class TestMeritAttachment:
         traj = attach_merit(prob, mavng_integrate(prob, short_cfg(t_end=3.0)), stride=200)
         full = merit_bound_scan(traj, 50.0)
         tail = merit_bound_scan(traj, 50.0, t_min=2.0, t_max=3.0)
-        assert len(tail.samples) < len(full.samples)
-        assert all(s.t >= 2.0 for s in tail.samples)
+        assert tail.count < full.count == len(full.merit)
+        assert (tail.times >= 2.0).all()
 
     def test_corrected_flow_dominates_baseline_merit(self):
         # at matched times the corrected flow's merit sits below the
@@ -390,6 +392,6 @@ class TestMeritAttachment:
         prob = quadratic_pair()
         traj = attach_merit(prob, mavng_integrate(prob, short_cfg(alpha=5.0, t_end=8.0)), stride=100)
         report = merit_bound_scan(traj, 5.0, t_min=2.0)
-        values = [s.merit for s in report.samples]
+        values = report.merit.tolist()
         assert report.fraction >= 0.99
         assert any(b > a for a, b in zip(values, values[1:]))  # not monotone

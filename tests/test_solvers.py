@@ -20,6 +20,7 @@ from mograd.solvers import (
     STEEPEST_LS,
     VARIANTS,
     SolverConfig,
+    corrected_momentum,
     line_search_backtracking,
     mfisc_momentum,
     run_solver,
@@ -57,6 +58,35 @@ class TestMomentum:
     def test_zero_gap_kills_correction_for_any_u(self):
         pi = mfisc_momentum(np.ones(3) - np.ones(3), 9, 50.0, np.full(3, 1e300))
         assert_allclose(pi, np.zeros(3))
+
+    @pytest.mark.parametrize("n", [2, 4, 40])
+    def test_list_form_matches_numpy_form(self, rng, n):
+        # the two forms differ only in the norms (math.dist and math.hypot
+        # against math.sqrt of numpy's dot), so each entry agrees to a few
+        # ulps of its two terms c Delta_i and r u_i
+        eps = np.finfo(float).eps
+        for _ in range(200):
+            x_prev, x_curr, u = rng.normal(size=(3, n)) * rng.uniform(1e-3, 1e3, 3)[:, None]
+            k, alpha = int(rng.integers(1, 1000)), rng.uniform(3.0, 200.0)
+            denom = k + alpha - 1.0
+            c, coeff = (k - 1.0) / denom, (alpha - 3.0) / denom
+            want = mfisc_momentum(x_curr - x_prev, k, alpha, u)
+            got = corrected_momentum(c, x_curr.tolist(), x_prev.tolist(), coeff, u.tolist(), math.hypot(*u))
+            r = coeff * np.linalg.norm(x_curr - x_prev) / np.linalg.norm(u)
+            terms = np.abs(c * (x_curr - x_prev)) + np.abs(r * u)
+            assert np.all(np.abs(np.array(got) - want) <= 8 * eps * terms)
+
+    @pytest.mark.parametrize("n", [2, 4, 40])
+    def test_zero_u_leaves_the_plain_momentum(self, rng, n):
+        # the correction is undefined only at u = 0: both forms leave it
+        # out and return c Delta exactly, without dividing by ||u||
+        x_prev, x_curr = rng.normal(size=(2, n))
+        k, alpha = 7, 50.0
+        c, coeff = (k - 1.0) / (k + alpha - 1.0), (alpha - 3.0) / (k + alpha - 1.0)
+        plain = c * (x_curr - x_prev)
+        assert np.array_equal(mfisc_momentum(x_curr - x_prev, k, alpha, np.zeros(n)), plain)
+        got = corrected_momentum(c, x_curr.tolist(), x_prev.tolist(), coeff, [0.0] * n, 0.0)
+        assert got == plain.tolist()
 
 
 class TestLineSearch:
@@ -114,6 +144,26 @@ class TestLineSearch:
         s, capped = line_search_backtracking(prob, w, 1.0, 0.5, np.ones(1), prob.gradient_columns(w))
         assert capped
         assert s == pytest.approx(0.5**200, rel=1e-12)
+
+
+    def test_objectives_of_the_wrong_length_are_refused(self):
+        # an F with one value more than the slopes, finite everywhere, is
+        # not cut to its first m values
+        base = quadratic_pair()
+        prob = dataclasses.replace(base, objectives=lambda x: np.append(base.objectives(x), 0.0))
+        w = np.array([0.3, -0.4])
+        with pytest.raises(ValueError):
+            line_search_backtracking(prob, w, 10.0, 0.8, -w, base.gradient_columns(w))
+
+    @pytest.mark.parametrize("variant", [MFISC_LS, ACCG_LS, STEEPEST_LS])
+    def test_objectives_of_the_wrong_length_end_a_run(self, variant):
+        # the first line search refuses it, a probe-point ValueError: the
+        # run ends qp_failure with its first record
+        base = get_problem("quad2")
+        prob = dataclasses.replace(base, objectives=lambda x: np.append(base.objectives(x), 0.0))
+        x0 = sample_starts(base, 1, 0)[0]
+        trace = run_solver(prob, reference_config("quad2", variant), x0)
+        assert trace.termination == QP_FAILURE and len(trace.points) == 1
 
 
 REGISTRY_KEYS = ["quad2", "lse2", "jos1", "jos1:n=7", "sd", "toi4",
@@ -367,11 +417,14 @@ class TestReferenceLoop:
         [(v, "x") for v in VARIANTS] + [(v, "y") for v in VARIANTS if v != STEEPEST_LS],
     )
     @pytest.mark.parametrize("kind", sorted(MALFORMED))
-    def test_malformed_gradient_matrix(self, variant, where, kind):
+    @pytest.mark.parametrize("key", ["quad2", "ex1:n=10,p=8,seed=1"])
+    def test_malformed_gradient_matrix(self, key, variant, where, kind):
         # the gradient oracle's 3rd call is at x_2 (x_3 for steepest_ls),
-        # its 4th at y_2: at x the QP's error propagates, at y it ends the
-        # run qp_failure, as in the reference
-        prob = get_problem("quad2")
+        # its 4th at y_2: at x the error of problems.gradient_matrix (a
+        # shape other than (n, m)) or of the QP (NaN) propagates, at y it
+        # ends the run qp_failure, as in the reference; at three objectives
+        # both loops are the numpy steps
+        prob = get_problem(key)
         at = 3 if where == "x" else 4
         calls = []
 
@@ -381,7 +434,7 @@ class TestReferenceLoop:
             return self.MALFORMED[kind](G) if len(calls) == at else G
 
         counted = dataclasses.replace(prob, gradient_columns=gradient_columns)
-        cfg = reference_config("quad2", variant)
+        cfg = reference_config(key, variant)
         x0 = sample_starts(prob, 1, 0)[0]
         outcomes = []
         for solver in (run_solver, reference_run_solver):
@@ -397,15 +450,11 @@ class TestReferenceLoop:
             assert_matches_reference(trace, ref)
         if where == "y":
             assert trace.termination == QP_FAILURE and len(trace.points) == 2
-        elif kind != "extra row":
-            assert trace == (ValueError, "gradient matrix must be 2-D with columns per objective") \
-                if kind == "1-D" else (NonFiniteInput, "gradient matrix contains NaN or Inf")
+        elif kind == "NaN":
+            assert trace == (NonFiniteInput, "gradient matrix contains NaN or Inf")
         else:
-            # no error of the min-norm QP, whose zero target takes the
-            # matrix's length: the mfisc_* momentum and the steepest_ls
-            # direction then fail on u's extra entry, and the accg_*
-            # momentum never reads u
-            assert trace.termination == (CONVERGED if variant.startswith("accg") else QP_FAILURE)
+            shape = self.MALFORMED[kind](np.zeros((prob.n, prob.m))).shape
+            assert trace == (ValueError, f"gradient matrix has shape {shape}, but {prob.name} needs {(prob.n, prob.m)}")
 
 
 class TestConfigValidation:
