@@ -8,13 +8,13 @@ Core surface:
   choices: momentum (corrected, accelerated, none) and step rule (constant
   or backtracking).
 * :mod:`mograd.flow` - explicit integration of the inertial flows.
-* :mod:`mograd.merit` - merit function evaluator and 2-D grid oracle.
+* :mod:`mograd.merit` - merit function evaluator.
 * :mod:`mograd.harness` - deterministic batch experiment runner.
 """
 
 from .flow import FlowConfig, Trajectory, attach_merit, mavd_integrate, mavng_integrate, merit_bound_scan
 from .harness import ExperimentConfig, flow_experiment, pareto_scan, run_batch, run_trace
-from .merit import MeritResult, merit_grid_oracle, merit_value
+from .merit import MeritResult, merit_value
 from .problems import (
     InvalidConfig,
     ProblemInstance,
@@ -61,7 +61,6 @@ __all__ = [
     "mavd_integrate",
     "mavng_integrate",
     "merit_bound_scan",
-    "merit_grid_oracle",
     "merit_value",
     "mfisc_momentum",
     "min_norm_in_hull",

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .flow import FlowConfig, attach_merit, mavd_integrate, mavng_integrate, merit_bound_scan
-from .problems import InvalidConfig, _stream, get_problem, real_number, whole_number
+from .problems import InvalidConfig, _stream, get_problem, objective_values, real_number, whole_number
 from .solvers import QP_FAILURE, SolverConfig, run_solver, tolerance, trace_csv_rows
 
 _START_STREAM = 104729  # stream index reserved for start-point sampling
@@ -46,7 +46,8 @@ class ExperimentConfig:
     becomes ``2``, ``2.7`` is rejected), reals finite numbers (``3`` becomes
     ``3.0``; a bool or a string is rejected) and ``write_traces`` a bool;
     ``epsilons`` must be a non-empty tuple of distinct tolerances, each
-    checked here, before any run.
+    checked here, before any run, and ``solvers`` a tuple or list of
+    :class:`~mograd.solvers.SolverConfig`.
     """
 
     problem: str
@@ -84,6 +85,11 @@ class ExperimentConfig:
         for i, eps in enumerate(self.epsilons):
             if eps in self.epsilons[:i]:
                 raise InvalidConfig(f"epsilons repeats {eps!r}")
+        if not isinstance(self.solvers, (tuple, list)):
+            raise InvalidConfig(f"solvers must be a list of SolverConfig, not {self.solvers!r}")
+        for entry in self.solvers:
+            if not isinstance(entry, SolverConfig):
+                raise InvalidConfig(f"solvers entry {entry!r} is not a SolverConfig")
         object.__setattr__(self, "solvers", tuple(self.solvers))
         if not isinstance(self.write_traces, bool):
             raise InvalidConfig(f"write_traces must be true or false, not {self.write_traces!r}")
@@ -123,13 +129,6 @@ class BatchSummary:
     cells: list
     runs: list
     failures: int
-
-    def total_iterations(self, solver, epsilon=None):
-        return sum(
-            c.total_iterations
-            for c in self.cells
-            if c.solver == solver and (epsilon is None or c.epsilon == epsilon)
-        )
 
 
 def sample_starts(prob, n_starts, seed):
@@ -232,7 +231,7 @@ def _run_one(task):
         record = RunRecord(solver_cfg.variant, epsilon, start_index, row.iterations,
                            row.termination, row.final_residual, row.elapsed[-1])
         # the final objective vector costs an oracle call; only the front reads it
-        final_f = tuple(float(v) for v in prob.objectives(row.x_final)) if with_f else None
+        final_f = tuple(objective_values(prob, row.x_final).tolist()) if with_f else None
         results.append((record, final_f, row if keep_trace else None))
     return results
 

@@ -22,10 +22,6 @@ largest acceptable step; a rejected step halves t.  Starting from z = x
 nonnegative by construction; a warm start is used only when it is already
 below that baseline.  The stop tests (see ``MeritResult``) use fixed
 constants: no caller needs others.
-
-``merit_grid_oracle`` is an independent check for two-dimensional problems:
-it maximizes min_i [f_i(x) - f_i(z)] over a dense rectangular grid, a lower
-bound on phi that converges as the grid refines.
 """
 
 from __future__ import annotations
@@ -35,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import as_point, gradient_matrix
+from .problems import as_point, gradient_matrix, objective_values
 from .simplex_qp import min_norm_in_hull
 
 _EPS = float(np.finfo(float).eps)
@@ -51,10 +47,6 @@ _MAX_HALVINGS = 100
 # Proximal steps on the subproblem weights when the columns are affinely
 # dependent; a few suffice, the cap only stops rounding from cycling.
 _MAX_PROX_STEPS = 100
-
-
-class DimensionUnsupported(ValueError):
-    """The grid oracle only handles two-dimensional decision spaces."""
 
 
 class MeritUnavailable(ValueError):
@@ -123,7 +115,7 @@ def merit_value(prob, x, warm_start=None):
             f"{prob.name}: inner problem is not level bounded; merit disabled"
         )
     x = as_point(prob, x)
-    fx = prob.objectives(x)
+    fx = objective_values(prob, x)
 
     z = x.copy()
     parts = np.zeros(prob.m)
@@ -132,7 +124,7 @@ def merit_value(prob, x, warm_start=None):
         cand = np.asarray(warm_start, dtype=float)
         if cand.shape != (prob.n,):
             raise ValueError(f"expected a warm start of dimension {prob.n}")
-        cand_parts = prob.objectives(cand) - fx
+        cand_parts = objective_values(prob, cand) - fx
         cand_h = float(np.max(cand_parts))
         if cand_h < h:
             z, parts, h = cand.copy(), cand_parts, cand_h
@@ -153,7 +145,7 @@ def merit_value(prob, x, warm_start=None):
             converged = True
             break
         cand = z + d
-        cand_parts = prob.objectives(cand) - fx
+        cand_parts = objective_values(prob, cand) - fx
         cand_h = float(np.max(cand_parts))
         accepted = cand_h <= h - 0.25 * pred
         expand = cand_h <= h - 0.75 * pred
@@ -183,26 +175,3 @@ def merit_value(prob, x, warm_start=None):
         iterations=its,
     )
 
-
-def merit_grid_oracle(prob, x, box, resolution=801):
-    """Grid lower bound for phi on 2-D problems.
-
-    ``box`` is ((x1_lo, x1_hi), (x2_lo, x2_hi)) and must contain the level
-    set L(F, F(x)), where the inner maximizer lives.  Returns the maximum of
-    min_i [f_i(x) - f_i(z)] over the resolution x resolution lattice.
-    """
-    if prob.n != 2:
-        raise DimensionUnsupported("grid oracle requires a 2-D decision space")
-    x = np.asarray(x, dtype=float)
-    (lo1, hi1), (lo2, hi2) = box
-    g1 = np.linspace(lo1, hi1, resolution)
-    g2 = np.linspace(lo2, hi2, resolution)
-    Z = np.stack(
-        [np.repeat(g1, resolution), np.tile(g2, resolution)], axis=1
-    )
-    fx = prob.objectives(x)
-    if prob.objectives_batch is not None:
-        fz = prob.objectives_batch(Z)
-    else:
-        fz = np.array([prob.objectives(z) for z in Z])
-    return float(np.max(np.min(fx - fz, axis=1)))

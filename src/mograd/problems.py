@@ -95,8 +95,6 @@ class ProblemInstance:
             exact for least squares, conservative for log-sum-exp.
         pareto_param: optional map lambda in [0, 1] -> point on the Pareto
             set; every emitted point must be Pareto critical.
-        objectives_batch: optional vectorized evaluator X (N, n) -> (N, m);
-            used by grid-based verification oracles.
         merit_supported: False when the merit function's inner problem is not
             level-bounded (then merit evaluation refuses to run).
     """
@@ -109,7 +107,6 @@ class ProblemInstance:
     init_box: tuple[Array, Array]
     lipschitz: Optional[float] = None
     pareto_param: Optional[Callable[[float], Array]] = None
-    objectives_batch: Optional[Callable[[Array], Array]] = None
     merit_supported: bool = True
 
 
@@ -137,6 +134,16 @@ def gradient_matrix(prob, x):
     return G
 
 
+def objective_values(prob, x):
+    """``prob.objectives(x)`` as a float array of shape exactly ``(prob.m,)``,
+    the one check of an objectives oracle's result off the line search's hot
+    path; else a ValueError naming both shapes."""
+    F = np.asarray(prob.objectives(x), dtype=float)
+    if F.shape != (prob.m,):
+        raise ValueError(f"objective vector has shape {F.shape}, but {prob.name} needs {(prob.m,)}")
+    return F
+
+
 def kkt_residual(prob, x):
     """Norm of the minimum-norm element of the gradient hull at ``x``.
 
@@ -145,18 +152,6 @@ def kkt_residual(prob, x):
     """
     sol = min_norm_in_hull(gradient_matrix(prob, as_point(prob, x)))
     return float(np.linalg.norm(sol.point))
-
-
-def finite_difference_gradients(prob, x, step=1e-6):
-    """Central-difference Jacobian columns, shape (n, m), for gradient checks."""
-    x = np.asarray(x, dtype=float)
-    cols = np.zeros((prob.n, prob.m))
-    for i in range(prob.n):
-        h = step * max(1.0, abs(x[i]))
-        e = np.zeros(prob.n)
-        e[i] = h
-        cols[i, :] = (prob.objectives(x + e) - prob.objectives(x - e)) / (2.0 * h)
-    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +235,6 @@ def logsumexp_family(name, mats, offs, delta, init_box, **kwargs):
         softmax = E / E.sum(axis=1)[:, None]
         return _columns(delta, x, (AT3 @ softmax[:, :, None])[:, :, 0])
 
-    def objectives_batch(X):
-        reg = 0.5 * delta * np.einsum("ij,ij->i", X, X)
-        Z = X @ AT3 - B[:, None, :]
-        zmax = Z.max(axis=2)
-        lse = reg + zmax + np.log(np.exp(Z - zmax[:, :, None]).sum(axis=2))
-        return np.ascontiguousarray(lse.T)
-
     return ProblemInstance(
         name=name,
         n=n,
@@ -255,7 +243,6 @@ def logsumexp_family(name, mats, offs, delta, init_box, **kwargs):
         gradient_columns=gradient_columns,
         init_box=init_box,
         lipschitz=lipschitz,
-        objectives_batch=objectives_batch,
         **kwargs,
     )
 
@@ -312,11 +299,6 @@ def quadratic_pair():
     def pareto_param(lam):
         return np.array([2.0 * lam / (1.0 + lam), 2.0 * (1.0 - lam) / (2.0 - lam)])
 
-    def objectives_batch(X):
-        f1 = (X[:, 0] - 1.0) ** 2 + 0.5 * X[:, 1] ** 2
-        f2 = 0.5 * X[:, 0] ** 2 + (X[:, 1] - 1.0) ** 2
-        return np.stack([f1, f2], axis=1)
-
     return ProblemInstance(
         name="quad2",
         n=2,
@@ -326,7 +308,6 @@ def quadratic_pair():
         init_box=_box(-2.0, 2.0, 2),
         lipschitz=2.0,
         pareto_param=pareto_param,
-        objectives_batch=objectives_batch,
     )
 
 
@@ -365,12 +346,6 @@ def jos1(n=2):
         # the columns 2 x / n and 2 (x - 2) / n, as one C-contiguous array
         return (2.0 * np.subtract.outer(x, (0.0, 2.0))) / n
 
-    def objectives_batch(X):
-        f1 = np.einsum("ij,ij->i", X, X) / n
-        D = X - 2.0
-        f2 = np.einsum("ij,ij->i", D, D) / n
-        return np.stack([f1, f2], axis=1)
-
     return ProblemInstance(
         name="jos1" if n == 2 else f"jos1:n={n}",
         n=n,
@@ -380,7 +355,6 @@ def jos1(n=2):
         init_box=_box(-2.0, 2.0, n),
         lipschitz=2.0 / n,
         pareto_param=lambda lam: np.full(n, 2.0 * lam),
-        objectives_batch=objectives_batch,
     )
 
 

@@ -63,7 +63,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import InvalidConfig, as_point, gradient_matrix, real_number, whole_number
+from .problems import InvalidConfig, as_point, gradient_matrix, objective_values, real_number, whole_number
 from .simplex_qp import closed_form_rows, min_norm_in_hull, project_onto_scaled_hull
 
 MFISC_CONST = "mfisc_const"
@@ -452,7 +452,7 @@ def trace_csv_rows(trace, prob):
         dx = x - x_prev
         rows.append(
             [i + 1, trace.kkt_residuals[i], math.sqrt(dx @ dx)]
-            + prob.objectives(x).tolist()
+            + objective_values(prob, x).tolist()
             + [trace.steps[i], trace.qp_gaps[i]]
         )
         x_prev = x

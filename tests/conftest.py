@@ -2,8 +2,8 @@
 
 The oracles here deliberately avoid the library's solution paths: simplex
 QPs are checked against dense lattice enumeration, gradients against central
-differences, and fronts against dense samplings of the known parametrized
-Pareto sets.
+differences, merit values against a dense grid on quad2, and fronts against
+dense samplings of the known parametrized Pareto sets.
 """
 
 import math
@@ -81,6 +81,43 @@ def grid_min_hull_objective_pair(G, v, resolution=1000):
     min_norm = float(np.min(quad))
     projected = float(np.min(quad - lattice @ (G.T @ v)) + 0.5 * (v @ v))
     return min_norm, projected
+
+
+def finite_difference_gradients(prob, x, step=1e-6):
+    """Central-difference Jacobian columns, shape (n, m), for gradient checks."""
+    x = np.asarray(x, dtype=float)
+    cols = np.zeros((prob.n, prob.m))
+    for i in range(prob.n):
+        h = step * max(1.0, abs(x[i]))
+        e = np.zeros(prob.n)
+        e[i] = h
+        cols[i, :] = (prob.objectives(x + e) - prob.objectives(x - e)) / (2.0 * h)
+    return cols
+
+
+def quad2_values(X):
+    """The quad2 objectives at each row of ``X`` (N, 2), shape (N, 2):
+    f1 = (x1 - 1)^2 + x2^2 / 2 and f2 = x1^2 / 2 + (x2 - 1)^2."""
+    X = np.asarray(X, dtype=float)
+    f1 = (X[:, 0] - 1.0) ** 2 + 0.5 * X[:, 1] ** 2
+    f2 = 0.5 * X[:, 0] ** 2 + (X[:, 1] - 1.0) ** 2
+    return np.stack([f1, f2], axis=1)
+
+
+def merit_grid_oracle(x, box, resolution=801):
+    """Grid lower bound for the quad2 merit value phi(x).
+
+    ``box`` is ((x1_lo, x1_hi), (x2_lo, x2_hi)) and must contain the level
+    set L(F, F(x)), where the inner maximizer lives.  Returns the maximum of
+    min_i [f_i(x) - f_i(z)] over the resolution x resolution lattice, which
+    converges to phi as the grid refines.
+    """
+    (lo1, hi1), (lo2, hi2) = box
+    g1 = np.linspace(lo1, hi1, resolution)
+    g2 = np.linspace(lo2, hi2, resolution)
+    Z = np.stack([np.repeat(g1, resolution), np.tile(g2, resolution)], axis=1)
+    fx = quad2_values(np.reshape(x, (1, 2)))
+    return float(np.max(np.min(fx - quad2_values(Z), axis=1)))
 
 
 def single_objective_problem(fun, grad, n, name="single", lipschitz=None):

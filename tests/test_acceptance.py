@@ -17,12 +17,18 @@ import pytest
 
 from mograd.flow import FlowConfig, attach_merit, mavd_integrate, mavng_integrate, merit_bound_scan
 from mograd.harness import ExperimentConfig, flow_experiment, pareto_scan, run_batch, sample_starts
-from mograd.merit import merit_grid_oracle, merit_value
-from mograd.problems import available_problems, finite_difference_gradients, get_problem, quadratic_pair
+from mograd.merit import merit_value
+from mograd.problems import available_problems, get_problem, quadratic_pair
 from mograd.simplex_qp import min_norm_in_hull, project_onto_scaled_hull
 from mograd.solvers import ACCG_CONST, ACCG_LS, MFISC_CONST, MFISC_LS, STEEPEST_LS, SolverConfig, run_solver
 
-from conftest import grid_min_hull_objective_pair, pareto_segment_distance, spd_quadratic_problem
+from conftest import (
+    finite_difference_gradients,
+    grid_min_hull_objective_pair,
+    merit_grid_oracle,
+    pareto_segment_distance,
+    spd_quadratic_problem,
+)
 
 SEED = 20240831
 
@@ -157,7 +163,7 @@ def test_criterion_5_rate_envelope():
         # spot-validate the merit values against the independent grid oracle
         box = ((-1.0, 2.5), (-1.0, 2.5))
         for k in np.unique(np.geomspace(10, 10**4 - 1, 10).astype(int)):
-            oracle = merit_grid_oracle(prob, trace.points[k - 1], box, resolution=801)
+            oracle = merit_grid_oracle(trace.points[k - 1], box, resolution=801)
             assert abs(phis[int(k)] - oracle) <= 1e-3
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -161,6 +162,21 @@ class TestExperimentConfig:
         for entry in ("5", True, math.nan):
             with pytest.raises(InvalidConfig, match=f"{name} must be a finite number"):
                 ExperimentConfig(problem="quad2", **{name: (1.0, entry)})
+
+    @pytest.mark.parametrize("entries", [("mfisc_ls",), [SolverConfig(variant=ACCG_CONST), {"variant": "accg_ls"}]],
+                             ids=["name", "dict"])
+    def test_solvers_entries_must_be_solver_configs(self, entries):
+        # a variant name got past the config and failed in run_batch's
+        # dataclasses.replace with a TypeError
+        with pytest.raises(InvalidConfig, match=re.escape(f"solvers entry {entries[-1]!r} is not a SolverConfig")):
+            ExperimentConfig(problem="quad2", solvers=entries)
+
+    @pytest.mark.parametrize("solvers", ["mfisc_ls", None, SolverConfig(variant=ACCG_CONST)],
+                             ids=["string", "none", "lone-config"])
+    def test_solvers_must_be_a_list(self, solvers):
+        # a string passed as its characters; the others ended in a TypeError
+        with pytest.raises(InvalidConfig, match=re.escape(f"solvers must be a list of SolverConfig, not {solvers!r}")):
+            ExperimentConfig(problem="quad2", solvers=solvers)
 
     def test_write_traces_must_be_a_bool(self):
         # bool("no") is True, so coercion would write the traces
@@ -581,7 +597,8 @@ class TestComparisonTables:
         )
         summary = run_batch(cfg)
         assert all(r.termination == "converged" for r in summary.runs)
-        assert summary.total_iterations(MFISC_LS) < summary.total_iterations(ACCG_LS)
+        totals = {c.solver: c.total_iterations for c in summary.cells}
+        assert totals[MFISC_LS] < totals[ACCG_LS]
 
 
 class TestFlowExperiment:

@@ -1,16 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mograd.flow import FlowConfig, attach_merit, mavd_integrate, mavng_integrate
 from mograd.harness import sample_starts
-from mograd.merit import (
-    DimensionUnsupported,
-    MeritUnavailable,
-    merit_grid_oracle,
-    merit_value,
-)
+from mograd.merit import MeritUnavailable, merit_value
 from mograd.problems import (
     ProblemInstance,
     get_problem,
@@ -19,7 +15,7 @@ from mograd.problems import (
     regularized_logsumexp_triple,
 )
 
-from conftest import single_objective_problem
+from conftest import merit_grid_oracle, single_objective_problem
 
 QUAD_BOX = ((-1.0, 2.0), (-1.0, 2.0))
 
@@ -100,7 +96,7 @@ class TestMeritValue:
         prob = quadratic_pair()
         x = np.array([-0.2, -0.1])
         result = merit_value(prob, x)
-        oracle = merit_grid_oracle(prob, x, QUAD_BOX, resolution=801)
+        oracle = merit_grid_oracle(x, QUAD_BOX, resolution=801)
         assert result.converged
         assert abs(result.phi - oracle) <= 1e-3
 
@@ -159,6 +155,32 @@ class TestMeritValue:
     def test_warm_start_must_match_the_problem_dimension(self):
         with pytest.raises(ValueError, match="warm start of dimension 2"):
             merit_value(quadratic_pair(), [1.0, 0.0], warm_start=[1.0])
+
+    @pytest.mark.parametrize(
+        "bad, shape",
+        [("extra 0", 3), ("extra -5", 3), ("one value", 1), ("warm start", 3), ("candidate", 3)],
+    )
+    def test_objective_vectors_of_the_wrong_length_are_refused(self, bad, shape):
+        # an extra value c <= 0 kept every candidate's h at or above 0, so
+        # phi = 0.0 came back converged where the true value is 0.994; one
+        # value ended in numpy's "Incompatible dimensions".  The last two
+        # cases leave F(x) well formed and break only the warm start's or
+        # the candidates' F.
+        base = quadratic_pair()
+        x = np.array([-0.2, -0.1])
+
+        def objectives(z):
+            F = base.objectives(z)
+            if bad == "one value":
+                return F[:1]
+            if bad in ("warm start", "candidate") and np.array_equal(z, x):
+                return F
+            return np.append(F, -5.0 if bad == "extra -5" else 0.0)
+
+        warm = x + 0.01 if bad == "warm start" else None
+        prob = replace(base, objectives=objectives)
+        with pytest.raises(ValueError, match=rf"shape \({shape},\), but quad2 needs \(2,\)"):
+            merit_value(prob, x, warm_start=warm)
 
     def test_tri_objective_strongly_convex(self):
         prob = regularized_logsumexp_triple(6, 5, 0.1, 2)
@@ -262,46 +284,25 @@ class TestDegenerateColumns:
 
 
 class TestGridOracle:
-    def test_requires_two_dimensions(self):
-        prob = regularized_logsumexp_triple(5, 4, 0.05, 1)
-        with pytest.raises(DimensionUnsupported):
-            merit_grid_oracle(prob, np.zeros(5), ((-1, 1), (-1, 1)))
-
     def test_oracle_is_a_lower_bound(self, rng):
         prob = quadratic_pair()
         for _ in range(5):
             x = rng.uniform(-1.0, 1.0, 2)
-            oracle = merit_grid_oracle(prob, x, QUAD_BOX, resolution=201)
+            oracle = merit_grid_oracle(x, QUAD_BOX, resolution=201)
             result = merit_value(prob, x)
             assert oracle <= result.phi + 1e-8
 
     def test_refinement_improves_monotonically(self):
         # nested grids: a 2x refinement keeps every coarse node
-        prob = quadratic_pair()
         x = np.array([-0.2, -0.1])
-        coarse = merit_grid_oracle(prob, x, QUAD_BOX, resolution=101)
-        fine = merit_grid_oracle(prob, x, QUAD_BOX, resolution=201)
+        coarse = merit_grid_oracle(x, QUAD_BOX, resolution=101)
+        fine = merit_grid_oracle(x, QUAD_BOX, resolution=201)
         assert fine >= coarse - 1e-14
 
     def test_value_near_zero_at_pareto_point(self):
         prob = quadratic_pair()
         x = prob.pareto_param(0.5)
-        oracle = merit_grid_oracle(prob, x, QUAD_BOX, resolution=801)
+        oracle = merit_grid_oracle(x, QUAD_BOX, resolution=801)
         # a node adjacent to x scores within one grid cell of zero, and the
         # true supremum is zero, so the oracle is pinched around zero
         assert abs(oracle) <= 1e-4
-
-    def test_loop_fallback_without_batch_evaluator(self):
-        base = quadratic_pair()
-        nobatch = ProblemInstance(
-            name="quad2nobatch",
-            n=2,
-            m=2,
-            objectives=base.objectives,
-            gradient_columns=base.gradient_columns,
-            init_box=base.init_box,
-        )
-        x = np.array([0.3, 0.4])
-        a = merit_grid_oracle(base, x, QUAD_BOX, resolution=41)
-        b = merit_grid_oracle(nobatch, x, QUAD_BOX, resolution=41)
-        assert a == b

@@ -1,5 +1,7 @@
 import math
+import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,11 +12,11 @@ from mograd.problems import (
     _stream,
     as_point,
     available_problems,
-    finite_difference_gradients,
     get_problem,
     jos1,
     kkt_residual,
     least_squares_family,
+    objective_values,
     logsumexp_pair,
     quadratic_pair,
     regularized_least_squares_triple,
@@ -24,7 +26,7 @@ from mograd.problems import (
     whole_number,
 )
 
-from conftest import reference_problem, single_objective_problem
+from conftest import finite_difference_gradients, quad2_values, reference_problem, single_objective_problem
 
 DESK_PROBLEMS = [
     "quad2",
@@ -57,6 +59,14 @@ class TestQuadraticPair:
         cols = quadratic_pair().gradient_columns(np.zeros(2))
         assert_allclose(cols[:, 0], [-2.0, 0.0])
         assert_allclose(cols[:, 1], [0.0, -2.0])
+
+    def test_quad2_values_helper_matches_the_oracle(self, rng):
+        # quad2_values feeds the merit grid oracle of the tests; the two
+        # evaluate the same formula in a different order of rounding
+        prob = quadratic_pair()
+        X = rng.uniform(-2.0, 2.5, size=(200, 2))
+        expected = np.array([prob.objectives(x) for x in X])
+        assert_allclose(quad2_values(X), expected, rtol=1e-15, atol=0.0)
 
 
 # The m = 2 oracles as numpy-scalar and np.stack formulas: the small oracles
@@ -224,16 +234,6 @@ def _family_reference(kind, mats, offs, delta, x):
     return np.array(F), np.stack(cols, axis=1)
 
 
-def _family_batch_reference(mats, offs, delta, X):
-    reg = 0.5 * delta * np.einsum("ij,ij->i", X, X)
-    out = np.empty((X.shape[0], len(mats)))
-    for j, (A, b) in enumerate(zip(mats, offs)):
-        Z = X @ A.T - b
-        zmax = Z.max(axis=1)
-        out[:, j] = reg + zmax + np.log(np.exp(Z - zmax[:, None]).sum(axis=1))
-    return out
-
-
 class TestFamilyOracles:
     @pytest.mark.parametrize("key", ["ex1:n=40,p=20,seed=0", "ex2:n=10,p=9,seed=4", "lse2"])
     def test_bitwise_equal_to_per_objective_formulas(self, key, rng):
@@ -248,9 +248,6 @@ class TestFamilyOracles:
                 assert np.isfinite(F).all()
                 assert prob.objectives(x).tobytes() == F.tobytes()
                 assert prob.gradient_columns(x).tobytes() == G.tobytes()
-            if prob.objectives_batch is not None:
-                ref = _family_batch_reference(mats, offs, delta, X)
-                assert prob.objectives_batch(X).tobytes() == ref.tobytes()
 
 
 # the tri-table's n = 40 draws, and the registry defaults (n = 200 and n = 100)
@@ -313,15 +310,6 @@ class TestGradientConsistency:
             dg = desk_problem.gradient_columns(x) - desk_problem.gradient_columns(y)
             per_objective = np.linalg.norm(dg, axis=0)
             assert per_objective.max() <= lip * np.linalg.norm(x - y) * (1 + 1e-9)
-
-    def test_batch_matches_pointwise(self, desk_problem, rng):
-        if desk_problem.objectives_batch is None:
-            pytest.skip("no batch evaluator")
-        lo, hi = desk_problem.init_box
-        X = rng.uniform(lo, hi, size=(7, desk_problem.n))
-        batch = desk_problem.objectives_batch(X)
-        single = np.array([desk_problem.objectives(x) for x in X])
-        assert_allclose(batch, single, rtol=0, atol=1e-12)
 
 
 class TestParetoParametrizations:
@@ -575,6 +563,21 @@ class TestAsPoint:
         with pytest.raises(InvalidConfig, match="x0 contains NaN or Inf"):
             as_point(prob, [0.0, np.inf], "x0")
         assert as_point(prob, [1, 2]).dtype == float
+
+
+class TestObjectiveValues:
+    @pytest.mark.parametrize("values", [[1.0, 2.0, 0.0], [1.0], [[1.0], [2.0]]],
+                             ids=["long", "short", "column"])
+    def test_message_names_both_shapes(self, values):
+        bad = replace(quadratic_pair(), objectives=lambda x: np.array(values))
+        shape = re.escape(str(np.shape(values)))
+        with pytest.raises(ValueError, match=rf"objective vector has shape {shape}, but quad2 needs \(2,\)"):
+            objective_values(bad, np.zeros(2))
+
+    def test_returns_the_oracle_values_as_floats(self):
+        prob = replace(quadratic_pair(), objectives=lambda x: [1, 2])
+        F = objective_values(prob, np.zeros(2))
+        assert F.dtype == float and F.tolist() == [1.0, 2.0]
 
 
 class TestIdenticalObjectivesFamily:

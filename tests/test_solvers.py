@@ -698,6 +698,17 @@ class TestTraceStructure:
         for i, row in enumerate(rows[1:]):
             assert row[3:5] == list(prob.objectives(trace.points[i]))
 
+    def test_csv_rows_refuse_an_objective_vector_of_the_wrong_length(self):
+        # a constant-step run never reads F, so it converges on an oracle
+        # with an extra value; its export used to write 8 cells under a
+        # 7-cell header
+        base = quadratic_pair()
+        prob = dataclasses.replace(base, objectives=lambda x: np.append(base.objectives(x), 0.0))
+        trace = run_solver(prob, SolverConfig(variant=ACCG_CONST, step=0.05), np.array([-0.2, -0.1]))
+        assert trace.termination == CONVERGED and trace.iterations > 0
+        with pytest.raises(ValueError, match=r"shape \(3,\), but quad2 needs \(2,\)"):
+            trace_csv_rows(trace, prob)
+
     def test_constant_step_run_never_evaluates_objectives(self):
         prob = quadratic_pair()
         calls = []
