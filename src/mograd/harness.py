@@ -161,14 +161,7 @@ def write_csv(path, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         for row in rows:
-            # a row of floats, the bulk of a trajectory file, is written
-            # directly: repr never quotes, and a finite or infinite float's
-            # repr holds no "nan", so the replace blanks exactly the NaN
-            # cells.  A lone cell keeps csv's "" for an empty row.
-            if len(row) > 1 and all(type(v) is float for v in row):
-                fh.write(",".join(map(repr, row)).replace("nan", "") + "\n")
-            else:
-                writer.writerow([_fmt(v) for v in row])
+            writer.writerow([_fmt(v) for v in row])
     return path
 
 
@@ -363,8 +356,10 @@ def flow_experiment(cfg, out_dir=None):
     """Integrate both flows for each alpha in the sweep and scan the bound.
 
     Writes one trajectory CSV per (system, alpha) with columns
-    t, x_1..x_n, kkt_residual, merit (blank off the sampling stride), plus a
-    JSON bound report with the per-trajectory fractions.
+    t, x_1..x_n, kkt_residual, merit and one row per merit sample (every
+    ``merit_stride``-th grid point, the first and last always included),
+    plus a JSON bound report with the per-trajectory fractions over the same
+    samples.
     """
     if not cfg.flow_alphas:
         raise InvalidConfig("flow_experiment needs a non-empty alpha sweep")
@@ -410,8 +405,11 @@ def flow_experiment(cfg, out_dir=None):
                     + [f"x{i + 1}" for i in range(prob.n)]
                     + ["kkt_residual", "merit"]
                 )
+                # the grid points attach_merit sampled, the ones the scan read
+                rows = ~np.isnan(traj.merit)
                 table = np.column_stack(
-                    [traj.times, traj.points, traj.kkt_residuals, traj.merit]
+                    [traj.times[rows], traj.points[rows], traj.kkt_residuals[rows],
+                     traj.merit[rows]]
                 )
                 write_csv(
                     Path(out_dir) / f"{system}_a{alpha:g}.csv", [header] + table.tolist()

@@ -13,7 +13,6 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from mograd.flow import FlowConfig, attach_merit, mavd_integrate, mavng_integrate, merit_bound_scan
 from mograd.harness import ExperimentConfig, flow_experiment, pareto_scan, run_batch, sample_starts

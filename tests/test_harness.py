@@ -63,8 +63,8 @@ JOS1_CFG = dict(
 
 class TestWriteCsv:
     def test_float_rows_match_the_csv_writer(self, tmp_path):
-        # all-float rows of two or more cells are joined directly; the bytes
-        # must be those of csv.writer over _fmt's cells
+        # NaN cells are blank, other floats their repr, bools lowercase; the
+        # bytes are those of csv.writer over _fmt's cells
         nan, inf = math.nan, math.inf
         rows = [
             ["t", "x1", "merit"],
@@ -87,6 +87,11 @@ class TestWriteCsv:
             writer.writerow([_fmt(v) for v in row])
         path = write_csv(tmp_path / "rows.csv", rows)
         assert path.read_bytes() == buf.getvalue().encode()
+        assert path.read_text().splitlines() == [
+            "t,x1,merit", ",inf,-inf", "-0.0,5e-324,1e+308", "0.30000000000000004,,1.0", ",",
+            "-1e-308,2.5e-320,1.5e+300", '""', "1.5", "", "3,mavng,0.25,", "true,0.1,2.0",
+            "4,1e-07", "0.5,",
+        ]
 
 
 class TestSampling:
@@ -621,7 +626,8 @@ class TestFlowExperiment:
         assert header == "t,x1,x2,kkt_residual,merit"
 
     def test_csv_cells_are_the_trajectory_values(self, tmp_path):
-        # each cell is repr() of the float, blank where merit was not sampled
+        # one row per merit sample, grid points 0, 7, 14, ... and the last,
+        # each cell repr() of the in-memory trajectory's float
         cfg = ExperimentConfig(
             problem="quad2", flow_alphas=(50.0,), flow_t_end=1.5, flow_x0=(-0.2, -0.1),
             merit_stride=7,
@@ -630,10 +636,33 @@ class TestFlowExperiment:
         prob = quadratic_pair()
         traj = mavng_integrate(prob, FlowConfig(alpha=50.0, x0=np.array([-0.2, -0.1]), t_end=1.5))
         attach_merit(prob, traj, stride=7)
+        last = len(traj) - 1
+        assert last % 7 != 0  # the last grid point is off-stride
+        sampled = list(range(0, last + 1, 7)) + [last]
         table = np.column_stack([traj.times, traj.points, traj.kkt_residuals, traj.merit])
-        expected = [",".join("" if math.isnan(v) else repr(float(v)) for v in row) for row in table]
+        expected = [",".join(repr(float(v)) for v in table[i]) for i in sampled]
         lines = (tmp_path / "mavng_a50.csv").read_text().splitlines()
         assert lines[1:] == expected
+        assert lines[-1].split(",")[0] == repr(float(traj.times[-1]))
+        assert all(line.split(",")[-1] != "" for line in lines[1:])
+
+    def test_csv_rows_are_the_bound_report_samples(self, tmp_path):
+        cfg = ExperimentConfig(
+            problem="quad2", flow_alphas=(50.0,), flow_beta=3.0, flow_t_end=3.0,
+            flow_x0=(-0.2, -0.1), merit_stride=70, bound_coeff_scale=0.01,
+        )
+        flow_experiment(cfg, out_dir=tmp_path)
+        with open(tmp_path / "mavng_a50.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        [entry] = [
+            e for e in json.loads((tmp_path / "bound_report.json").read_text())["trajectories"]
+            if e["system"] == "mavng"
+        ]
+        samples = [(float(r["t"]), float(r["merit"])) for r in rows]
+        held = [phi <= entry["coeff"] / (t * t) for t, phi in samples]
+        assert len(held) == entry["samples"]
+        assert sum(held) / len(held) == entry["fraction"]
+        assert 0.0 < entry["fraction"] < 1.0  # at 0.5/t^2 some samples hold, some do not
 
     def test_start_of_the_wrong_dimension_writes_nothing(self, tmp_path):
         cfg = ExperimentConfig(problem="quad2", flow_alphas=(5.0,), flow_x0=(0.3, 0.4, 0.5))

@@ -21,8 +21,6 @@ from mograd.problems import (
     quadratic_pair,
     regularized_least_squares_triple,
     regularized_logsumexp_triple,
-    sd,
-    toi4,
     whole_number,
 )
 
