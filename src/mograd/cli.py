@@ -7,8 +7,9 @@ reads; ``--solver`` and ``--eps`` repeat only on ``run`` and ``--alpha`` only
 on ``flow``.  A JSON config file can seed any verb: its keys are the dests
 of the verb's flags (``flow_beta`` for ``--beta``), a repeatable key takes a
 value or a list under the same rule, a flag given overrides the key of the
-same name, and any other key or repeat is a configuration error.  Defaults
-live in ExperimentConfig (the flow ones in FlowConfig) and SolverConfig.
+same name, and any other key, or a repeat of any other flag, is a
+configuration error.  Defaults live in ExperimentConfig (the flow ones in
+FlowConfig) and SolverConfig.
 
 Exit codes: 0 on success, 1 on configuration errors, 2 when any run failed.
 """
@@ -48,29 +49,27 @@ def _count(text):
 # every flag's argparse options; the dest is the flag's config-file key
 _FLAGS = {
     "--problem": dict(help="registry key, e.g. jos1 or ex1:n=20,p=10,seed=3"),
-    "--solver": dict(action="append", choices=VARIANTS, dest="solvers"),
-    "--alpha": dict(action="append", type=float, help="inertial coefficient"),
+    "--solver": dict(choices=VARIANTS, dest="solvers"),
+    "--alpha": dict(type=float, help="inertial coefficient"),
     "--step": dict(type=float, help="constant step size"),
     "--s0": dict(type=float, help="initial line-search step"),
-    "--sigma": dict(type=float, help="backtracking shrink factor"),
-    "--eps": dict(action="append", type=float, dest="epsilons", help="stop tolerance"),
+    "--eps": dict(type=float, dest="epsilons", help="stop tolerance"),
     "--k-max": dict(type=_count, dest="k_max"),
     "--starts": dict(type=_count, dest="n_starts"),
     "--seed": dict(type=_count),
     "--workers": dict(type=_count),
-    # default None, not False: an absent flag leaves the file's value
-    "--traces": dict(action="store_true", default=None, dest="write_traces", help="write traces"),
+    "--traces": dict(action="append_const", const=True, dest="write_traces", help="write traces"),
     "--beta": dict(type=float, dest="flow_beta", help="flow correction weight"),
     "--p": dict(type=float, dest="flow_p", help="flow correction decay exponent"),
     "--h": dict(type=float, dest="flow_h", help="grid step"),
-    "--t0": dict(type=float, dest="flow_t0"),
     "--t-end": dict(type=float, dest="flow_t_end"),
     "--x0": dict(type=_point, dest="flow_x0", help="comma-separated start point"),
     "--merit-stride": dict(type=_count, dest="merit_stride"),
     "--bound-scale": dict(type=float, dest="bound_coeff_scale", help="bound coefficient / alpha"),
 }
-_SOLVER_FLAGS = ("--problem", "--solver", "--alpha", "--step", "--s0", "--sigma",
-                 "--eps", "--k-max", "--seed")
+# every flag appends its values, so a repeat is seen; these keys keep the list
+_LISTS = ("--solver", "--alpha", "--eps")
+_SOLVER_FLAGS = ("--problem", "--solver", "--alpha", "--step", "--s0", "--eps", "--k-max", "--seed")
 # verb: (description, the flags it reads, the flags it lets repeat)
 _VERBS = {
     "run": ("batch solver comparison over a tolerance sweep",
@@ -78,8 +77,8 @@ _VERBS = {
     "front": ("Pareto-front scan from sampled start points",
               _SOLVER_FLAGS + ("--starts", "--workers"), ()),
     "flow": ("flow trajectory sweep with merit-bound report",
-             ("--problem", "--alpha", "--beta", "--p", "--h", "--t0", "--t-end", "--x0",
-              "--merit-stride", "--bound-scale"), ("--alpha",)),
+             ("--problem", "--alpha", "--beta", "--p", "--h", "--t-end", "--x0", "--merit-stride",
+              "--bound-scale"), ("--alpha",)),
     "trace": ("single run with per-iteration CSV export", _SOLVER_FLAGS + ("--x0",), ()),
 }
 
@@ -92,7 +91,7 @@ def build_parser():
         # no abbreviations: on run, --p would be read as --problem
         sub = subs.add_parser(verb, description=desc, epilog=epilog, allow_abbrev=False)
         for flag in flags:
-            sub.add_argument(flag, **_FLAGS[flag])
+            sub.add_argument(flag, **{"action": "append", **_FLAGS[flag]})
         sub.add_argument("--out", help="output directory for CSV/JSON artifacts")
         sub.add_argument("--config", help="JSON config file; flags override it")
     subs.add_parser("list", description="list the problem registry")
@@ -109,19 +108,21 @@ def _experiment_config(args):
         unknown = sorted(set(settings) - keys)
         if unknown:
             raise InvalidConfig(f"unknown config key(s) for {args.verb}: {', '.join(unknown)}")
-    settings.update((k, v) for k, v in vars(args).items() if k in keys and v is not None)
-    if not settings.get("problem"):
-        raise InvalidConfig("a problem key is required (--problem or config file)")
     _, flags, repeats = _VERBS[args.verb]
     for flag in flags:
         key = _FLAGS[flag].get("dest", flag[2:])
-        if _FLAGS[flag].get("action") == "append" and key in settings:
-            if not isinstance(settings[key], list):
-                settings[key] = [settings[key]]
-            if len(settings[key]) > 1 and flag not in repeats:
-                raise InvalidConfig(f"{args.verb} takes a single {flag[2:]} ({flag})")
+        given = getattr(args, key)  # the flag's values, None when it is absent
+        if given is not None:
+            settings[key] = given if flag in _LISTS else given[0]
+        elif flag in _LISTS and key in settings and not isinstance(settings[key], list):
+            settings[key] = [settings[key]]
+        values = settings.get(key, ()) if flag in _LISTS else given or ()
+        if len(values) > 1 and flag not in repeats:
+            raise InvalidConfig(f"{args.verb} takes a single {flag[2:]} ({flag})")
+    if not settings.get("problem"):
+        raise InvalidConfig("a problem key is required (--problem or config file)")
     alphas = [real_number("alpha", v) for v in settings.pop("alpha", [])]
-    solver_common = {k: settings.pop(k) for k in ("sigma", "k_max") if k in settings}
+    solver_common = {"k_max": settings.pop("k_max")} if "k_max" in settings else {}
     if alphas:
         solver_common["alpha"] = alphas[0]
     steps = {key: settings.pop(key, None) for key in ("step", "s0")}

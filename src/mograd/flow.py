@@ -9,7 +9,8 @@ correction term that tilts the velocity toward the common descent direction:
 with a >= b > 0 and p >= 0.  Substituting the central second difference and
 solving the resulting shifted-projection equation for the new step (the
 unique solution of -a (xi + v) = proj_{C + xi}(0)) yields, on the uniform
-grid t_k = t0 + k h with u_k the minimum-norm element of C(x_k):
+grid t_k = T0 + k h from the fixed start time T0 = 1, with u_k the
+minimum-norm element of C(x_k):
 
     r_k = (a - b) h / t_k^p * (||x_k - x_{k-1}|| / ||u_k||) u_k
     v_k = x_k - x_{k-1} - r_k
@@ -60,6 +61,7 @@ from .problems import as_point, gradient_matrix, whole_number
 from .simplex_qp import closed_form_rows, min_norm_in_hull, project_onto_scaled_hull
 from .solvers import corrected_momentum
 
+T0 = 1.0  # the start time t0 of every flow, where the analysis window opens
 FLOW_COMPLETED = "completed"
 FLOW_QP_FAILURE = "qp_failure"
 
@@ -70,18 +72,17 @@ class MissingMerit(ValueError):
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Integration parameters; ``x0`` is the rest start point x(t0).
+    """Integration parameters; ``x0`` is the rest start point x(T0).
 
     The damping coefficient ``alpha`` must dominate the correction weight
-    ``beta``; the analysis window starts at t0 >= 1.  Both hull subproblems
-    run at the QP layer's tolerance ``simplex_qp.DEFAULT_TOL``.
+    ``beta``.  Both hull subproblems run at the QP layer's tolerance
+    ``simplex_qp.DEFAULT_TOL``.
     """
 
     alpha: float
     x0: np.ndarray
     beta: float = 3.0
     p: float = 1.0
-    t0: float = 1.0
     h: float = 1e-3
     t_end: float = 20.0
 
@@ -90,17 +91,15 @@ class FlowConfig:
             raise ValueError("parameters must satisfy inf > alpha >= beta > 0")
         if not 0.0 <= self.p < math.inf:
             raise ValueError("p must be finite and nonnegative")
-        if not 1.0 <= self.t0 < math.inf:
-            raise ValueError("t0 must be finite and at least 1")
         if not 0.0 < self.h < math.inf:
             raise ValueError("h must be positive and finite")
         # a positive finite h can still square to 0 or inf, the projection's
         # scale on every step
         if not 0.0 < self.h * self.h < math.inf:
             raise ValueError("h * h, the projection's scale, must be positive and finite")
-        if not self.t0 < self.t_end < math.inf:
-            raise ValueError("t_end must be finite and exceed t0")
-        if not (self.t_end - self.t0) / self.h < math.inf:
+        if not T0 < self.t_end < math.inf:
+            raise ValueError("t_end must be finite and exceed t0 = 1")
+        if not (self.t_end - T0) / self.h < math.inf:
             raise ValueError("(t_end - t0) / h, the number of steps, must be finite")
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
         if self.x0.ndim != 1 or not np.all(np.isfinite(self.x0)):
@@ -109,7 +108,7 @@ class FlowConfig:
 
 @dataclass
 class Trajectory:
-    """Sampled flow solution on the exact grid t_k = t0 + k h.
+    """Sampled flow solution on the exact grid t_k = T0 + k h.
 
     ``merit`` holds NaN where the merit value was not sampled; fill it with
     :func:`attach_merit` before running :func:`merit_bound_scan`.
@@ -150,7 +149,7 @@ def _integrate(prob, cfg, system):
     alpha, h = cfg.alpha, cfg.h
     # FlowConfig has checked the scale and the step count
     scale = h * h
-    steps = max(int(round((cfg.t_end - cfg.t0) / h)), 1)
+    steps = max(int(round((cfg.t_end - T0) / h)), 1)
     # the points as lists of Python floats (see the module docstring); the
     # row of x_1 = x_0 is the zero initial velocity
     x_prev = x_curr = cfg.x0.tolist()
@@ -163,7 +162,7 @@ def _integrate(prob, cfg, system):
     pair = prob.m == 2
     hull_w = proj_w = None
     for k in range(1, steps + 1):
-        t_k = cfg.t0 + k * h
+        t_k = T0 + k * h
         grads = gradient_matrix(prob, np.array(x_curr))
         if pair:
             G = grads.tolist()
@@ -200,7 +199,7 @@ def _integrate(prob, cfg, system):
     # every point up to the last step taken, each with its residual; x_0
     # shares x_1's
     count = len(rows)
-    times = cfg.t0 + np.arange(count) * h
+    times = T0 + np.arange(count) * h
     return Trajectory(
         config=cfg,
         system=system,

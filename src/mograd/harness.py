@@ -46,8 +46,8 @@ class ExperimentConfig:
     becomes ``2``, ``2.7`` is rejected), reals finite numbers (``3`` becomes
     ``3.0``; a bool or a string is rejected) and ``write_traces`` a bool;
     ``epsilons`` must be a non-empty tuple of distinct tolerances, each
-    checked here, before any run, and ``solvers`` a tuple or list of
-    :class:`~mograd.solvers.SolverConfig`.
+    checked here, before any run, ``flow_alphas`` distinct in ``{alpha:g}``
+    (their file names) and ``solvers`` a tuple or list of SolverConfig.
     """
 
     problem: str
@@ -61,7 +61,6 @@ class ExperimentConfig:
     flow_alphas: tuple = ()
     flow_beta: float = FlowConfig.beta
     flow_p: float = FlowConfig.p
-    flow_t0: float = FlowConfig.t0
     flow_h: float = FlowConfig.h
     flow_t_end: float = FlowConfig.t_end
     flow_x0: tuple = ()
@@ -72,8 +71,7 @@ class ExperimentConfig:
             raise InvalidConfig(f"problem must be a registry key string, not {self.problem!r}")
         for name, minimum in (("n_starts", 1), ("seed", 0), ("workers", 1), ("merit_stride", 1)):
             object.__setattr__(self, name, whole_number(name, getattr(self, name), minimum))
-        reals = ("flow_beta", "flow_p", "flow_t0", "flow_h", "flow_t_end", "bound_coeff_scale")
-        for name in reals:
+        for name in ("flow_beta", "flow_p", "flow_h", "flow_t_end", "bound_coeff_scale"):
             object.__setattr__(self, name, real_number(name, getattr(self, name)))
         for name in ("flow_alphas", "flow_x0"):
             values = getattr(self, name)
@@ -81,6 +79,11 @@ class ExperimentConfig:
             if isinstance(values, str):
                 raise InvalidConfig(f"{name} must be a list of numbers, not {values!r}")
             object.__setattr__(self, name, tuple(real_number(name, v) for v in values))
+        # one pair of trajectory files per alpha: 5 and 5.0 would share them
+        for i, alpha in enumerate(self.flow_alphas):
+            for other in self.flow_alphas[:i]:
+                if f"{other:g}" == f"{alpha:g}":
+                    raise InvalidConfig(f"flow_alphas {other!r} and {alpha!r} share mavng_a{alpha:g}.csv")
         object.__setattr__(self, "epsilons", tuple(tolerance(v) for v in self.epsilons))
         for i, eps in enumerate(self.epsilons):
             if eps in self.epsilons[:i]:
@@ -180,8 +183,8 @@ _SOLVER_FIELDS = ("problem", "solvers", "epsilons", "seed")
 _ENTRY_FIELDS = {
     "run_batch": _SOLVER_FIELDS + ("n_starts", "workers", "write_traces"),
     "pareto_scan": _SOLVER_FIELDS + ("n_starts", "workers"),
-    "flow_experiment": ("problem", "flow_alphas", "flow_beta", "flow_p", "flow_t0", "flow_h",
-                        "flow_t_end", "flow_x0", "merit_stride", "bound_coeff_scale"),
+    "flow_experiment": ("problem", "flow_alphas", "flow_beta", "flow_p", "flow_h", "flow_t_end",
+                        "flow_x0", "merit_stride", "bound_coeff_scale"),
     "run_trace": _SOLVER_FIELDS + ("flow_x0",),
 }
 
@@ -371,18 +374,15 @@ def flow_experiment(cfg, out_dir=None):
         lo, hi = prob.init_box
         x0 = 0.5 * (lo + hi)
 
+    # every alpha is checked before the first integration writes a file
+    flow_cfgs = [
+        FlowConfig(alpha=alpha, x0=x0, beta=cfg.flow_beta, p=cfg.flow_p, h=cfg.flow_h,
+                   t_end=cfg.flow_t_end)
+        for alpha in cfg.flow_alphas
+    ]
     report = []
     failures = 0
-    for alpha in cfg.flow_alphas:
-        flow_cfg = FlowConfig(
-            alpha=alpha,
-            x0=x0,
-            beta=cfg.flow_beta,
-            p=cfg.flow_p,
-            t0=cfg.flow_t0,
-            h=cfg.flow_h,
-            t_end=cfg.flow_t_end,
-        )
+    for alpha, flow_cfg in zip(cfg.flow_alphas, flow_cfgs):
         for system, integrate in (("mavng", mavng_integrate), ("mavd", mavd_integrate)):
             traj = integrate(prob, flow_cfg)
             failures += traj.termination != "completed"
@@ -411,9 +411,7 @@ def flow_experiment(cfg, out_dir=None):
                     [traj.times[rows], traj.points[rows], traj.kkt_residuals[rows],
                      traj.merit[rows]]
                 )
-                write_csv(
-                    Path(out_dir) / f"{system}_a{alpha:g}.csv", [header] + table.tolist()
-                )
+                write_csv(Path(out_dir) / f"{system}_a{alpha:g}.csv", [header] + table.tolist())
     if out_dir is not None:
         write_json(
             Path(out_dir) / "bound_report.json",

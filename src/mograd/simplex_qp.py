@@ -436,8 +436,9 @@ def _wolfe(S, v, start):
 
 
 def _validate_start(start, m):
-    # the solvers pass their previous weights, already an array; skipping
-    # the conversion call matters at m = 2, where a solve costs about 5 us
+    # the solvers and the flow pass their previous weights, already an
+    # array, so they skip the conversion; they pass a start only at m != 2,
+    # since their m = 2 steps call closed_form_rows
     if not isinstance(start, np.ndarray):
         start = np.asarray(start, dtype=float)
     if start.shape != (m,):

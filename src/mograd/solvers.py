@@ -21,8 +21,8 @@ variant is two independent choices:
   so y_k = x_k and the step is d_k = -u_k (multiobjective steepest descent).
 * step rule - ``*_const`` use the constant step s < 1/L; the ``*_ls``
   variants scale the theta subproblem by the previous accepted step s_{k-1}
-  and choose s by multiobjective backtracking from it, so the accepted step
-  carries over.
+  and choose s by multiobjective backtracking from it, shrinking by the
+  fixed factor ``SIGMA``, so the accepted step carries over.
 
 Every run stops when the KKT residual ||u_k|| falls below epsilon, when k_max
 is reached, or when a hull subproblem fails to certify its tolerance
@@ -80,6 +80,7 @@ KMAX = "k_max"
 QP_FAILURE = "qp_failure"
 
 DEFAULT_LS_STEP0 = 10.0
+SIGMA = 0.8  # the line search's shrink factor
 
 
 def tolerance(value):
@@ -100,7 +101,7 @@ class SolverConfig:
     the inertial coefficient of the ``mfisc_*`` variants; the correction term
     carries the factor (alpha - 3)/(k + alpha - 1), so a finite alpha >= 3 is
     required and alpha = 3 reduces the corrected iteration to the plain
-    accelerated one.
+    accelerated one.  The line search shrinks by the fixed ``SIGMA``.
     """
 
     variant: str
@@ -108,12 +109,11 @@ class SolverConfig:
     step: Optional[float] = None
     epsilon: float = 1e-6
     k_max: int = 1_000_000
-    sigma: float = 0.8
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise InvalidConfig(f"unknown variant {self.variant!r}; one of {VARIANTS}")
-        for name in ("alpha", "sigma") + (() if self.step is None else ("step",)):
+        for name in ("alpha",) + (() if self.step is None else ("step",)):
             object.__setattr__(self, name, real_number(name, getattr(self, name)))
         if self.alpha < 3.0:
             raise InvalidConfig("alpha must be >= 3 (correction factor alpha - 3 >= 0)")
@@ -121,8 +121,6 @@ class SolverConfig:
             raise InvalidConfig("step must be positive")
         object.__setattr__(self, "epsilon", tolerance(self.epsilon))
         object.__setattr__(self, "k_max", whole_number("k_max", self.k_max, 1))
-        if not 0.0 < self.sigma < 1.0:
-            raise InvalidConfig("sigma must lie in (0, 1)")
 
 
 @dataclass
@@ -237,10 +235,10 @@ def line_search_backtracking(prob, w, s0, sigma, d, grads):
     """First s in {s0, sigma s0, sigma^2 s0, ...} passing the decrease test.
 
     Accepts s once min_i [f_i(w + s d) - f_i(w) - s <grad f_i(w), d>] no
-    longer exceeds s ||d||^2 / 2.  ``grads`` is ``prob.gradient_columns(w)``,
-    which every caller already holds.  Returns (s, capped); after 200
-    shrinkages the last candidate is returned with capped=True rather than
-    failing.
+    longer exceeds s ||d||^2 / 2; the run loops pass ``sigma = SIGMA``.
+    ``grads`` is ``prob.gradient_columns(w)``, which every caller holds.
+    Returns (s, capped); after 200 shrinkages the last candidate is returned
+    with capped=True rather than failing.
 
     The trial point ``w + s d``, the slopes ``grads.T @ d`` and ``d @ d``
     are numpy's; the test itself runs on the m Python floats of each trial,
@@ -359,7 +357,7 @@ def _array_steps(prob, cfg, trace, x, step, alpha, t0):
                     break
                 d = -(grads_y @ proj.weights)
             if line_search:
-                step, capped = line_search_backtracking(prob, y, step, cfg.sigma, d, grads_y)
+                step, capped = line_search_backtracking(prob, y, step, SIGMA, d, grads_y)
                 if capped:
                     trace.capped.append(k - 1)
         except ValueError:
@@ -414,7 +412,7 @@ def _pair_steps(prob, cfg, trace, x, step, alpha, t0):
                 s = 1.0 - t
                 d = [-(a * t + b * s) for a, b in rows]
             if line_search:
-                step, capped = line_search_backtracking(prob, w, step, cfg.sigma, np.array(d), grads_y)
+                step, capped = line_search_backtracking(prob, w, step, SIGMA, np.array(d), grads_y)
                 if capped:
                     trace.capped.append(k - 1)
         except ValueError:

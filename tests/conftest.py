@@ -205,7 +205,7 @@ def reference_integrate(prob, cfg, system):
     """
     if system == "mavd":
         cfg = replace(cfg, beta=cfg.alpha)
-    steps = max(int(round((cfg.t_end - cfg.t0) / cfg.h)), 1)
+    steps = max(int(round((cfg.t_end - mograd.flow.T0) / cfg.h)), 1)
     points = np.empty((steps + 1, prob.n))
     residuals = np.empty(steps + 1)
     points[0] = points[1] = cfg.x0
@@ -215,7 +215,7 @@ def reference_integrate(prob, cfg, system):
     x_curr = cfg.x0.copy()
     hull_w = proj_w = None
     for k in range(1, steps + 1):
-        t_k = cfg.t0 + k * cfg.h
+        t_k = mograd.flow.T0 + k * cfg.h
         grads = gradient_matrix(prob, x_curr)
         hull = mograd.flow.min_norm_in_hull(grads, start=hull_w)
         hull_w = hull.weights
@@ -247,7 +247,7 @@ def reference_integrate(prob, cfg, system):
     return Trajectory(
         config=cfg,
         system=system,
-        times=cfg.t0 + np.arange(count) * cfg.h,
+        times=mograd.flow.T0 + np.arange(count) * cfg.h,
         points=points[:count],
         kkt_residuals=residuals[:count],
         merit=np.full(count, np.nan),
@@ -258,8 +258,9 @@ def reference_integrate(prob, cfg, system):
 def reference_run_solver(prob, cfg, x0):
     """``mograd.solvers.run_solver`` with every step on numpy vectors.
 
-    The reference for the Python-float steps of the solvers at m = 2: the
-    same steps in the same order through the two public hull QPs, with
+    The reference for the Python-float steps of the solvers at m = 2, and
+    for their numpy steps at m = 3: the same steps in the same order
+    through the two public hull QPs, with
     numpy's vector arithmetic, ``d = -(grads_y @ weights)`` and the norms
     from ``math.sqrt(v @ v)``.  The QPs and the line search are looked up
     on ``mograd.solvers`` at each call, so a test's monkeypatch reaches
@@ -315,7 +316,7 @@ def reference_run_solver(prob, cfg, x0):
                     break
                 d = -(grads_y @ proj.weights)
             if line_search:
-                step, capped = solvers.line_search_backtracking(prob, y, step, cfg.sigma, d, grads_y)
+                step, capped = solvers.line_search_backtracking(prob, y, step, solvers.SIGMA, d, grads_y)
                 if capped:
                     trace.capped.append(k - 1)
         except ValueError:

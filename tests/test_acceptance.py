@@ -176,8 +176,7 @@ def quad_flow_trajectories():
         trajectories = {}
         for alpha in (50.0, 100.0):
             cfg = FlowConfig(
-                alpha=alpha, x0=np.array([-0.2, -0.1]), beta=3.0, p=1.0, t0=1.0,
-                h=1e-3, t_end=20.0,
+                alpha=alpha, x0=np.array([-0.2, -0.1]), beta=3.0, p=1.0, h=1e-3, t_end=20.0,
             )
             traj = mavng_integrate(prob, cfg)
             attach_merit(prob, traj, stride=100)

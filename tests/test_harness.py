@@ -143,7 +143,17 @@ class TestExperimentConfig:
             with pytest.raises(InvalidConfig, match=f"epsilons repeats {epsilons[-1]!r}"):
                 ExperimentConfig(problem="jos1", epsilons=epsilons)
 
-    REALS = ("flow_beta", "flow_p", "flow_t0", "flow_h", "flow_t_end", "bound_coeff_scale")
+    def test_alphas_sharing_a_trajectory_file_are_refused(self):
+        # 5 and 5.0 integrated twice and wrote one pair of CSVs, but reported
+        # four trajectories; 50 and 50.00001 both wrote mavng_a50.csv
+        for alphas in ((5, 5.0), (50.0, 50.00001)):
+            first, second = map(float, alphas)
+            with pytest.raises(InvalidConfig, match=(
+                f"^flow_alphas {first!r} and {second!r} share mavng_a{second:g}.csv$"
+            )):
+                ExperimentConfig(problem="quad2", flow_alphas=(7.0,) + alphas)
+
+    REALS = ("flow_beta", "flow_p", "flow_h", "flow_t_end", "bound_coeff_scale")
 
     @pytest.mark.parametrize("name", REALS)
     @pytest.mark.parametrize("value", ["abc", "3", True, None, math.nan, math.inf])
@@ -664,6 +674,14 @@ class TestFlowExperiment:
         assert sum(held) / len(held) == entry["fraction"]
         assert 0.0 < entry["fraction"] < 1.0  # at 0.5/t^2 some samples hold, some do not
 
+    def test_every_alpha_is_checked_before_the_first_file(self, tmp_path):
+        # alpha = 2 < beta = 3 used to fail after alpha = 50 wrote its CSVs
+        cfg = ExperimentConfig(problem="quad2", flow_alphas=(50.0, 2.0), flow_t_end=2.0,
+                               merit_stride=500)
+        with pytest.raises(ValueError, match="alpha >= beta"):
+            flow_experiment(cfg, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_start_of_the_wrong_dimension_writes_nothing(self, tmp_path):
         cfg = ExperimentConfig(problem="quad2", flow_alphas=(5.0,), flow_x0=(0.3, 0.4, 0.5))
         with pytest.raises(InvalidConfig, match="x0 has dimension 3, but quad2 has dimension 2"):
@@ -675,8 +693,8 @@ class TestFlowExperiment:
         flow_experiment(cfg, out_dir=tmp_path)
         config = json.loads((tmp_path / "bound_report.json").read_text())["config"]
         assert set(config) == {
-            "problem", "merit_stride", "flow_alphas", "flow_beta", "flow_p", "flow_t0", "flow_h",
-            "flow_t_end", "flow_x0", "bound_coeff_scale",
+            "problem", "merit_stride", "flow_alphas", "flow_beta", "flow_p", "flow_h", "flow_t_end",
+            "flow_x0", "bound_coeff_scale",
         }
 
     def test_beta_equal_alpha_writes_identical_state_columns(self, tmp_path):
@@ -742,6 +760,10 @@ class TestRunTrace:
         assert json.loads((tmp_path / "trace.json").read_text())["x0"] == [0.3, 0.4]
 
 
+# the flags each verb lets repeat, the README's "repeats"
+REPEATS = {"run": ("--solver", "--eps"), "flow": ("--alpha",)}
+
+
 class TestCli:
     def test_list_verb(self, capsys):
         assert cli_main(["list"]) == 0
@@ -787,7 +809,7 @@ class TestCli:
     def test_count_flags_follow_the_whole_number_rule(self, tmp_path, capsys, flag, key):
         # as in a config file: 2.0 runs as 2, while 2.5 exits 1 naming the key
         base = ["run", "--problem", "jos1", "--solver", "accg_const", "--step", "0.05",
-                "--eps", "1e-2", "--starts", "2"]
+                "--eps", "1e-2"] + ([] if flag == "--starts" else ["--starts", "2"])
         assert cli_main(base + [flag, "2.0", "--out", str(tmp_path)]) == 0
         assert len((tmp_path / "runs.csv").read_text().splitlines()) == 3
         capsys.readouterr()
@@ -944,7 +966,6 @@ class TestCli:
         ("run", {"problem": 5, "solvers": ["mfisc_const"]}),
         ("run", {"problem": "jos1", "solvers": ["mfisc_const"], "n_starts": None}),
         ("run", {"problem": "jos1", "solvers": ["mfisc_const"], "alpha": None}),
-        ("run", {"problem": "jos1", "solvers": ["mfisc_const"], "sigma": None}),
         ("flow", {"problem": "quad2", "alpha": 5, "flow_x0": 5}),
     ])
     def test_wrong_json_type_is_config_error(self, tmp_path, capsys, verb, settings):
@@ -963,7 +984,6 @@ class TestCli:
         ("--alpha", "alpha", [6.0], [5.0]),
         ("--step", "step", 0.04, 0.05),
         ("--s0", "s0", 3.0, 2.0),
-        ("--sigma", "sigma", 0.6, 0.5),
         ("--eps", "epsilons", [1e-4], [1e-3]),
         ("--k-max", "k_max", 20, 10),
         ("--seed", "seed", 2, 1),
@@ -984,7 +1004,6 @@ class TestCli:
             ("--beta", "flow_beta", 4.0, 3.5),
             ("--p", "flow_p", 2.0, 1.5),
             ("--h", "flow_h", 0.004, 0.005),
-            ("--t0", "flow_t0", 1.5, 1.0),
             ("--t-end", "flow_t_end", 1.508, 1.01),
             ("--x0", "flow_x0", [0.3, 0.4], [0.1, 0.2]),
             ("--merit-stride", "merit_stride", 400, 500),
@@ -995,14 +1014,14 @@ class TestCli:
     ECHO_FILES = {
         "run": "summary.json", "front": "front.json", "flow": "bound_report.json", "trace": "trace.json",
     }
-    SOLVER_ECHO = dict(alpha=6.0, k_max=20, sigma=0.6)
+    SOLVER_ECHO = dict(alpha=6.0, k_max=20)
 
     def test_flag_overrides_the_config_key_of_the_same_name(self, tmp_path):
         def parsed_keys(verb):
             return set(vars(build_parser().parse_args([verb]))) - {"verb", "out", "config"}
 
         counts = {verb: len(parsed_keys(verb)) for verb in self.VERB_SETTINGS}
-        assert counts == {"run": 12, "front": 11, "flow": 10, "trace": 10}
+        assert counts == {"run": 11, "front": 10, "flow": 9, "trace": 9}
 
         def flags(table, column):
             argv = []
@@ -1045,7 +1064,7 @@ class TestCli:
                 assert set(from_flags) == set(keys) - {"alpha"} | {"flow_alphas"}
                 assert from_flags["flow_alphas"] == [6.0, 7.0]
                 continue
-            assert set(from_flags) == set(keys) - {"alpha", "step", "s0", "sigma", "k_max"}
+            assert set(from_flags) == set(keys) - {"alpha", "step", "s0", "k_max"}
             # a template's epsilon is not echoed: the run uses "epsilons"
             expected = [dict(variant="mfisc_ls", step=3.0, **self.SOLVER_ECHO)]
             if verb == "run":
@@ -1055,15 +1074,14 @@ class TestCli:
     # one valid value of each flag that some verb does not read, and its config key
     DROPPED_VALUES = {
         "--solver": ("solvers", "accg_const"), "--step": ("step", 0.1), "--s0": ("s0", 2.0),
-        "--sigma": ("sigma", 0.5), "--eps": ("epsilons", 1e-3), "--k-max": ("k_max", 5),
+        "--eps": ("epsilons", 1e-3), "--k-max": ("k_max", 5),
         "--starts": ("n_starts", 7), "--seed": ("seed", 9), "--workers": ("workers", 2),
         "--beta": ("flow_beta", 4.0), "--p": ("flow_p", 2.0), "--merit-stride": ("merit_stride", 400),
     }
     DROPPED = {
         "run": ("--beta", "--p", "--merit-stride"),
         "front": ("--beta", "--p", "--merit-stride"),
-        "flow": ("--solver", "--step", "--s0", "--sigma", "--k-max", "--eps", "--starts", "--seed",
-                 "--workers"),
+        "flow": ("--solver", "--step", "--s0", "--k-max", "--eps", "--starts", "--seed", "--workers"),
         "trace": ("--beta", "--p", "--merit-stride", "--starts", "--workers"),
     }
     # a small run of each verb that exits 0
@@ -1120,6 +1138,30 @@ class TestCli:
             ("mfisc_const", 1e-2), ("accg_const", 1e-2)
         ]
 
+    @pytest.mark.parametrize("verb, flag, values", [
+        pytest.param(verb, flag, values, id=f"{verb}{flag}")
+        for verb, table in VERB_SETTINGS.items()
+        for flag, _, *values in table
+        if flag not in REPEATS.get(verb, ())
+    ])
+    def test_second_value_of_a_single_valued_flag_exits_one(self, tmp_path, capsys, verb, flag, values):
+        # argparse kept the last value of a flag it did not append:
+        # run --seed 1 --seed 2 ran at seed 2 and exited 0
+        base_file = tmp_path / "base.json"
+        base_file.write_text(json.dumps(self.BASE[verb]))
+        out_dir = tmp_path / "out"
+        argv = [verb, "--config", str(base_file), "--out", str(out_dir)]
+        for value in values:
+            if flag == "--traces":
+                argv.append(flag)
+            elif flag == "--x0":
+                argv.append("--x0=" + ",".join(map(str, value)))
+            else:
+                argv += [flag, str(value[0] if isinstance(value, list) else value)]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == f"mograd: {verb} takes a single {flag[2:]} ({flag})\n"
+        assert not out_dir.exists()
+
     def test_repeated_eps_exits_one(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
         argv = ["run", "--problem", "jos1", "--solver", "accg_const", "--step", "0.05",
@@ -1137,8 +1179,7 @@ class TestCli:
         ("run", "alpha", "50"),
         ("run", "step", "0.05"),
         ("run", "s0", True),
-        ("run", "sigma", "0.5"),
-        ("trace", "sigma", True),
+        ("trace", "step", True),
     ])
     def test_real_config_value_must_be_a_json_number(self, tmp_path, capsys, verb, key, value):
         settings = {**self.BASE[verb], key: value}
