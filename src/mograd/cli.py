@@ -92,18 +92,27 @@ def build_parser():
         sub = subs.add_parser(verb, description=desc, epilog=epilog, allow_abbrev=False)
         for flag in flags:
             sub.add_argument(flag, **{"action": "append", **_FLAGS[flag]})
-        sub.add_argument("--out", help="output directory for CSV/JSON artifacts")
-        sub.add_argument("--config", help="JSON config file; flags override it")
+        sub.add_argument("--out", action="append", help="output directory for CSV/JSON artifacts")
+        sub.add_argument("--config", action="append", help="JSON config file; flags override it")
     subs.add_parser("list", description="list the problem registry")
     return parser
+
+
+def _single(args, name):
+    """The one value of ``--out`` or ``--config``, or None when it is absent."""
+    values = getattr(args, name) or ()
+    if len(values) > 1:
+        raise InvalidConfig(f"{args.verb} takes a single {name} (--{name})")
+    return values[0] if values else None
 
 
 def _experiment_config(args):
     """The config file's keys overlaid with the given flags; no defaults here."""
     keys = set(vars(args)) - {"verb", "out", "config"}
     settings = {}
-    if args.config:
-        with open(args.config) as fh:
+    config = _single(args, "config")
+    if config:
+        with open(config) as fh:
             settings = json.load(fh)
         unknown = sorted(set(settings) - keys)
         if unknown:
@@ -151,7 +160,7 @@ def main(argv=None):
         except TypeError as exc:
             # a config-file value of the wrong JSON type, e.g. "alpha": null
             raise InvalidConfig(f"config value of the wrong type: {exc}") from exc
-        out = getattr(args, "out", None)
+        out = _single(args, "out")
         if args.verb == "run":
             summary = run_batch(cfg, out_dir=out)
             for cell in summary.cells:

@@ -43,7 +43,9 @@ rows of its gradient matrix (``G.tolist()``, once) and the lists it holds,
 so no vector goes through numpy and back and no ``HullSolution`` is built:
 a quad2 step fell from about 13.1 to 8.8 us (same host).  For any other m
 it calls ``min_norm_in_hull`` and ``project_onto_scaled_hull``, each
-warm-started from its previous weights, which Wolfe's method uses.
+warm-started from its previous weights: at m = 3 the QPs' Gram solve
+ignores the start unless it falls back to Wolfe's method, which uses it, as
+it does at m >= 4.
 ``problems.gradient_matrix`` checks the shape of every gradient matrix, the
 QPs (or the kernel) its finiteness, and ``FlowConfig`` the projection's
 scale h^2, which does not change, with the step count (t_end - t0) / h.
@@ -88,7 +90,10 @@ class FlowConfig:
 
     def __post_init__(self):
         if not (math.inf > self.alpha >= self.beta > 0.0):
-            raise ValueError("parameters must satisfy inf > alpha >= beta > 0")
+            raise ValueError(
+                f"parameters must satisfy inf > alpha >= beta > 0, not alpha = {self.alpha}, "
+                f"beta = {self.beta}"
+            )
         if not 0.0 <= self.p < math.inf:
             raise ValueError("p must be finite and nonnegative")
         if not 0.0 < self.h < math.inf:

@@ -13,22 +13,33 @@ single-objective case:
   to an arbitrary vector ``v``, i.e. it minimizes
   ``0.5 * ||scale * G @ theta - v||^2`` over the simplex.
 
-For ``m == 2`` a closed form solves both.  For any other ``m`` they are
+For ``m == 2`` a closed form solves both.  For ``m == 3`` they are first
+solved on the 3x3 Gram matrix of p_0, p_1 - p_0 and p_2 - p_0 over the
+shifted points p_i = scale * g_i - v (two numpy products, then nine Python
+floats): the interior affine minimizer when its 2x2 system is well posed and
+all three weights are positive, else the best of the three edges, each
+clamped by the segment formula of ``closed_form_rows``.  A Gram matrix
+squares the face's condition number (A. Bjorck, "Numerical Methods for Least
+Squares Problems", 1996), so the Gram arithmetic does not decide: its answer
+is kept only when Wolfe's relative stopping test (below) passes on numpy's
+certificate at x = P theta.  Otherwise, and for any other ``m``, they are
 solved exactly by Wolfe's min-norm-point method (P. Wolfe, "Finding the
 nearest point in a polytope", Math. Prog. 11, 1976), a finite active-set
 algorithm, with a fixed cap on its major cycles as a guard against cycling
-under rounding.  Wolfe's method is finite from any corral, a face of the
-simplex whose affine minimizer has only positive weights (a single column
-is one), so it can start from a face other than a single vertex: both QPs
-take an optional ``start``, and the weights of a previous solve of a nearby
-problem (the solvers' and the flows' consecutive iterates) make the support
-of that solve the start face.  Minor cycles turn the start face into a
-corral; the same minor cycles follow each major cycle.  The start changes
-the work, not the certified answer.  Most warm solves start on their
-optimal corral and make no major cycle, so what they cost is the fixed
-cost of a call: about 22 us for ``min_norm_in_hull`` and 33 us for
-``project_onto_scaled_hull`` on a three-column face at n = 40 (2-core x86
-host, Python 3.11.7, numpy 2.4.6).  That path keeps numpy's dispatches few:
+under rounding.  On an ``ex1:n=40`` hull a Gram solve costs about 13-16 us
+for ``min_norm_in_hull`` and 19-22 us for ``project_onto_scaled_hull``,
+where a warm Wolfe solve took 28 and 34 us (timeit, 2-core x86 host, Python
+3.11.7, numpy 2.4.6).  Wolfe's method is finite from any corral, a face of
+the simplex whose affine minimizer has only positive weights (a single
+column is one), so it can start from a face other than a single vertex: both
+QPs take an optional ``start``, and the weights of a previous solve of a
+nearby problem (the solvers' and the flows' consecutive iterates) make the
+support of that solve the start face.  The Gram solve ignores the start,
+which serves four or more columns and the fallback.  Minor cycles turn the
+start face into a corral; the same minor cycles follow each major cycle.
+The start changes the work, not the certified answer.  Most warm solves
+start on their optimal corral and make no major cycle, so what they cost is
+the fixed cost of a call.  That path keeps numpy's dispatches few:
 ``min_norm_in_hull`` passes no target, so nothing is subtracted, and
 products go through ``ndarray.dot``, which computes those of ``@`` (up to
 the sign of an exact zero) with less overhead.  Termination is certified by
@@ -37,18 +48,18 @@ the Frank-Wolfe gap
     gap(theta) = max_i <p - v, p - scale * g_i>,   p = scale * G @ theta,
 
 which upper-bounds the objective suboptimality, so a returned gap below the
-tolerance is a genuine optimality certificate.  Wolfe's method reports the
-gap its loop computed at its last iterate x = p - v, ||x||^2 - min_i <x,
-p_i> over the shifted points p_i = scale * g_i - v: the same gap in exact
-arithmetic.  The closed form for ``m == 2`` (bi-objective problems dominate
-the benchmark suite) runs on Python floats, not numpy arrays: with the few
-rows of a bi-objective problem, numpy's per-call dispatch costs several
-times the arithmetic.  Past about n = 25 numpy would be faster (at n = 100
-about 12 us against 45 us per solve); only ``jos1`` takes that many
-variables, and no workload of the benchmark gives it more than 5.  The
-float kernel ``closed_form_rows`` works on the rows of ``G`` and a target
-list; the m = 2 path of both QPs wraps it in a ``HullSolution``, and the
-solvers' and the flow's steps call it directly on the lists they hold.
+tolerance is a genuine optimality certificate.  Wolfe's method and the Gram
+solve report the gap at their last iterate x = p - v, ||x||^2 - min_i <x,
+p_i> over the shifted points: the same gap in exact arithmetic.  The closed
+form for ``m == 2`` (bi-objective problems dominate the benchmark suite)
+runs on Python floats, not numpy arrays: with the few rows of a
+bi-objective problem, numpy's per-call dispatch costs several times the
+arithmetic.  Past about n = 25 numpy would be faster (at n = 100 about
+12 us against 45 us per solve); only ``jos1`` takes that many variables,
+and no workload of the benchmark gives it more than 5.  The float kernel
+``closed_form_rows`` works on the rows of ``G`` and a target list; the
+m = 2 path of both QPs wraps it in a ``HullSolution``, and the solvers' and
+the flow's steps call it directly on the lists they hold.
 
 Both certify at the fixed tolerance ``DEFAULT_TOL``, relaxed relative to the
 squared scale of the data (see ``_REL_TOL``).  That tolerance is only the
@@ -107,12 +118,14 @@ class HullSolution:
         gap: Frank-Wolfe optimality gap at termination (certified bound on
             the objective suboptimality; nonnegative, or NaN when it
             overflowed).  The closed form (m = 2) computes it at ``point``;
-            Wolfe's method reports its loop's gap at its last iterate, and
-            inf when a face that is not finite stopped it before the first.
+            the Gram solve (m = 3) at its weights, and Wolfe's method
+            reports its loop's gap at its last iterate, and inf when a face
+            that is not finite stopped it before the first.
         converged: whether the gap met the effective tolerance.  When False
             the last iterate is returned and ``gap`` reports its gap.
         iterations: major cycles of Wolfe's method, i.e. columns added to
-            the active set (0 for the closed form).  The minor cycles that
+            the active set (0 for the closed forms: the m = 2 segment and a
+            kept m = 3 Gram solve).  The minor cycles that
             make the start face a corral are not counted, so a solve started
             from its own solution reports 0.
     """
@@ -224,21 +237,14 @@ def _affine_minimizer(A):
 
     Solved as least squares on the column differences ``A[:, i] - A[:, 0]``:
     the Gram/KKT form would square the condition number of near-collinear
-    hulls.  Faces of up to three columns are solved in closed form:
-
-    * one column is its own minimizer;
-    * for two, the least-squares problem has one column and is the unclamped
-      segment formula of ``closed_form_rows``;
-    * for three, modified Gram-Schmidt on the two difference columns,
-      applied to the right-hand side as well, gives the QR factors and the
-      projected right-hand side, and back substitution the weights.
-
-    ``lstsq`` solves faces of four or more columns, faces of two or three
-    columns whose dot products overflow, and faces of three whose
-    differences are nearly dependent, where the minimizer is (nearly) not
-    unique and ``lstsq`` picks the one of least norm.  Differences that are
-    not finite (scaled columns or their differences overflowed) raise
-    ``_NonFiniteFace`` instead: LAPACK fails on them.
+    hulls.  One column is its own minimizer; for two, the least-squares
+    problem has one column and is the unclamped segment formula of
+    ``closed_form_rows``.  ``lstsq`` solves faces of three or more columns
+    and faces of two whose dot products overflow; where the differences are
+    (nearly) dependent the minimizer is (nearly) not unique, and ``lstsq``
+    picks the one of least norm.  Differences that are not finite (scaled
+    columns or their differences overflowed) raise ``_NonFiniteFace``
+    instead: LAPACK fails on them.
     """
     k = A.shape[1]
     if k == 1:
@@ -252,10 +258,6 @@ def _affine_minimizer(A):
             # lstsq's minimum-norm answer z = 0 for equal columns
             z = -ad / dd if dd > 0.0 else 0.0
             return np.array([1.0 - z, z])
-    elif k == 3:
-        w = _face3(A)
-        if w is not None:
-            return w
     D = A[:, 1:] - A[:, :1]
     # finite differences imply a finite first column, the right-hand side
     if not np.isfinite(D).all():
@@ -264,41 +266,73 @@ def _affine_minimizer(A):
     return np.concatenate(([1.0 - z.sum()], z))
 
 
-# A three-column face goes to lstsq when its difference columns are
-# dependent to about half the working precision: when r11 * r22, the product
-# of their singular values, is at most this fraction of the sum of their
-# squares.  There the closed form would amplify rounding where lstsq
-# truncates to the minimizer of least norm.
-_DEPENDENT_RTOL = 1e-8
+# P @ _DIFFERENCES has the columns p_0, p_1 - p_0 and p_2 - p_0 of a
+# three-column P, each difference rounded once
+_DIFFERENCES = np.array([[1.0, -1.0, -1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
 
-def _face3(A):
-    """The affine minimizer of three columns by modified Gram-Schmidt, or None.
+def _segment(aa, ab, bb):
+    """``closed_form_rows``' clamped segment formula on Gram entries.
 
-    With a = A[:, 0] and d_i = A[:, i] - a, it minimizes
-    ||a + z_1 d_1 + z_2 d_2||: d_1 = r11 q_1 and d_2 = r12 q_1 + r22 q_2, the
-    right-hand side -a is reduced by q_1 and then by q_2, and back
-    substitution gives z.  None for a degenerate or overflowing face.
+    For the segment from ``a`` to ``a + b`` with ``aa = <a, a>``,
+    ``ab = <a, b>`` and ``bb = <b, b>``: the weight ``t`` of ``a + b`` at the
+    point nearest the origin, and that point's squared norm.
     """
-    a = A[:, 0]
-    d1 = A[:, 1] - a
-    d2 = A[:, 2] - a
-    r11 = math.sqrt(d1.dot(d1))
-    if not 0.0 < r11 < math.inf:
+    t = -ab / bb if bb > 0.0 else 1.0
+    if t < 0.0:
+        t = 0.0
+    elif t > 1.0:
+        t = 1.0
+    return aa + t * (2.0 * ab + t * bb), t
+
+
+def _triangle(P):
+    """Weights of the point of conv{p_0, p_1, p_2} nearest the origin, or None.
+
+    Solved on the 3x3 Gram matrix of a = p_0, d_1 = p_1 - p_0 and
+    d_2 = p_2 - p_0, as nine Python floats: the affine minimizer
+    a + z_1 d_1 + z_2 d_2 when its 2x2 system is well posed and all three
+    weights are positive, else the best of the three clamped edges.  The Gram
+    matrix squares the face's condition number, so the caller decides by
+    the certificate whether to keep the answer.  None when the Gram matrix is
+    not finite (the scaled data or their squares overflowed).
+    """
+    D = P.dot(_DIFFERENCES)
+    (aa, ad1, ad2), (_, d11, d12), (_, _, d22) = D.T.dot(D).tolist()
+    if not math.isfinite(aa + ad1 + ad2 + d11 + d12 + d22):
         return None
-    q1 = d1 / r11
-    r12 = float(q1.dot(d2))
-    u = d2 - r12 * q1
-    r22 = math.sqrt(u.dot(u))
-    if not r11 * r22 > _DEPENDENT_RTOL * (r11 * r11 + r12 * r12 + r22 * r22):
-        return None
-    c1 = -float(q1.dot(a))
-    c2 = -float(u.dot(a + c1 * q1)) / r22
-    z2 = c2 / r22
-    z1 = (c1 - r12 * z2) / r11
-    if not (math.isfinite(z1) and math.isfinite(z2)):
-        return None
-    return np.array([1.0 - (z1 + z2), z1, z2])
+    det = d11 * d22 - d12 * d12
+    if det > 0.0:
+        z1 = (ad2 * d12 - ad1 * d22) / det
+        z2 = (ad1 * d12 - ad2 * d11) / det
+        w0 = 1.0 - (z1 + z2)
+        if w0 > 0.0 and z1 > 0.0 and z2 > 0.0:
+            return _unit_sum(w0, z1, z2)
+    # the edges p_0 p_1, p_0 p_2 and p_1 p_2, the last from p_1 = a + d_1
+    # along p_2 - p_1 = d_2 - d_1
+    q1, t1 = _segment(aa, ad1, d11)
+    q2, t2 = _segment(aa, ad2, d22)
+    q3, t3 = _segment(aa + 2.0 * ad1 + d11, ad2 - ad1 + d12 - d11, d11 - 2.0 * d12 + d22)
+    if q1 <= q2 and q1 <= q3:
+        return _unit_sum(1.0 - t1, t1, 0.0)
+    if q2 <= q3:
+        return _unit_sum(1.0 - t2, 0.0, t2)
+    return _unit_sum(0.0, 1.0 - t3, t3)
+
+
+def _unit_sum(w0, w1, w2):
+    # three weights as an array, scaled to their rounded sum as Wolfe's are
+    total = w0 + w1 + w2
+    return np.array([w0 / total, w1 / total, w2 / total])
+
+
+def _stop_threshold(col_sq):
+    """Wolfe's relative stopping threshold ``_REL_TOL * max_i ||p_i||^2``.
+
+    An overflowed scale allows nothing, as in ``_effective_tol``.
+    """
+    q = float(col_sq.max())
+    return _REL_TOL * q if q < math.inf else 0.0
 
 
 def _minor_cycles(P, active, lam, mu):
@@ -327,12 +361,56 @@ def _minor_cycles(P, active, lam, mu):
 
 
 def _wolfe(S, v, start):
-    """Wolfe's min-norm-point method for one column or three or more of ``S``.
+    """Both QPs for one column or three or more, on the shifted points.
 
-    It runs on the shifted points p_i = s_i - v: the point x of conv{p_i}
-    nearest the origin gives the projection v + x, with the same weights.
-    ``v`` None is the zero target of ``min_norm_in_hull``: the shifted
-    points are the columns of ``S`` themselves, with no subtraction.
+    For p_i = s_i - v, the point x of conv{p_i} nearest the origin gives
+    the projection v + x, with the same weights.  ``v`` None is the zero
+    target of ``min_norm_in_hull``: the shifted points are the columns of
+    ``S`` themselves, with no subtraction.
+
+    Three columns are first solved on their Gram matrix (``_triangle``).
+    That answer is kept when Wolfe's own relative stopping test passes on
+    numpy's certificate at x = P theta, the gap ||x||^2 - min_i <x, p_i>;
+    otherwise, and for any other number of columns, Wolfe's method runs
+    from ``start`` (``_wolfe_cycles``).  Either way the gap is then
+    certified at ``DEFAULT_TOL``, or at ``_effective_tol`` of the data's
+    scale, and the point is ``S @ theta``.
+    """
+    P = S if v is None else S - v[:, None]
+    # the squared column norms of P, computed at most once: for the cold
+    # start's column, for the stop scale and, when P is S, for the tolerance
+    col_sq = None
+    theta = _triangle(P) if S.shape[1] == 3 else None
+    if theta is not None:
+        x = P.dot(theta)
+        xx = float(x.dot(x))
+        gap = xx - float(x.dot(P).min())
+        # a NaN gap fails both comparisons
+        if not gap <= _REL_TOL * xx:
+            col_sq = np.einsum("ij,ij->j", P, P)
+            if not gap <= _stop_threshold(col_sq):
+                theta = None
+        finite, cycles = True, 0
+    if theta is None:
+        theta, gap, finite, cycles, col_sq = _wolfe_cycles(P, start, col_sq)
+    point = S.dot(theta)
+    # max(), not a comparison, so that a NaN gap stays NaN
+    gap = max(float(gap), 0.0)
+    # a solve stopped on a face that is not finite is never certified, and
+    # a gap within DEFAULT_TOL needs no scale
+    if not finite or gap <= DEFAULT_TOL:
+        return HullSolution(theta, point, gap, finite, cycles)
+    if v is None:
+        if col_sq is None:
+            col_sq = np.einsum("ij,ij->j", S, S)
+        q_scale = max(1.0, float(col_sq.max()))
+    else:
+        q_scale = max(1.0, float(np.einsum("ij,ij->j", S, S).max()), float(v.dot(v)))
+    return HullSolution(theta, point, gap, gap <= _effective_tol(q_scale), cycles)
+
+
+def _wolfe_cycles(P, start, col_sq):
+    """Wolfe's min-norm-point method on the columns of ``P``.
 
     The start face is the support of ``start`` (its entries > 0), or, with
     no start or no positive entry, the single column of least norm.  The
@@ -344,23 +422,22 @@ def _wolfe(S, v, start):
     or rounding stalls the method.  The stall test ``j in active`` is sound
     because x is always the affine minimizer of a corral, where every active
     column has <x, p_i> = ||x||^2.  A single column is a corral at once and
-    makes no major cycle.  The returned gap is the loop's at its last
-    iterate, the Frank-Wolfe gap of the returned weights; the point is
-    ``S @ theta``.  A face whose differences are not finite (the scaled data
-    overflowed) stops the method at the last corral, unconverged, with a gap
-    of inf when it stopped before the first gap.
+    makes no major cycle.  A face whose differences are not finite (the
+    scaled data overflowed) stops the method at the last corral, unconverged,
+    with a gap of inf when it stopped before the first gap.
+
+    ``col_sq``, the squared column norms of ``P`` or None, is computed at
+    most once.  Returns the weights, scaled to unit sum, the loop's gap at
+    its last iterate (the Frank-Wolfe gap of those weights), whether every
+    face was finite, the major cycles and ``col_sq``.
     """
-    m = S.shape[1]
-    P = S if v is None else S - v[:, None]
+    m = P.shape[1]
     full = list(range(m))
 
     def columns(face):
         # the face of every column, in order, is P itself: no gather
         return P if face == full else P[:, face]
 
-    # the squared column norms of P, computed at most once: for the cold
-    # start's column, for the stop scale and, when P is S, for the tolerance
-    col_sq = None
     face = [] if start is None else [i for i, w in enumerate(start.tolist()) if w > 0.0]
     if not face:
         col_sq = np.einsum("ij,ij->j", P, P)
@@ -391,9 +468,7 @@ def _wolfe(S, v, start):
             if stop is None:
                 if col_sq is None:
                     col_sq = np.einsum("ij,ij->j", P, P)
-                q = float(col_sq.max())
-                # an overflowed scale allows nothing, as in _effective_tol
-                stop = _REL_TOL * q if q < math.inf else 0.0
+                stop = _stop_threshold(col_sq)
             if gap <= stop:
                 break
             entering = active + [j]
@@ -419,20 +494,7 @@ def _wolfe(S, v, start):
     total = theta.sum()
     if total != 1.0:
         theta = theta / total
-    point = S.dot(theta)
-    # max(), not a comparison, so that a NaN gap stays NaN
-    gap = max(float(gap), 0.0)
-    # a solve stopped on a face that is not finite is never certified, and
-    # a gap within DEFAULT_TOL needs no scale
-    if not finite or gap <= DEFAULT_TOL:
-        return HullSolution(theta, point, gap, finite, cycles)
-    if v is None:
-        if col_sq is None:
-            col_sq = np.einsum("ij,ij->j", S, S)
-        q_scale = max(1.0, float(col_sq.max()))
-    else:
-        q_scale = max(1.0, float(np.einsum("ij,ij->j", S, S).max()), float(v.dot(v)))
-    return HullSolution(theta, point, gap, gap <= _effective_tol(q_scale), cycles)
+    return theta, gap, finite, cycles, col_sq
 
 
 def _validate_start(start, m):
@@ -459,7 +521,8 @@ def project_onto_scaled_hull(G, scale, v, start=None):
     ``start``, of shape ``(m,)``, warm-starts Wolfe's method from the face
     of its positive entries, typically the weights of the previous solve of a
     nearby problem.  It changes the work, not the answer: a start with no
-    positive entry is a cold start, and the closed form (m = 2) ignores it.
+    positive entry is a cold start.  The closed form (m = 2) ignores it, and
+    so does the Gram solve (m = 3) unless it falls back to Wolfe's method.
     """
     G = _validate_columns(G)
     if not 0.0 < scale < math.inf:

@@ -43,8 +43,10 @@ x86 host, Python 3.11.7, numpy 2.4.6).  The norms come from ``math.hypot``
 and ``math.dist``, and may differ from numpy's dot products in their last
 bit, so a step may round differently there.  Any other m takes the numpy
 steps (``_array_steps``) through ``min_norm_in_hull`` and
-``project_onto_scaled_hull``, each warm-started from its previous weights,
-which Wolfe's method uses.
+``project_onto_scaled_hull``, each warm-started from its previous weights.
+At m = 3 the QPs solve on the Gram matrix and ignore the start unless they
+fall back to Wolfe's method; Wolfe's method, at m >= 4 and in that
+fallback, starts from it.
 
 Each rule of a step has one owner: ``problems.gradient_matrix`` checks the
 shape of every gradient matrix, the QPs (or the kernel) check finiteness,

@@ -18,7 +18,14 @@ import mograd.flow
 import mograd.simplex_qp
 import mograd.solvers
 from mograd.flow import FLOW_COMPLETED, FLOW_QP_FAILURE, Trajectory
-from mograd.problems import ProblemInstance, as_point, get_problem, gradient_matrix
+from mograd.problems import (
+    ProblemInstance,
+    as_point,
+    get_problem,
+    gradient_matrix,
+    least_squares_family,
+    logsumexp_family,
+)
 from mograd.solvers import (
     ACCG_CONST,
     ACCG_LS,
@@ -173,6 +180,26 @@ def pareto_segment_distance(prob, x, samples=20001):
     """Decision-space distance from x to the parametrized Pareto set."""
     seg = _pareto_set(prob.name, samples)
     return float(np.min(np.linalg.norm(seg - np.asarray(x), axis=1)))
+
+
+def five_objective_problem(family, n, p, seed):
+    """The ex1 or ex2 family with five objectives instead of three.
+
+    Three objectives make both hull QPs a Gram solve that Wolfe's method
+    only backs up; five keep every solve on Wolfe's method and its warm
+    start.  The data follow the family: log-sum-exp objectives on
+    uniform[-1, 1] data for ex1, least squares on uniform[0, 1] data for
+    ex2, delta = 0.05 and the start box [-2, 2]^n.
+    """
+    rng = np.random.default_rng(seed)
+    build, lo = {"ex1": (logsumexp_family, -1.0), "ex2": (least_squares_family, 0.0)}[family]
+    return build(
+        f"{family}x5:n={n},p={p},seed={seed}",
+        [rng.uniform(lo, 1.0, size=(p, n)) for _ in range(5)],
+        [rng.uniform(lo, 1.0, size=p) for _ in range(5)],
+        delta=0.05,
+        init_box=(np.full(n, -2.0), np.full(n, 2.0)),
+    )
 
 
 def wrap_hull_qps(monkeypatch, module, cold):

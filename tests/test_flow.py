@@ -17,7 +17,12 @@ from mograd.harness import sample_starts
 from mograd.problems import get_problem, logsumexp_pair, quadratic_pair
 from mograd.simplex_qp import NonFiniteInput
 
-from conftest import pareto_segment_distance, reference_integrate, wrap_hull_qps
+from conftest import (
+    five_objective_problem,
+    pareto_segment_distance,
+    reference_integrate,
+    wrap_hull_qps,
+)
 
 X0 = np.array([-0.2, -0.1])
 
@@ -194,8 +199,8 @@ class TestIntegration:
         assert ends["mavng"] < ends["mavd"]
 
     def test_warm_started_qps_leave_the_trajectory(self, monkeypatch):
-        # three objectives, so both QPs run Wolfe's method
-        prob = get_problem("ex1:n=10,p=8,seed=1")
+        # five objectives, so both QPs run Wolfe's method
+        prob = five_objective_problem("ex1", n=10, p=8, seed=1)
         cfg = FlowConfig(alpha=20.0, x0=sample_starts(prob, 1, 0)[0], t_end=1.3)
 
         def trajectory(cold):

@@ -678,8 +678,10 @@ class TestFlowExperiment:
         # alpha = 2 < beta = 3 used to fail after alpha = 50 wrote its CSVs
         cfg = ExperimentConfig(problem="quad2", flow_alphas=(50.0, 2.0), flow_t_end=2.0,
                                merit_stride=500)
-        with pytest.raises(ValueError, match="alpha >= beta"):
+        with pytest.raises(ValueError, match="alpha >= beta") as err:
             flow_experiment(cfg, out_dir=tmp_path / "out")
+        # the message names the refused alpha of the sweep, and beta
+        assert "alpha = 2.0" in str(err.value) and "beta = 3.0" in str(err.value)
         assert not (tmp_path / "out").exists()
 
     def test_start_of_the_wrong_dimension_writes_nothing(self, tmp_path):
@@ -1161,6 +1163,20 @@ class TestCli:
         assert cli_main(argv) == 1
         assert capsys.readouterr().err == f"mograd: {verb} takes a single {flag[2:]} ({flag})\n"
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("verb", ["run", "front", "flow", "trace"])
+    def test_second_out_or_config_exits_one(self, tmp_path, capsys, verb):
+        # argparse kept the last value: run --out A --out B wrote B and exited 0
+        base_file = tmp_path / "base.json"
+        base_file.write_text(json.dumps(self.BASE[verb]))
+        outs = [tmp_path / "A", tmp_path / "B"]
+        argv = [verb, "--config", str(base_file), "--out", str(outs[0]), "--out", str(outs[1])]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == f"mograd: {verb} takes a single out (--out)\n"
+        argv = [verb, "--config", str(base_file), "--config", str(base_file), "--out", str(outs[0])]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == f"mograd: {verb} takes a single config (--config)\n"
+        assert not any(out.exists() for out in outs)
 
     def test_repeated_eps_exits_one(self, tmp_path, capsys):
         out_dir = tmp_path / "out"

@@ -11,7 +11,6 @@ from mograd.problems import get_problem
 from mograd.simplex_qp import (
     DEFAULT_TOL,
     NonFiniteInput,
-    _affine_minimizer,
     _effective_tol,
     closed_form_rows,
     min_norm_in_hull,
@@ -19,7 +18,7 @@ from mograd.simplex_qp import (
 )
 from mograd.solvers import ACCG_LS, KMAX, MFISC_LS, STEEPEST_LS, SolverConfig, run_solver
 
-from conftest import grid_min_hull_objective
+from conftest import five_objective_problem, grid_min_hull_objective
 
 
 class TestMinNormInHull:
@@ -388,12 +387,6 @@ class TestClosedFormKernel:
                         solve()
 
 
-def _lstsq_affine_minimizer(A):
-    # the least-squares route on the column differences, all through lstsq
-    z = np.linalg.lstsq(A[:, 1:] - A[:, :1], -A[:, 0], rcond=None)[0]
-    return np.concatenate(([1.0 - z.sum()], z))
-
-
 _A, _B = np.random.default_rng(20261018).normal(size=(2, 5))
 # three-column faces whose difference columns are dependent or overflow
 DEGENERATE_FACES = {
@@ -404,32 +397,86 @@ DEGENERATE_FACES = {
     "third on the line beyond": np.column_stack([_A, _B, 2.5 * _A - 1.5 * _B]),
     "squares overflow": np.column_stack([_A, _B, -_A]) * 1e200,
     "differences overflow": np.column_stack([_A, _B, _B[::-1]]) * 1e160,
+    "segment products overflow": np.array([[1e200, -1e200, 0.5], [1e200, 1e200, 0.0]]),
 }
 
 
-class TestThreeColumnFace:
-    """The closed-form three-column affine minimizer and its lstsq fallback."""
+class TestGramSolve:
+    """Three columns are solved on their Gram matrix and certified as Wolfe's
+    loop certifies; a face whose Gram answer fails falls back to Wolfe's
+    method, so the answer agrees with the reference's."""
 
-    def test_agrees_with_least_squares_on_random_faces(self, rng):
+    @staticmethod
+    def _count_fallbacks(monkeypatch):
+        # the list gets one entry per run of Wolfe's method
+        fallbacks = []
+
+        def cycles(*args, _cycles=mograd.simplex_qp._wolfe_cycles):
+            fallbacks.append(None)
+            return _cycles(*args)
+
+        monkeypatch.setattr(mograd.simplex_qp, "_wolfe_cycles", cycles)
+        return fallbacks
+
+    @staticmethod
+    def _assert_agrees(G, scale, v):
+        # Wolfe's method as reference: the same verdict and, when both
+        # certify, points within 2 sqrt(2 tol) of each other, as each lies
+        # within sqrt(2 tol) of the projection
+        S = scale * G
+        for sol, ref in (
+            (project_onto_scaled_hull(G, scale, v), _reference_wolfe(S, v, None)),
+            (min_norm_in_hull(S), _reference_wolfe(S, np.zeros(len(v)), None)),
+        ):
+            _, point, _, converged, _ = ref
+            assert sol.converged == converged
+            assert np.all(sol.weights >= 0.0) and sol.weights.sum() == pytest.approx(1.0)
+            if converged:
+                q_scale = max(1.0, float(np.einsum("ij,ij->j", S, S).max()), float(v @ v))
+                tol = _effective_tol(q_scale)
+                assert np.linalg.norm(sol.point - point) <= 2.0 * math.sqrt(2.0 * tol)
+
+    def test_agrees_with_wolfe_on_random_faces(self, rng, monkeypatch):
+        fallbacks = self._count_fallbacks(monkeypatch)
         for n in (2, 3, 5, 40):
-            for scale in (1e-6, 1.0, 1e6):
-                for _ in range(200):
-                    A = rng.normal(size=(n, 3)) * scale
-                    w = _affine_minimizer(A)
-                    ref = _lstsq_affine_minimizer(A)
-                    assert w.sum() == pytest.approx(1.0, abs=1e-12)
-                    rel = np.abs(w - ref).max() / max(1.0, np.abs(ref).max())
-                    assert rel <= 1e-12, (n, scale)
+            for magnitude in (1e-6, 1.0, 1e6):
+                for _ in range(50):
+                    G = rng.normal(size=(n, 3)) * magnitude
+                    scale = float(10.0 ** rng.uniform(-2.0, 2.0))
+                    self._assert_agrees(G, scale, scale * magnitude * rng.normal(size=n))
+        # of 1200 solves, the Gram answer of nearly every one is kept
+        assert len(fallbacks) <= 12
 
     @pytest.mark.parametrize("A", DEGENERATE_FACES.values(), ids=DEGENERATE_FACES.keys())
-    def test_degenerate_faces_take_the_least_squares_answer(self, A):
-        # the minimizer is not unique (or its dot products overflow): lstsq's
-        # least-norm answer, bit for bit, and never a NaN
+    def test_agrees_with_wolfe_on_degenerate_faces(self, A, rng):
+        n = A.shape[0]
         with np.errstate(over="ignore", invalid="ignore"):
-            w = _affine_minimizer(A)
-            ref = _lstsq_affine_minimizer(A)
-        assert np.isfinite(ref).all()
-        assert w.tobytes() == ref.tobytes()
+            for scale, v in ((1.0, np.zeros(n)), (0.5, A[:, 1]), (2.0, A @ rng.normal(size=3))):
+                self._assert_agrees(A, scale, v)
+
+    def test_ill_conditioned_faces_fall_back_to_wolfe(self, rng, monkeypatch):
+        # thin triangles 3 away from the origin, which projects inside them:
+        # the Gram matrix of their difference columns (singular values about
+        # 1 and 1e-3 to 1e-5) loses the answer to rounding, the certificate
+        # refuses it, and Wolfe's method certifies the face
+        fallbacks = self._count_fallbacks(monkeypatch)
+        refused = 0
+        for width in (1e-3, 1e-4, 1e-5):
+            for _ in range(20):
+                Q = np.linalg.qr(rng.normal(size=(6, 3)))[0]
+                rotation = np.linalg.qr(rng.normal(size=(2, 2)))[0]
+                Y = rotation @ np.array([[-0.5, 0.5, 0.0], [-width, -width, 2.0 * width]])
+                Y -= (Y @ rng.dirichlet(np.ones(3)))[:, None]
+                G = Q[:, :2] @ Y + 3.0 * Q[:, 2:]
+                before = len(fallbacks)
+                sol = min_norm_in_hull(G)
+                if len(fallbacks) == before:
+                    continue
+                refused += 1
+                ref = _reference_wolfe(G, np.zeros(6), None)
+                assert ref[3] and sol.converged
+                TestWolfeReference._assert_same(sol, ref)
+        assert refused >= 20
 
 
 class TestAdversarialConditioning:
@@ -523,29 +570,15 @@ class TestAdversarialConditioning:
 
 # Wolfe's method as it was before its per-call costs were cut (numpy arrays
 # and ``@`` throughout, the zero target subtracted), kept as the reference of
-# the library's path.  Its certificate is the gap of its loop's last iterate.
+# the library's Wolfe path: every solve of four or more columns, and of three
+# where the Gram answer is refused.  Faces of three or more columns go to
+# lstsq.  Its certificate is the gap of its loop's last iterate.
 
 
-def _reference_face3(A):
-    a = A[:, 0]
-    d1 = A[:, 1] - a
-    d2 = A[:, 2] - a
-    r11 = math.sqrt(d1 @ d1)
-    if not 0.0 < r11 < math.inf:
-        return None
-    q1 = d1 / r11
-    r12 = float(q1 @ d2)
-    u = d2 - r12 * q1
-    r22 = math.sqrt(u @ u)
-    if not r11 * r22 > 1e-8 * (r11 * r11 + r12 * r12 + r22 * r22):
-        return None
-    c1 = -float(q1 @ a)
-    c2 = -float(u @ (a + c1 * q1)) / r22
-    z2 = c2 / r22
-    z1 = (c1 - r12 * z2) / r11
-    if not (math.isfinite(z1) and math.isfinite(z2)):
-        return None
-    return np.array([1.0 - (z1 + z2), z1, z2])
+def _lstsq_affine_minimizer(A):
+    # the least-squares route on the column differences, all through lstsq
+    z = np.linalg.lstsq(A[:, 1:] - A[:, :1], -A[:, 0], rcond=None)[0]
+    return np.concatenate(([1.0 - z.sum()], z))
 
 
 def _reference_affine_minimizer(A):
@@ -560,10 +593,6 @@ def _reference_affine_minimizer(A):
         if dd < math.inf and math.isfinite(ad):
             z = -ad / dd if dd > 0.0 else 0.0
             return np.array([1.0 - z, z])
-    elif k == 3:
-        w = _reference_face3(A)
-        if w is not None:
-            return w
     return _lstsq_affine_minimizer(A)
 
 
@@ -662,10 +691,11 @@ class TestWolfeReference:
             ref = _reference_wolfe(scale * G, v, start)
         self._assert_same(sol, ref)
 
-    @pytest.mark.parametrize("family", ["ex1:n=40,p=20", "ex2:n=40,p=40"])
-    def test_warm_started_chains_along_solver_runs(self, family, monkeypatch):
+    @pytest.mark.parametrize("family, p", [("ex1", 20), ("ex2", 40)])
+    def test_warm_started_chains_along_solver_runs(self, family, p, monkeypatch):
         # the solvers' own call sequences: each QP warm-started from the
-        # weights of its previous solve, as in the tri-objective tables
+        # weights of its previous solve, as in the tri-objective tables but
+        # with five objectives, where every solve is Wolfe's
         calls = []
         for name, kind in (
             ("min_norm_in_hull", "min_norm"),
@@ -678,7 +708,7 @@ class TestWolfeReference:
 
             monkeypatch.setattr(mograd.solvers, name, record)
         for draw in (0, 1):
-            prob = get_problem(f"{family},seed={draw}")
+            prob = five_objective_problem(family, n=40, p=p, seed=draw)
             x0 = sample_starts(prob, 1, draw)[0]
             for variant in (MFISC_LS, ACCG_LS, STEEPEST_LS):
                 run_solver(prob, SolverConfig(variant=variant, epsilon=1e-4, k_max=48), x0)
@@ -695,7 +725,8 @@ class TestWolfeReference:
         checked = 0
         for G, scale, v in cases:
             m = G.shape[1]
-            if m < 3:
+            # m = 3 is a Gram solve, checked against the reference by TestGramSolve
+            if m < 4:
                 continue
             cold = min_norm_in_hull(G)
             for start in (None, cold.weights, np.eye(m)[int(rng.integers(m))],

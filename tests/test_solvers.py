@@ -29,6 +29,7 @@ from mograd.solvers import (
 )
 
 from conftest import (
+    five_objective_problem,
     reference_line_search,
     reference_problem,
     reference_run_solver,
@@ -747,9 +748,10 @@ class TestTraceStructure:
 class TestWarmStartedQPs:
     """Warm-starting the hull QPs changes their work, not the runs."""
 
-    @pytest.mark.parametrize("key", ["ex1:n=10,p=8,seed=1", "ex2:n=10,p=12,seed=2"])
-    def test_cold_and_warm_runs_agree(self, key, monkeypatch):
-        prob = get_problem(key)
+    @pytest.mark.parametrize("family, n, p, seed", [("ex1", 10, 8, 1), ("ex2", 10, 12, 2)])
+    def test_cold_and_warm_runs_agree(self, family, n, p, seed, monkeypatch):
+        # five objectives: at three the QPs make no major cycle, warm or cold
+        prob = five_objective_problem(family, n=n, p=p, seed=seed)
         starts = sample_starts(prob, 2, 0)
         cfgs = [SolverConfig(variant=v, epsilon=1e-4, k_max=48) for v in VARIANTS]
 
