@@ -65,7 +65,6 @@ _FLAGS = {
     "--t-end": dict(type=float, dest="flow_t_end"),
     "--x0": dict(type=_point, dest="flow_x0", help="comma-separated start point"),
     "--merit-stride": dict(type=_count, dest="merit_stride"),
-    "--bound-scale": dict(type=float, dest="bound_coeff_scale", help="bound coefficient / alpha"),
 }
 # every flag appends its values, so a repeat is seen; these keys keep the list
 _LISTS = ("--solver", "--alpha", "--eps")
@@ -77,8 +76,8 @@ _VERBS = {
     "front": ("Pareto-front scan from sampled start points",
               _SOLVER_FLAGS + ("--starts", "--workers"), ()),
     "flow": ("flow trajectory sweep with merit-bound report",
-             ("--problem", "--alpha", "--beta", "--p", "--h", "--t-end", "--x0", "--merit-stride",
-              "--bound-scale"), ("--alpha",)),
+             ("--problem", "--alpha", "--beta", "--p", "--h", "--t-end", "--x0", "--merit-stride"),
+             ("--alpha",)),
     "trace": ("single run with per-iteration CSV export", _SOLVER_FLAGS + ("--x0",), ()),
 }
 
@@ -114,6 +113,8 @@ def _experiment_config(args):
     if config:
         with open(config) as fh:
             settings = json.load(fh)
+        if not isinstance(settings, dict):
+            raise InvalidConfig(f"config file {config} must hold a JSON object of settings")
         unknown = sorted(set(settings) - keys)
         if unknown:
             raise InvalidConfig(f"unknown config key(s) for {args.verb}: {', '.join(unknown)}")
@@ -175,8 +176,9 @@ def main(argv=None):
         if args.verb == "flow":
             report, failures = flow_experiment(cfg, out_dir=out)
             for entry in report:
-                print(f"{entry['system']} alpha={entry['alpha']:g}: bound {entry['coeff']:g}/t^2 "
-                      f"holds at {100 * entry['fraction']:.1f}% of {entry['samples']} samples")
+                print(f"{entry['system']} alpha={entry['alpha']:g}: bound {entry['alpha']:g}/t^2 "
+                      f"holds at {100 * entry['fraction']:.1f}% of {entry['samples']} samples, "
+                      f"max t^2*merit {entry['constant']:.4g}")
             return 2 if failures else 0
         if args.verb == "trace":
             trace = run_trace(cfg, out_dir=out)

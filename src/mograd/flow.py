@@ -135,18 +135,17 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Pointwise comparison of sampled merit values against coeff / t^2:
-    the ``times`` and ``merit`` of the samples in the window, and the
-    ``fraction`` of them with merit <= coeff / t^2."""
+    """Sampled merit against the paper's rate C / t^2: the ``times`` and
+    ``merit`` of the samples in the window, the ``fraction`` of them with
+    merit <= coeff / t^2, and ``constant``, max t^2 * merit, the least C that
+    bounds every sample.  It is built from ``merit_value``'s lower bound on
+    phi, so it is not certified; a certified C needs an upper bound on phi."""
 
     coeff: float
     times: np.ndarray
     merit: np.ndarray
     fraction: float
-
-    @property
-    def count(self):
-        return len(self.times)
+    constant: float
 
 
 def _integrate(prob, cfg, system):
@@ -245,7 +244,7 @@ def attach_merit(prob, traj, stride):
 
 
 def merit_bound_scan(traj, coeff, t_min=None, t_max=None):
-    """Fraction of merit-sampled points satisfying merit <= coeff / t^2."""
+    """Share of the merit samples with merit <= coeff / t^2, and their max t^2 * merit."""
     # a NaN coeff would make every comparison false, not raise
     if not 0.0 < coeff < math.inf:
         raise ValueError(f"coeff must be positive and finite, not {coeff!r}")
@@ -258,4 +257,5 @@ def merit_bound_scan(traj, coeff, t_min=None, t_max=None):
         raise MissingMerit("trajectory has no merit samples in the window")
     times, merit = traj.times[mask], traj.merit[mask]
     fraction = float(np.mean(merit <= coeff / (times * times)))
-    return BoundReport(coeff=float(coeff), times=times, merit=merit, fraction=fraction)
+    constant = float(np.max(times * times * merit))
+    return BoundReport(float(coeff), times, merit, fraction, constant)

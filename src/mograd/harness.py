@@ -64,14 +64,13 @@ class ExperimentConfig:
     flow_h: float = FlowConfig.h
     flow_t_end: float = FlowConfig.t_end
     flow_x0: tuple = ()
-    bound_coeff_scale: float = 1.0
 
     def __post_init__(self):
         if not isinstance(self.problem, str):
             raise InvalidConfig(f"problem must be a registry key string, not {self.problem!r}")
         for name, minimum in (("n_starts", 1), ("seed", 0), ("workers", 1), ("merit_stride", 1)):
             object.__setattr__(self, name, whole_number(name, getattr(self, name), minimum))
-        for name in ("flow_beta", "flow_p", "flow_h", "flow_t_end", "bound_coeff_scale"):
+        for name in ("flow_beta", "flow_p", "flow_h", "flow_t_end"):
             object.__setattr__(self, name, real_number(name, getattr(self, name)))
         for name in ("flow_alphas", "flow_x0"):
             values = getattr(self, name)
@@ -98,8 +97,6 @@ class ExperimentConfig:
             raise InvalidConfig(f"write_traces must be true or false, not {self.write_traces!r}")
         if not self.epsilons:
             raise InvalidConfig("epsilons must not be empty")
-        if not 0.0 < self.bound_coeff_scale < math.inf:
-            raise InvalidConfig("bound_coeff_scale must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -184,7 +181,7 @@ _ENTRY_FIELDS = {
     "run_batch": _SOLVER_FIELDS + ("n_starts", "workers", "write_traces"),
     "pareto_scan": _SOLVER_FIELDS + ("n_starts", "workers"),
     "flow_experiment": ("problem", "flow_alphas", "flow_beta", "flow_p", "flow_h", "flow_t_end",
-                        "flow_x0", "merit_stride", "bound_coeff_scale"),
+                        "flow_x0", "merit_stride"),
     "run_trace": _SOLVER_FIELDS + ("flow_x0",),
 }
 
@@ -361,8 +358,9 @@ def flow_experiment(cfg, out_dir=None):
     Writes one trajectory CSV per (system, alpha) with columns
     t, x_1..x_n, kkt_residual, merit and one row per merit sample (every
     ``merit_stride``-th grid point, the first and last always included),
-    plus a JSON bound report with the per-trajectory fractions over the same
-    samples.
+    plus a JSON bound report over the same samples: per trajectory, the
+    ``fraction`` with merit <= alpha / t^2, the paper's rate, and the
+    uncertified ``constant`` max t^2 * merit (:class:`~mograd.flow.BoundReport`).
     """
     if not cfg.flow_alphas:
         raise InvalidConfig("flow_experiment needs a non-empty alpha sweep")
@@ -387,15 +385,14 @@ def flow_experiment(cfg, out_dir=None):
             traj = integrate(prob, flow_cfg)
             failures += traj.termination != "completed"
             attach_merit(prob, traj, stride=cfg.merit_stride)
-            coeff = cfg.bound_coeff_scale * alpha
-            scan = merit_bound_scan(traj, coeff)
+            scan = merit_bound_scan(traj, alpha)
             report.append(
                 {
                     "system": system,
                     "alpha": alpha,
-                    "coeff": coeff,
                     "fraction": scan.fraction,
-                    "samples": scan.count,
+                    "constant": scan.constant,
+                    "samples": len(scan.times),
                     "termination": traj.termination,
                 }
             )

@@ -57,12 +57,12 @@ class InvalidConfig(ValueError):
 
 def whole_number(name, value, minimum):
     """``value`` as an int of at least ``minimum``, the one check of a count:
-    ``2.0`` becomes ``2``; 2.5, NaN, inf, None and strings raise InvalidConfig."""
+    ``2.0`` becomes ``2``; 2.5, NaN, inf, None, bools and strings raise InvalidConfig."""
     try:
         count = int(value)
     except (TypeError, ValueError, OverflowError):
         count = None
-    if count is None or count != value:
+    if count is None or count != value or isinstance(value, (bool, np.bool_)):
         raise InvalidConfig(f"{name} must be a whole number, not {value!r}")
     if count < minimum:
         least = "nonnegative" if minimum == 0 else f"a whole number of at least {minimum}"

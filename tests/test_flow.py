@@ -376,8 +376,19 @@ class TestMeritAttachment:
         traj = attach_merit(prob, mavng_integrate(prob, short_cfg(t_end=3.0)), stride=200)
         full = merit_bound_scan(traj, 50.0)
         tail = merit_bound_scan(traj, 50.0, t_min=2.0, t_max=3.0)
-        assert tail.count < full.count == len(full.merit)
+        assert len(tail.times) < len(full.times) == len(full.merit)
         assert (tail.times >= 2.0).all()
+
+    def test_constant_is_the_least_bound_in_the_window(self):
+        prob = quadratic_pair()
+        traj = attach_merit(prob, mavng_integrate(prob, short_cfg(t_end=3.0)), stride=200)
+        for t_min in (None, 2.0):
+            report = merit_bound_scan(traj, 50.0, t_min=t_min)
+            samples = zip(report.times.tolist(), report.merit.tolist())
+            assert report.constant == max(t * t * phi for t, phi in samples) > 0.0
+            # every sample holds at C just above the constant, not just below
+            assert merit_bound_scan(traj, report.constant * (1 + 1e-9), t_min=t_min).fraction == 1.0
+            assert merit_bound_scan(traj, report.constant * (1 - 1e-9), t_min=t_min).fraction < 1.0
 
     def test_corrected_flow_dominates_baseline_merit(self):
         # at matched times the corrected flow's merit sits below the

@@ -153,7 +153,7 @@ class TestExperimentConfig:
             )):
                 ExperimentConfig(problem="quad2", flow_alphas=(7.0,) + alphas)
 
-    REALS = ("flow_beta", "flow_p", "flow_h", "flow_t_end", "bound_coeff_scale")
+    REALS = ("flow_beta", "flow_p", "flow_h", "flow_t_end")
 
     @pytest.mark.parametrize("name", REALS)
     @pytest.mark.parametrize("value", ["abc", "3", True, None, math.nan, math.inf])
@@ -198,11 +198,6 @@ class TestExperimentConfig:
         for value in ("no", "false", 0, 1, None):
             with pytest.raises(InvalidConfig, match="write_traces"):
                 ExperimentConfig(problem="jos1", write_traces=value)
-
-    def test_bound_scale_must_be_positive_and_finite(self):
-        for scale in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(InvalidConfig):
-                ExperimentConfig(problem="quad2", bound_coeff_scale=scale)
 
 
 class TestRunBatch:
@@ -629,7 +624,9 @@ class TestFlowExperiment:
         report, failures = flow_experiment(cfg, out_dir=tmp_path)
         assert failures == 0
         assert {entry["system"] for entry in report} == {"mavng", "mavd"}
-        assert all(entry["coeff"] == 50.0 for entry in report)
+        # the fraction is taken at alpha / t^2, so no coefficient is reported
+        assert all(set(entry) == {"system", "alpha", "fraction", "constant", "samples", "termination"}
+                   for entry in report)
         assert (tmp_path / "mavng_a50.csv").exists()
         assert (tmp_path / "bound_report.json").exists()
         header = (tmp_path / "mavng_a50.csv").read_text().splitlines()[0]
@@ -656,23 +653,27 @@ class TestFlowExperiment:
         assert lines[-1].split(",")[0] == repr(float(traj.times[-1]))
         assert all(line.split(",")[-1] != "" for line in lines[1:])
 
-    def test_csv_rows_are_the_bound_report_samples(self, tmp_path):
+    def test_bound_report_entries_are_their_csv_rows(self, tmp_path):
+        # lse2 from (0, 3) at alpha = 10: merit sits above 10/t^2 at some
+        # samples of each flow, so neither the fraction nor the constant is
+        # a foregone value
         cfg = ExperimentConfig(
-            problem="quad2", flow_alphas=(50.0,), flow_beta=3.0, flow_t_end=3.0,
-            flow_x0=(-0.2, -0.1), merit_stride=70, bound_coeff_scale=0.01,
+            problem="lse2", flow_alphas=(10.0,), flow_t_end=2.0, flow_x0=(0.0, 3.0),
+            merit_stride=100,
         )
         flow_experiment(cfg, out_dir=tmp_path)
-        with open(tmp_path / "mavng_a50.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        [entry] = [
-            e for e in json.loads((tmp_path / "bound_report.json").read_text())["trajectories"]
-            if e["system"] == "mavng"
-        ]
-        samples = [(float(r["t"]), float(r["merit"])) for r in rows]
-        held = [phi <= entry["coeff"] / (t * t) for t, phi in samples]
-        assert len(held) == entry["samples"]
-        assert sum(held) / len(held) == entry["fraction"]
-        assert 0.0 < entry["fraction"] < 1.0  # at 0.5/t^2 some samples hold, some do not
+        report = json.loads((tmp_path / "bound_report.json").read_text())["trajectories"]
+        assert len(report) == 2
+        for entry in report:
+            with open(tmp_path / f"{entry['system']}_a{entry['alpha']:g}.csv", newline="") as fh:
+                samples = [(float(r["t"]), float(r["merit"])) for r in csv.DictReader(fh)]
+            held = [phi <= entry["alpha"] / (t * t) for t, phi in samples]
+            assert len(held) == entry["samples"]
+            assert sum(held) / len(held) == entry["fraction"]
+            assert entry["constant"] == max(t * t * phi for t, phi in samples)
+            assert entry["fraction"] < 1.0 and entry["constant"] > entry["alpha"]
+        # and some samples of mavng hold
+        assert report[0]["system"] == "mavng" and report[0]["fraction"] > 0.0
 
     def test_every_alpha_is_checked_before_the_first_file(self, tmp_path):
         # alpha = 2 < beta = 3 used to fail after alpha = 50 wrote its CSVs
@@ -696,7 +697,7 @@ class TestFlowExperiment:
         config = json.loads((tmp_path / "bound_report.json").read_text())["config"]
         assert set(config) == {
             "problem", "merit_stride", "flow_alphas", "flow_beta", "flow_p", "flow_h", "flow_t_end",
-            "flow_x0", "bound_coeff_scale",
+            "flow_x0",
         }
 
     def test_beta_equal_alpha_writes_identical_state_columns(self, tmp_path):
@@ -713,18 +714,19 @@ class TestFlowExperiment:
         b = (tmp_path / "mavd_a50.csv").read_text()
         assert a == b
 
-    def test_bound_scale_multiplier(self, tmp_path):
+    def test_corrected_flow_has_the_smaller_constant(self):
+        # the bench's flow-merit preset: the paper's claim that the corrected
+        # flow beats the baseline on the 1/t^2 rate, read off the constants
+        # (about 1.8 against 12.6 at alpha = 50 and 24.8 at alpha = 100)
         cfg = ExperimentConfig(
-            problem="lse2",
-            flow_alphas=(10.0,),
-            flow_beta=3.0,
-            flow_t_end=2.0,
-            flow_x0=(0.0, 3.0),
-            merit_stride=500,
-            bound_coeff_scale=10.0,
+            problem="quad2", flow_alphas=(50.0, 100.0), flow_beta=3.0, flow_t_end=20.0,
+            flow_h=5e-3, flow_x0=(-0.2, -0.1), merit_stride=100,
         )
-        report, _ = flow_experiment(cfg, out_dir=tmp_path)
-        assert all(entry["coeff"] == 100.0 for entry in report)
+        report, failures = flow_experiment(cfg)
+        assert failures == 0
+        constants = {(e["system"], e["alpha"]): e["constant"] for e in report}
+        for alpha in cfg.flow_alphas:
+            assert constants["mavng", alpha] < constants["mavd", alpha] <= alpha
 
     def test_needs_alpha_sweep(self):
         with pytest.raises(InvalidConfig):
@@ -925,6 +927,17 @@ class TestCli:
         assert (tmp_path / "front" / "front.csv").exists()
         assert (tmp_path / "flow" / "bound_report.json").exists()
 
+    def test_flow_line_prints_the_fraction_and_the_constant(self, tmp_path, capsys):
+        argv = ["flow", "--problem", "quad2", "--alpha", "50", "--t-end", "2.0", "--x0=-0.2,-0.1",
+                "--merit-stride", "500", "--out", str(tmp_path)]
+        assert cli_main(argv) == 0
+        report = json.loads((tmp_path / "bound_report.json").read_text())["trajectories"]
+        assert capsys.readouterr().out.splitlines() == [
+            f"{e['system']} alpha=50: bound 50/t^2 holds at {100 * e['fraction']:.1f}% of "
+            f"{e['samples']} samples, max t^2*merit {e['constant']:.4g}"
+            for e in report
+        ]
+
     def test_repeated_alpha_is_config_error_for_solver_verbs(self, tmp_path, capsys):
         solver = ["--problem", "quad2", "--solver", "mfisc_const", "--step", "0.05"]
         for verb in ("run", "front", "trace"):
@@ -964,9 +977,32 @@ class TestCli:
         assert "n_start" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("content", [["problem"], "quad2", 5, None])
+    def test_config_file_must_hold_an_object(self, tmp_path, capsys, content):
+        # ["problem"] ended in an AttributeError traceback, "quad2" in
+        # "unknown config key(s) for run: 2, a, d, q, u"
+        cfg_file = tmp_path / "exp.json"
+        cfg_file.write_text(json.dumps(content))
+        out_dir = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg_file), "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err == f"mograd: config file {cfg_file} must hold a JSON object of settings\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("verb", ["run", "flow"])
+    def test_problem_key_is_required(self, tmp_path, capsys, verb):
+        cfg_file = tmp_path / "exp.json"
+        cfg_file.write_text(json.dumps({"problem": ""}))
+        argv = {"run": ["--solver", "accg_ls"], "flow": ["--alpha", "5"]}[verb]
+        for extra in ([], ["--config", str(cfg_file)]):
+            assert cli_main([verb, *argv, *extra]) == 1
+            assert capsys.readouterr().err == "mograd: a problem key is required (--problem or config file)\n"
+
     @pytest.mark.parametrize("verb, settings", [
         ("run", {"problem": 5, "solvers": ["mfisc_const"]}),
         ("run", {"problem": "jos1", "solvers": ["mfisc_const"], "n_starts": None}),
+        # true ran as a count of 1, one start or k_max 1, and exited 0
+        ("run", {"problem": "quad2", "solvers": ["accg_ls"], "n_starts": True}),
+        ("run", {"problem": "quad2", "solvers": ["accg_ls"], "k_max": True}),
         ("run", {"problem": "jos1", "solvers": ["mfisc_const"], "alpha": None}),
         ("flow", {"problem": "quad2", "alpha": 5, "flow_x0": 5}),
     ])
@@ -1009,7 +1045,6 @@ class TestCli:
             ("--t-end", "flow_t_end", 1.508, 1.01),
             ("--x0", "flow_x0", [0.3, 0.4], [0.1, 0.2]),
             ("--merit-stride", "merit_stride", 400, 500),
-            ("--bound-scale", "bound_coeff_scale", 10.0, 1.0),
         ),
         "trace": SOLVER_SETTINGS + (("--x0", "flow_x0", [0.3, 0.4], [0.1, 0.2]),),
     }
@@ -1023,7 +1058,7 @@ class TestCli:
             return set(vars(build_parser().parse_args([verb]))) - {"verb", "out", "config"}
 
         counts = {verb: len(parsed_keys(verb)) for verb in self.VERB_SETTINGS}
-        assert counts == {"run": 11, "front": 10, "flow": 9, "trace": 9}
+        assert counts == {"run": 11, "front": 10, "flow": 8, "trace": 9}
 
         def flags(table, column):
             argv = []

@@ -82,6 +82,18 @@ class TestMeritValue:
         assert result.converged
         assert result.phi == pytest.approx(0.5, abs=1e-10)
 
+    def test_rejected_steps_stop_the_solve_unconverged(self):
+        # a unit jump away from x = 0 rejects every step, and the steep
+        # slope keeps the predicted decrease above rounding at t = 2^-100:
+        # the solve gives up after 100 consecutive halvings, at x
+        prob = single_objective_problem(
+            lambda x: float(x[0] != 0.0), lambda x: np.full(1, 1e10), 1
+        )
+        result = merit_value(prob, np.zeros(1))
+        assert not result.converged
+        assert result.iterations == 100
+        assert result.phi == 0.0 and np.array_equal(result.z, np.zeros(1))
+
     def test_zero_at_pareto_points(self):
         for key, lam in (("quad2", 0.5), ("jos1", 0.3), ("lse2", 0.7), ("toi4", 0.2), ("sd", 0.4)):
             prob = get_problem(key)

@@ -540,7 +540,9 @@ class TestWholeNumber:
         count = whole_number("count", value, 1)
         assert type(count) is int and count == 2
 
-    @pytest.mark.parametrize("value", [2.5, math.nan, math.inf, -math.inf, None, "3"])
+    # a bool is an int to Python: True ran as a count of 1
+    @pytest.mark.parametrize("value", [2.5, math.nan, math.inf, -math.inf, None, "3",
+                                       True, False, np.True_, np.False_])
     def test_other_values_are_refused(self, value):
         with pytest.raises(InvalidConfig, match="count must be a whole number"):
             whole_number("count", value, 1)

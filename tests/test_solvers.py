@@ -352,9 +352,13 @@ class TestReferenceLoop:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("at", [5, 6], ids=["min-norm", "projection"])
-    def test_uncertified_kernel_result_keeps_the_points_before_it(self, monkeypatch, variant, at):
-        prob = get_problem("quad2")
-        cfg = reference_config("quad2", variant)
+    @pytest.mark.parametrize("key", ["quad2", "ex1:n=10,p=8,seed=1"])
+    def test_uncertified_kernel_result_keeps_the_points_before_it(self, monkeypatch, key, variant, at):
+        # at three objectives both loops are the numpy steps, and every
+        # solve goes through the public QPs; ex1's accg_const run needs
+        # 688 iterations to converge
+        prob = get_problem(key)
+        cfg = reference_config(key, variant, k_max=1000)
         x0 = sample_starts(prob, 1, 0)[0]
         certified = run_solver(prob, cfg, x0)
         assert certified.termination == CONVERGED and certified.iterations > 5
@@ -409,6 +413,31 @@ class TestReferenceLoop:
             assert trace.termination == QP_FAILURE
             # x_4 = y_3 is recorded; its projection at scale 0.0 fails
             assert len(trace.points) == 4 and trace.hull_certified
+
+    @pytest.mark.parametrize("variant", [MFISC_LS, ACCG_LS, STEEPEST_LS])
+    def test_line_search_cap_at_three_objectives(self, monkeypatch, variant):
+        # the second line search reports that it ran out of shrinks: the
+        # run goes on from the step it returned and lists iteration 1 as
+        # capped, as the reference does
+        key = "ex1:n=10,p=8,seed=1"
+        prob = get_problem(key)
+        cfg = reference_config(key, variant)
+        x0 = sample_starts(prob, 1, 0)[0]
+        runs = []
+        for solver in (run_solver, reference_run_solver):
+            calls = []
+
+            def search(*args, _ls=mograd.solvers.line_search_backtracking):
+                s, capped = _ls(*args)
+                calls.append(None)
+                return s, capped or len(calls) == 2
+
+            monkeypatch.setattr(mograd.solvers, "line_search_backtracking", search)
+            runs.append(solver(prob, cfg, x0))
+            monkeypatch.undo()
+        trace, ref = runs
+        assert trace.capped == [1] and trace.termination == CONVERGED
+        assert_matches_reference(trace, ref)
 
     MALFORMED = {
         "1-D": lambda G: G[:, 0],
