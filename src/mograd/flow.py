@@ -31,21 +31,22 @@ where its coefficient, ||x_k - x_{k-1}|| or ||u_k|| is 0.  With the two
 coordinates of the flows' problems, numpy's dispatch on each small vector
 costs more than its arithmetic: a quad2 step, its oracle call and two QPs
 included, fell from about 16.6 to 12.9 us (2-core x86 host, Python 3.11.7,
-numpy 2.4.6).  One loop serves every m and n, and at large n it costs more
-than numpy's: a ``jos1:n=100`` step takes about 143 us against 113, and an
-m = 3 ``ex1:n=40,p=20,seed=0`` step about 72 us against 62.  The norms come
-from ``math.hypot`` and ``math.dist`` and may differ from numpy's dot
-products in their last bit.
+numpy 2.4.6).  One loop serves every m and n, and at large n it gains
+nothing: a ``jos1:n=100`` step takes about 74 us against 72 on numpy
+vectors, and an m = 3 ``ex1:n=40,p=20,seed=0`` step about 72 us against
+62.  The norms come from ``math.hypot`` and ``math.dist`` and may differ
+from numpy's dot products in their last bit.
 
 The hull QPs split on m as ``simplex_qp`` does.  At m = 2 the step solves
 both with the closed-form kernel ``simplex_qp.closed_form_rows`` on the
 rows of its gradient matrix (``G.tolist()``, once) and the lists it holds,
 so no vector goes through numpy and back and no ``HullSolution`` is built:
-a quad2 step fell from about 13.1 to 8.8 us (same host).  For any other m
-it calls ``min_norm_in_hull`` and ``project_onto_scaled_hull``, each
-warm-started from its previous weights: at m = 3 the QPs' Gram solve
-ignores the start unless it falls back to Wolfe's method, which uses it, as
-it does at m >= 4.
+a quad2 step fell from about 13.1 to 8.8 us (same host), and to about
+6 us from 7.2 when the min-norm solve took the kernel's zero-target pass
+(``v`` None).  For any other m it calls ``min_norm_in_hull`` and
+``project_onto_scaled_hull``, each warm-started from its previous weights:
+at m = 3 the QPs' Gram solve ignores the start unless it falls back to
+Wolfe's method, which uses it, as it does at m >= 4.
 ``problems.gradient_matrix`` checks the shape of every gradient matrix, the
 QPs (or the kernel) its finiteness, and ``FlowConfig`` the projection's
 scale h^2, which does not change, with the step count (t_end - t0) / h.
@@ -170,7 +171,7 @@ def _integrate(prob, cfg, system):
         grads = gradient_matrix(prob, np.array(x_curr))
         if pair:
             G = grads.tolist()
-            _, u, _, certified = closed_form_rows(G, 1.0, [0.0] * len(G))
+            _, u, _, certified = closed_form_rows(G, 1.0, None)
         else:
             hull = min_norm_in_hull(grads, start=hull_w)
             hull_w = hull.weights

@@ -361,6 +361,12 @@ def flow_experiment(cfg, out_dir=None):
     plus a JSON bound report over the same samples: per trajectory, the
     ``fraction`` with merit <= alpha / t^2, the paper's rate, and the
     uncertified ``constant`` max t^2 * merit (:class:`~mograd.flow.BoundReport`).
+
+    The flows start at ``cfg.flow_x0``, or at the centre of the problem's
+    init box when it is empty.  That centre is a Pareto-critical point of
+    ``lse2``, ``jos1`` and ``toi4`` (KKT residual 0): a flow started there
+    never moves, every merit sample is 0 and ``constant`` reads 0, so those
+    problems need ``flow_x0``.
     """
     if not cfg.flow_alphas:
         raise InvalidConfig("flow_experiment needs a non-empty alpha sweep")

@@ -54,12 +54,14 @@ p_i> over the shifted points: the same gap in exact arithmetic.  The closed
 form for ``m == 2`` (bi-objective problems dominate the benchmark suite)
 runs on Python floats, not numpy arrays: with the few rows of a
 bi-objective problem, numpy's per-call dispatch costs several times the
-arithmetic.  Past about n = 25 numpy would be faster (at n = 100 about
-12 us against 45 us per solve); only ``jos1`` takes that many variables,
-and no workload of the benchmark gives it more than 5.  The float kernel
-``closed_form_rows`` works on the rows of ``G`` and a target list; the
-m = 2 path of both QPs wraps it in a ``HullSolution``, and the solvers' and
-the flow's steps call it directly on the lists they hold.
+arithmetic.  Past about n = 30 for the projection and n = 45 for the
+min-norm QP numpy would be faster (at n = 100 about 8 us against 24 and
+16 us per solve; timeit, same host); only ``jos1`` takes that many
+variables, and no workload of the benchmark gives it more than 5.  The
+float kernel ``closed_form_rows`` works on the rows of ``G`` and a target
+list, or no target for the min-norm QP; the m = 2 path of both QPs wraps it
+in a ``HullSolution``, and the solvers' and the flow's steps call it
+directly on the lists they hold.
 
 Both certify at the fixed tolerance ``DEFAULT_TOL``, relaxed relative to the
 squared scale of the data (see ``_REL_TOL``).  That tolerance is only the
@@ -68,10 +70,10 @@ most ``_REL_TOL`` times the largest squared norm of the shifted points, or
 when rounding stalls it: on data as small as the flows' h^2-scaled hulls an
 absolute stopping test would accept any vertex.  The certificate compares the
 gap with ``DEFAULT_TOL`` first; the relative allowance is needed only for
-data of large magnitude.  The closed form sums the squared norms of the
-scale in its pass over the rows, on Python floats.  Wolfe's method
-computes the scale (a column-norm reduction and a dot product) only when the
-first comparison fails, and for the zero target it reuses the column norms
+data of large magnitude.  So the scale is computed only when the first
+comparison fails: the closed form sums its squared norms in a third pass
+over the rows, on Python floats, and Wolfe's method takes a column-norm
+reduction and a dot product, reusing for the zero target the column norms
 of its stopping test.
 """
 
@@ -176,33 +178,45 @@ def closed_form_rows(rows, scale, v):
 
     ``rows`` are the rows of ``G`` as lists of two floats (``G.tolist()``),
     ``v`` the target as a list of floats, and the hull is
-    ``scale * conv{g_1, g_2}``.  Returns ``(t, point, gap, converged)``:
-    the weights are ``(t, 1 - t)``, ``point`` is ``scale * G @ (t, 1 - t)``
-    as a list, and ``gap`` and ``converged`` are those of a
-    :class:`HullSolution`.  ``min_norm_in_hull`` and
-    ``project_onto_scaled_hull`` wrap it for m = 2, and the solvers' and the
-    flow's steps call it directly on the rows they already hold.
+    ``scale * conv{g_1, g_2}``.  ``v`` None is the zero target at unit
+    scale, the min-norm QP: ``scale`` is then not read, and the passes make
+    no scale product and subtract no target, with the result of ``1.0`` and
+    ``[0.0] * n`` bit for bit.  Returns ``(t, point, gap, converged)``: the weights are
+    ``(t, 1 - t)``, ``point`` is ``scale * G @ (t, 1 - t)`` as a list, and
+    ``gap`` and ``converged`` are those of a :class:`HullSolution`.
+    ``min_norm_in_hull`` and ``project_onto_scaled_hull`` wrap it for
+    m = 2, and the solvers' and the flow's steps call it directly on the
+    rows they already hold.
 
-    One pass over the rows gives the segment formula, a second the point,
-    the Frank-Wolfe certificate ``r.p - min_i r.s_i`` for ``r = p - v`` and
-    the squared norms of the tolerance's scale (see the module docstring for
-    the sizes where floats pay).  The caller has checked ``scale`` and the
-    shape of ``G`` (the steps through ``problems.gradient_matrix``), and
-    gives ``v`` the rows' length (the steps build it from points of n
-    entries).  The finiteness of the rows and of ``v`` is checked on a sum
-    that the first pass computes anyway and that is not finite when any
-    input is not; only then does ``_check_finite`` run, to raise
-    ``NonFiniteInput`` or to find that a square merely overflowed.
+    One pass over the rows gives the segment formula, a second the point
+    and the Frank-Wolfe certificate ``r.p - min_i r.s_i`` for ``r = p - v``
+    (see the module docstring for the sizes where floats pay).  A gap above
+    ``DEFAULT_TOL`` takes a third pass, for the squared norms of the
+    tolerance's scale.  With two rows a min-norm call takes about 0.8 us
+    and a projection 1.3 us (timeit, 2-core x86 host, Python 3.11.7).  The
+    caller has checked ``scale`` and the shape of ``G`` (the steps through
+    ``problems.gradient_matrix``), and gives ``v`` the rows' length (the
+    steps build it from points of n entries).  The finiteness of the rows
+    and of ``v`` is checked on a sum that the first pass computes anyway and
+    that is not finite when any input is not; only then does
+    ``_check_finite`` run, to raise ``NonFiniteInput`` or to find that a
+    square merely overflowed.
     """
     # 1-D projection of v onto the segment [s_2, s_1]
     dd = vd = 0.0
-    for (a, b), y in zip(rows, v):
-        s2 = scale * b
-        d = scale * a - s2
-        dd += d * d
-        vd += (y - s2) * d
+    if v is None:
+        for a, b in rows:
+            d = a - b
+            dd += d * d
+            vd -= b * d
+    else:
+        for (a, b), y in zip(rows, v):
+            s2 = scale * b
+            d = scale * a - s2
+            dd += d * d
+            vd += (y - s2) * d
     if not math.isfinite(dd + vd):
-        _check_finite(np.array(rows), np.array(v))
+        _check_finite(np.array(rows), v if v is None else np.array(v))
     t = vd / dd if dd > 0.0 else 1.0
     # np.clip's result, NaN and -0.0 included
     if t < 0.0:
@@ -212,24 +226,43 @@ def closed_form_rows(rows, scale, v):
     u = 1.0 - t
     # the point and the Frank-Wolfe certificate r.p - min_i r.s_i, r = p - v
     point = []
-    rp = r1 = r2 = c1 = c2 = vv = 0.0
-    for (a, b), y in zip(rows, v):
-        s1 = scale * a
-        s2 = scale * b
-        p = s1 * t + s2 * u
-        r = p - y
-        rp += r * p
-        r1 += r * s1
-        r2 += r * s2
-        c1 += s1 * s1
-        c2 += s2 * s2
-        vv += y * y
-        point.append(p)
+    rp = r1 = r2 = 0.0
+    if v is None:
+        for a, b in rows:
+            p = a * t + b * u
+            rp += p * p
+            r1 += p * a
+            r2 += p * b
+            point.append(p)
+    else:
+        for (a, b), y in zip(rows, v):
+            s1 = scale * a
+            s2 = scale * b
+            p = s1 * t + s2 * u
+            r = p - y
+            rp += r * p
+            r1 += r * s1
+            r2 += r * s2
+            point.append(p)
     # numpy's min: NaN when either is NaN, where Python's min drops one;
     # max(), not a comparison, so that a NaN slack stays a NaN gap
     gap = max(rp - (r1 if r1 <= r2 else r2 if r2 < r1 else math.nan), 0.0)
-    q_scale = max(1.0, c1, c2, vv)
-    return t, point, gap, gap <= DEFAULT_TOL or gap <= _effective_tol(q_scale)
+    if gap <= DEFAULT_TOL:
+        return t, point, gap, True
+    # the squared norms of the tolerance's scale, max(1, c1, c2, ||v||^2)
+    c1 = c2 = vv = 0.0
+    if v is None:
+        for a, b in rows:
+            c1 += a * a
+            c2 += b * b
+    else:
+        for (a, b), y in zip(rows, v):
+            s1 = scale * a
+            s2 = scale * b
+            c1 += s1 * s1
+            c2 += s2 * s2
+            vv += y * y
+    return t, point, gap, gap <= _effective_tol(max(1.0, c1, c2, vv))
 
 
 def _affine_minimizer(A):
@@ -550,7 +583,7 @@ def min_norm_in_hull(G, start=None):
     if start is not None:
         start = _validate_start(start, G.shape[1])
     if G.shape[1] == 2:
-        t, point, gap, converged = closed_form_rows(G.tolist(), 1.0, [0.0] * G.shape[0])
+        t, point, gap, converged = closed_form_rows(G.tolist(), 1.0, None)
         return HullSolution(np.array([t, 1.0 - t]), np.array(point), gap, converged, 0)
     _check_finite(G)
     # 1.0 * G == G exactly, so G serves as the scaled columns, and no

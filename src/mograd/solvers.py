@@ -33,20 +33,21 @@ The steps split on m, as ``simplex_qp`` and the flow do.  At m = 2 they
 run on Python floats (``_pair_steps``): the vectors of a step are lists,
 the rows of each gradient matrix are taken once (``G.tolist()``), and both
 hull QPs are the closed-form kernel ``simplex_qp.closed_form_rows``, the
-min-norm solve at scale 1 with a zero target and the projection at scale s
-with target pi_k.  Arrays are built only for the oracles, the trace and the
-line search.  With the few variables of the bi-objective problems, numpy's
-dispatch on each small vector costs more than the arithmetic: a ``quad2``
-iteration fell by about a quarter (22 to 17 us), while a ``jos1:n=100``
-iteration rose by 6-13% (102 to 116 us; bench bi-table settings; 2-core
-x86 host, Python 3.11.7, numpy 2.4.6).  The norms come from ``math.hypot``
-and ``math.dist``, and may differ from numpy's dot products in their last
-bit, so a step may round differently there.  Any other m takes the numpy
-steps (``_array_steps``) through ``min_norm_in_hull`` and
-``project_onto_scaled_hull``, each warm-started from its previous weights.
-At m = 3 the QPs solve on the Gram matrix and ignore the start unless they
-fall back to Wolfe's method; Wolfe's method, at m >= 4 and in that
-fallback, starts from it.
+min-norm solve with no target (the kernel's zero-target pass) and the
+projection at scale s with target pi_k.  Arrays are built only for the
+oracles, the trace and the line search.  With the few variables of the
+bi-objective problems, numpy's dispatch on each small vector costs more
+than the arithmetic: a ``quad2`` iteration fell by about a quarter (22 to
+17 us), and the kernel's zero-target pass took it to about 15.5 us, while a
+``jos1:n=100`` iteration takes about 93 us against 81 us on numpy vectors
+(bench bi-table settings; 2-core x86 host, Python 3.11.7, numpy 2.4.6).
+The norms come from ``math.hypot`` and ``math.dist``, and may differ from
+numpy's dot products in their last bit, so a step may round differently
+there.  Any other m takes the numpy steps (``_array_steps``) through
+``min_norm_in_hull`` and ``project_onto_scaled_hull``, each warm-started
+from its previous weights.  At m = 3 the QPs solve on the Gram matrix and
+ignore the start unless they fall back to Wolfe's method; Wolfe's method,
+at m >= 4 and in that fallback, starts from it.
 
 Each rule of a step has one owner: ``problems.gradient_matrix`` checks the
 shape of every gradient matrix, the QPs (or the kernel) check finiteness,
@@ -385,7 +386,7 @@ def _pair_steps(prob, cfg, trace, x, step, alpha, t0):
     while True:
         grads_x = gradient_matrix(prob, x)
         rows = grads_x.tolist()
-        _, u, gap, certified = closed_form_rows(rows, 1.0, [0.0] * len(rows))
+        _, u, gap, certified = closed_form_rows(rows, 1.0, None)
         residual = math.hypot(*u)
         if _record(trace, cfg, x, residual, gap, certified, k, t0):
             break

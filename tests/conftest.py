@@ -26,6 +26,7 @@ from mograd.problems import (
     least_squares_family,
     logsumexp_family,
 )
+from mograd.simplex_qp import DEFAULT_TOL, _check_finite, _effective_tol
 from mograd.solvers import (
     ACCG_CONST,
     ACCG_LS,
@@ -430,6 +431,44 @@ def reference_line_search(prob, w, s0, sigma, d, grads):
                 return s, False
         s *= sigma
     return s, True
+
+
+def reference_closed_form_rows(rows, scale, v):
+    """``mograd.simplex_qp.closed_form_rows`` with one path for both QPs:
+    the min-norm QP is the target ``[0.0] * n`` at scale 1.0, and the pass
+    that builds the point and the certificate also sums the squared norms
+    of the tolerance's scale, whatever the gap."""
+    dd = vd = 0.0
+    for (a, b), y in zip(rows, v):
+        s2 = scale * b
+        d = scale * a - s2
+        dd += d * d
+        vd += (y - s2) * d
+    if not math.isfinite(dd + vd):
+        _check_finite(np.array(rows), np.array(v))
+    t = vd / dd if dd > 0.0 else 1.0
+    if t < 0.0:
+        t = 0.0
+    elif t > 1.0:
+        t = 1.0
+    u = 1.0 - t
+    point = []
+    rp = r1 = r2 = c1 = c2 = vv = 0.0
+    for (a, b), y in zip(rows, v):
+        s1 = scale * a
+        s2 = scale * b
+        p = s1 * t + s2 * u
+        r = p - y
+        rp += r * p
+        r1 += r * s1
+        r2 += r * s2
+        c1 += s1 * s1
+        c2 += s2 * s2
+        vv += y * y
+        point.append(p)
+    gap = max(rp - (r1 if r1 <= r2 else r2 if r2 < r1 else math.nan), 0.0)
+    q_scale = max(1.0, c1, c2, vv)
+    return t, point, gap, gap <= DEFAULT_TOL or gap <= _effective_tol(q_scale)
 
 
 @pytest.fixture

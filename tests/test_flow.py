@@ -223,9 +223,9 @@ class TestIntegration:
 
         def solve(rows, scale, v, _qp=mograd.flow.closed_form_rows):
             # two objectives: the flow solves both QPs with the closed-form
-            # kernel, the min-norm ones at unit scale
+            # kernel, the min-norm ones with no target
             t, point, gap, converged = _qp(rows, scale, v)
-            if scale == 1.0:
+            if v is None:
                 calls.append(None)
                 if len(calls) == 10:
                     converged = False
@@ -291,8 +291,8 @@ class TestReferenceLoop:
         def run(integrate):
             # the projection at step k = 7 reports no certificate: a call of
             # the public QP, or, in the float loop at m = 2, of the
-            # closed-form kernel at the scale h^2 (its min-norm solves run at
-            # unit scale)
+            # closed-form kernel with a target (its min-norm solves pass
+            # none)
             calls = []
 
             def project(*args, start=None, _qp=mograd.flow.project_onto_scaled_hull):
@@ -302,7 +302,7 @@ class TestReferenceLoop:
 
             def kernel(rows, scale, v, _qp=mograd.flow.closed_form_rows):
                 t, point, gap, converged = _qp(rows, scale, v)
-                if scale != 1.0:
+                if v is not None:
                     calls.append(None)
                     if len(calls) == at:
                         converged = False

@@ -523,10 +523,9 @@ class TestToleranceSweep:
 
         def kernel(rows, scale, v):
             # two objectives: the solver's QPs are the closed-form kernel,
-            # the min-norm ones at unit scale (these runs project at the
-            # steps 0.05 and 10 * 0.8^j, never 1.0)
+            # the min-norm ones with no target
             t, point, gap, converged = real_kernel(rows, scale, v)
-            if scale == 1.0 and math.hypot(*point) < tau:
+            if v is None and math.hypot(*point) < tau:
                 converged = False
             return t, point, gap, converged
 
@@ -550,9 +549,9 @@ class TestToleranceSweep:
         residual = [math.inf]
 
         def kernel(rows, scale, v):
-            # the min-norm solves at unit scale, as above
+            # the min-norm solves with no target, as above
             t, point, gap, converged = real_kernel(rows, scale, v)
-            if scale == 1.0:
+            if v is None:
                 residual[0] = math.hypot(*point)
             elif residual[0] < tau:
                 converged = False

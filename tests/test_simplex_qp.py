@@ -18,7 +18,7 @@ from mograd.simplex_qp import (
 )
 from mograd.solvers import ACCG_LS, KMAX, MFISC_LS, STEEPEST_LS, SolverConfig, run_solver
 
-from conftest import five_objective_problem, grid_min_hull_objective
+from conftest import five_objective_problem, grid_min_hull_objective, reference_closed_form_rows
 
 
 class TestMinNormInHull:
@@ -358,7 +358,7 @@ class TestClosedFormKernel:
             self.assert_same(
                 closed_form_rows(rows, scale, v.tolist()), project_onto_scaled_hull(G, scale, v)
             )
-            self.assert_same(closed_form_rows(rows, 1.0, [0.0] * len(v)), min_norm_in_hull(G))
+            self.assert_same(closed_form_rows(rows, 1.0, None), min_norm_in_hull(G))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_raises_as_the_qps_do(self, bad):
@@ -372,7 +372,7 @@ class TestClosedFormKernel:
             solves = {
                 "gradient matrix": [
                     lambda: min_norm_in_hull(bad_G),
-                    lambda: closed_form_rows(bad_G.tolist(), 1.0, [0.0] * 3),
+                    lambda: closed_form_rows(bad_G.tolist(), 1.0, None),
                     lambda: project_onto_scaled_hull(bad_G, 2.0, np.ones(3)),
                     lambda: closed_form_rows(bad_G.tolist(), 2.0, [1.0] * 3),
                 ],
@@ -385,6 +385,94 @@ class TestClosedFormKernel:
                 for solve in calls:
                     with pytest.raises(NonFiniteInput, match=f"^{message} contains NaN or Inf$"):
                         solve()
+
+
+def _kernel_outcome(kernel, rows, scale, v):
+    # the result, or the NonFiniteInput raised
+    try:
+        return kernel(rows, scale, v)
+    except NonFiniteInput as exc:
+        return exc
+
+
+class TestReferenceKernel:
+    """``closed_form_rows`` against ``reference_closed_form_rows`` of
+    conftest, its form with one path for both QPs: the same
+    ``(t, point, gap, converged)`` by ``repr``, or the same exception, for
+    the zero target (``v`` None against ``[0.0] * n``) and for a target."""
+
+    # signed zeros, subnormals and magnitudes near both ends of the range
+    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-300, 1e300, -1e300]
+    NON_FINITE = [math.nan, math.inf, -math.inf]
+
+    @classmethod
+    def draw(cls, rng, size):
+        # normal draws at magnitudes from 1e-320 to 1e300; about one entry
+        # in four special and one in two hundred not finite
+        x = rng.normal(size=size) * 10.0 ** rng.integers(-320, 301, size=size)
+        special = rng.random(size) < 0.25
+        x[special] = rng.choice(cls.SPECIAL, size=int(special.sum()))
+        bad = rng.random(size) < 0.005
+        x[bad] = rng.choice(cls.NON_FINITE, size=int(bad.sum()))
+        return x
+
+    def test_matches_bit_for_bit(self, rng):
+        count = 10000
+        sizes = rng.integers(1, 8, size=count).tolist()
+        entries = iter(self.draw(rng, 3 * sum(sizes)).tolist())
+        scales = rng.choice([1.0, 2.5e-5, 3.7, 1e200], size=count).tolist()
+        seen = dict.fromkeys(["raised", "within DEFAULT_TOL", "certified above it", "uncertified"], 0)
+        for n, scale in zip(sizes, scales):
+            rows = [[next(entries), next(entries)] for _ in range(n)]
+            v = [next(entries) for _ in range(n)]
+            # the zero target, then a target at a random scale
+            for args, reference_args in (((1.0, None), (1.0, [0.0] * n)), ((scale, v), (scale, v))):
+                got = _kernel_outcome(closed_form_rows, rows, *args)
+                want = _kernel_outcome(reference_closed_form_rows, rows, *reference_args)
+                assert repr(got) == repr(want), (rows, args)
+                if isinstance(got, NonFiniteInput):
+                    seen["raised"] += 1
+                    continue
+                _, _, gap, converged = got
+                if not converged:
+                    seen["uncertified"] += 1
+                elif gap <= DEFAULT_TOL:
+                    seen["within DEFAULT_TOL"] += 1
+                else:
+                    seen["certified above it"] += 1
+        # every branch of the verdict is reached, the scale pass included
+        assert min(seen.values()) >= 20, seen
+
+    # gaps above DEFAULT_TOL, which take the pass for the tolerance's scale:
+    # rounding noise on data of magnitude 1e6, within the relative
+    # tolerance, and on data whose squares overflow, where only DEFAULT_TOL
+    # is allowed; a NaN gap is never certified
+    ABOVE_DEFAULT_TOL = {
+        "min-norm, certified": ([[820000.0, 330000.0], [-1300000.0, 910000.0]], 1.0, None, True),
+        "projection, certified": (
+            [[820000.0, 330000.0], [-1300000.0, 910000.0]],
+            0.5,
+            [450000.0, -540000.0],
+            True,
+        ),
+        "projection, not certified": (
+            [[3.1e154, 3.1000400000000003e154], [3.4000000000000003e154, 3.4002400000000003e154]],
+            1.0,
+            [3.1000280024000003e154, 3.4001679996e154],
+            False,
+        ),
+        "min-norm, NaN gap": ([[1e160, 3e159]], 1.0, None, False),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ABOVE_DEFAULT_TOL))
+    def test_gap_above_default_tol(self, name):
+        rows, scale, v, certified = self.ABOVE_DEFAULT_TOL[name]
+        got = closed_form_rows(rows, scale, v)
+        assert not got[2] <= DEFAULT_TOL
+        assert got[3] is certified
+        if v is None:
+            v = [0.0] * len(rows)
+        assert repr(got) == repr(reference_closed_form_rows(rows, scale, v))
 
 
 _A, _B = np.random.default_rng(20261018).normal(size=(2, 5))
