@@ -60,7 +60,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .merit import merit_value
-from .problems import as_point, gradient_matrix, whole_number
+from .problems import as_point, gradient_matrix, real_number, whole_number
 from .simplex_qp import closed_form_rows, min_norm_in_hull, project_onto_scaled_hull
 from .solvers import corrected_momentum
 
@@ -90,6 +90,8 @@ class FlowConfig:
     t_end: float = 20.0
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "p", "h", "t_end"):
+            object.__setattr__(self, name, real_number(name, getattr(self, name)))
         if not (math.inf > self.alpha >= self.beta > 0.0):
             raise ValueError(
                 f"parameters must satisfy inf > alpha >= beta > 0, not alpha = {self.alpha}, "
@@ -138,11 +140,11 @@ class Trajectory:
 class BoundReport:
     """Sampled merit against the paper's rate C / t^2: the ``times`` and
     ``merit`` of the samples in the window, the ``fraction`` of them with
-    merit <= coeff / t^2, and ``constant``, max t^2 * merit, the least C that
-    bounds every sample.  It is built from ``merit_value``'s lower bound on
-    phi, so it is not certified; a certified C needs an upper bound on phi."""
+    merit <= coeff / t^2 for the coeff given to ``merit_bound_scan``, and
+    ``constant``, max t^2 * merit, the least C that bounds every sample.  It
+    is built from ``merit_value``'s lower bound on phi, so it is not
+    certified; a certified C needs an upper bound on phi."""
 
-    coeff: float
     times: np.ndarray
     merit: np.ndarray
     fraction: float
@@ -259,4 +261,4 @@ def merit_bound_scan(traj, coeff, t_min=None, t_max=None):
     times, merit = traj.times[mask], traj.merit[mask]
     fraction = float(np.mean(merit <= coeff / (times * times)))
     constant = float(np.max(times * times * merit))
-    return BoundReport(float(coeff), times, merit, fraction, constant)
+    return BoundReport(times, merit, fraction, constant)

@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .flow import FlowConfig, attach_merit, mavd_integrate, mavng_integrate, merit_bound_scan
+from .merit import require_merit
 from .problems import InvalidConfig, _stream, get_problem, objective_values, real_number, whole_number
 from .solvers import QP_FAILURE, SolverConfig, run_solver, tolerance, trace_csv_rows
 
@@ -371,6 +372,9 @@ def flow_experiment(cfg, out_dir=None):
     if not cfg.flow_alphas:
         raise InvalidConfig("flow_experiment needs a non-empty alpha sweep")
     prob = get_problem(cfg.problem)
+    # merit is sampled on every trajectory: refuse a problem without it
+    # before the first integration
+    require_merit(prob)
     if cfg.flow_x0:
         # the flows check its dimension against the problem's
         x0 = np.asarray(cfg.flow_x0, dtype=float)

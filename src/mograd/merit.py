@@ -104,16 +104,19 @@ def _subproblem_weights(grads, parts, t):
     return theta
 
 
+def require_merit(prob):
+    """Raise ``MeritUnavailable`` unless ``prob`` supports merit evaluation."""
+    if not prob.merit_supported:
+        raise MeritUnavailable(f"{prob.name}: inner problem is not level bounded; merit disabled")
+
+
 def merit_value(prob, x, warm_start=None):
     """Evaluate phi at ``x`` by solving the inner min-max problem.
 
     ``x`` must be a finite point of dimension ``prob.n``, and a
     ``warm_start`` must have that shape: ValueError otherwise.
     """
-    if not prob.merit_supported:
-        raise MeritUnavailable(
-            f"{prob.name}: inner problem is not level bounded; merit disabled"
-        )
+    require_merit(prob)
     x = as_point(prob, x)
     fx = objective_values(prob, x)
 

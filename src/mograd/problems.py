@@ -455,10 +455,11 @@ def toi4():
 
 def _check_family_args(n, p, delta, seed):
     """``(n, p, delta, seed)``, delta as a finite nonnegative float."""
+    delta = real_number("delta", delta)
     if not 0.0 <= delta < math.inf:
         raise InvalidConfig(f"delta must be finite and nonnegative, not {delta}")
     n, p = whole_number("n", n, 1), whole_number("p", p, 1)
-    return n, p, float(delta), whole_number("seed", seed, 0)
+    return n, p, delta, whole_number("seed", seed, 0)
 
 
 def regularized_logsumexp_triple(n=200, p=100, delta=0.05, seed=0):

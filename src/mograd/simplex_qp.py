@@ -73,8 +73,8 @@ gap with ``DEFAULT_TOL`` first; the relative allowance is needed only for
 data of large magnitude.  So the scale is computed only when the first
 comparison fails: the closed form sums its squared norms in a third pass
 over the rows, on Python floats, and Wolfe's method takes a column-norm
-reduction and a dot product, reusing for the zero target the column norms
-of its stopping test.
+reduction, and a dot product for a nonzero target; the stopping test and
+the cold start reduce the column norms where they read them.
 """
 
 from __future__ import annotations
@@ -115,7 +115,10 @@ class HullSolution:
     1.1 us a record against 0.3 us).
 
     Attributes:
-        weights: simplex vector theta, nonnegative with sum 1.
+        weights: simplex vector theta, nonnegative with sum 1; NaN when
+            the closed form (m = 2) overflowed, as for
+            ``min_norm_in_hull([[1e300, 1e300], [1e300, -1e300]])``, and
+            then ``converged`` is False.
         point: the hull element ``scale * G @ weights``.
         gap: Frank-Wolfe optimality gap at termination (certified bound on
             the objective suboptimality; nonnegative, or NaN when it
@@ -359,12 +362,12 @@ def _unit_sum(w0, w1, w2):
     return np.array([w0 / total, w1 / total, w2 / total])
 
 
-def _stop_threshold(col_sq):
+def _stop_threshold(P):
     """Wolfe's relative stopping threshold ``_REL_TOL * max_i ||p_i||^2``.
 
     An overflowed scale allows nothing, as in ``_effective_tol``.
     """
-    q = float(col_sq.max())
+    q = float(np.einsum("ij,ij->j", P, P).max())
     return _REL_TOL * q if q < math.inf else 0.0
 
 
@@ -407,25 +410,22 @@ def _wolfe(S, v, start):
     otherwise, and for any other number of columns, Wolfe's method runs
     from ``start`` (``_wolfe_cycles``).  Either way the gap is then
     certified at ``DEFAULT_TOL``, or at ``_effective_tol`` of the data's
-    scale, and the point is ``S @ theta``.
+    scale ``max(1, max_i ||s_i||^2, ||v||^2)``, and the point is
+    ``S @ theta``.
     """
     P = S if v is None else S - v[:, None]
-    # the squared column norms of P, computed at most once: for the cold
-    # start's column, for the stop scale and, when P is S, for the tolerance
-    col_sq = None
     theta = _triangle(P) if S.shape[1] == 3 else None
     if theta is not None:
         x = P.dot(theta)
         xx = float(x.dot(x))
         gap = xx - float(x.dot(P).min())
-        # a NaN gap fails both comparisons
-        if not gap <= _REL_TOL * xx:
-            col_sq = np.einsum("ij,ij->j", P, P)
-            if not gap <= _stop_threshold(col_sq):
-                theta = None
+        # a NaN gap fails both comparisons; ||x||^2 <= max_i ||p_i||^2, so
+        # the column norms are reduced only when the first one fails
+        if not (gap <= _REL_TOL * xx or gap <= _stop_threshold(P)):
+            theta = None
         finite, cycles = True, 0
     if theta is None:
-        theta, gap, finite, cycles, col_sq = _wolfe_cycles(P, start, col_sq)
+        theta, gap, finite, cycles = _wolfe_cycles(P, start)
     point = S.dot(theta)
     # max(), not a comparison, so that a NaN gap stays NaN
     gap = max(float(gap), 0.0)
@@ -433,16 +433,12 @@ def _wolfe(S, v, start):
     # a gap within DEFAULT_TOL needs no scale
     if not finite or gap <= DEFAULT_TOL:
         return HullSolution(theta, point, gap, finite, cycles)
-    if v is None:
-        if col_sq is None:
-            col_sq = np.einsum("ij,ij->j", S, S)
-        q_scale = max(1.0, float(col_sq.max()))
-    else:
-        q_scale = max(1.0, float(np.einsum("ij,ij->j", S, S).max()), float(v.dot(v)))
+    vv = 0.0 if v is None else float(v.dot(v))
+    q_scale = max(1.0, float(np.einsum("ij,ij->j", S, S).max()), vv)
     return HullSolution(theta, point, gap, gap <= _effective_tol(q_scale), cycles)
 
 
-def _wolfe_cycles(P, start, col_sq):
+def _wolfe_cycles(P, start):
     """Wolfe's min-norm-point method on the columns of ``P``.
 
     The start face is the support of ``start`` (its entries > 0), or, with
@@ -459,10 +455,9 @@ def _wolfe_cycles(P, start, col_sq):
     scaled data overflowed) stops the method at the last corral, unconverged,
     with a gap of inf when it stopped before the first gap.
 
-    ``col_sq``, the squared column norms of ``P`` or None, is computed at
-    most once.  Returns the weights, scaled to unit sum, the loop's gap at
-    its last iterate (the Frank-Wolfe gap of those weights), whether every
-    face was finite, the major cycles and ``col_sq``.
+    Returns the weights, scaled to unit sum, the loop's gap at its last
+    iterate (the Frank-Wolfe gap of those weights), whether every face was
+    finite, and the major cycles.
     """
     m = P.shape[1]
     full = list(range(m))
@@ -473,8 +468,7 @@ def _wolfe_cycles(P, start, col_sq):
 
     face = [] if start is None else [i for i, w in enumerate(start.tolist()) if w > 0.0]
     if not face:
-        col_sq = np.einsum("ij,ij->j", P, P)
-        face = [int(col_sq.argmin())]
+        face = [int(np.einsum("ij,ij->j", P, P).argmin())]
     active, lam = face, None
     cycles = 0
     # the gap at the last iterate; a face that is not finite can stop the
@@ -499,9 +493,7 @@ def _wolfe_cycles(P, start, col_sq):
             if gap <= _REL_TOL * xx or j in active or cycles == _MAX_CYCLES:
                 break
             if stop is None:
-                if col_sq is None:
-                    col_sq = np.einsum("ij,ij->j", P, P)
-                stop = _stop_threshold(col_sq)
+                stop = _stop_threshold(P)
             if gap <= stop:
                 break
             entering = active + [j]
@@ -527,18 +519,29 @@ def _wolfe_cycles(P, start, col_sq):
     total = theta.sum()
     if total != 1.0:
         theta = theta / total
-    return theta, gap, finite, cycles, col_sq
+    return theta, gap, finite, cycles
 
 
-def _validate_start(start, m):
-    # the solvers and the flow pass their previous weights, already an
-    # array, so they skip the conversion; they pass a start only at m != 2,
-    # since their m = 2 steps call closed_form_rows
-    if not isinstance(start, np.ndarray):
-        start = np.asarray(start, dtype=float)
-    if start.shape != (m,):
-        raise ValueError("start weights shape does not match gradient columns")
-    return start
+def _solve(G, scale, v, start):
+    """Both QPs on checked columns, scale and target: ``v`` None is the zero
+    target of ``min_norm_in_hull`` at unit scale.  Two columns go to the
+    closed form, any other number to ``_wolfe``."""
+    if start is not None:
+        # the solvers and the flow pass their previous weights, already an
+        # array, so they skip the conversion; they pass a start only at
+        # m != 2, since their m = 2 steps call closed_form_rows
+        if not isinstance(start, np.ndarray):
+            start = np.asarray(start, dtype=float)
+        if start.shape != (G.shape[1],):
+            raise ValueError("start weights shape does not match gradient columns")
+    if G.shape[1] == 2:
+        rows = G.tolist()
+        t, point, gap, converged = closed_form_rows(rows, scale, v if v is None else v.tolist())
+        return HullSolution(np.array([t, 1.0 - t]), np.array(point), gap, converged, 0)
+    _check_finite(G, v)
+    # 1.0 * G == G exactly, so G serves as the scaled columns of the zero
+    # target, and no target is subtracted: subtracting 0.0 would change no bit
+    return _wolfe(G if v is None else scale * G, v, start)
 
 
 def project_onto_scaled_hull(G, scale, v, start=None):
@@ -563,13 +566,7 @@ def project_onto_scaled_hull(G, scale, v, start=None):
     v = np.asarray(v, dtype=float)
     if v.shape != (G.shape[0],):
         raise ValueError("target vector shape does not match gradient columns")
-    if start is not None:
-        start = _validate_start(start, G.shape[1])
-    if G.shape[1] == 2:
-        t, point, gap, converged = closed_form_rows(G.tolist(), scale, v.tolist())
-        return HullSolution(np.array([t, 1.0 - t]), np.array(point), gap, converged, 0)
-    _check_finite(G, v)
-    return _wolfe(scale * G, v, start)
+    return _solve(G, scale, v, start)
 
 
 def min_norm_in_hull(G, start=None):
@@ -579,13 +576,4 @@ def min_norm_in_hull(G, start=None):
     zero target, with the same ``start``.  The norm of the returned point is
     the KKT residual: it vanishes exactly at Pareto-critical points.
     """
-    G = _validate_columns(G)
-    if start is not None:
-        start = _validate_start(start, G.shape[1])
-    if G.shape[1] == 2:
-        t, point, gap, converged = closed_form_rows(G.tolist(), 1.0, None)
-        return HullSolution(np.array([t, 1.0 - t]), np.array(point), gap, converged, 0)
-    _check_finite(G)
-    # 1.0 * G == G exactly, so G serves as the scaled columns, and no
-    # target is the zero target: subtracting 0.0 would change no bit
-    return _wolfe(G, None, start)
+    return _solve(_validate_columns(G), 1.0, None, start)

@@ -14,7 +14,7 @@ from mograd.flow import (
     merit_bound_scan,
 )
 from mograd.harness import sample_starts
-from mograd.problems import get_problem, logsumexp_pair, quadratic_pair
+from mograd.problems import InvalidConfig, get_problem, logsumexp_pair, quadratic_pair
 from mograd.simplex_qp import NonFiniteInput
 
 from conftest import (
@@ -48,6 +48,13 @@ class TestConfigValidation:
         ):
             with pytest.raises(ValueError):
                 FlowConfig(**{"alpha": 5.0, "x0": X0, **field})
+
+    @pytest.mark.parametrize("value", [True, "5"])
+    @pytest.mark.parametrize("field", ["alpha", "beta", "p", "h", "t_end"])
+    def test_real_settings_must_be_numbers(self, field, value):
+        # bools passed the range checks as 1.0, strings raised a bare TypeError
+        with pytest.raises(InvalidConfig, match=f"^{field} must be a finite number, not {value!r}$"):
+            FlowConfig(**{"alpha": 5.0, "x0": X0, field: value})
 
     def test_x0_is_a_finite_point(self):
         for x0 in ([np.nan, 0.0], [0.0, np.inf], [[0.1, 0.2]], 0.5):

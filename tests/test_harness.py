@@ -17,6 +17,7 @@ import pytest
 import mograd
 from mograd.cli import build_parser
 from mograd.flow import FlowConfig, attach_merit, mavng_integrate
+from mograd.merit import MeritUnavailable
 from mograd.cli import main as cli_main
 from mograd.harness import (
     ExperimentConfig,
@@ -682,6 +683,17 @@ class TestFlowExperiment:
             flow_experiment(cfg, out_dir=tmp_path / "out")
         # the message names the refused alpha of the sweep, and beta
         assert "alpha = 2.0" in str(err.value) and "beta = 3.0" in str(err.value)
+        assert not (tmp_path / "out").exists()
+
+    def test_problem_without_merit_is_refused_before_integrating(self, tmp_path, monkeypatch):
+        def never(prob, cfg):
+            raise AssertionError("integrated a flow whose merit cannot be sampled")
+
+        monkeypatch.setattr(mograd.harness, "mavng_integrate", never)
+        monkeypatch.setattr(mograd.harness, "mavd_integrate", never)
+        cfg = ExperimentConfig(problem="ex1:n=4,p=3,delta=0", flow_alphas=(5.0,))
+        with pytest.raises(MeritUnavailable, match="^ex1:n=4,p=3,delta=0.0,seed=0: inner problem"):
+            flow_experiment(cfg, out_dir=tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
     def test_start_of_the_wrong_dimension_writes_nothing(self, tmp_path):

@@ -383,6 +383,10 @@ class TestSeededFamilies:
             regularized_least_squares_triple(5, 0, 0.05, 1)
         with pytest.raises(InvalidConfig):
             regularized_logsumexp_triple(5, 5, -0.1, 1)
+        # a bool or a string is not a real delta: True used to build delta=1.0
+        for delta in (True, "x"):
+            with pytest.raises(InvalidConfig, match=f"^delta must be a finite number, not {delta!r}$"):
+                regularized_logsumexp_triple(4, 3, delta, 0)
 
     def test_non_finite_delta_is_rejected(self):
         # a NaN delta used to build a problem with lipschitz = nan

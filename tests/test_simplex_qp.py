@@ -851,13 +851,14 @@ class TestWarmStart:
             assert warm.iterations == cold.iterations
 
     def test_start_shape_must_match_columns(self):
-        for m in (2, 3):
-            G = np.eye(3)[:, :m]
+        # the closed form, the Gram solve and Wolfe's method
+        for m in (2, 3, 4):
+            G = np.eye(4)[:, :m]
             for start in (np.ones(m + 1), np.ones((m, 1)), 1.0):
                 with pytest.raises(ValueError):
                     min_norm_in_hull(G, start)
                 with pytest.raises(ValueError):
-                    project_onto_scaled_hull(G, 1.0, np.zeros(3), start)
+                    project_onto_scaled_hull(G, 1.0, np.zeros(4), start)
 
 
 class TestSolutionInvariants:
