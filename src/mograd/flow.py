@@ -39,17 +39,23 @@ from numpy's dot products in their last bit.
 
 The hull QPs split on m as ``simplex_qp`` does.  At m = 2 the step solves
 both with the closed-form kernel ``simplex_qp.closed_form_rows`` on the
-rows of its gradient matrix (``G.tolist()``, once) and the lists it holds,
-so no vector goes through numpy and back and no ``HullSolution`` is built:
-a quad2 step fell from about 13.1 to 8.8 us (same host), and to about
-6 us from 7.2 when the min-norm solve took the kernel's zero-target pass
-(``v`` None).  For any other m it calls ``min_norm_in_hull`` and
+gradient's rows (``problems.gradient_rows``) and the lists it holds, so no
+vector goes through numpy and back and no ``HullSolution`` is built: a
+quad2 step fell from about 13.1 to 8.8 us (same host), and to about 6 us
+from 7.2 when the min-norm solve took the kernel's zero-target pass (``v``
+None).  quad2's oracle returns the rows it computes, so its gradient makes
+no round trip through numpy either: a step fell from about 6.1 to 5.4 us
+(fastest of 41 runs, alternating in one process), and the ``flow-merit``
+bench's ``wall_s`` from a median of 0.160 to 0.145 s over 10 alternating
+pairs.  For any other m it calls ``min_norm_in_hull`` and
 ``project_onto_scaled_hull``, each warm-started from its previous weights:
 at m = 3 the QPs' Gram solve ignores the start unless it falls back to
 Wolfe's method, which uses it, as it does at m >= 4.
-``problems.gradient_matrix`` checks the shape of every gradient matrix, the
-QPs (or the kernel) its finiteness, and ``FlowConfig`` the projection's
-scale h^2, which does not change, with the step count (t_end - t0) / h.
+``problems.gradient_rows`` (m = 2) and ``gradient_matrix`` check the shape
+of every gradient matrix with one rule, the QPs (or the kernel) its
+finiteness, and ``FlowConfig`` the projection's scale h^2, which does not
+change, with the step count (t_end - t0) / h and t^p at the grid's last
+time.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .merit import merit_value
-from .problems import as_point, gradient_matrix, real_number, whole_number
+from .problems import as_point, gradient_matrix, gradient_rows, real_number, whole_number
 from .simplex_qp import closed_form_rows, min_norm_in_hull, project_onto_scaled_hull
 from .solvers import corrected_momentum
 
@@ -109,9 +115,24 @@ class FlowConfig:
             raise ValueError("t_end must be finite and exceed t0 = 1")
         if not (self.t_end - T0) / self.h < math.inf:
             raise ValueError("(t_end - t0) / h, the number of steps, must be finite")
+        # each step divides by t_k**p on Python floats, whose ** raises
+        # OverflowError where numpy's gives inf; t_k**p grows with t_k, so
+        # the grid's last time bounds every step's
+        t_last = T0 + _step_count(self) * self.h
+        try:
+            t_last**self.p
+        except OverflowError:
+            raise ValueError(
+                f"p = {self.p} is too large: t**p overflows at the grid's last time t = {t_last}"
+            ) from None
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
         if self.x0.ndim != 1 or not np.all(np.isfinite(self.x0)):
             raise ValueError("x0 must be a finite 1-D point")
+
+
+def _step_count(cfg):
+    """The number of steps of the grid T0, T0 + h, ..., about t_end."""
+    return max(int(round((cfg.t_end - T0) / cfg.h)), 1)
 
 
 @dataclass
@@ -154,9 +175,9 @@ class BoundReport:
 def _integrate(prob, cfg, system):
     as_point(prob, cfg.x0, "x0")
     alpha, h = cfg.alpha, cfg.h
-    # FlowConfig has checked the scale and the step count
+    # FlowConfig has checked the scale, the step count and t_k**p
     scale = h * h
-    steps = max(int(round((cfg.t_end - T0) / h)), 1)
+    steps = _step_count(cfg)
     # the points as lists of Python floats (see the module docstring); the
     # row of x_1 = x_0 is the zero initial velocity
     x_prev = x_curr = cfg.x0.tolist()
@@ -170,11 +191,11 @@ def _integrate(prob, cfg, system):
     hull_w = proj_w = None
     for k in range(1, steps + 1):
         t_k = T0 + k * h
-        grads = gradient_matrix(prob, np.array(x_curr))
         if pair:
-            G = grads.tolist()
+            G = gradient_rows(prob, np.array(x_curr))
             _, u, _, certified = closed_form_rows(G, 1.0, None)
         else:
+            grads = gradient_matrix(prob, np.array(x_curr))
             hull = min_norm_in_hull(grads, start=hull_w)
             hull_w = hull.weights
             u, certified = hull.point.tolist(), hull.converged

@@ -6,8 +6,12 @@ need: a gradient-Lipschitz constant (for constant step sizes), an axis-aligned
 box for sampling starting points, and, where known, a parametrization of the
 Pareto set used as ground truth in tests.
 
-Gradients are returned as an (n, m) matrix whose columns are the per-objective
-gradients, the layout the simplex QPs consume directly.
+Gradients are an (n, m) matrix whose columns are the per-objective
+gradients, the layout the simplex QPs consume directly.  An oracle returns
+it as an array or as n rows (lists) of m floats; the point it is given is
+always a 1-D float array.  ``gradient_matrix`` reads either as an array, and
+``gradient_rows`` as rows, for the two-objective steps of the solvers and
+the flow, which work on lists of floats; both check the shape.
 
 JOS1, SD and TOI4 follow their standard forms from the benchmark literature:
 
@@ -24,11 +28,15 @@ JOS1, SD and TOI4 follow their standard forms from the benchmark literature:
 The bi-objective oracles do their elementwise work on Python floats, which
 do numpy's IEEE double arithmetic without its dispatch on every operation:
 quad2 and toi4 entirely (``_small_objectives``), sd its orthant test,
-reciprocal sum and gradient column.  Dot products stay numpy's (sd's linear
-objective, jos1's two squared norms): on random points of the start box a
-left-to-right sum on floats differs from numpy's dot in the last bit on 16%
-of jos1's ``x @ x`` and 21% of sd's linear objective, so floats could not
-keep every bit.
+reciprocal sum and gradient column.  The gradients of quad2, toi4 and sd are
+returned as the rows of floats they compute, so the two-objective steps read
+them without a round trip through numpy: on the ``flow-merit`` bench a
+traced quad2 gradient call fell from about 1.17 to 0.42 us (2-core x86
+host, Python 3.11.7, numpy 2.4.6).  Dot products
+stay numpy's (sd's linear objective, jos1's two squared norms): on random
+points of the start box a left-to-right sum on floats differs from numpy's
+dot in the last bit on 16% of jos1's ``x @ x`` and 21% of sd's linear
+objective, so floats could not keep every bit.
 
 The two seeded tri-objective families draw their data from named Philox
 streams so the same (n, p, delta, seed) always yields bit-identical problems:
@@ -87,7 +95,11 @@ class ProblemInstance:
         name: registry key echoing the full parametrization.
         n, m: decision dimension and number of objectives.
         objectives: x -> F(x), shape (m,).
-        gradient_columns: x -> (n, m) matrix of per-objective gradients.
+        gradient_columns: x -> (n, m) matrix of per-objective gradients,
+            as an array or as n rows (lists) of m floats.  Both oracles are
+            given the point as a 1-D float array of shape (n,).  Read the
+            matrix through :func:`gradient_matrix`, which gives an array
+            whatever the oracle returned, or :func:`gradient_rows` for rows.
         init_box: (low, high) arrays bounding the start-point sampling box.
         lipschitz: max over objectives of a gradient Lipschitz constant, or
             None when no global constant is available.  The matrix families
@@ -122,16 +134,48 @@ def as_point(prob, x, what="point"):
     return x
 
 
-def gradient_matrix(prob, x):
-    """``prob.gradient_columns(x)`` as a float array of shape exactly
-    ``(prob.n, prob.m)``, the one check of a gradient oracle's result; else a
+def _gradient_array(prob, G):
+    """An oracle's result ``G`` as a float array of shape exactly
+    ``(prob.n, prob.m)``, the one shape rule of a gradient matrix; else a
     ValueError naming both shapes.  Finiteness is the hull QPs' check."""
-    G = np.asarray(prob.gradient_columns(x), dtype=float)
+    G = np.asarray(G, dtype=float)
     if G.shape != (prob.n, prob.m):
         raise ValueError(
             f"gradient matrix has shape {G.shape}, but {prob.name} needs {(prob.n, prob.m)}"
         )
     return G
+
+
+def _is_float_rows(G, n, m):
+    """True when ``G`` is a list of ``n`` lists of ``m`` Python floats."""
+    if type(G) is not list or len(G) != n:
+        return False
+    for row in G:
+        if type(row) is not list or len(row) != m:
+            return False
+        for a in row:
+            if type(a) is not float:
+                return False
+    return True
+
+
+def gradient_matrix(prob, x):
+    """``prob.gradient_columns(x)`` as a float array of shape exactly
+    ``(prob.n, prob.m)``, rows or array alike; else a ValueError naming both
+    shapes."""
+    return _gradient_array(prob, prob.gradient_columns(x))
+
+
+def gradient_rows(prob, x):
+    """``prob.gradient_columns(x)`` as ``prob.n`` lists of ``prob.m`` Python
+    floats, the list side of :func:`gradient_matrix`: an oracle's own rows
+    pass as they are, and any other result (an array, or rows of another
+    shape or type) goes through the same shape rule and ``tolist``, so both
+    give the same floats and the same errors."""
+    G = prob.gradient_columns(x)
+    if _is_float_rows(G, prob.n, prob.m):
+        return G
+    return _gradient_array(prob, G).tolist()
 
 
 def objective_values(prob, x):
@@ -292,9 +336,10 @@ def quadratic_pair():
         return _small_objectives(values, x)
 
     def gradient_columns(x):
-        # Python floats, as in _small_objectives (no ** here, so no overflow)
+        # rows of Python floats, as in _small_objectives (no ** here, so no
+        # overflow)
         x1, x2 = x.tolist()
-        return np.array([[2.0 * (x1 - 1.0), x1], [x2, 2.0 * (x2 - 1.0)]])
+        return [[2.0 * (x1 - 1.0), x1], [x2, 2.0 * (x2 - 1.0)]]
 
     def pareto_param(lam):
         return np.array([2.0 * lam / (1.0 + lam), 2.0 * (1.0 - lam) / (2.0 - lam)])
@@ -390,12 +435,12 @@ def sd():
         if x1 <= 0.0 or x2 <= 0.0 or x3 <= 0.0 or x4 <= 0.0:
             raise ValueError("sd gradients are defined on the positive orthant")
         try:
-            return np.array([
+            return [
                 [l1, -r1 / (x1 * x1)],
                 [l2, -r2 / (x2 * x2)],
                 [l3, -r3 / (x3 * x3)],
                 [l4, -r4 / (x4 * x4)],
-            ])
+            ]
         except ZeroDivisionError:
             # an x_i * x_i underflowed to 0.0, where numpy's division gives -inf
             with np.errstate(divide="ignore"):
@@ -431,11 +476,12 @@ def toi4():
         return _small_objectives(values, x)
 
     def gradient_columns(x):
-        # Python floats, as in _small_objectives (no ** here, so no overflow)
+        # rows of Python floats, as in _small_objectives (no ** here, so no
+        # overflow)
         x1, x2, x3, x4 = x.tolist()
         d12 = x1 - x2
         d34 = x3 - x4
-        return np.array([[2.0 * x1, d12], [2.0 * x2, -d12], [0.0, d34], [0.0, -d34]])
+        return [[2.0 * x1, d12], [2.0 * x2, -d12], [0.0, d34], [0.0, -d34]]
 
     return ProblemInstance(
         name="toi4",

@@ -179,12 +179,13 @@ def _effective_tol(q_scale):
 def closed_form_rows(rows, scale, v):
     """Exact solution for two columns, on Python floats: the float kernel.
 
-    ``rows`` are the rows of ``G`` as lists of two floats (``G.tolist()``),
-    ``v`` the target as a list of floats, and the hull is
-    ``scale * conv{g_1, g_2}``.  ``v`` None is the zero target at unit
-    scale, the min-norm QP: ``scale`` is then not read, and the passes make
-    no scale product and subtract no target, with the result of ``1.0`` and
-    ``[0.0] * n`` bit for bit.  Returns ``(t, point, gap, converged)``: the weights are
+    ``rows`` are the rows of ``G`` as lists of two floats (``G.tolist()``
+    in the QPs, ``problems.gradient_rows`` in the steps), ``v`` the target
+    as a list of floats, and the hull is ``scale * conv{g_1, g_2}``.
+    ``v`` None is the zero target at unit scale, the min-norm QP: ``scale``
+    is then not read, and the passes make no scale product and subtract no
+    target, with the result of ``1.0`` and ``[0.0] * n`` bit for bit.
+    Returns ``(t, point, gap, converged)``: the weights are
     ``(t, 1 - t)``, ``point`` is ``scale * G @ (t, 1 - t)`` as a list, and
     ``gap`` and ``converged`` are those of a :class:`HullSolution`.
     ``min_norm_in_hull`` and ``project_onto_scaled_hull`` wrap it for
@@ -198,7 +199,7 @@ def closed_form_rows(rows, scale, v):
     tolerance's scale.  With two rows a min-norm call takes about 0.8 us
     and a projection 1.3 us (timeit, 2-core x86 host, Python 3.11.7).  The
     caller has checked ``scale`` and the shape of ``G`` (the steps through
-    ``problems.gradient_matrix``), and gives ``v`` the rows' length (the
+    ``problems.gradient_rows``), and gives ``v`` the rows' length (the
     steps build it from points of n entries).  The finiteness of the rows
     and of ``v`` is checked on a sum that the first pass computes anyway and
     that is not finite when any input is not; only then does

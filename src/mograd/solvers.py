@@ -31,16 +31,22 @@ run at the QP layer's tolerance ``simplex_qp.DEFAULT_TOL``.
 
 The steps split on m, as ``simplex_qp`` and the flow do.  At m = 2 they
 run on Python floats (``_pair_steps``): the vectors of a step are lists,
-the rows of each gradient matrix are taken once (``G.tolist()``), and both
+each gradient is read as rows (``problems.gradient_rows``), which the
+float oracles of quad2, toi4 and sd return as they compute them, and both
 hull QPs are the closed-form kernel ``simplex_qp.closed_form_rows``, the
 min-norm solve with no target (the kernel's zero-target pass) and the
 projection at scale s with target pi_k.  Arrays are built only for the
-oracles, the trace and the line search.  With the few variables of the
-bi-objective problems, numpy's dispatch on each small vector costs more
-than the arithmetic: a ``quad2`` iteration fell by about a quarter (22 to
-17 us), and the kernel's zero-target pass took it to about 15.5 us, while a
+oracles' points, the trace and the line search, whose slopes take the rows
+at y_k as an array.  With the few variables of the bi-objective problems,
+numpy's dispatch on each small vector costs more than the arithmetic: a
+``quad2`` iteration fell by about a quarter (22 to 17 us), and the
+kernel's zero-target pass took it to about 15.5 us, while a
 ``jos1:n=100`` iteration takes about 93 us against 81 us on numpy vectors
 (bench bi-table settings; 2-core x86 host, Python 3.11.7, numpy 2.4.6).
+Reading the float oracles' rows without a round trip through numpy took a
+``quad2`` ``mfisc_ls`` iteration from about 19.6 to 18.8 us and the
+``bi-table`` bench's ``wall_s`` from a median of 0.272 to 0.266 s over 6
+alternating pairs, within the parent's interquartile range of 0.011 s.
 The norms come from ``math.hypot`` and ``math.dist``, and may differ from
 numpy's dot products in their last bit, so a step may round differently
 there.  Any other m takes the numpy steps (``_array_steps``) through
@@ -49,8 +55,9 @@ from its previous weights.  At m = 3 the QPs solve on the Gram matrix and
 ignore the start unless they fall back to Wolfe's method; Wolfe's method,
 at m >= 4 and in that fallback, starts from it.
 
-Each rule of a step has one owner: ``problems.gradient_matrix`` checks the
-shape of every gradient matrix, the QPs (or the kernel) check finiteness,
+Each rule of a step has one owner: ``problems.gradient_rows`` and
+``gradient_matrix`` check the shape of every gradient matrix with one rule,
+the QPs (or the kernel) check finiteness,
 :func:`corrected_momentum` and its numpy form :func:`mfisc_momentum` write
 the correction, and the float steps check the projection's scale, which the
 line search can shrink to 0.0.
@@ -66,7 +73,15 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import InvalidConfig, as_point, gradient_matrix, objective_values, real_number, whole_number
+from .problems import (
+    InvalidConfig,
+    as_point,
+    gradient_matrix,
+    gradient_rows,
+    objective_values,
+    real_number,
+    whole_number,
+)
 from .simplex_qp import closed_form_rows, min_norm_in_hull, project_onto_scaled_hull
 
 MFISC_CONST = "mfisc_const"
@@ -239,7 +254,8 @@ def line_search_backtracking(prob, w, s0, sigma, d, grads):
 
     Accepts s once min_i [f_i(w + s d) - f_i(w) - s <grad f_i(w), d>] no
     longer exceeds s ||d||^2 / 2; the run loops pass ``sigma = SIGMA``.
-    ``grads`` is ``prob.gradient_columns(w)``, which every caller holds.
+    ``grads`` is the gradient matrix at ``w`` as an array
+    (``problems.gradient_matrix``), which every caller holds.
     Returns (s, capped); after 200 shrinkages the last candidate is returned
     with capped=True rather than failing.
 
@@ -384,8 +400,7 @@ def _pair_steps(prob, cfg, trace, x, step, alpha, t0):
     x_prev = x_curr = x.tolist()
     k = 1
     while True:
-        grads_x = gradient_matrix(prob, x)
-        rows = grads_x.tolist()
+        rows = gradient_rows(prob, x)
         _, u, gap, certified = closed_form_rows(rows, 1.0, None)
         residual = math.hypot(*u)
         if _record(trace, cfg, x, residual, gap, certified, k, t0):
@@ -393,7 +408,7 @@ def _pair_steps(prob, cfg, trace, x, step, alpha, t0):
 
         try:
             if alpha is None:
-                y, w, d, grads_y = x_curr, x, [-a for a in u], grads_x
+                y, w, d = x_curr, x, [-a for a in u]
             else:
                 denom = k + alpha - 1.0
                 pi = corrected_momentum(
@@ -401,8 +416,7 @@ def _pair_steps(prob, cfg, trace, x, step, alpha, t0):
                 )
                 y = [a + p for a, p in zip(x_curr, pi)]
                 w = np.array(y)
-                grads_y = gradient_matrix(prob, w)
-                rows = grads_y.tolist()
+                rows = gradient_rows(prob, w)
                 # project_onto_scaled_hull's scale check: the line search can
                 # shrink the carried-over step to 0.0
                 if not 0.0 < step < math.inf:
@@ -415,7 +429,10 @@ def _pair_steps(prob, cfg, trace, x, step, alpha, t0):
                 s = 1.0 - t
                 d = [-(a * t + b * s) for a, b in rows]
             if line_search:
-                step, capped = line_search_backtracking(prob, w, step, SIGMA, np.array(d), grads_y)
+                # the slopes are numpy's grads.T @ d, on the rows at w
+                step, capped = line_search_backtracking(
+                    prob, w, step, SIGMA, np.array(d), np.array(rows)
+                )
                 if capped:
                     trace.capped.append(k - 1)
         except ValueError:

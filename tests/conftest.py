@@ -203,6 +203,31 @@ def five_objective_problem(family, n, p, seed):
     )
 
 
+# Malformed gradient oracle results, from a well-formed gradient array ``G``:
+# a NaN matrix, arrays of the wrong shape, and the same faults in rows
+# (lists), the other form an oracle may return.
+MALFORMED_GRADIENTS = {
+    "NaN": lambda G: np.full_like(G, np.nan),
+    "1-D": lambda G: G[:, 0],
+    "extra row": lambda G: np.vstack([G, G[:1]]),
+    "rows missing one": lambda G: G.tolist()[:-1],
+    "rows with one extra": lambda G: G.tolist() + G.tolist()[:1],
+    "rows with a long last row": lambda G: G.tolist()[:-1] + [G.tolist()[-1] + [0.0]],
+    "flat list": lambda G: G.ravel().tolist(),
+}
+
+
+def malformed_gradient_error(prob, result):
+    """The error ``problems.gradient_matrix`` and ``gradient_rows`` raise for
+    the oracle ``result`` of a wrong shape: the shape message, or numpy's own
+    ValueError for ragged rows, which have no shape."""
+    try:
+        shape = np.asarray(result, dtype=float).shape
+    except ValueError as exc:
+        return ValueError, str(exc)
+    return ValueError, f"gradient matrix has shape {shape}, but {prob.name} needs {(prob.n, prob.m)}"
+
+
 def wrap_hull_qps(monkeypatch, module, cold):
     """Replace ``module``'s two hull QP names with counting wrappers.
 

@@ -17,7 +17,7 @@ import numpy as np
 from mograd.flow import FlowConfig, attach_merit, mavd_integrate, mavng_integrate, merit_bound_scan
 from mograd.harness import ExperimentConfig, flow_experiment, pareto_scan, run_batch, sample_starts
 from mograd.merit import merit_value
-from mograd.problems import available_problems, get_problem, quadratic_pair
+from mograd.problems import available_problems, get_problem, gradient_matrix, quadratic_pair
 from mograd.simplex_qp import min_norm_in_hull, project_onto_scaled_hull
 from mograd.solvers import ACCG_CONST, ACCG_LS, MFISC_CONST, MFISC_LS, STEEPEST_LS, SolverConfig, run_solver
 
@@ -79,7 +79,7 @@ def test_criterion_2_gradient_correctness():
             for _ in range(20):
                 x = rng.uniform(lo, hi)
                 fd = finite_difference_gradients(prob, x)
-                rel = np.abs(prob.gradient_columns(x) - fd) / np.maximum(1.0, np.abs(fd))
+                rel = np.abs(gradient_matrix(prob, x) - fd) / np.maximum(1.0, np.abs(fd))
                 assert rel.max() <= 1e-5, key
 
 

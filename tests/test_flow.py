@@ -14,11 +14,13 @@ from mograd.flow import (
     merit_bound_scan,
 )
 from mograd.harness import sample_starts
-from mograd.problems import InvalidConfig, get_problem, logsumexp_pair, quadratic_pair
+from mograd.problems import InvalidConfig, get_problem, gradient_matrix, logsumexp_pair, quadratic_pair
 from mograd.simplex_qp import NonFiniteInput
 
 from conftest import (
+    MALFORMED_GRADIENTS,
     five_objective_problem,
+    malformed_gradient_error,
     pareto_segment_distance,
     reference_integrate,
     wrap_hull_qps,
@@ -94,36 +96,41 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=r"^\(t_end - t0\) / h, the number of steps, must be finite$"):
             FlowConfig(alpha=5.0, x0=X0, h=h, t_end=t_end)
 
+    @pytest.mark.parametrize("p, t_end, h", [(1000.0, 3.0, 1e-3), (700.0, 3.0, 1e-3), (1.5, 1e250, 1e150)])
+    def test_power_of_time_must_be_finite(self, p, t_end, h):
+        # t_k**p on Python floats raised OverflowError inside the flow, after
+        # about 1000 steps at p = 1000, once t_k**p left the floats; the
+        # power at the grid's last time bounds every step's
+        with pytest.raises(ValueError, match=rf"^p = {p} is too large: t\*\*p overflows at the grid's last time t = "):
+            FlowConfig(alpha=5.0, x0=X0, p=p, h=h, t_end=t_end)
+        # just below the limit the flow runs
+        traj = mavng_integrate(quadratic_pair(), FlowConfig(alpha=5.0, x0=X0, p=600.0, t_end=3.0, h=0.01))
+        assert traj.termination == "completed" and np.isfinite(traj.points).all()
+
     @pytest.mark.parametrize("integrate", [mavng_integrate, mavd_integrate])
     @pytest.mark.parametrize("key", ["quad2", "ex1:n=10,p=8,seed=1"])
-    @pytest.mark.parametrize(
-        "bad",
-        [lambda G: G[:, 0], lambda G: np.vstack([G, G[:1]]), lambda G: np.full_like(G, np.nan)],
-        ids=["1-D", "extra row", "NaN"],
-    )
-    def test_gradient_matrix_is_checked_on_every_step(self, integrate, key, bad):
-        # the third gradient matrix is malformed: problems.gradient_matrix
-        # refuses a shape other than (n, m), and the QPs a NaN, whether the
-        # step solves them with the closed-form kernel (two objectives) or
-        # calls them (three)
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_GRADIENTS))
+    def test_gradient_matrix_is_checked_on_every_step(self, integrate, key, kind):
+        # the third gradient matrix is malformed, as an array or as rows:
+        # problems.gradient_rows (two objectives) and gradient_matrix (three)
+        # refuse a shape other than (n, m), and the QPs a NaN, whether the
+        # step solves them with the closed-form kernel or calls them
         prob = get_problem(key)
         calls = []
+        bad = MALFORMED_GRADIENTS[kind]
 
         def gradient_columns(x):
             calls.append(None)
-            G = prob.gradient_columns(x)
-            return bad(G) if len(calls) == 3 else G
+            return bad(gradient_matrix(prob, x)) if len(calls) == 3 else prob.gradient_columns(x)
 
         counted = replace(prob, gradient_columns=gradient_columns)
         x0 = sample_starts(prob, 1, 0)[0]
-        shape = bad(prob.gradient_columns(x0)).shape
-        if shape == (prob.n, prob.m):
+        if kind == "NaN":
             error, message = NonFiniteInput, "gradient matrix contains NaN or Inf"
         else:
-            error = ValueError
-            message = re.escape(f"gradient matrix has shape {shape}, but {prob.name} needs {(prob.n, prob.m)}")
+            error, message = malformed_gradient_error(prob, bad(gradient_matrix(prob, x0)))
         cfg = FlowConfig(alpha=5.0, x0=x0, t_end=1.1, h=0.01)
-        with pytest.raises(error, match=f"^{message}$"):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
             integrate(counted, cfg)
         assert len(calls) == 3
 

@@ -10,6 +10,7 @@ from mograd.merit import MeritUnavailable, merit_value
 from mograd.problems import (
     ProblemInstance,
     get_problem,
+    gradient_matrix,
     kkt_residual,
     quadratic_pair,
     regularized_logsumexp_triple,
@@ -256,7 +257,7 @@ class TestDegenerateColumns:
             n=2,
             m=3,
             objectives=lambda z: base.objectives(z)[[0, 0, 1]],
-            gradient_columns=lambda z: base.gradient_columns(z)[:, [0, 0, 1]],
+            gradient_columns=lambda z: gradient_matrix(base, z)[:, [0, 0, 1]],
             init_box=base.init_box,
         )
         for x in (np.array([-0.2, -0.1]), np.array([1.5, 1.2]), np.array([2.0, -1.0])):

@@ -13,6 +13,8 @@ from mograd.problems import (
     as_point,
     available_problems,
     get_problem,
+    gradient_matrix,
+    gradient_rows,
     jos1,
     kkt_residual,
     least_squares_family,
@@ -54,7 +56,7 @@ class TestQuadraticPair:
         assert_allclose(prob.pareto_param(1.0), [1.0, 0.0])
 
     def test_gradients_at_origin(self):
-        cols = quadratic_pair().gradient_columns(np.zeros(2))
+        cols = gradient_matrix(quadratic_pair(), np.zeros(2))
         assert_allclose(cols[:, 0], [-2.0, 0.0])
         assert_allclose(cols[:, 1], [0.0, -2.0])
 
@@ -123,7 +125,7 @@ class TestSmallOracles:
         for x in X:
             F, G = reference(x)
             assert prob.objectives(x).tobytes() == F.tobytes()
-            assert prob.gradient_columns(x).tobytes() == G.tobytes()
+            assert gradient_matrix(prob, x).tobytes() == G.tobytes()
 
     @pytest.mark.parametrize("key, reference", [("quad2", _quad2_reference), ("toi4", _toi4_reference)])
     def test_overflowing_powers_give_inf(self, key, reference):
@@ -151,7 +153,7 @@ class TestSmallOracles:
     )
     def test_gradient_columns_layout(self, key, rng):
         prob = get_problem(key)
-        cols = prob.gradient_columns(rng.uniform(*prob.init_box))
+        cols = gradient_matrix(prob, rng.uniform(*prob.init_box))
         assert cols.shape == (prob.n, prob.m)
         assert cols.dtype == np.float64
         assert cols.flags.c_contiguous
@@ -192,7 +194,7 @@ class TestReferenceOracles:
                 with pytest.raises(ValueError, match=str(G)):
                     prob.gradient_columns(x)
                 continue
-            got = prob.gradient_columns(x)
+            got = gradient_matrix(prob, x)
             assert got.flags.c_contiguous and got.dtype == np.float64
             assert got.shape == G.shape and got.tobytes() == G.tobytes(), x
         # sd's orthant test ran on both sides
@@ -293,7 +295,7 @@ class TestGradientConsistency:
         for _ in range(5):
             x = rng.uniform(lo, hi)
             fd = finite_difference_gradients(desk_problem, x)
-            cols = desk_problem.gradient_columns(x)
+            cols = gradient_matrix(desk_problem, x)
             rel = np.abs(cols - fd) / np.maximum(1.0, np.abs(fd))
             assert rel.max() <= 1e-5, desk_problem.name
 
@@ -305,7 +307,7 @@ class TestGradientConsistency:
         for _ in range(100):
             x = rng.uniform(lo, hi)
             y = rng.uniform(lo, hi)
-            dg = desk_problem.gradient_columns(x) - desk_problem.gradient_columns(y)
+            dg = gradient_matrix(desk_problem, x) - gradient_matrix(desk_problem, y)
             per_objective = np.linalg.norm(dg, axis=0)
             assert per_objective.max() <= lip * np.linalg.norm(x - y) * (1 + 1e-9)
 
@@ -412,7 +414,7 @@ class TestKktResidual:
         base = quadratic_pair()
 
         def dup_cols(x):
-            cols = base.gradient_columns(x)
+            cols = gradient_matrix(base, x)
             return np.column_stack([cols, cols[:, 0]])
 
         from mograd.problems import ProblemInstance
@@ -582,6 +584,45 @@ class TestObjectiveValues:
         prob = replace(quadratic_pair(), objectives=lambda x: [1, 2])
         F = objective_values(prob, np.zeros(2))
         assert F.dtype == float and F.tolist() == [1.0, 2.0]
+
+
+class TestGradientRows:
+    """``gradient_rows`` is the list side of ``gradient_matrix``: the same
+    floats, whether the oracle returns rows or an array."""
+
+    @pytest.mark.parametrize("key", ["quad2", "toi4", "sd", "jos1", "lse2"])
+    def test_rows_of_the_gradient_matrix(self, key, rng):
+        prob = get_problem(key)
+        points = list(rng.uniform(*prob.init_box, size=(200, prob.n)))
+        if key == "sd":
+            # x_1 * x_1 underflows to 0.0: the oracle's numpy fallback
+            points.append(np.array([1e-170, 2.0, 2.0, 2.0]))
+        for x in points:
+            rows, G = gradient_rows(prob, x), gradient_matrix(prob, x)
+            assert repr(rows) == repr(G.tolist()), x
+            assert all(type(a) is float for row in rows for a in row)
+        if key == "sd":
+            assert rows[0][1] == -math.inf
+
+    def test_outside_the_sd_orthant(self):
+        with pytest.raises(ValueError, match="^sd gradients are defined on the positive orthant$"):
+            gradient_rows(get_problem("sd"), np.array([1.0, 2.0, -2.0, 2.0]))
+
+    def test_float_rows_pass_as_they_are(self):
+        rows = [[1.0, 2.0], [3.0, 4.0]]
+        prob = replace(quadratic_pair(), gradient_columns=lambda x: rows)
+        assert gradient_rows(prob, np.zeros(2)) is rows
+
+    @pytest.mark.parametrize(
+        "result",
+        [[[1, 2], [3, 4]], [[np.float64(1.0), 2.0], [3.0, 4.0]], ((1.0, 2.0), (3.0, 4.0)), np.eye(2)],
+        ids=["ints", "numpy scalar", "tuples", "array"],
+    )
+    def test_other_results_become_float_rows(self, result):
+        prob = replace(quadratic_pair(), gradient_columns=lambda x: result)
+        rows = gradient_rows(prob, np.zeros(2))
+        assert rows == np.asarray(result, dtype=float).tolist()
+        assert all(type(row) is list and all(type(a) is float for a in row) for row in rows)
 
 
 class TestIdenticalObjectivesFamily:

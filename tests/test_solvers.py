@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 import mograd.solvers
 from mograd.harness import sample_starts, write_csv
-from mograd.problems import InvalidConfig, get_problem, kkt_residual, quadratic_pair
+from mograd.problems import InvalidConfig, get_problem, gradient_matrix, kkt_residual, quadratic_pair
 from mograd.simplex_qp import DEFAULT_TOL, NonFiniteInput
 from mograd.solvers import (
     ACCG_CONST,
@@ -29,7 +29,9 @@ from mograd.solvers import (
 )
 
 from conftest import (
+    MALFORMED_GRADIENTS,
     five_objective_problem,
+    malformed_gradient_error,
     reference_line_search,
     reference_problem,
     reference_run_solver,
@@ -128,11 +130,11 @@ class TestLineSearch:
         for _ in range(20):
             w = rng.uniform(-2.0, 2.0, 2)
             d = rng.normal(size=2)
-            s, capped = line_search_backtracking(prob, w, 10.0, 0.8, d, prob.gradient_columns(w))
+            s, capped = line_search_backtracking(prob, w, 10.0, 0.8, d, gradient_matrix(prob, w))
             if capped:
                 continue
             gain = prob.objectives(w + s * d) - prob.objectives(w)
-            gain -= s * (prob.gradient_columns(w).T @ d)
+            gain -= s * (gradient_matrix(prob, w).T @ d)
             assert float(np.min(gain)) <= 0.5 * s * float(d @ d) + 1e-12
 
     def test_cap_flag_when_test_cannot_hold(self):
@@ -154,7 +156,7 @@ class TestLineSearch:
         prob = dataclasses.replace(base, objectives=lambda x: np.append(base.objectives(x), 0.0))
         w = np.array([0.3, -0.4])
         with pytest.raises(ValueError):
-            line_search_backtracking(prob, w, 10.0, 0.8, -w, base.gradient_columns(w))
+            line_search_backtracking(prob, w, 10.0, 0.8, -w, gradient_matrix(base, w))
 
     @pytest.mark.parametrize("variant", [MFISC_LS, ACCG_LS, STEEPEST_LS])
     def test_objectives_of_the_wrong_length_end_a_run(self, variant):
@@ -181,7 +183,7 @@ class TestReferenceLineSearch:
         backtracked = 0
         for _ in range(40):
             w = rng.uniform(lo, hi)
-            grads = prob.gradient_columns(w)
+            grads = gradient_matrix(prob, w)
             theta = rng.dirichlet(np.ones(prob.m))
             for d in (-(grads @ theta), rng.normal(size=prob.n), -w):
                 for s0, sigma in ((10.0, 0.8), (1e3, 0.5), (0.1, 0.3)):
@@ -196,7 +198,7 @@ class TestReferenceLineSearch:
             w = rng.uniform(*prob.init_box)
             c = rng.uniform(0.5, 5.0)
             d = -c * w  # w + s d = (1 - s c) w leaves the orthant once s >= 1/c
-            grads = prob.gradient_columns(w)
+            grads = gradient_matrix(prob, w)
             got = line_search_backtracking(prob, w, 10.0, 0.8, d, grads)
             assert not (w + 10.0 * d > 0.0).all()
             assert got == reference_line_search(prob, w, 10.0, 0.8, d, grads)
@@ -208,7 +210,7 @@ class TestReferenceLineSearch:
         # passed, even where the other objective's gain would have
         prob = quadratic_pair()
         w = np.array([0.3, -0.7])
-        grads = prob.gradient_columns(w)
+        grads = gradient_matrix(prob, w)
         d = -grads.sum(axis=1)
         assert not line_search_backtracking(prob, w, 1.0, 0.8, d, grads)[1]
         grads[:, column] = math.nan
@@ -237,7 +239,7 @@ class TestReferenceLineSearch:
         # reach of 200 shrinks by 0.99 from 1e3
         prob = quadratic_pair()
         w = np.array([0.3, -0.7])
-        grads = prob.gradient_columns(w)
+        grads = gradient_matrix(prob, w)
         d = grads.sum(axis=1)
         got = line_search_backtracking(prob, w, 1e3, 0.99, d, grads)
         assert got == reference_line_search(prob, w, 1e3, 0.99, d, grads)
@@ -439,33 +441,28 @@ class TestReferenceLoop:
         assert trace.capped == [1] and trace.termination == CONVERGED
         assert_matches_reference(trace, ref)
 
-    MALFORMED = {
-        "1-D": lambda G: G[:, 0],
-        "extra row": lambda G: np.vstack([G, G[:1]]),
-        "NaN": lambda G: np.full_like(G, np.nan),
-    }
-
     @pytest.mark.parametrize(
         "variant, where",
         # steepest_ls evaluates no momentum point y
         [(v, "x") for v in VARIANTS] + [(v, "y") for v in VARIANTS if v != STEEPEST_LS],
     )
-    @pytest.mark.parametrize("kind", sorted(MALFORMED))
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_GRADIENTS))
     @pytest.mark.parametrize("key", ["quad2", "ex1:n=10,p=8,seed=1"])
     def test_malformed_gradient_matrix(self, key, variant, where, kind):
         # the gradient oracle's 3rd call is at x_2 (x_3 for steepest_ls),
-        # its 4th at y_2: at x the error of problems.gradient_matrix (a
-        # shape other than (n, m)) or of the QP (NaN) propagates, at y it
-        # ends the run qp_failure, as in the reference; at three objectives
-        # both loops are the numpy steps
+        # its 4th at y_2, and returns a malformed array or rows: at x the
+        # error of problems.gradient_rows or gradient_matrix (a shape other
+        # than (n, m)) or of the QP (NaN) propagates, at y it ends the run
+        # qp_failure, as in the reference; at three objectives both loops
+        # are the numpy steps
         prob = get_problem(key)
         at = 3 if where == "x" else 4
         calls = []
+        bad = MALFORMED_GRADIENTS[kind]
 
         def gradient_columns(x):
             calls.append(None)
-            G = prob.gradient_columns(x)
-            return self.MALFORMED[kind](G) if len(calls) == at else G
+            return bad(gradient_matrix(prob, x)) if len(calls) == at else prob.gradient_columns(x)
 
         counted = dataclasses.replace(prob, gradient_columns=gradient_columns)
         cfg = reference_config(key, variant)
@@ -487,8 +484,7 @@ class TestReferenceLoop:
         elif kind == "NaN":
             assert trace == (NonFiniteInput, "gradient matrix contains NaN or Inf")
         else:
-            shape = self.MALFORMED[kind](np.zeros((prob.n, prob.m))).shape
-            assert trace == (ValueError, f"gradient matrix has shape {shape}, but {prob.name} needs {(prob.n, prob.m)}")
+            assert trace == malformed_gradient_error(prob, bad(np.zeros((prob.n, prob.m))))
 
 
 class TestConfigValidation:
