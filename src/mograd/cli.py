@@ -185,7 +185,6 @@ def main(argv=None):
             print(f"{cfg.problem} {cfg.solvers[0].variant}: {trace.termination} after "
                   f"{trace.iterations} iterations, final kkt {trace.final_residual:.3e}")
             return 2 if trace.termination == "qp_failure" else 0
-        raise InvalidConfig(f"unknown verb {args.verb!r}")
     except (InvalidConfig, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"mograd: {exc}", file=sys.stderr)
         return 1

@@ -23,34 +23,13 @@ Zero initial velocity is imposed by x_1 = x_0.  The baseline flow without
 the correction term is the b = a case (the (a - b) factor removes r
 exactly), so ``mavd_integrate`` is literally ``mavng_integrate`` at b = a.
 
-The step runs on Python floats: x_{k-1}, x_k, u_k, v_k and x_{k+1} are
-lists, and the points and residuals become arrays once, after the loop; the
-oracle still takes x_k as an array.  v_k is the solvers' list helper
-``solvers.corrected_momentum`` at c = 1, with its guard: r_k is left out
-where its coefficient, ||x_k - x_{k-1}|| or ||u_k|| is 0.  With the two
-coordinates of the flows' problems, numpy's dispatch on each small vector
-costs more than its arithmetic: a quad2 step, its oracle call and two QPs
-included, fell from about 16.6 to 12.9 us (2-core x86 host, Python 3.11.7,
-numpy 2.4.6).  One loop serves every m and n, and at large n it gains
-nothing: a ``jos1:n=100`` step takes about 74 us against 72 on numpy
-vectors, and an m = 3 ``ex1:n=40,p=20,seed=0`` step about 72 us against
-62.  The norms come from ``math.hypot`` and ``math.dist`` and may differ
-from numpy's dot products in their last bit.
-
-The hull QPs split on m as ``simplex_qp`` does.  At m = 2 the step solves
-both with the closed-form kernel ``simplex_qp.closed_form_rows`` on the
-gradient's rows (``problems.gradient_rows``) and the lists it holds, so no
-vector goes through numpy and back and no ``HullSolution`` is built: a
-quad2 step fell from about 13.1 to 8.8 us (same host), and to about 6 us
-from 7.2 when the min-norm solve took the kernel's zero-target pass (``v``
-None).  quad2's oracle returns the rows it computes, so its gradient makes
-no round trip through numpy either: a step fell from about 6.1 to 5.4 us
-(fastest of 41 runs, alternating in one process), and the ``flow-merit``
-bench's ``wall_s`` from a median of 0.160 to 0.145 s over 10 alternating
-pairs.  For any other m it calls ``min_norm_in_hull`` and
-``project_onto_scaled_hull``, each warm-started from its previous weights:
-at m = 3 the QPs' Gram solve ignores the start unless it falls back to
-Wolfe's method, which uses it, as it does at m >= 4.
+The step runs on Python floats, one loop for every m and n: x_{k-1}, x_k,
+u_k, v_k and x_{k+1} are lists, and the points and residuals become arrays
+once, after the loop; the oracle still takes x_k as an array.  v_k is the
+solvers' list helper ``solvers.corrected_momentum`` at c = 1, with its
+guard: r_k is left out where its coefficient, ||x_k - x_{k-1}|| or ||u_k||
+is 0.  The hull QPs split on m as the ``simplex_qp`` module docstring
+describes, with the float design and its bit conditions.
 ``problems.gradient_rows`` (m = 2) and ``gradient_matrix`` check the shape
 of every gradient matrix with one rule, the QPs (or the kernel) its
 finiteness, and ``FlowConfig`` the projection's scale h^2, which does not

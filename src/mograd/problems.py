@@ -7,11 +7,8 @@ box for sampling starting points, and, where known, a parametrization of the
 Pareto set used as ground truth in tests.
 
 Gradients are an (n, m) matrix whose columns are the per-objective
-gradients, the layout the simplex QPs consume directly.  An oracle returns
-it as an array or as n rows (lists) of m floats; the point it is given is
-always a 1-D float array.  ``gradient_matrix`` reads either as an array, and
-``gradient_rows`` as rows, for the two-objective steps of the solvers and
-the flow, which work on lists of floats; both check the shape.
+gradients, the layout the simplex QPs consume directly; an oracle returns it
+as an array or as rows (see ``ProblemInstance.gradient_columns``).
 
 JOS1, SD and TOI4 follow their standard forms from the benchmark literature:
 
@@ -29,14 +26,8 @@ The bi-objective oracles do their elementwise work on Python floats, which
 do numpy's IEEE double arithmetic without its dispatch on every operation:
 quad2 and toi4 entirely (``_small_objectives``), sd its orthant test,
 reciprocal sum and gradient column.  The gradients of quad2, toi4 and sd are
-returned as the rows of floats they compute, so the two-objective steps read
-them without a round trip through numpy: on the ``flow-merit`` bench a
-traced quad2 gradient call fell from about 1.17 to 0.42 us (2-core x86
-host, Python 3.11.7, numpy 2.4.6).  Dot products
-stay numpy's (sd's linear objective, jos1's two squared norms): on random
-points of the start box a left-to-right sum on floats differs from numpy's
-dot in the last bit on 16% of jos1's ``x @ x`` and 21% of sd's linear
-objective, so floats could not keep every bit.
+returned as the rows of floats they compute.  Dot products stay numpy's.
+The ``simplex_qp`` module docstring gives the reasons and bit conditions.
 
 The two seeded tri-objective families draw their data from named Philox
 streams so the same (n, p, delta, seed) always yields bit-identical problems:
@@ -49,7 +40,6 @@ import inspect
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -137,8 +127,15 @@ def as_point(prob, x, what="point"):
 def _gradient_array(prob, G):
     """An oracle's result ``G`` as a float array of shape exactly
     ``(prob.n, prob.m)``, the one shape rule of a gradient matrix; else a
-    ValueError naming both shapes.  Finiteness is the hull QPs' check."""
-    G = np.asarray(G, dtype=float)
+    ValueError naming both shapes, or only the shape needed for ragged rows
+    or a string that is not a number.  Finiteness is the hull QPs' check."""
+    try:
+        G = np.asarray(G, dtype=float)
+    except ValueError as exc:
+        # numpy's own message names neither the problem nor (n, m)
+        raise ValueError(
+            f"gradient matrix is not an array of numbers, but {prob.name} needs {(prob.n, prob.m)}"
+        ) from exc
     if G.shape != (prob.n, prob.m):
         raise ValueError(
             f"gradient matrix has shape {G.shape}, but {prob.name} needs {(prob.n, prob.m)}"
@@ -561,14 +558,16 @@ _FACTORIES = {
 }
 
 
-@lru_cache(maxsize=None)
-def _key_params(factory):
-    return tuple(inspect.signature(factory).parameters)
+# each registry name's key parameters, the arguments of its factory
+_KEY_PARAMS = {
+    name: tuple(inspect.signature(factory).parameters)
+    for name, factory in sorted(_FACTORIES.items())
+}
 
 
 def available_problems():
     """Registry names with their optional key parameters."""
-    return {name: _key_params(factory) for name, factory in sorted(_FACTORIES.items())}
+    return dict(_KEY_PARAMS)
 
 
 def get_problem(key):
@@ -587,7 +586,7 @@ def get_problem(key):
     for item in spec.split(",") if spec else ():
         pname, eq, raw = item.partition("=")
         pname = pname.strip()
-        if not eq or pname not in _key_params(factory):
+        if not eq or pname not in _KEY_PARAMS[name]:
             raise InvalidConfig(f"problem {name!r} does not take parameter {item!r}")
         if pname in kwargs:
             raise InvalidConfig(f"problem key {key!r} repeats parameter {pname!r}")

@@ -26,21 +26,16 @@ certificate at x = P theta.  Otherwise, and for any other ``m``, they are
 solved exactly by Wolfe's min-norm-point method (P. Wolfe, "Finding the
 nearest point in a polytope", Math. Prog. 11, 1976), a finite active-set
 algorithm, with a fixed cap on its major cycles as a guard against cycling
-under rounding.  On an ``ex1:n=40`` hull a Gram solve costs about 13-16 us
-for ``min_norm_in_hull`` and 19-22 us for ``project_onto_scaled_hull``,
-where a warm Wolfe solve took 28 and 34 us (timeit, 2-core x86 host, Python
-3.11.7, numpy 2.4.6).  Wolfe's method is finite from any corral, a face of
-the simplex whose affine minimizer has only positive weights (a single
-column is one), so it can start from a face other than a single vertex: both
-QPs take an optional ``start``, and the weights of a previous solve of a
-nearby problem (the solvers' and the flows' consecutive iterates) make the
-support of that solve the start face.  The Gram solve ignores the start,
-which serves four or more columns and the fallback.  Minor cycles turn the
-start face into a corral; the same minor cycles follow each major cycle.
-The start changes the work, not the certified answer.  Most warm solves
-start on their optimal corral and make no major cycle, so what they cost is
-the fixed cost of a call.  That path keeps numpy's dispatches few:
-``min_norm_in_hull`` passes no target, so nothing is subtracted, and
+under rounding.  Wolfe's method is finite from any corral, a face of the
+simplex whose affine minimizer has only positive weights (a single column
+is one), so it can start from a face other than a single vertex: both QPs
+take an optional ``start``, and the weights of a previous solve of a nearby
+problem (the solvers' and the flows' consecutive iterates) make the support
+of that solve the start face.  The closed form and the Gram solve ignore the
+start, which serves four or more columns and the fallback.  The start
+changes the work, not the certified answer.  Most warm solves start on
+their optimal corral and make no major cycle, so they cost the fixed cost
+of a call, which is why ``min_norm_in_hull`` subtracts no target and
 products go through ``ndarray.dot``, which computes those of ``@`` (up to
 the sign of an exact zero) with less overhead.  Termination is certified by
 the Frank-Wolfe gap
@@ -50,31 +45,33 @@ the Frank-Wolfe gap
 which upper-bounds the objective suboptimality, so a returned gap below the
 tolerance is a genuine optimality certificate.  Wolfe's method and the Gram
 solve report the gap at their last iterate x = p - v, ||x||^2 - min_i <x,
-p_i> over the shifted points: the same gap in exact arithmetic.  The closed
-form for ``m == 2`` (bi-objective problems dominate the benchmark suite)
-runs on Python floats, not numpy arrays: with the few rows of a
-bi-objective problem, numpy's per-call dispatch costs several times the
-arithmetic.  Past about n = 30 for the projection and n = 45 for the
-min-norm QP numpy would be faster (at n = 100 about 8 us against 24 and
-16 us per solve; timeit, same host); only ``jos1`` takes that many
-variables, and no workload of the benchmark gives it more than 5.  The
-float kernel ``closed_form_rows`` works on the rows of ``G`` and a target
-list, or no target for the min-norm QP; the m = 2 path of both QPs wraps it
-in a ``HullSolution``, and the solvers' and the flow's steps call it
-directly on the lists they hold.
+p_i> over the shifted points: the same gap in exact arithmetic.
 
 Both certify at the fixed tolerance ``DEFAULT_TOL``, relaxed relative to the
 squared scale of the data (see ``_REL_TOL``).  That tolerance is only the
 certificate.  Wolfe's method stops on its own relative test, a gap of at
 most ``_REL_TOL`` times the largest squared norm of the shifted points, or
 when rounding stalls it: on data as small as the flows' h^2-scaled hulls an
-absolute stopping test would accept any vertex.  The certificate compares the
-gap with ``DEFAULT_TOL`` first; the relative allowance is needed only for
-data of large magnitude.  So the scale is computed only when the first
-comparison fails: the closed form sums its squared norms in a third pass
-over the rows, on Python floats, and Wolfe's method takes a column-norm
-reduction, and a dot product for a nonzero target; the stopping test and
-the cold start reduce the column norms where they read them.
+absolute stopping test would accept any vertex.  The relative allowance
+matters only for data of large magnitude, so the scale is computed only
+when the gap exceeds ``DEFAULT_TOL``.
+
+The two-objective design.  At m = 2 the package works on Python floats,
+not numpy arrays: ``closed_form_rows`` solves both QPs on the rows of ``G``
+and a target list; the solvers' and the flow's m = 2 steps hold their
+vectors as lists of floats and call it directly, building no
+``HullSolution``; and the oracles of quad2, toi4 and sd compute on floats
+and return their gradient as rows (``problems.gradient_rows``).  Arrays are
+built only for the oracles' points, the traces and the line search's
+slopes.  The reason is size: the bi-objective problems have few variables,
+and numpy's per-call dispatch on such small vectors outweighs the
+arithmetic.  Two bit conditions follow.  The steps' norms come from
+``math.hypot`` and ``math.dist``, which may differ from numpy's dot product
+in the last bit, so a float step may round differently from a numpy one.
+Dot products stay numpy's (sd's linear objective, jos1's squared norms, the
+line search's slopes), since a left-to-right sum on floats may differ from
+numpy's dot in the last bit.  Any other m calls the two public QPs on
+arrays, warm-started from the previous weights.
 """
 
 from __future__ import annotations
@@ -111,8 +108,7 @@ class HullSolution:
     """Result of a simplex QP over a (scaled) gradient hull.
 
     A plain slotted record, not a frozen one: every solve builds one, and a
-    frozen dataclass sets each field through ``object.__setattr__`` (about
-    1.1 us a record against 0.3 us).
+    frozen dataclass sets each field through ``object.__setattr__``.
 
     Attributes:
         weights: simplex vector theta, nonnegative with sum 1; NaN when
@@ -189,16 +185,12 @@ def closed_form_rows(rows, scale, v):
     ``(t, 1 - t)``, ``point`` is ``scale * G @ (t, 1 - t)`` as a list, and
     ``gap`` and ``converged`` are those of a :class:`HullSolution`.
     ``min_norm_in_hull`` and ``project_onto_scaled_hull`` wrap it for
-    m = 2, and the solvers' and the flow's steps call it directly on the
-    rows they already hold.
+    m = 2, and the m = 2 steps call it directly.
 
     One pass over the rows gives the segment formula, a second the point
-    and the Frank-Wolfe certificate ``r.p - min_i r.s_i`` for ``r = p - v``
-    (see the module docstring for the sizes where floats pay).  A gap above
-    ``DEFAULT_TOL`` takes a third pass, for the squared norms of the
-    tolerance's scale.  With two rows a min-norm call takes about 0.8 us
-    and a projection 1.3 us (timeit, 2-core x86 host, Python 3.11.7).  The
-    caller has checked ``scale`` and the shape of ``G`` (the steps through
+    and the Frank-Wolfe certificate ``r.p - min_i r.s_i`` for ``r = p - v``.
+    A gap above ``DEFAULT_TOL`` takes a third pass, for the squared norms of
+    the tolerance's scale.  The caller has checked ``scale`` and the shape of ``G`` (the steps through
     ``problems.gradient_rows``), and gives ``v`` the rows' length (the
     steps build it from points of n entries).  The finiteness of the rows
     and of ``v`` is checked on a sum that the first pass computes anyway and
@@ -480,11 +472,10 @@ def _wolfe_cycles(P, start):
         active, lam = _minor_cycles(P, face, lam, _affine_minimizer(columns(face)))
         x = columns(active).dot(lam)
 
-        # Wolfe's relative stopping test, gap <= _REL_TOL * max_i ||p_i||^2:
-        # the absolute DEFAULT_TOL would accept any face of data smaller than
-        # ~1e-5, such as the flow's h^2-scaled hulls.  As ||x||^2 <=
-        # max_i ||p_i||^2, a gap that passes the first comparison passes the
-        # test, and the column norms are computed only when it fails.
+        # Wolfe's relative stopping test, gap <= _REL_TOL * max_i ||p_i||^2
+        # (see the module docstring).  As ||x||^2 <= max_i ||p_i||^2, a gap
+        # that passes the first comparison passes the test, and the column
+        # norms are computed only when it fails.
         stop = None
         while True:
             dots = x.dot(P)

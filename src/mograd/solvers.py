@@ -29,31 +29,12 @@ is reached, or when a hull subproblem fails to certify its tolerance
 (termination ``qp_failure``, partial trace kept).  Both hull subproblems
 run at the QP layer's tolerance ``simplex_qp.DEFAULT_TOL``.
 
-The steps split on m, as ``simplex_qp`` and the flow do.  At m = 2 they
-run on Python floats (``_pair_steps``): the vectors of a step are lists,
-each gradient is read as rows (``problems.gradient_rows``), which the
-float oracles of quad2, toi4 and sd return as they compute them, and both
-hull QPs are the closed-form kernel ``simplex_qp.closed_form_rows``, the
-min-norm solve with no target (the kernel's zero-target pass) and the
-projection at scale s with target pi_k.  Arrays are built only for the
-oracles' points, the trace and the line search, whose slopes take the rows
-at y_k as an array.  With the few variables of the bi-objective problems,
-numpy's dispatch on each small vector costs more than the arithmetic: a
-``quad2`` iteration fell by about a quarter (22 to 17 us), and the
-kernel's zero-target pass took it to about 15.5 us, while a
-``jos1:n=100`` iteration takes about 93 us against 81 us on numpy vectors
-(bench bi-table settings; 2-core x86 host, Python 3.11.7, numpy 2.4.6).
-Reading the float oracles' rows without a round trip through numpy took a
-``quad2`` ``mfisc_ls`` iteration from about 19.6 to 18.8 us and the
-``bi-table`` bench's ``wall_s`` from a median of 0.272 to 0.266 s over 6
-alternating pairs, within the parent's interquartile range of 0.011 s.
-The norms come from ``math.hypot`` and ``math.dist``, and may differ from
-numpy's dot products in their last bit, so a step may round differently
-there.  Any other m takes the numpy steps (``_array_steps``) through
-``min_norm_in_hull`` and ``project_onto_scaled_hull``, each warm-started
-from its previous weights.  At m = 3 the QPs solve on the Gram matrix and
-ignore the start unless they fall back to Wolfe's method; Wolfe's method,
-at m >= 4 and in that fallback, starts from it.
+The steps split on m as the ``simplex_qp`` module docstring describes,
+with the float design and its bit conditions.  At m = 2 ``_pair_steps``
+runs on Python floats, and both hull QPs are the closed-form kernel
+``simplex_qp.closed_form_rows``: the min-norm solve with no target and the
+projection at scale s with target pi_k.  Any other m takes ``_array_steps``
+through ``min_norm_in_hull`` and ``project_onto_scaled_hull``.
 
 Each rule of a step has one owner: ``problems.gradient_rows`` and
 ``gradient_matrix`` check the shape of every gradient matrix with one rule,

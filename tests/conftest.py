@@ -219,13 +219,12 @@ MALFORMED_GRADIENTS = {
 
 def malformed_gradient_error(prob, result):
     """The error ``problems.gradient_matrix`` and ``gradient_rows`` raise for
-    the oracle ``result`` of a wrong shape: the shape message, or numpy's own
-    ValueError for ragged rows, which have no shape."""
-    try:
-        shape = np.asarray(result, dtype=float).shape
-    except ValueError as exc:
-        return ValueError, str(exc)
-    return ValueError, f"gradient matrix has shape {shape}, but {prob.name} needs {(prob.n, prob.m)}"
+    the oracle ``result`` of a wrong shape: the shape message, which names
+    no shape of the result when its rows are ragged."""
+    needs = f"but {prob.name} needs {(prob.n, prob.m)}"
+    if isinstance(result, list) and len({len(row) for row in result if isinstance(row, list)}) > 1:
+        return ValueError, f"gradient matrix is not an array of numbers, {needs}"
+    return ValueError, f"gradient matrix has shape {np.shape(result)}, {needs}"
 
 
 def wrap_hull_qps(monkeypatch, module, cold):

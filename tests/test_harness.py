@@ -785,6 +785,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "jos1" in out and "ex1" in out
 
+    def test_module_entry_point(self):
+        # python -m mograd.cli runs main and exits with its code
+        src = str(Path(mograd.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "mograd.cli", "list"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "quad2" in proc.stdout.split()
+
     def test_run_verb_writes_outputs(self, tmp_path, capsys):
         code = cli_main(
             [

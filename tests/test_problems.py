@@ -624,6 +624,23 @@ class TestGradientRows:
         assert rows == np.asarray(result, dtype=float).tolist()
         assert all(type(row) is list and all(type(a) is float for a in row) for row in rows)
 
+    @pytest.mark.parametrize("read", [gradient_rows, gradient_matrix])
+    @pytest.mark.parametrize("kind", ["ragged", "string"])
+    def test_results_that_are_not_arrays_of_numbers(self, read, kind):
+        # quad2's rows with a third float on the last row, or a word in place
+        # of a number: the shape rule's error, naming the problem and (n, m)
+        quad2 = quadratic_pair()
+        x = np.array([0.5, -0.25])
+        rows = quad2.gradient_columns(x)
+        if kind == "ragged":
+            result = rows[:-1] + [rows[-1] + [1.0]]
+        else:
+            result = [rows[0], [rows[1][0], "slope"]]
+        prob = replace(quad2, gradient_columns=lambda x: result)
+        message = "gradient matrix is not an array of numbers, but quad2 needs (2, 2)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read(prob, x)
+
 
 class TestIdenticalObjectivesFamily:
     def test_common_minimizer_is_critical(self):

@@ -1,5 +1,7 @@
-"""The README's examples run as written, so its names stay current."""
+"""The README's examples run as written, so its names stay current, and the
+README and the docstrings state contracts, not timings."""
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -7,7 +9,14 @@ from pathlib import Path
 from mograd.cli import _experiment_config, build_parser
 from mograd.problems import get_problem
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+
+# a measurement's marks: a microsecond figure, the host or versions it ran
+# on, or how it was timed
+TIMING = re.compile(
+    r"\d ?(us|µs)\b|x86 host|2-core|Python 3\.\d+\.\d+|numpy \d+\.\d+\.\d+|timeit|alternating pairs"
+)
 
 
 def test_python_blocks_run():
@@ -28,3 +37,17 @@ def test_cli_commands_parse():
         args = build_parser().parse_args(argv[1:])
         if args.verb != "list":
             get_problem(_experiment_config(args).problem)
+
+
+def test_no_timings_in_readme_or_docstrings():
+    # measurements live with the change that made them, in CHANGES.md
+    texts = {"README.md": README.read_text()}
+    for path in sorted((ROOT / "src" / "mograd").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                doc = ast.get_docstring(node, clean=False)
+                if doc:
+                    texts[f"{path.name}:{getattr(node, 'name', 'module')}"] = doc
+    found = {where: match.group(0) for where, text in texts.items() if (match := TIMING.search(text))}
+    assert not found
