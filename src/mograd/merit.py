@@ -12,16 +12,18 @@ The inner solve is the prox-linear method for this max of smooth functions
 (Drusvyatskiy and Paquette, "Efficiency of minimizing compositions of convex
 functions and smooth maps", Math. Prog. 2019).  At z, with
 parts = F(z) - F(x) and gradient columns G, the step d = -t G theta
-minimizes the model max_i [parts_i + g_i.d] + |d|^2 / (2t); its weights
-theta come from one min-norm QP over the simplex.  A step is accepted when h
-falls by at least a quarter of the model's predicted decrease; t then
-doubles if h fell by at least three quarters of it (the usual trust-region
-ratio rule) and stays otherwise, so that t does not oscillate around the
-largest acceptable step; a rejected step halves t.  Starting from z = x
-(where h = 0) and only accepting descent steps keeps the returned phi
-nonnegative by construction; a warm start is used only when it is already
-below that baseline.  The stop tests (see ``MeritResult``) use fixed
-constants: no caller needs others.
+minimizes the model max_i [parts_i + g_i.d] + |d|^2 / (2t).  Its weights
+theta are in closed form for two objectives; for three or more they come
+from a shifted min-norm QP over the simplex, with proximal steps when the
+columns are affinely dependent (see ``_subproblem_weights``).  A step is
+accepted when h falls by at least a quarter of the model's predicted
+decrease; t then doubles if h fell by at least three quarters of it (the
+usual trust-region ratio rule) and stays otherwise, so that t does not
+oscillate around the largest acceptable step; a rejected step halves t.
+Starting from z = x (where h = 0) and only accepting descent steps keeps the
+returned phi nonnegative by construction; a warm start is used only when it
+is already below that baseline.  The stop tests (see ``MeritResult``) use
+fixed constants: no caller needs others.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import as_point, gradient_matrix, objective_values
-from .simplex_qp import min_norm_in_hull
+from .simplex_qp import _check_finite, min_norm_in_hull
 
 _EPS = float(np.finfo(float).eps)
 
@@ -77,14 +79,39 @@ class MeritResult:
 def _subproblem_weights(grads, parts, t):
     """theta maximizing theta.parts - (t/2)||G theta||^2 over the simplex.
 
-    With (g_i - g_0).v = (parts_i - parts_0)/t the objective equals
-    -(t/2)||(G - v 1^T) theta||^2 plus a constant on the simplex, so one
-    min-norm QP solves it.  When the columns are affinely dependent the shift
-    can leave a residual r of parts/t; the objective then has a linear part
-    theta.r along directions that fix G theta, and proximal steps on theta
-    carry it in m extra coordinates until theta stops moving.
+    For two columns, theta = (1 - tau, tau) and d = g_2 - g_1 make the
+    objective a concave quadratic in tau, maximized at
+    tau = clip(((parts_2 - parts_1)/t - g_1.d) / |d|^2, 0, 1); for d = 0 it
+    is linear, and the vertex with the larger part wins, (1, 0) on a tie.
+    Columns or parts whose sums there are not finite take the general path.
+
+    The general path first refuses columns or parts that are not finite with
+    the hull QPs' ``NonFiniteInput``.  With (g_i - g_0).v = (parts_i -
+    parts_0)/t the objective equals -(t/2)||(G - v 1^T) theta||^2 plus a
+    constant on the simplex, so one min-norm QP solves it.  When the columns
+    are affinely dependent the shift can leave a residual r of parts/t; the
+    objective then has a linear part theta.r along directions that fix
+    G theta, and proximal steps on theta carry it in m extra coordinates
+    until theta stops moving.
     """
     m = grads.shape[1]
+    if m == 2:
+        dd = gd = 0.0
+        for a, b in grads.tolist():
+            d = b - a
+            dd += d * d
+            gd += a * d
+        p1, p2 = parts.tolist()
+        dp = (p2 - p1) / t
+        # NaN or inf here, from the data or from an overflowed square,
+        # leaves the closed form before any weight is formed
+        if math.isfinite(dd + gd + dp):
+            if dd > 0.0:
+                tau = min(max((dp - gd) / dd, 0.0), 1.0)
+            else:
+                tau = 1.0 if dp > 0.0 else 0.0
+            return np.array([1.0 - tau, tau])
+    _check_finite(grads, parts)
     v, _, rank, _ = np.linalg.lstsq(
         (grads[:, 1:] - grads[:, :1]).T, (parts[1:] - parts[0]) / t, rcond=None
     )

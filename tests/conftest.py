@@ -26,7 +26,8 @@ from mograd.problems import (
     least_squares_family,
     logsumexp_family,
 )
-from mograd.simplex_qp import DEFAULT_TOL, _check_finite, _effective_tol
+from mograd.merit import _MAX_PROX_STEPS
+from mograd.simplex_qp import DEFAULT_TOL, _check_finite, _effective_tol, min_norm_in_hull
 from mograd.solvers import (
     ACCG_CONST,
     ACCG_LS,
@@ -493,6 +494,28 @@ def reference_closed_form_rows(rows, scale, v):
     gap = max(rp - (r1 if r1 <= r2 else r2 if r2 < r1 else math.nan), 0.0)
     q_scale = max(1.0, c1, c2, vv)
     return t, point, gap, gap <= DEFAULT_TOL or gap <= _effective_tol(q_scale)
+
+
+def reference_subproblem_weights(grads, parts, t):
+    """``mograd.merit._subproblem_weights`` on one path for every m: the
+    least-squares shift, the min-norm QP and the proximal steps, with no
+    closed form for two columns and no finiteness check."""
+    m = grads.shape[1]
+    v, _, rank, _ = np.linalg.lstsq(
+        (grads[:, 1:] - grads[:, :1]).T, (parts[1:] - parts[0]) / t, rcond=None
+    )
+    P = grads - v[:, None]
+    theta = min_norm_in_hull(P).weights
+    r = (parts - parts[0]) / t - v @ (grads - grads[:, :1])
+    if rank == m - 1 or not r.any():
+        return theta
+    sigma = 1e-3 * math.sqrt(float(np.abs(r).max()))
+    for _ in range(_MAX_PROX_STEPS):
+        extra = sigma * np.eye(m) - (r / sigma + sigma * theta)[:, None]
+        prev, theta = theta, min_norm_in_hull(np.vstack((P, extra))).weights
+        if np.abs(theta - prev).max() <= 1e-12:
+            break
+    return theta
 
 
 @pytest.fixture

@@ -4,9 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import mograd.merit
 from mograd.flow import FlowConfig, attach_merit, mavd_integrate, mavng_integrate
 from mograd.harness import sample_starts
-from mograd.merit import MeritUnavailable, merit_value
+from mograd.merit import MeritUnavailable, _subproblem_weights, merit_value
 from mograd.problems import (
     ProblemInstance,
     get_problem,
@@ -15,8 +16,9 @@ from mograd.problems import (
     quadratic_pair,
     regularized_logsumexp_triple,
 )
+from mograd.simplex_qp import NonFiniteInput
 
-from conftest import merit_grid_oracle, single_objective_problem
+from conftest import merit_grid_oracle, reference_subproblem_weights, single_objective_problem
 
 QUAD_BOX = ((-1.0, 2.0), (-1.0, 2.0))
 
@@ -160,6 +162,27 @@ class TestMeritValue:
                 merit_value(quadratic_pair(), [bad, 0.0])
         assert capfd.readouterr() == ("", "")
 
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_gradient_is_refused_before_any_solve(self, m, bad, capfd):
+        # a non-finite column reaching the least-squares shift made LAPACK
+        # print "On entry to DLASCL ..." from C, past Python's warning
+        # filters, and raise LinAlgError; the closed form (m = 2) must not
+        # turn it into a weight either
+        if m == 2:
+            base, x = quadratic_pair(), np.array([-0.2, -0.1])
+        else:
+            base, x = regularized_logsumexp_triple(6, 5, 0.1, 2), np.linspace(-1.0, 1.0, 6)
+
+        def gradient_columns(z):
+            G = gradient_matrix(base, z).copy()
+            G[0, 0] = bad
+            return G
+
+        with pytest.raises(NonFiniteInput, match="gradient matrix contains NaN or Inf"):
+            merit_value(replace(base, gradient_columns=gradient_columns), x)
+        assert capfd.readouterr() == ("", "")
+
     def test_point_must_match_the_problem_dimension(self):
         for x in (np.zeros((1, 1, 2)), np.zeros(3)):
             with pytest.raises(ValueError, match="dimension 2"):
@@ -246,8 +269,112 @@ class TestStepRule:
             assert result.phi == pytest.approx(phi, rel=1e-10)
 
 
+def _subproblem_value(G, parts, t, theta):
+    step = G @ theta
+    return float(theta @ parts) - 0.5 * t * float(step @ step)
+
+
+class TestClosedFormWeights:
+    """The m = 2 weights against the general path of ``conftest``.
+
+    Tolerances, fixed from float64 eps before the first run.  In the draws
+    each term of the subproblem value is at most about 50 (1 + |value|), so
+    its rounding, a few eps per term, stays below 1e-12 (1 + |value|).  The
+    general path shifts its columns by v with |v| = |dp| / |d|, dp = (parts_2 -
+    parts_1) / t and d = g_2 - g_1, so its weights carry a rounding of
+    order n eps |dp| / |d|^2; they are compared where |d|^2 > 1e-6, within
+    1e-9 plus 64 times that.
+    """
+
+    KINDS = ("generic", "equal columns", "clamped at 0", "clamped at 1", "tied parts", "equal and tied")
+
+    @staticmethod
+    def _draw(rng, kind):
+        n = int(rng.integers(1, 7))
+        G = rng.uniform(-1.0, 1.0, (n, 2))
+        parts = rng.uniform(-1.0, 1.0, 2)
+        t = 2.0 ** rng.uniform(-4.0, 4.0)
+        if kind in ("equal columns", "equal and tied"):
+            G[:, 1] = G[:, 0]
+        if kind in ("tied parts", "equal and tied"):
+            parts[1] = parts[0]
+        if kind.startswith("clamped"):
+            # parts_2 placing the unclipped maximizer tau at a drawn value
+            tau = rng.uniform(-3.0, -0.01) if kind == "clamped at 0" else rng.uniform(1.01, 4.0)
+            d = G[:, 1] - G[:, 0]
+            parts[1] = parts[0] + t * (G[:, 0] @ d + (d @ d) * tau)
+        return G, parts, t
+
+    def test_agrees_with_the_general_path(self, rng):
+        eps = np.finfo(float).eps
+        for kind in self.KINDS:
+            for _ in range(400):
+                G, parts, t = self._draw(rng, kind)
+                theta = _subproblem_weights(G, parts, t)
+                ref = reference_subproblem_weights(G, parts, t)
+                assert theta.min() >= 0.0 and abs(theta.sum() - 1.0) <= eps, kind
+                # equal columns take the vertex of the larger part, (1, 0) on
+                # a tie as the general path does
+                vertex = {
+                    "clamped at 0": [1.0, 0.0],
+                    "clamped at 1": [0.0, 1.0],
+                    "equal columns": [0.0, 1.0] if parts[1] > parts[0] else [1.0, 0.0],
+                    "equal and tied": [1.0, 0.0],
+                }.get(kind)
+                if vertex is not None:
+                    assert theta.tolist() == vertex, kind
+                value = _subproblem_value(G, parts, t, theta)
+                ref_value = _subproblem_value(G, parts, t, ref)
+                assert abs(value - ref_value) <= 1e-12 * (1.0 + abs(ref_value)), kind
+                d = G[:, 1] - G[:, 0]
+                dd = float(d @ d)
+                if dd > 1e-6:
+                    dp = abs(parts[1] - parts[0]) / t
+                    tol = 1e-9 + 64.0 * G.shape[0] * eps * dp / dd
+                    assert np.abs(theta - ref).max() <= tol, kind
+
+
 class TestDegenerateColumns:
-    """Gradient columns whose differences are linearly dependent."""
+    """Gradient columns whose differences are linearly dependent, and m = 2
+    columns at the ends of the float range."""
+
+    def test_duplicate_pair(self):
+        # f2 = f1 + c has the same gradient: h(z) = f1(z) - f1(x), so
+        # phi(x) = f1(x) - min f1 = |x - c1|^2 / 2 = 6.5
+        base = shifted_quadratics([1.0], [[1.0, -2.0]])
+        dup = ProblemInstance(
+            name="pairdup",
+            n=2,
+            m=2,
+            objectives=lambda z: base.objectives(z)[[0, 0]] + [0.0, 3.0],
+            gradient_columns=lambda z: gradient_matrix(base, z)[:, [0, 0]],
+            init_box=base.init_box,
+        )
+        result = merit_value(dup, np.array([3.0, 1.0]))
+        assert result.converged
+        assert result.phi == pytest.approx(6.5, abs=1e-10)
+
+    def test_one_dimensional_pair(self):
+        # pieces z^2 / 2 - 2 and 2 (z - 1)^2 - 2 at x = 2: they cross at
+        # z = 2/3 with slopes 2/3 and -4/3, so phi = 2 - 2/9 = 16/9
+        prob = shifted_quadratics([1.0, 4.0], [[0.0], [1.0]])
+        result = merit_value(prob, np.array([2.0]))
+        assert result.converged
+        assert result.phi == pytest.approx(16.0 / 9.0, abs=1e-10)
+        assert result.z[0] == pytest.approx(2.0 / 3.0, abs=1e-6)
+
+    @pytest.mark.parametrize("offset", [1e-180, 1.0])
+    def test_columns_whose_squares_overflow(self, offset, monkeypatch):
+        # gradients 1e200 (z - c_i): every column's square overflows; with
+        # centers 1e-180 apart |d|^2 = 1e40 stays finite and the closed form
+        # runs, 1.0 apart it overflows and the general path runs
+        prob = shifted_quadratics([1e200, 1e200], [[0.0, 0.0], [offset, 0.0]])
+        x = np.array([3.0, 1.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = merit_value(prob, x)
+            monkeypatch.setattr(mograd.merit, "_subproblem_weights", reference_subproblem_weights)
+            ref = merit_value(prob, x)
+        assert (result.converged, result.phi) == (ref.converged, ref.phi)
 
     def test_duplicate_objectives(self):
         # repeating f1 changes neither h nor phi
