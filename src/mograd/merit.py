@@ -65,8 +65,9 @@ class MeritResult:
     exactly at minimizers of h.  The solve stops ``converged`` when it falls
     to 1e-8 (the step at hand is still taken if it passes the decrease test)
     or when the model's predicted decrease is at most 8 eps (1 + |h|), so
-    that no decrease above rounding is left.  It stops unconverged after 100
-    consecutive halvings of t or 5000 subproblems.
+    that no decrease above rounding is left.  It stops unconverged when the
+    predicted decrease is not finite, or after 100 consecutive halvings of t
+    or 5000 subproblems.
     """
 
     phi: float
@@ -171,6 +172,9 @@ def merit_value(prob, x, warm_start=None):
         residual = math.sqrt(step @ step)
         d = -t * step
         pred = h - float(np.max(parts + d @ grads))
+        if not math.isfinite(pred):
+            # an overflowed or NaN model can neither descend nor certify
+            break
         if pred <= 8.0 * _EPS * (1.0 + abs(h)):
             converged = True
             break

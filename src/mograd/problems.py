@@ -1,10 +1,11 @@
-"""Benchmark problem suite: objectives, gradients, Lipschitz data, Pareto maps.
+"""Benchmark problem suite: objectives, gradients and Lipschitz data.
 
 All problems are smooth convex vector objectives F: R^n -> R^m.  A
-:class:`ProblemInstance` bundles the evaluators with metadata the solvers
-need: a gradient-Lipschitz constant (for constant step sizes), an axis-aligned
-box for sampling starting points, and, where known, a parametrization of the
-Pareto set used as ground truth in tests.
+:class:`ProblemInstance` bundles the evaluators with the metadata a run
+reads: a gradient-Lipschitz constant (for constant step sizes), an
+axis-aligned box for sampling starting points and whether merit evaluation
+is supported.  The known Pareto sets, the tests' ground truth, are kept with
+the tests (``tests/conftest.py``).
 
 Gradients are an (n, m) matrix whose columns are the per-objective
 gradients, the layout the simplex QPs consume directly; an oracle returns it
@@ -95,8 +96,6 @@ class ProblemInstance:
             None when no global constant is available.  The matrix families
             store ``delta + max_j ||A_j||_2^2`` from an SVD (see ``_stacked``):
             exact for least squares, conservative for log-sum-exp.
-        pareto_param: optional map lambda in [0, 1] -> point on the Pareto
-            set; every emitted point must be Pareto critical.
         merit_supported: False when the merit function's inner problem is not
             level-bounded (then merit evaluation refuses to run).
     """
@@ -108,7 +107,6 @@ class ProblemInstance:
     gradient_columns: Callable[[Array], Array]
     init_box: tuple[Array, Array]
     lipschitz: Optional[float] = None
-    pareto_param: Optional[Callable[[float], Array]] = None
     merit_supported: bool = True
 
 
@@ -255,7 +253,7 @@ def _columns(delta, x, H):
     return cols
 
 
-def logsumexp_family(name, mats, offs, delta, init_box, **kwargs):
+def logsumexp_family(name, mats, offs, delta, init_box, merit_supported=True):
     """Objectives f_j = delta/2 ||x||^2 + log sum_i exp(<a_i^j, x> - b_i^j)."""
     A3, AT3, B, lipschitz = _stacked(mats, offs, delta)
     m, _, n = A3.shape
@@ -284,11 +282,11 @@ def logsumexp_family(name, mats, offs, delta, init_box, **kwargs):
         gradient_columns=gradient_columns,
         init_box=init_box,
         lipschitz=lipschitz,
-        **kwargs,
+        merit_supported=merit_supported,
     )
 
 
-def least_squares_family(name, mats, offs, delta, init_box, **kwargs):
+def least_squares_family(name, mats, offs, delta, init_box):
     """Objectives f_j = delta/2 ||x||^2 + 1/2 ||A^j x - b^j||^2."""
     A3, AT3, B, lipschitz = _stacked(mats, offs, delta)
     m, _, n = A3.shape
@@ -310,7 +308,6 @@ def least_squares_family(name, mats, offs, delta, init_box, **kwargs):
         gradient_columns=gradient_columns,
         init_box=init_box,
         lipschitz=lipschitz,
-        **kwargs,
     )
 
 
@@ -338,9 +335,6 @@ def quadratic_pair():
         x1, x2 = x.tolist()
         return [[2.0 * (x1 - 1.0), x1], [x2, 2.0 * (x2 - 1.0)]]
 
-    def pareto_param(lam):
-        return np.array([2.0 * lam / (1.0 + lam), 2.0 * (1.0 - lam) / (2.0 - lam)])
-
     return ProblemInstance(
         name="quad2",
         n=2,
@@ -349,7 +343,6 @@ def quadratic_pair():
         gradient_columns=gradient_columns,
         init_box=_box(-2.0, 2.0, 2),
         lipschitz=2.0,
-        pareto_param=pareto_param,
     )
 
 
@@ -365,15 +358,9 @@ def logsumexp_pair():
     lambda -> (-1 + 2 lambda, 1 - 2 lambda).  Swapping the objectives equals
     negating x: f1(-x) = f2(x).
     """
-    prob = logsumexp_family(
-        "lse2",
-        [_LSE2_A, _LSE2_A],
-        [_LSE2_B, -_LSE2_B],
-        delta=0.0,
-        init_box=_box(-3.0, 3.0, 2),
-        pareto_param=lambda lam: np.array([-1.0 + 2.0 * lam, 1.0 - 2.0 * lam]),
+    return logsumexp_family(
+        "lse2", [_LSE2_A, _LSE2_A], [_LSE2_B, -_LSE2_B], delta=0.0, init_box=_box(-3.0, 3.0, 2)
     )
-    return prob
 
 
 def jos1(n=2):
@@ -396,7 +383,6 @@ def jos1(n=2):
         gradient_columns=gradient_columns,
         init_box=_box(-2.0, 2.0, n),
         lipschitz=2.0 / n,
-        pareto_param=lambda lam: np.full(n, 2.0 * lam),
     )
 
 
@@ -443,14 +429,6 @@ def sd():
             with np.errstate(divide="ignore"):
                 return np.column_stack((_SD_LINEAR, -np.array(_SD_RECIP) / (x * x)))
 
-    def pareto_param(lam):
-        # Critical points balance 2 theta = (1 - theta) * 2 / x1^2 and the
-        # analogous per-coordinate conditions, giving x = c (1, r, r, r)
-        # with r = sqrt(2); c in [1, 3] stays inside the smooth region.
-        c = 1.0 + 2.0 * lam
-        r = math.sqrt(2.0)
-        return np.array([c, r * c, r * c, r * c])
-
     return ProblemInstance(
         name="sd",
         n=4,
@@ -459,7 +437,6 @@ def sd():
         gradient_columns=gradient_columns,
         init_box=(lo, hi),
         lipschitz=4.0,
-        pareto_param=pareto_param,
     )
 
 
@@ -488,7 +465,6 @@ def toi4():
         gradient_columns=gradient_columns,
         init_box=_box(-2.0, 5.0, 4),
         lipschitz=2.0,
-        pareto_param=lambda lam: np.array([0.0, 0.0, -1.0 + 2.0 * lam, -1.0 + 2.0 * lam]),
     )
 
 
@@ -496,13 +472,23 @@ def toi4():
 # seeded tri-objective families
 
 
-def _check_family_args(n, p, delta, seed):
-    """``(n, p, delta, seed)``, delta as a finite nonnegative float."""
+def _seeded_data(key, n, p, delta, seed, low):
+    """The name, three matrices, three offset vectors, delta and start box of
+    the seeded family ``key``, with the data uniform on [low, 1] and drawn
+    in the stream layout of the module docstring.
+
+    delta must be a finite nonnegative number, n and p whole numbers of at
+    least 1 and seed a nonnegative whole number; else InvalidConfig.
+    """
     delta = real_number("delta", delta)
     if not 0.0 <= delta < math.inf:
         raise InvalidConfig(f"delta must be finite and nonnegative, not {delta}")
     n, p = whole_number("n", n, 1), whole_number("p", p, 1)
-    return n, p, delta, whole_number("seed", seed, 0)
+    seed = whole_number("seed", seed, 0)
+    mats = [_stream(seed, 2 * j).uniform(low, 1.0, size=(p, n)) for j in range(3)]
+    offs = [_stream(seed, 2 * j + 1).uniform(low, 1.0, size=p) for j in range(3)]
+    name = f"{key}:n={n},p={p},delta={delta!r},seed={seed}"
+    return name, mats, offs, delta, _box(-2.0, 2.0, n)
 
 
 def regularized_logsumexp_triple(n=200, p=100, delta=0.05, seed=0):
@@ -513,35 +499,13 @@ def regularized_logsumexp_triple(n=200, p=100, delta=0.05, seed=0):
     merit function's inner problem loses level boundedness, and merit
     evaluation is disabled.
     """
-    n, p, delta, seed = _check_family_args(n, p, delta, seed)
-    mats, offs = [], []
-    for j in range(3):
-        mats.append(_stream(seed, 2 * j).uniform(-1.0, 1.0, size=(p, n)))
-        offs.append(_stream(seed, 2 * j + 1).uniform(-1.0, 1.0, size=p))
-    return logsumexp_family(
-        f"ex1:n={n},p={p},delta={delta!r},seed={seed}",
-        mats,
-        offs,
-        delta=delta,
-        init_box=_box(-2.0, 2.0, n),
-        merit_supported=delta > 0.0,
-    )
+    name, mats, offs, delta, box = _seeded_data("ex1", n, p, delta, seed, low=-1.0)
+    return logsumexp_family(name, mats, offs, delta, box, merit_supported=delta > 0.0)
 
 
 def regularized_least_squares_triple(n=100, p=100, delta=0.05, seed=0):
     """Three ridge-regularized least-squares objectives with uniform[0,1] data."""
-    n, p, delta, seed = _check_family_args(n, p, delta, seed)
-    mats, offs = [], []
-    for j in range(3):
-        mats.append(_stream(seed, 2 * j).uniform(0.0, 1.0, size=(p, n)))
-        offs.append(_stream(seed, 2 * j + 1).uniform(0.0, 1.0, size=p))
-    return least_squares_family(
-        f"ex2:n={n},p={p},delta={delta!r},seed={seed}",
-        mats,
-        offs,
-        delta=delta,
-        init_box=_box(-2.0, 2.0, n),
-    )
+    return least_squares_family(*_seeded_data("ex2", n, p, delta, seed, low=0.0))
 
 
 # ---------------------------------------------------------------------------

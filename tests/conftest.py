@@ -157,12 +157,40 @@ def spd_quadratic_problem(seed=42, n=5):
     return prob, Q
 
 
+def _sd_pareto_point(prob, lam):
+    # Critical points balance 2 theta = (1 - theta) * 2 / x1^2 and the
+    # analogous per-coordinate conditions, giving x = c (1, r, r, r)
+    # with r = sqrt(2); c in [1, 3] stays inside the smooth region.
+    c = 1.0 + 2.0 * lam
+    r = math.sqrt(2.0)
+    return np.array([c, r * c, r * c, r * c])
+
+
+# The known Pareto sets, by registry name: (prob, lam) -> the point at
+# lambda in [0, 1] of the problem's Pareto set.
+_PARETO_SETS = {
+    "quad2": lambda prob, lam: np.array([2.0 * lam / (1.0 + lam), 2.0 * (1.0 - lam) / (2.0 - lam)]),
+    "lse2": lambda prob, lam: np.array([-1.0 + 2.0 * lam, 1.0 - 2.0 * lam]),
+    "jos1": lambda prob, lam: np.full(prob.n, 2.0 * lam),
+    "sd": _sd_pareto_point,
+    "toi4": lambda prob, lam: np.array([0.0, 0.0, -1.0 + 2.0 * lam, -1.0 + 2.0 * lam]),
+}
+
+
+def pareto_point(prob, lam):
+    """The point at ``lam`` in [0, 1] of ``prob``'s known Pareto set, every
+    one of them Pareto critical; None for a problem with no known set."""
+    point = _PARETO_SETS.get(prob.name.partition(":")[0])
+    return None if point is None else point(prob, lam)
+
+
 @lru_cache(maxsize=8)
 def _pareto_set(key, samples):
-    """``get_problem(key).pareto_param`` at ``samples`` evenly spaced lambdas
-    in [0, 1], built once per problem; a problem's name is its registry key."""
+    """:func:`pareto_point` of ``get_problem(key)`` at ``samples`` evenly
+    spaced lambdas in [0, 1], built once per problem; a problem's name is
+    its registry key."""
     prob = get_problem(key)
-    return np.array([prob.pareto_param(lam) for lam in np.linspace(0.0, 1.0, samples)])
+    return np.array([pareto_point(prob, lam) for lam in np.linspace(0.0, 1.0, samples)])
 
 
 @lru_cache(maxsize=8)

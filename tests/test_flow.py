@@ -21,6 +21,7 @@ from conftest import (
     MALFORMED_GRADIENTS,
     five_objective_problem,
     malformed_gradient_error,
+    pareto_point,
     pareto_segment_distance,
     reference_integrate,
     wrap_hull_qps,
@@ -160,7 +161,7 @@ class TestIntegration:
 
     def test_critical_start_is_stationary(self):
         prob = quadratic_pair()
-        x0 = prob.pareto_param(0.3)
+        x0 = pareto_point(prob, 0.3)
         traj = mavng_integrate(prob, FlowConfig(alpha=50.0, x0=x0, beta=3.0, t_end=2.0))
         drift = np.max(np.linalg.norm(traj.points - x0, axis=1))
         assert drift <= 1e-9
@@ -380,7 +381,7 @@ class TestMeritAttachment:
 
     def test_critical_start_scan_is_trivially_one(self):
         prob = quadratic_pair()
-        cfg = FlowConfig(alpha=50.0, x0=prob.pareto_param(0.6), beta=3.0, t_end=1.5)
+        cfg = FlowConfig(alpha=50.0, x0=pareto_point(prob, 0.6), beta=3.0, t_end=1.5)
         traj = attach_merit(prob, mavng_integrate(prob, cfg), stride=50)
         report = merit_bound_scan(traj, 50.0)
         assert report.fraction == 1.0

@@ -40,7 +40,7 @@ from mograd.solvers import (
     trace_csv_rows,
 )
 
-from conftest import dense_front_distance
+from conftest import dense_front_distance, pareto_point
 
 
 def _digest(path):
@@ -214,7 +214,7 @@ class TestRunBatch:
         # place the sampled start on the Pareto set by overriding the box:
         # simpler to run directly from the parametrized point
         [(record, final_f, _)] = _run_one(
-            ("quad2", cfg.solvers[0], cfg.epsilons, 0, tuple(prob.pareto_param(0.5)), False, True)
+            ("quad2", cfg.solvers[0], cfg.epsilons, 0, tuple(pareto_point(prob, 0.5)), False, True)
         )
         assert record.iterations == 0
         assert record.termination == "converged"

@@ -18,7 +18,7 @@ from mograd.problems import (
 )
 from mograd.simplex_qp import NonFiniteInput
 
-from conftest import merit_grid_oracle, reference_subproblem_weights, single_objective_problem
+from conftest import merit_grid_oracle, pareto_point, reference_subproblem_weights, single_objective_problem
 
 QUAD_BOX = ((-1.0, 2.0), (-1.0, 2.0))
 
@@ -100,7 +100,7 @@ class TestMeritValue:
     def test_zero_at_pareto_points(self):
         for key, lam in (("quad2", 0.5), ("jos1", 0.3), ("lse2", 0.7), ("toi4", 0.2), ("sd", 0.4)):
             prob = get_problem(key)
-            x = prob.pareto_param(lam)
+            x = pareto_point(prob, lam)
             assert kkt_residual(prob, x) <= 1e-8
             result = merit_value(prob, x)
             assert 0.0 <= result.phi <= 1e-6, key
@@ -375,6 +375,9 @@ class TestDegenerateColumns:
             monkeypatch.setattr(mograd.merit, "_subproblem_weights", reference_subproblem_weights)
             ref = merit_value(prob, x)
         assert (result.converged, result.phi) == (ref.converged, ref.phi)
+        # the model's predicted decrease is not finite, so the solve ends
+        # at the first subproblem
+        assert result.iterations == 1
 
     def test_duplicate_objectives(self):
         # repeating f1 changes neither h nor phi
@@ -441,7 +444,7 @@ class TestGridOracle:
 
     def test_value_near_zero_at_pareto_point(self):
         prob = quadratic_pair()
-        x = prob.pareto_param(0.5)
+        x = pareto_point(prob, 0.5)
         oracle = merit_grid_oracle(x, QUAD_BOX, resolution=801)
         # a node adjacent to x scores within one grid cell of zero, and the
         # true supremum is zero, so the oracle is pinched around zero

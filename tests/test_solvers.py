@@ -32,6 +32,7 @@ from conftest import (
     MALFORMED_GRADIENTS,
     five_objective_problem,
     malformed_gradient_error,
+    pareto_point,
     reference_line_search,
     reference_problem,
     reference_run_solver,
@@ -578,7 +579,7 @@ class TestConstantStepRuns:
     def test_pareto_start_stops_immediately(self):
         prob = quadratic_pair()
         cfg = SolverConfig(variant=MFISC_CONST, step=0.05, epsilon=1e-6)
-        trace = run_solver(prob, cfg, prob.pareto_param(0.5))
+        trace = run_solver(prob, cfg, pareto_point(prob, 0.5))
         assert trace.termination == CONVERGED
         assert trace.iterations == 0
         assert len(trace.points) == 1
@@ -764,7 +765,7 @@ class TestTraceStructure:
 
     def test_zero_iteration_run_exports_header_only(self):
         prob = quadratic_pair()
-        trace = run_solver(prob, SolverConfig(variant=MFISC_CONST, step=0.05, epsilon=1e-6), prob.pareto_param(0.25))
+        trace = run_solver(prob, SolverConfig(variant=MFISC_CONST, step=0.05, epsilon=1e-6), pareto_point(prob, 0.25))
         assert trace_csv_rows(trace, prob) == [
             ["k", "kkt_residual", "iter_gap", "f1", "f2", "step", "qp_gap"]
         ]

@@ -1,17 +1,20 @@
-"""The bench's tracer patches names of the package by their strings: a
-renamed function or a dropped import would fail only the traced bench run.
-These tests read ``bench/tracer.py`` (they do not import or edit it) and
-check that every name it reaches still exists."""
+"""The bench's tracer patches names of the package by their strings, and its
+workloads probe a few more the same way: a renamed function or a dropped
+import would fail only the bench run.  These tests read ``bench/tracer.py``
+and ``bench/workloads.py`` (they do not import or edit them) and check that
+every name they reach still exists."""
 
 import ast
 import importlib
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACER = BENCH / "tracer.py"
+WORKLOADS = BENCH / "workloads.py"
 
 
-def _tree():
-    return ast.parse(TRACER.read_text(), str(TRACER))
+def _tree(path=TRACER):
+    return ast.parse(path.read_text(), str(path))
 
 
 def _patches():
@@ -34,6 +37,28 @@ def _dotted_names():
         if isinstance(node, ast.Attribute) and id(node) not in inner
         and (text := ast.unparse(node)).startswith("mograd.")
     }
+
+
+def _probes():
+    """The ``module.attr`` target of every ``_probe(module, "attr", ...)`` call
+    of the workloads, its module spelled out through the file's imports."""
+    tree = _tree(WORKLOADS)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                # ``import a.b`` binds ``a``; ``import a.b as c`` binds ``c`` to ``a.b``
+                target = alias.name if alias.asname else alias.name.partition(".")[0]
+                bound[alias.asname or target] = target
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    probes = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_probe":
+            root, dot, rest = ast.unparse(node.args[0]).partition(".")
+            probes.append(f"{bound.get(root, root)}{dot}{rest}.{node.args[1].value}")
+    return probes
 
 
 def _resolve(dotted):
@@ -61,4 +86,15 @@ def test_every_package_name_the_tracer_reads_exists():
     names = _dotted_names()
     assert "mograd.harness._worker_problem.cache_clear" in names
     for dotted in sorted(names):
+        _resolve(dotted)
+
+
+def test_every_name_the_workloads_probe_exists():
+    probes = _probes()
+    assert {
+        "mograd.harness.mavng_integrate",
+        "mograd.harness.mavd_integrate",
+        "mograd.harness.attach_merit",
+    } <= set(probes)
+    for dotted in probes:
         _resolve(dotted)
