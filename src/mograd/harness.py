@@ -126,7 +126,6 @@ class CellSummary:
 
 @dataclass
 class BatchSummary:
-    config: ExperimentConfig
     cells: list
     runs: list
     failures: int
@@ -278,7 +277,7 @@ def run_batch(cfg, out_dir=None):
             failures += sum(r.termination == QP_FAILURE for r, _, _ in chunk)
     runs = [record for record, _, _ in results]
 
-    summary = BatchSummary(config=cfg, cells=cells, runs=runs, failures=failures)
+    summary = BatchSummary(cells=cells, runs=runs, failures=failures)
     if out_dir is not None:
         out = Path(out_dir)
         write_csv(

@@ -519,11 +519,7 @@ def _solve(G, scale, v, start):
     target of ``min_norm_in_hull`` at unit scale.  Two columns go to the
     closed form, any other number to ``_wolfe``."""
     if start is not None:
-        # the solvers and the flow pass their previous weights, already an
-        # array, so they skip the conversion; they pass a start only at
-        # m != 2, since their m = 2 steps call closed_form_rows
-        if not isinstance(start, np.ndarray):
-            start = np.asarray(start, dtype=float)
+        start = np.asarray(start, dtype=float)
         if start.shape != (G.shape[1],):
             raise ValueError("start weights shape does not match gradient columns")
     if G.shape[1] == 2:

@@ -856,13 +856,15 @@ class TestCli:
     )
     def test_bad_key_parameter_is_config_error_naming_it(self, capsys, key, message):
         assert cli_main(["run", "--problem", key, "--solver", "accg_ls", "--starts", "1"]) == 1
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0]
 
     def test_whole_float_seed_in_a_key_runs(self, capsys):
         key = "ex2:n=4,p=3,seed=2.0"
         args = ["--solver", "accg_ls", "--starts", "2", "--eps", "1e-2"]
         assert cli_main(["run", "--problem", key] + args) == 0
-        assert "ex2:n=4,p=3,seed=2.0 accg_ls" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert "ex2:n=4,p=3,seed=2.0 accg_ls" in out and err == ""
 
     def test_unknown_problem_is_config_error(self, capsys):
         assert cli_main(["run", "--problem", "nope", "--solver", "mfisc_const"]) == 1
@@ -1283,3 +1285,166 @@ class TestCli:
         assert cli_main(["run", "--config", str(cfg_file), "--out", str(out_dir)]) == 1
         assert "write_traces" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    # Command lines run as a user types them, from a fresh working directory
+    # (tmp_path), so their relative --out and config paths land there.
+    # capfd reads fd 2, where LAPACK's messages from C would land.
+
+    @staticmethod
+    def _run_in(tmp_path, monkeypatch, settings):
+        monkeypatch.chdir(tmp_path)
+        if settings is not None:
+            Path("exp.json").write_text(json.dumps(settings))
+
+    @staticmethod
+    def _tree(root):
+        # every file and directory under root, as relative POSIX paths
+        return sorted(p.relative_to(root).as_posix() for p in root.rglob("*"))
+
+    # argv, config file settings (or None), the paths left behind
+    SILENT = {
+        "flow-quad2-config": (
+            ["flow", "--config", "exp.json", "--out", "out"],
+            {"problem": "quad2", "alpha": 5, "flow_t_end": 2.0, "flow_x0": [-0.2, -0.1],
+             "merit_stride": 500},
+            ["exp.json", "out", "out/bound_report.json", "out/mavd_a5.csv", "out/mavng_a5.csv"],
+        ),
+        # three objectives, through the Gram-matrix hull QPs
+        "flow-ex1": (
+            ["flow", "--problem", "ex1:n=10,p=8,seed=1", "--alpha", "20", "--t-end", "1.5",
+             "--merit-stride", "100", "--out", "out"],
+            None,
+            ["out", "out/bound_report.json", "out/mavd_a20.csv", "out/mavng_a20.csv"],
+        ),
+        # not quadratic, from the README's start, off the Pareto set
+        "flow-lse2": (
+            ["flow", "--problem", "lse2", "--alpha", "20", "--t-end", "2.0", "--x0=0,3",
+             "--merit-stride", "100", "--out", "out"],
+            None,
+            ["out", "out/bound_report.json", "out/mavd_a20.csv", "out/mavng_a20.csv"],
+        ),
+        "run-jos1-n30-every-variant": (
+            ["run", "--problem", "jos1:n=30", "--solver", "mfisc_const", "--solver", "accg_const",
+             "--solver", "mfisc_ls", "--solver", "accg_ls", "--solver", "steepest_ls", "--starts", "2",
+             "--out", "out"],
+            None,
+            ["out", "out/runs.csv", "out/summary.csv", "out/summary.json"],
+        ),
+        # a traced tolerance sweep at a whole float count, without --out
+        "run-traces-no-out": (
+            ["run", "--problem", "jos1", "--solver", "accg_const", "--step", "0.05", "--eps", "1e-2",
+             "--eps", "1e-6", "--starts", "2.0", "--traces"],
+            None,
+            [],
+        ),
+        "trace-quad2": (
+            ["trace", "--problem", "quad2", "--solver", "mfisc_ls", "--out", "out"],
+            None,
+            ["out", "out/trace.csv", "out/trace.json"],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(SILENT))
+    def test_command_line_writes_nothing_to_fd2(self, tmp_path, monkeypatch, capfd, name):
+        argv, settings, paths = self.SILENT[name]
+        self._run_in(tmp_path, monkeypatch, settings)
+        assert cli_main(argv) == 0
+        assert capfd.readouterr().err == ""
+        assert self._tree(tmp_path) == paths
+
+    @pytest.mark.parametrize(
+        "name, samples", [("flow-quad2-config", 3), ("flow-ex1", 6), ("flow-lse2", 11)]
+    )
+    def test_flow_command_line_reports_its_csvs(self, tmp_path, monkeypatch, name, samples):
+        # each trajectory CSV holds one row per merit sample, and each
+        # report entry carries a measured constant and no coefficient
+        argv, settings, _ = self.SILENT[name]
+        self._run_in(tmp_path, monkeypatch, settings)
+        assert cli_main(argv) == 0
+        report = json.loads(Path("out/bound_report.json").read_text())["trajectories"]
+        assert [entry["system"] for entry in report] == ["mavng", "mavd"]
+        for entry in report:
+            assert set(entry) == {"system", "alpha", "fraction", "constant", "samples", "termination"}
+            assert type(entry["constant"]) is float and entry["constant"] > 0
+            with open(f"out/{entry['system']}_a{entry['alpha']:g}.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == entry["samples"] == samples
+            assert all(row["merit"] != "" for row in rows)
+            first, last = ([v for k, v in row.items() if k.startswith("x")] for row in (rows[0], rows[-1]))
+            assert first != last  # the flow moves
+
+    REFUSED = {
+        # a flow_h whose square underflows, and a string flow_x0
+        "flow-h-underflows": (
+            ["flow", "--config", "exp.json", "--out", "out"],
+            {"problem": "quad2", "alpha": 5, "flow_t_end": 2.0, "flow_h": 1e-170},
+        ),
+        "flow-x0-string": (
+            ["flow", "--config", "exp.json", "--out", "out"],
+            {"problem": "quad2", "alpha": 5, "flow_t_end": 2.0, "flow_x0": "12"},
+        ),
+        # a problem without merit, and a t**p that overflows at the last time
+        "flow-no-merit": (
+            ["flow", "--problem", "ex1:n=4,p=3,delta=0", "--alpha", "5", "--t-end", "20", "--out", "out"],
+            None,
+        ),
+        "flow-p-overflows": (
+            ["flow", "--problem", "quad2", "--alpha", "5", "--p", "1000", "--t-end", "3", "--x0=-0.2,-0.1",
+             "--out", "out"],
+            None,
+        ),
+        # a bad second alpha, and two alphas sharing a trajectory file
+        "flow-alphas-50-2": (
+            ["flow", "--problem", "quad2", "--alpha", "50", "--alpha", "2", "--t-end", "2",
+             "--merit-stride", "500", "--out", "out"],
+            None,
+        ),
+        "flow-alphas-5-5.0": (
+            ["flow", "--problem", "quad2", "--alpha", "5", "--alpha", "5.0", "--t-end", "2",
+             "--merit-stride", "500", "--out", "out"],
+            None,
+        ),
+        # a bool epsilon and a string s0
+        "run-eps-bool": (
+            ["run", "--config", "exp.json"],
+            {"problem": "jos1", "solvers": ["accg_const"], "step": 0.05, "n_starts": 1, "epsilons": True},
+        ),
+        "run-s0-string": (
+            ["run", "--config", "exp.json"],
+            {"problem": "jos1", "solvers": ["accg_ls"], "n_starts": 1, "s0": "0.5"},
+        ),
+        # a repeated single-valued flag, a repeated --out, a fractional count
+        "run-seed-twice": (
+            ["run", "--problem", "quad2", "--solver", "accg_ls", "--starts", "1", "--seed", "1",
+             "--seed", "2", "--out", "out"],
+            None,
+        ),
+        "run-out-twice": (
+            ["run", "--problem", "quad2", "--solver", "accg_ls", "--starts", "1", "--out", "out-a",
+             "--out", "out-b"],
+            None,
+        ),
+        "run-starts-2.5": (
+            ["run", "--problem", "jos1", "--solver", "accg_const", "--step", "0.05", "--eps", "1e-2",
+             "--eps", "1e-6", "--starts", "2.5", "--traces"],
+            None,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(REFUSED))
+    def test_refused_command_line_is_one_line(self, tmp_path, monkeypatch, capfd, name):
+        argv, settings = self.REFUSED[name]
+        self._run_in(tmp_path, monkeypatch, settings)
+        assert cli_main(argv) == 1
+        err = capfd.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("mograd: ") and "Traceback" not in err
+        # refused before any directory or CSV is written
+        assert self._tree(tmp_path) == ([] if settings is None else ["exp.json"])
+
+    def test_front_csv_is_the_same_at_one_and_two_workers(self, tmp_path, monkeypatch, capfd):
+        monkeypatch.chdir(tmp_path)
+        argv = ["front", "--problem", "jos1", "--solver", "accg_const", "--step", "0.05", "--starts", "4"]
+        for workers in ("1", "2"):
+            assert cli_main(argv + ["--workers", workers, "--out", f"front-w{workers}"]) == 0
+        assert capfd.readouterr().err == ""
+        assert Path("front-w1/front.csv").read_bytes() == Path("front-w2/front.csv").read_bytes()

@@ -1,12 +1,13 @@
-"""The README's examples run as written, so its names stay current, and the
-README and the docstrings state contracts, not timings."""
+"""The README's examples run as written and its flag table matches the CLI,
+so its names stay current, and the README and the docstrings state
+contracts, not timings."""
 
 import ast
 import re
 import shlex
 from pathlib import Path
 
-from mograd.cli import _experiment_config, build_parser
+from mograd.cli import _FLAGS, _VERBS, _experiment_config, build_parser
 from mograd.problems import get_problem
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,6 +38,26 @@ def test_cli_commands_parse():
         args = build_parser().parse_args(argv[1:])
         if args.verb != "list":
             get_problem(_experiment_config(args).problem)
+
+
+def test_flag_table_matches_the_cli():
+    # a verb's cell is "repeats" for a flag the verb lets repeat, "x" for any
+    # other flag it reads, and blank otherwise; the key is the flag's dest
+    lines = README.read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| flag | config key |"))
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip().strip("`") for cell in line.strip("|").split("|")])
+    (_, _, *verbs), _, *body = rows
+    assert verbs == list(_VERBS)
+    assert sorted(flag for flag, *_ in body) == sorted(_FLAGS)
+    for flag, key, *cells in body:
+        assert key == _FLAGS[flag].get("dest", flag[2:]), flag
+        for verb, cell in zip(verbs, cells, strict=True):
+            _, reads, repeats = _VERBS[verb]
+            assert cell == ("repeats" if flag in repeats else "x" if flag in reads else ""), (flag, verb)
 
 
 def test_no_timings_in_readme_or_docstrings():
