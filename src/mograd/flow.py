@@ -24,11 +24,11 @@ the correction term is the b = a case (the (a - b) factor removes r
 exactly), so ``mavd_integrate`` is literally ``mavng_integrate`` at b = a.
 
 The step runs on Python floats, one loop for every m and n: x_{k-1}, x_k,
-u_k, v_k and x_{k+1} are lists, and the points and residuals become arrays
-once, after the loop; the oracle still takes x_k as an array.  v_k is the
-solvers' list helper ``solvers.corrected_momentum`` at c = 1, with its
-guard: r_k is left out where its coefficient, ||x_k - x_{k-1}|| or ||u_k||
-is 0.  The hull QPs split on m as the ``simplex_qp`` module docstring
+u_k, v_k and x_{k+1} are lists, and the kept points and residuals become
+arrays once, after the loop; the oracle still takes x_k as an array.  v_k
+is the solvers' list helper ``solvers.corrected_momentum`` at c = 1, with
+its guard: r_k is left out where its coefficient, ||x_k - x_{k-1}|| or
+||u_k|| is 0.  The hull QPs split on m as the ``simplex_qp`` module docstring
 describes, with the float design and its bit conditions.
 ``problems.gradient_rows`` (m = 2) and ``gradient_matrix`` check the shape
 of every gradient matrix with one rule, the QPs (or the kernel) its
@@ -116,24 +116,25 @@ def _step_count(cfg):
 
 @dataclass
 class Trajectory:
-    """Sampled flow solution on the exact grid t_k = T0 + k h.
+    """Flow solution on the exact grid t_k = T0 + k h.
 
-    ``merit`` holds NaN where the merit value was not sampled; fill it with
-    :func:`attach_merit` before running :func:`merit_bound_scan`.
-    ``termination`` is ``qp_failure`` when a hull QP, the one at the last
-    point included, did not certify its gap; the points up to it are kept.
+    ``times``, ``points`` and ``kkt_residuals`` hold the grid points that
+    :func:`mavng_integrate` keeps; ``len`` counts every point integrated.
+    ``merit`` is None until :func:`attach_merit` evaluates it at the kept
+    points.  ``termination`` is ``qp_failure`` when a hull QP, the one at
+    the last point included, did not certify its gap.
     """
 
-    config: FlowConfig
     system: str
     times: np.ndarray
     points: np.ndarray
     kkt_residuals: np.ndarray
-    merit: np.ndarray
+    grid_points: int
     termination: str = FLOW_COMPLETED
+    merit: np.ndarray | None = None
 
     def __len__(self):
-        return self.times.shape[0]
+        return self.grid_points
 
 
 @dataclass(frozen=True)
@@ -151,17 +152,18 @@ class BoundReport:
     constant: float
 
 
-def _integrate(prob, cfg, system):
+def _integrate(prob, cfg, system, stride):
+    stride = whole_number("stride", stride, 1)
     as_point(prob, cfg.x0, "x0")
     alpha, h = cfg.alpha, cfg.h
     # FlowConfig has checked the scale, the step count and t_k**p
     scale = h * h
     steps = _step_count(cfg)
-    # the points as lists of Python floats (see the module docstring); the
-    # row of x_1 = x_0 is the zero initial velocity
+    # the points as lists of Python floats (see the module docstring);
+    # x_1 = x_0 is the zero initial velocity
     x_prev = x_curr = cfg.x0.tolist()
-    rows = [x_curr, x_curr]
-    residuals = []
+    # (grid index, point, residual) per kept point; x_0 shares x_1's residual
+    kept = []
     termination = FLOW_COMPLETED
 
     # at m != 2 each QP warm-starts from its own previous weights, as in
@@ -179,7 +181,10 @@ def _integrate(prob, cfg, system):
             hull_w = hull.weights
             u, certified = hull.point.tolist(), hull.converged
         residual = math.hypot(*u)
-        residuals.append(residual)
+        if k == 1:
+            kept.append((0, x_curr, residual))
+        if k % stride == 0:
+            kept.append((k, x_curr, residual))
         if not certified:
             termination = FLOW_QP_FAILURE
             break
@@ -200,49 +205,49 @@ def _integrate(prob, cfg, system):
             break
         damping = t_k / (t_k + alpha * h)
         x_next = [x + damping * (v - p) for x, v, p in zip(x_curr, v_k, q)]
-        rows.append(x_next)
         x_prev, x_curr = x_curr, x_next
 
-    # every point up to the last step taken, each with its residual; x_0
-    # shares x_1's
-    count = len(rows)
-    times = T0 + np.arange(count) * h
+    # every exit breaks at x_k, the last point integrated, with its residual
+    if kept[-1][0] != k:
+        kept.append((k, x_curr, residual))
+    indices, points, residuals = zip(*kept)
     return Trajectory(
-        config=cfg,
         system=system,
-        times=times,
-        points=np.array(rows),
-        kkt_residuals=np.array(residuals[:1] + residuals),
-        merit=np.full(count, np.nan),
+        times=T0 + np.array(indices) * h,
+        points=np.array(points),
+        kkt_residuals=np.array(residuals),
+        grid_points=k + 1,
         termination=termination,
     )
 
 
-def mavng_integrate(prob, cfg):
-    """Integrate the corrected flow with the configured (alpha, beta, p)."""
-    return _integrate(prob, cfg, "mavng")
+def mavng_integrate(prob, cfg, stride=1):
+    """Integrate the corrected flow with the configured (alpha, beta, p),
+    keeping grid point 0, every ``stride``-th point and the point where it
+    stopped, each with its KKT residual: every point at the default."""
+    return _integrate(prob, cfg, "mavng", stride)
 
 
-def mavd_integrate(prob, cfg):
-    """Integrate the baseline flow: the correction-free beta = alpha case."""
-    return _integrate(prob, replace(cfg, beta=cfg.alpha), "mavd")
+def mavd_integrate(prob, cfg, stride=1):
+    """Integrate the baseline flow, the correction-free beta = alpha case,
+    keeping the points that :func:`mavng_integrate` keeps."""
+    return _integrate(prob, replace(cfg, beta=cfg.alpha), "mavd", stride)
 
 
-def attach_merit(prob, traj, stride):
-    """Sample merit values along the trajectory every ``stride`` grid points.
+def attach_merit(prob, traj):
+    """Evaluate merit at every kept point of the trajectory.
 
-    The final sample is always evaluated; the inner solve warm-starts from
-    the previous maximizer since it moves continuously along the trajectory.
-    Returns the trajectory with its ``merit`` array filled in place.
+    Each inner solve warm-starts from the previous maximizer, since it moves
+    continuously along the trajectory.  Returns the trajectory with its
+    ``merit`` array set in place.
     """
-    indices = list(range(0, len(traj), whole_number("stride", stride, 1)))
-    if indices[-1] != len(traj) - 1:
-        indices.append(len(traj) - 1)
+    merit = []
     warm = None
-    for i in indices:
-        result = merit_value(prob, traj.points[i], warm_start=warm)
-        traj.merit[i] = result.phi
+    for point in traj.points:
+        result = merit_value(prob, point, warm_start=warm)
+        merit.append(result.phi)
         warm = result.z
+    traj.merit = np.array(merit)
     return traj
 
 
@@ -251,14 +256,14 @@ def merit_bound_scan(traj, coeff, t_min=None, t_max=None):
     # a NaN coeff would make every comparison false, not raise
     if not 0.0 < coeff < math.inf:
         raise ValueError(f"coeff must be positive and finite, not {coeff!r}")
-    mask = ~np.isnan(traj.merit)
-    if t_min is not None:
-        mask &= traj.times >= t_min
-    if t_max is not None:
-        mask &= traj.times <= t_max
-    if not np.any(mask):
+    if traj.merit is None:
+        raise MissingMerit("trajectory has no merit samples: attach_merit evaluates them")
+    lo = -math.inf if t_min is None else t_min
+    hi = math.inf if t_max is None else t_max
+    window = (traj.times >= lo) & (traj.times <= hi)
+    if not np.any(window):
         raise MissingMerit("trajectory has no merit samples in the window")
-    times, merit = traj.times[mask], traj.merit[mask]
+    times, merit = traj.times[window], traj.merit[window]
     fraction = float(np.mean(merit <= coeff / (times * times)))
     constant = float(np.max(times * times * merit))
     return BoundReport(times, merit, fraction, constant)

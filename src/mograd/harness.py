@@ -356,8 +356,9 @@ def flow_experiment(cfg, out_dir=None):
     """Integrate both flows for each alpha in the sweep and scan the bound.
 
     Writes one trajectory CSV per (system, alpha) with columns
-    t, x_1..x_n, kkt_residual, merit and one row per merit sample (every
-    ``merit_stride``-th grid point, the first and last always included),
+    t, x_1..x_n, kkt_residual, merit and one row per point the integrator
+    keeps at stride ``merit_stride`` (every ``merit_stride``-th grid point,
+    the first and last always included), each with its merit sample,
     plus a JSON bound report over the same samples: per trajectory, the
     ``fraction`` with merit <= alpha / t^2, the paper's rate, and the
     uncertified ``constant`` max t^2 * merit (:class:`~mograd.flow.BoundReport`).
@@ -391,9 +392,8 @@ def flow_experiment(cfg, out_dir=None):
     failures = 0
     for alpha, flow_cfg in zip(cfg.flow_alphas, flow_cfgs):
         for system, integrate in (("mavng", mavng_integrate), ("mavd", mavd_integrate)):
-            traj = integrate(prob, flow_cfg)
+            traj = attach_merit(prob, integrate(prob, flow_cfg, cfg.merit_stride))
             failures += traj.termination != "completed"
-            attach_merit(prob, traj, stride=cfg.merit_stride)
             scan = merit_bound_scan(traj, alpha)
             report.append(
                 {
@@ -411,12 +411,7 @@ def flow_experiment(cfg, out_dir=None):
                     + [f"x{i + 1}" for i in range(prob.n)]
                     + ["kkt_residual", "merit"]
                 )
-                # the grid points attach_merit sampled, the ones the scan read
-                rows = ~np.isnan(traj.merit)
-                table = np.column_stack(
-                    [traj.times[rows], traj.points[rows], traj.kkt_residuals[rows],
-                     traj.merit[rows]]
-                )
+                table = np.column_stack([traj.times, traj.points, traj.kkt_residuals, traj.merit])
                 write_csv(Path(out_dir) / f"{system}_a{alpha:g}.csv", [header] + table.tolist())
     if out_dir is not None:
         write_json(

@@ -282,7 +282,8 @@ def reference_integrate(prob, cfg, system):
     norms from ``math.sqrt(v @ v)``.  It calls the two hull QPs through the
     names ``mograd.flow`` imports, looked up on each call, so a test's
     monkeypatch reaches both integrators.  ``system`` "mavd" runs at
-    beta = alpha.
+    beta = alpha.  It keeps every grid point, as the integrators do at
+    stride 1.
     """
     if system == "mavd":
         cfg = replace(cfg, beta=cfg.alpha)
@@ -326,12 +327,11 @@ def reference_integrate(prob, cfg, system):
     residuals[0] = residuals[1]
     count = reached + 1
     return Trajectory(
-        config=cfg,
         system=system,
         times=mograd.flow.T0 + np.arange(count) * cfg.h,
         points=points[:count],
         kkt_residuals=residuals[:count],
-        merit=np.full(count, np.nan),
+        grid_points=count,
         termination=termination,
     )
 

@@ -178,8 +178,7 @@ def quad_flow_trajectories():
             cfg = FlowConfig(
                 alpha=alpha, x0=np.array([-0.2, -0.1]), beta=3.0, p=1.0, h=1e-3, t_end=20.0,
             )
-            traj = mavng_integrate(prob, cfg)
-            attach_merit(prob, traj, stride=100)
+            traj = attach_merit(prob, mavng_integrate(prob, cfg, 100))
             trajectories[alpha] = traj
         _FLOW_CACHE["prob"] = prob
         _FLOW_CACHE["trajectories"] = trajectories

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -302,69 +303,141 @@ class TestReferenceLoop:
         cfg = replace(cfg, t_end=mograd.flow.T0 + 20 * cfg.h)
         certified = mavng_integrate(prob, cfg)
         at = 7
-
-        def run(integrate):
-            # the projection at step k = 7 reports no certificate: a call of
-            # the public QP, or, in the float loop at m = 2, of the
-            # closed-form kernel with a target (its min-norm solves pass
-            # none)
-            calls = []
-
-            def project(*args, start=None, _qp=mograd.flow.project_onto_scaled_hull):
-                calls.append(None)
-                sol = _qp(*args, start=start)
-                return replace(sol, converged=False) if len(calls) == at else sol
-
-            def kernel(rows, scale, v, _qp=mograd.flow.closed_form_rows):
-                t, point, gap, converged = _qp(rows, scale, v)
-                if v is not None:
-                    calls.append(None)
-                    if len(calls) == at:
-                        converged = False
-                return t, point, gap, converged
-
-            monkeypatch.setattr(mograd.flow, "project_onto_scaled_hull", project)
-            monkeypatch.setattr(mograd.flow, "closed_form_rows", kernel)
-            traj = integrate()
-            monkeypatch.undo()
-            assert len(calls) == at
-            return traj
-
-        failed = run(lambda: mavng_integrate(prob, cfg))
+        failed = with_failed_projection(monkeypatch, at, lambda: mavng_integrate(prob, cfg))
         assert failed.termination == "qp_failure"
         # x_0 to x_7: the step that failed adds no point
         assert len(failed) == at + 1
         assert np.array_equal(failed.points, certified.points[: at + 1])
         assert np.array_equal(failed.kkt_residuals, certified.kkt_residuals[: at + 1])
-        assert_matches_reference(failed, run(lambda: reference_integrate(prob, cfg, "mavng")))
+        reference = with_failed_projection(monkeypatch, at, lambda: reference_integrate(prob, cfg, "mavng"))
+        assert_matches_reference(failed, reference)
+
+
+def with_failed_projection(monkeypatch, at, integrate):
+    """Run ``integrate()`` with the projection at step k = ``at`` reporting no
+    certificate: a call of the public QP, or, in the float loop at m = 2, of
+    the closed-form kernel with a target (its min-norm solves pass none)."""
+    calls = []
+
+    def project(*args, start=None, _qp=mograd.flow.project_onto_scaled_hull):
+        calls.append(None)
+        sol = _qp(*args, start=start)
+        return replace(sol, converged=False) if len(calls) == at else sol
+
+    def kernel(rows, scale, v, _qp=mograd.flow.closed_form_rows):
+        t, point, gap, converged = _qp(rows, scale, v)
+        if v is not None:
+            calls.append(None)
+            if len(calls) == at:
+                converged = False
+        return t, point, gap, converged
+
+    monkeypatch.setattr(mograd.flow, "project_onto_scaled_hull", project)
+    monkeypatch.setattr(mograd.flow, "closed_form_rows", kernel)
+    traj = integrate()
+    monkeypatch.undo()
+    assert len(calls) == at
+    return traj
+
+
+class TestKeptPoints:
+    """A strided trajectory keeps the stride-1 trajectory's rows 0, S, 2S, ...
+    and the last, bit for bit, and still counts every grid point."""
+
+    STEPS = 237
+    CASES = {
+        "quad2": ("quad2", dict(alpha=50.0, x0=X0, h=1e-2)),
+        # three objectives: both QPs run Wolfe's method
+        "ex1": ("ex1:n=10,p=8,seed=1", dict(alpha=20.0, h=5e-3)),
+    }
+
+    def _case(self, name):
+        key, kwargs = self.CASES[name]
+        prob = get_problem(key)
+        cfg = FlowConfig(**{"x0": sample_starts(prob, 1, 0)[0], **kwargs})
+        return prob, replace(cfg, t_end=mograd.flow.T0 + self.STEPS * cfg.h)
+
+    @staticmethod
+    def assert_rows_of(strided, full, stride):
+        last = len(full) - 1
+        rows = sorted(set(range(0, last + 1, stride)) | {last})
+        assert len(strided) == len(full)
+        assert strided.termination == full.termination
+        assert strided.merit is None
+        for got, want in ((strided.times, full.times), (strided.points, full.points),
+                          (strided.kkt_residuals, full.kkt_residuals)):
+            assert got.shape == want[rows].shape
+            assert got.tobytes() == want[rows].tobytes()
+
+    # 237 steps: the last point is off stride 7, on stride 79, and the only
+    # point after 0 at stride 1000
+    @pytest.mark.parametrize("stride", [7, 79, 1000])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("integrate", [mavng_integrate, mavd_integrate])
+    def test_strided_rows_are_the_full_rows(self, integrate, name, stride):
+        prob, cfg = self._case(name)
+        full = integrate(prob, cfg)
+        assert full.termination == "completed"
+        assert len(full) == len(full.times) == self.STEPS + 1
+        self.assert_rows_of(integrate(prob, cfg, stride), full, stride)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("integrate", [mavng_integrate, mavd_integrate])
+    def test_failed_run_keeps_the_point_where_it_stopped(self, monkeypatch, integrate, name):
+        # the projection fails at step 23, off stride 10: the run keeps
+        # points 0, 10, 20 and 23
+        prob, cfg = self._case(name)
+        full = with_failed_projection(monkeypatch, 23, lambda: integrate(prob, cfg))
+        strided = with_failed_projection(monkeypatch, 23, lambda: integrate(prob, cfg, 10))
+        assert full.termination == "qp_failure"
+        assert len(full) == 24
+        self.assert_rows_of(strided, full, 10)
+        assert np.array_equal(strided.times, mograd.flow.T0 + np.array([0, 10, 20, 23]) * cfg.h)
+
+    def test_memory_grows_with_the_kept_points(self):
+        # 4000 steps: the stride-1 trajectory holds every point, the
+        # stride-100 one 41, so its peak is a small fraction of the other's
+        prob = quadratic_pair()
+        cfg = short_cfg(t_end=5.0)
+        peaks, kept = {}, {}
+        for stride in (1, 100):
+            tracemalloc.start()
+            try:
+                traj = mavng_integrate(prob, cfg, stride)
+                peaks[stride] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(traj) == 4001
+            kept[stride] = len(traj.times)
+            del traj
+        assert kept == {1: 4001, 100: 41}
+        assert peaks[100] < peaks[1] / 10
 
 
 class TestMeritAttachment:
     def test_stride_and_final_sample(self):
         prob = quadratic_pair()
-        traj = attach_merit(prob, mavng_integrate(prob, short_cfg(t_end=1.5)), stride=100)
-        sampled = ~np.isnan(traj.merit)
-        assert sampled[0] and sampled[-1]
-        expected = set(range(0, len(traj), 100)) | {len(traj) - 1}
-        assert set(np.nonzero(sampled)[0]) == expected
+        traj = attach_merit(prob, mavng_integrate(prob, short_cfg(t_end=1.5), 100))
+        expected = sorted(set(range(0, len(traj), 100)) | {len(traj) - 1})
+        assert np.array_equal(traj.times, 1.0 + np.array(expected) * 1e-3)
+        assert traj.merit.shape == (len(expected),) and not np.isnan(traj.merit).any()
 
     @pytest.mark.parametrize("stride", [2.5, 0, -3, float("nan"), float("inf")])
     def test_stride_must_be_a_whole_number_of_at_least_one(self, stride):
         prob = quadratic_pair()
-        traj = mavng_integrate(prob, short_cfg(t_end=1.2))
         with pytest.raises(ValueError, match="whole number"):
-            attach_merit(prob, traj, stride=stride)
+            mavng_integrate(prob, short_cfg(t_end=1.2), stride)
 
     def test_whole_float_stride_samples_as_its_int(self):
         prob = quadratic_pair()
-        a = attach_merit(prob, mavng_integrate(prob, short_cfg(t_end=1.2)), stride=100)
-        b = attach_merit(prob, mavng_integrate(prob, short_cfg(t_end=1.2)), stride=100.0)
+        a = attach_merit(prob, mavng_integrate(prob, short_cfg(t_end=1.2), 100))
+        b = attach_merit(prob, mavng_integrate(prob, short_cfg(t_end=1.2), 100.0))
         assert a.merit.tobytes() == b.merit.tobytes()
 
     @pytest.mark.parametrize("coeff", [float("nan"), 0.0, -1.0, float("inf")])
     def test_scan_coeff_must_be_positive_and_finite(self, coeff):
         prob = quadratic_pair()
-        traj = attach_merit(prob, mavng_integrate(prob, short_cfg(t_end=1.2)), stride=100)
+        traj = attach_merit(prob, mavng_integrate(prob, short_cfg(t_end=1.2), 100))
         with pytest.raises(ValueError, match="coeff must be positive and finite"):
             merit_bound_scan(traj, coeff)
 
@@ -375,20 +448,20 @@ class TestMeritAttachment:
 
     def test_bound_holds_on_quadratic(self):
         prob = quadratic_pair()
-        traj = attach_merit(prob, mavng_integrate(prob, short_cfg(alpha=10.0, t_end=6.0)), stride=100)
+        traj = attach_merit(prob, mavng_integrate(prob, short_cfg(alpha=10.0, t_end=6.0), 100))
         report = merit_bound_scan(traj, 10.0, t_min=2.0)
         assert report.fraction == 1.0
 
     def test_critical_start_scan_is_trivially_one(self):
         prob = quadratic_pair()
         cfg = FlowConfig(alpha=50.0, x0=pareto_point(prob, 0.6), beta=3.0, t_end=1.5)
-        traj = attach_merit(prob, mavng_integrate(prob, cfg), stride=50)
+        traj = attach_merit(prob, mavng_integrate(prob, cfg, 50))
         report = merit_bound_scan(traj, 50.0)
         assert report.fraction == 1.0
 
     def test_window_filtering(self):
         prob = quadratic_pair()
-        traj = attach_merit(prob, mavng_integrate(prob, short_cfg(t_end=3.0)), stride=200)
+        traj = attach_merit(prob, mavng_integrate(prob, short_cfg(t_end=3.0), 200))
         full = merit_bound_scan(traj, 50.0)
         tail = merit_bound_scan(traj, 50.0, t_min=2.0, t_max=3.0)
         assert len(tail.times) < len(full.times) == len(full.merit)
@@ -396,7 +469,7 @@ class TestMeritAttachment:
 
     def test_constant_is_the_least_bound_in_the_window(self):
         prob = quadratic_pair()
-        traj = attach_merit(prob, mavng_integrate(prob, short_cfg(t_end=3.0)), stride=200)
+        traj = attach_merit(prob, mavng_integrate(prob, short_cfg(t_end=3.0), 200))
         for t_min in (None, 2.0):
             report = merit_bound_scan(traj, 50.0, t_min=t_min)
             samples = zip(report.times.tolist(), report.merit.tolist())
@@ -410,16 +483,16 @@ class TestMeritAttachment:
         # baseline's for the (vast) majority of the window
         prob = quadratic_pair()
         cfg = FlowConfig(alpha=100.0, x0=X0, beta=3.0, t_end=20.0)
-        corrected = attach_merit(prob, mavng_integrate(prob, cfg), stride=200)
-        baseline = attach_merit(prob, mavd_integrate(prob, cfg), stride=200)
-        window = (~np.isnan(corrected.merit)) & (corrected.times >= 5.0)
+        corrected = attach_merit(prob, mavng_integrate(prob, cfg, 200))
+        baseline = attach_merit(prob, mavd_integrate(prob, cfg, 200))
+        window = corrected.times >= 5.0
         wins = np.mean(corrected.merit[window] <= baseline.merit[window])
         assert wins > 0.5
 
     def test_merit_oscillation_tolerated_for_small_alpha(self):
         # small damping oscillates: only the bound fraction is asserted
         prob = quadratic_pair()
-        traj = attach_merit(prob, mavng_integrate(prob, short_cfg(alpha=5.0, t_end=8.0)), stride=100)
+        traj = attach_merit(prob, mavng_integrate(prob, short_cfg(alpha=5.0, t_end=8.0), 100))
         report = merit_bound_scan(traj, 5.0, t_min=2.0)
         values = report.merit.tolist()
         assert report.fraction >= 0.99

@@ -641,17 +641,49 @@ class TestFlowExperiment:
         )
         flow_experiment(cfg, out_dir=tmp_path)
         prob = quadratic_pair()
-        traj = mavng_integrate(prob, FlowConfig(alpha=50.0, x0=np.array([-0.2, -0.1]), t_end=1.5))
-        attach_merit(prob, traj, stride=7)
+        traj = mavng_integrate(prob, FlowConfig(alpha=50.0, x0=np.array([-0.2, -0.1]), t_end=1.5), 7)
+        attach_merit(prob, traj)
         last = len(traj) - 1
         assert last % 7 != 0  # the last grid point is off-stride
         sampled = list(range(0, last + 1, 7)) + [last]
+        assert np.array_equal(traj.times, 1.0 + np.array(sampled) * 1e-3)
         table = np.column_stack([traj.times, traj.points, traj.kkt_residuals, traj.merit])
-        expected = [",".join(repr(float(v)) for v in table[i]) for i in sampled]
+        expected = [",".join(repr(float(v)) for v in row) for row in table]
         lines = (tmp_path / "mavng_a50.csv").read_text().splitlines()
         assert lines[1:] == expected
         assert lines[-1].split(",")[0] == repr(float(traj.times[-1]))
         assert all(line.split(",")[-1] != "" for line in lines[1:])
+
+    def test_each_integration_is_followed_by_attach_merit_on_its_trajectory(self, monkeypatch):
+        # the benchmark wraps these three harness names, pairs each
+        # integration in order with the attach_merit call after it, and reads
+        # len(traj) - 1 as the flow's steps
+        calls = []
+
+        def record(name):
+            original = getattr(mograd.harness, name)
+
+            def recorded(*args, **kwargs):
+                result = original(*args, **kwargs)
+                calls.append((name, args, result))
+                return result
+
+            monkeypatch.setattr(mograd.harness, name, recorded)
+
+        for name in ("mavng_integrate", "mavd_integrate", "attach_merit"):
+            record(name)
+        cfg = ExperimentConfig(
+            problem="quad2", flow_alphas=(50.0, 100.0), flow_t_end=1.5, flow_x0=(-0.2, -0.1),
+            merit_stride=7,
+        )
+        flow_experiment(cfg)
+        assert [name for name, _, _ in calls] == [
+            "mavng_integrate", "attach_merit", "mavd_integrate", "attach_merit"
+        ] * 2
+        for (_, _, traj), (_, args, merited) in zip(calls[::2], calls[1::2]):
+            assert args[1] is traj and merited is traj
+            # (t_end - t0) / h = 0.5 / 1e-3 steps
+            assert len(traj) - 1 == 500
 
     def test_bound_report_entries_are_their_csv_rows(self, tmp_path):
         # lse2 from (0, 3) at alpha = 10: merit sits above 10/t^2 at some
