@@ -26,8 +26,8 @@ JOS1, SD and TOI4 follow their standard forms from the benchmark literature:
 The bi-objective oracles do their elementwise work on Python floats, which
 do numpy's IEEE double arithmetic without its dispatch on every operation:
 quad2 and toi4 entirely (``_small_objectives``), sd its orthant test,
-reciprocal sum and gradient column.  The gradients of quad2, toi4 and sd are
-returned as the rows of floats they compute.  Dot products stay numpy's.
+reciprocal sum and gradient column, jos1 its gradient; all four return the
+gradient as the rows of floats they compute.  Dot products stay numpy's.
 The ``simplex_qp`` module docstring gives the reasons and bit conditions.
 
 The two seeded tri-objective families draw their data from named Philox
@@ -369,11 +369,11 @@ def jos1(n=2):
 
     def objectives(x):
         d = x - 2.0
-        return np.array([float(x @ x) / n, float(d @ d) / n])
+        return np.array([float(x.dot(x)) / n, float(d.dot(d)) / n])
 
     def gradient_columns(x):
-        # the columns 2 x / n and 2 (x - 2) / n, as one C-contiguous array
-        return (2.0 * np.subtract.outer(x, (0.0, 2.0))) / n
+        # the floats of (2.0 * np.subtract.outer(x, (0.0, 2.0))) / n, as rows
+        return [[(2.0 * a) / n, (2.0 * (a - 2.0)) / n] for a in x.tolist()]
 
     return ProblemInstance(
         name="jos1" if n == 2 else f"jos1:n={n}",
@@ -405,7 +405,7 @@ def sd():
     # Python floats (see the module docstring); the reciprocal sum adds left
     # to right, as numpy's sum of four entries does
     def objectives(x):
-        linear = float(_SD_LINEAR @ x)
+        linear = float(_SD_LINEAR.dot(x))
         x1, x2, x3, x4 = x.tolist()
         if x1 <= 0.0 or x2 <= 0.0 or x3 <= 0.0 or x4 <= 0.0:
             # extended-value form: line searches treat the orthant boundary

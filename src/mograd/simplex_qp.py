@@ -56,22 +56,22 @@ absolute stopping test would accept any vertex.  The relative allowance
 matters only for data of large magnitude, so the scale is computed only
 when the gap exceeds ``DEFAULT_TOL``.
 
-The two-objective design.  At m = 2 the package works on Python floats,
-not numpy arrays: ``closed_form_rows`` solves both QPs on the rows of ``G``
-and a target list; the solvers' and the flow's m = 2 steps hold their
-vectors as lists of floats and call it directly, building no
-``HullSolution``; and the oracles of quad2, toi4 and sd compute on floats
-and return their gradient as rows (``problems.gradient_rows``).  Arrays are
-built only for the oracles' points, the traces and the line search's
-slopes.  The reason is size: the bi-objective problems have few variables,
-and numpy's per-call dispatch on such small vectors outweighs the
-arithmetic.  Two bit conditions follow.  The steps' norms come from
-``math.hypot`` and ``math.dist``, which may differ from numpy's dot product
-in the last bit, so a float step may round differently from a numpy one.
-Dot products stay numpy's (sd's linear objective, jos1's squared norms, the
-line search's slopes), since a left-to-right sum on floats may differ from
-numpy's dot in the last bit.  Any other m calls the two public QPs on
-arrays, warm-started from the previous weights.
+The two-objective design.  At m = 2 the package works on Python floats, not
+numpy arrays: ``closed_form_rows`` solves both QPs on the rows of ``G`` and
+a target list; the solvers' and the flow's m = 2 steps hold their vectors
+as lists of floats and call it directly, building no ``HullSolution``; and
+the oracles of quad2, toi4, sd and jos1 return their gradients as rows of
+floats (``problems.gradient_rows``).  Arrays are built only for the
+oracles' points, the traces and the line search's slopes.  The reason is
+size: the bi-objective problems have few variables, and numpy's per-call
+dispatch on such small vectors outweighs the arithmetic.  Two bit
+conditions follow.  The steps' norms come from ``math.hypot`` and
+``math.dist``, which may differ from numpy's dot product in the last bit,
+so a float step may round differently from a numpy one.  Dot products stay
+numpy's ``ndarray.dot`` (sd's linear objective, jos1's squared norms, the
+line search's slopes and ||d||^2): a left-to-right float sum may differ in
+the last bit.  Any other m calls the two public QPs on arrays, warm-started
+from the previous weights.
 """
 
 from __future__ import annotations
@@ -416,10 +416,13 @@ def _wolfe(S, v, start):
         # the column norms are reduced only when the first one fails
         if not (gap <= _REL_TOL * xx or gap <= _stop_threshold(P)):
             theta = None
-        finite, cycles = True, 0
     if theta is None:
         theta, gap, finite, cycles = _wolfe_cycles(P, start)
-    point = S.dot(theta)
+        point = S.dot(theta)
+    else:
+        # with no target S is P, and the certificate's x is the point
+        finite, cycles = True, 0
+        point = x if v is None else S.dot(theta)
     # max(), not a comparison, so that a NaN gap stays NaN
     gap = max(float(gap), 0.0)
     # a solve stopped on a face that is not finite is never certified, and

@@ -25,8 +25,9 @@ variant is two independent choices:
   fixed factor ``SIGMA``, so the accepted step carries over.
 
 Every run stops when the KKT residual ||u_k|| falls below epsilon, when k_max
-is reached, or when a hull subproblem fails to certify its tolerance
-(termination ``qp_failure``, partial trace kept).  Both hull subproblems
+is reached, or when a hull subproblem fails to certify its tolerance or an
+oracle raises a ValueError (termination ``qp_failure``, partial trace kept;
+at x_k the record has a NaN residual and gap).  Both hull subproblems
 run at the QP layer's tolerance ``simplex_qp.DEFAULT_TOL``.
 
 The steps split on m as the ``simplex_qp`` module docstring describes,
@@ -240,16 +241,16 @@ def line_search_backtracking(prob, w, s0, sigma, d, grads):
     Returns (s, capped); after 200 shrinkages the last candidate is returned
     with capped=True rather than failing.
 
-    The trial point ``w + s d``, the slopes ``grads.T @ d`` and ``d @ d``
-    are numpy's; the test itself runs on the m Python floats of each trial,
-    each gain formed as ``(f_i(w + s d) - f_i(w)) - s slope_i``, numpy's
-    order for ``trial - fw - s * slopes``, so it accepts the same steps.
+    The trial point ``w + s d``, the slopes ``grads.T.dot(d)`` and
+    ``d.dot(d)`` are numpy's; each gain is ``(f_i(w + s d) - f_i(w)) - s
+    slope_i`` on Python floats, numpy's order for ``trial - fw - s * slopes``,
+    so the test accepts the same steps.
     """
     w = np.asarray(w, dtype=float)
     d = np.asarray(d, dtype=float)
     fw = prob.objectives(w).tolist()
-    slopes = (grads.T @ d).tolist()
-    dd = float(d @ d)
+    slopes = grads.T.dot(d).tolist()
+    dd = float(d.dot(d))
     s = float(s0)
     for _ in range(200):
         trial = prob.objectives(w + s * d).tolist()
@@ -334,12 +335,16 @@ def _array_steps(prob, cfg, trace, x, step, alpha, t0):
     # are nearly the same, so the optimal face rarely changes
     hull_w = proj_w = None
     while True:
-        grads_x = gradient_matrix(prob, x)
-        hull = min_norm_in_hull(grads_x, start=hull_w)
-        hull_w = hull.weights
-        u = hull.point
-        residual = math.sqrt(u @ u)
-        if _record(trace, cfg, x, residual, hull.gap, hull.converged, k, t0):
+        try:
+            grads_x = gradient_matrix(prob, x)
+            hull = min_norm_in_hull(grads_x, start=hull_w)
+            hull_w, u = hull.weights, hull.point
+            residual, gap, certified = math.sqrt(u @ u), hull.gap, hull.converged
+        except ValueError:
+            # an oracle, shape or NonFiniteInput error at x_k is recorded as
+            # a min-norm solve that did not certify
+            residual, gap, certified = math.nan, math.nan, False
+        if _record(trace, cfg, x, residual, gap, certified, k, t0):
             break
 
         try:
@@ -381,9 +386,13 @@ def _pair_steps(prob, cfg, trace, x, step, alpha, t0):
     x_prev = x_curr = x.tolist()
     k = 1
     while True:
-        rows = gradient_rows(prob, x)
-        _, u, gap, certified = closed_form_rows(rows, 1.0, None)
-        residual = math.hypot(*u)
+        try:
+            rows = gradient_rows(prob, x)
+            _, u, gap, certified = closed_form_rows(rows, 1.0, None)
+            residual = math.hypot(*u)
+        except ValueError:
+            # as in _array_steps
+            residual, gap, certified = math.nan, math.nan, False
         if _record(trace, cfg, x, residual, gap, certified, k, t0):
             break
 
@@ -410,7 +419,7 @@ def _pair_steps(prob, cfg, trace, x, step, alpha, t0):
                 s = 1.0 - t
                 d = [-(a * t + b * s) for a, b in rows]
             if line_search:
-                # the slopes are numpy's grads.T @ d, on the rows at w
+                # the slopes are numpy's grads.T.dot(d), on the rows at w
                 step, capped = line_search_backtracking(
                     prob, w, step, SIGMA, np.array(d), np.array(rows)
                 )

@@ -362,17 +362,21 @@ def reference_run_solver(prob, cfg, x0):
     k = 1
     hull_w = proj_w = None
     while True:
-        grads_x = gradient_matrix(prob, x)
-        hull = solvers.min_norm_in_hull(grads_x, start=hull_w)
-        hull_w = hull.weights
-        u = hull.point
-        residual = math.sqrt(u @ u)
+        try:
+            grads_x = gradient_matrix(prob, x)
+            hull = solvers.min_norm_in_hull(grads_x, start=hull_w)
+            hull_w = hull.weights
+            u = hull.point
+            residual, gap, certified = math.sqrt(u @ u), hull.gap, hull.converged
+        except ValueError:
+            # an error at x_k is a min-norm solve that did not certify
+            residual, gap, certified = math.nan, math.nan, False
         trace.points.append(x)
         trace.kkt_residuals.append(residual)
         trace.steps.append(float("nan"))
-        trace.qp_gaps.append(hull.gap)
-        trace.hull_gaps.append(hull.gap)
-        if not hull.converged:
+        trace.qp_gaps.append(gap)
+        trace.hull_gaps.append(gap)
+        if not certified:
             trace.termination = QP_FAILURE
             trace.hull_certified = False
             break
@@ -437,8 +441,9 @@ def reference_sd_oracles():
 
 
 def reference_jos1_oracles(n):
-    """The ``jos1`` oracles at dimension ``n`` with the gradient filled by two
-    strided column stores, the reference for ``np.subtract.outer``."""
+    """The ``jos1`` oracles at dimension ``n`` on numpy vectors, the gradient
+    filled by two strided column stores: the reference for the Python-float
+    gradient rows of ``mograd.problems.jos1``."""
 
     def objectives(x):
         d = x - 2.0

@@ -853,6 +853,18 @@ class TestCli:
         assert (tmp_path / "summary.csv").exists()
         assert "converged" in capsys.readouterr().out
 
+    def test_trace_that_leaves_the_sd_orthant(self, tmp_path, capsys):
+        # the fifth step lands outside the positive orthant, where the sd
+        # gradient raises: the run ends qp_failure (exit 2), its trace kept
+        code = cli_main(["trace", "--problem", "sd", "--solver", "mfisc_const",
+                         "--x0=0.3,0.3,0.3,0.3", "--out", str(tmp_path)])
+        assert code == 2
+        assert "qp_failure" in capsys.readouterr().out
+        assert json.loads((tmp_path / "trace.json").read_text())["termination"] == "qp_failure"
+        lines = (tmp_path / "trace.csv").read_text().splitlines()
+        # the last record, at the point outside, has no residual and no step
+        assert lines[-1].split(",")[1] == "" and len(lines) == 7
+
     def test_flow_step_count_overflow_is_one_line(self, tmp_path, capsys):
         # (t_end - t0) / h = 1e310 used to end in an OverflowError traceback
         code = cli_main(["flow", "--problem", "quad2", "--alpha", "5", "--t-end", "1e300",

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from mograd.problems import (
     InvalidConfig,
+    _is_float_rows,
     _stream,
     as_point,
     available_problems,
@@ -609,6 +610,15 @@ class TestGradientRows:
             assert all(type(a) is float for row in rows for a in row)
         if key == "sd":
             assert rows[0][1] == -math.inf
+
+    @pytest.mark.parametrize("key", ["quad2", "toi4", "sd", "jos1", "jos1:n=7"])
+    def test_bi_objective_oracles_return_float_rows(self, key, rng):
+        # the m = 2 steps take these rows as they are; an oracle that gave
+        # an array would cost a conversion on every call
+        prob = get_problem(key)
+        lo, hi = prob.init_box
+        for x in lo + (hi - lo) * rng.uniform(0.01, 0.99, size=(100, prob.n)):
+            assert _is_float_rows(prob.gradient_columns(x), prob.n, prob.m), x
 
     def test_outside_the_sd_orthant(self):
         with pytest.raises(ValueError, match="^sd gradients are defined on the positive orthant$"):

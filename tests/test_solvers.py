@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 import mograd.solvers
 from mograd.harness import sample_starts, write_csv
 from mograd.problems import InvalidConfig, get_problem, gradient_matrix, kkt_residual, quadratic_pair
-from mograd.simplex_qp import DEFAULT_TOL, NonFiniteInput
+from mograd.simplex_qp import DEFAULT_TOL
 from mograd.solvers import (
     ACCG_CONST,
     ACCG_LS,
@@ -31,7 +31,6 @@ from mograd.solvers import (
 from conftest import (
     MALFORMED_GRADIENTS,
     five_objective_problem,
-    malformed_gradient_error,
     pareto_point,
     reference_line_search,
     reference_problem,
@@ -451,11 +450,12 @@ class TestReferenceLoop:
     @pytest.mark.parametrize("key", ["quad2", "ex1:n=10,p=8,seed=1"])
     def test_malformed_gradient_matrix(self, key, variant, where, kind):
         # the gradient oracle's 3rd call is at x_2 (x_3 for steepest_ls),
-        # its 4th at y_2, and returns a malformed array or rows: at x the
-        # error of problems.gradient_rows or gradient_matrix (a shape other
-        # than (n, m)) or of the QP (NaN) propagates, at y it ends the run
-        # qp_failure, as in the reference; at three objectives both loops
-        # are the numpy steps
+        # its 4th at y_2, and returns a malformed array or rows: the error of
+        # problems.gradient_rows or gradient_matrix (a shape other than
+        # (n, m)) or of the QP (NaN) ends the run qp_failure, as in the
+        # reference; at x it is recorded as a min-norm solve that did not
+        # certify, with a NaN residual and gap.  At three objectives both
+        # loops are the numpy steps
         prob = get_problem(key)
         at = 3 if where == "x" else 4
         calls = []
@@ -471,21 +471,28 @@ class TestReferenceLoop:
         outcomes = []
         for solver in (run_solver, reference_run_solver):
             calls.clear()
-            try:
-                outcomes.append(solver(counted, cfg, x0))
-            except ValueError as exc:
-                outcomes.append((type(exc), str(exc)))
+            outcomes.append(solver(counted, cfg, x0))
         trace, ref = outcomes
-        if isinstance(ref, tuple):
-            assert trace == ref
-        else:
-            assert_matches_reference(trace, ref)
+        assert trace.termination == QP_FAILURE
         if where == "y":
-            assert trace.termination == QP_FAILURE and len(trace.points) == 2
-        elif kind == "NaN":
-            assert trace == (NonFiniteInput, "gradient matrix contains NaN or Inf")
+            assert len(trace.points) == 2 and trace.hull_certified
         else:
-            assert trace == malformed_gradient_error(prob, bad(np.zeros((prob.n, prob.m))))
+            assert len(trace.points) == (3 if variant == STEEPEST_LS else 2)
+            assert not trace.hull_certified
+            for run in (trace, ref):
+                assert math.isnan(run.qp_gaps[-1]) and math.isnan(run.kkt_residuals.pop())
+        assert_matches_reference(trace, ref)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_gradient_error_at_the_start_point(self, variant):
+        # x_0 outside the sd orthant: the oracle's ValueError is recorded as
+        # x_0's min-norm solve, uncertified, and ends the run qp_failure
+        prob = get_problem("sd")
+        x0 = np.array([2.0, 2.0, -1.0, 2.0])
+        trace = run_solver(prob, reference_config("sd", variant), x0)
+        assert (trace.termination, trace.iterations, trace.hull_certified) == (QP_FAILURE, 0, False)
+        assert math.isnan(trace.kkt_residuals[0]) and math.isnan(trace.qp_gaps[0])
+        assert list(trace.x_final) == list(x0)
 
 
 class TestConfigValidation:
