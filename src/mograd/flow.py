@@ -122,7 +122,9 @@ class Trajectory:
     :func:`mavng_integrate` keeps; ``len`` counts every point integrated.
     ``merit`` is None until :func:`attach_merit` evaluates it at the kept
     points.  ``termination`` is ``qp_failure`` when a hull QP, the one at
-    the last point included, did not certify its gap.
+    the last point included, did not certify its gap, or when the gradient
+    read or the min-norm solve at a grid point x_k, k >= 2, raised a
+    ValueError; the trajectory then ends at x_{k-1}.
     """
 
     system: str
@@ -172,14 +174,24 @@ def _integrate(prob, cfg, system, stride):
     hull_w = proj_w = None
     for k in range(1, steps + 1):
         t_k = T0 + k * h
-        if pair:
-            G = gradient_rows(prob, np.array(x_curr))
-            _, u, _, certified = closed_form_rows(G, 1.0, None)
-        else:
-            grads = gradient_matrix(prob, np.array(x_curr))
-            hull = min_norm_in_hull(grads, start=hull_w)
-            hull_w = hull.weights
-            u, certified = hull.point.tolist(), hull.converged
+        try:
+            if pair:
+                G = gradient_rows(prob, np.array(x_curr))
+                _, u, _, certified = closed_form_rows(G, 1.0, None)
+            else:
+                grads = gradient_matrix(prob, np.array(x_curr))
+                hull = min_norm_in_hull(grads, start=hull_w)
+                hull_w = hull.weights
+                u, certified = hull.point.tolist(), hull.converged
+        except ValueError:
+            # an oracle, shape or NonFiniteInput error at x_k, as in the
+            # solvers: the trajectory ends at x_{k-1}, whose residual is the
+            # last one computed; x_1 = x_0 has no earlier point
+            if k == 1:
+                raise
+            termination = FLOW_QP_FAILURE
+            k, x_curr = k - 1, x_prev
+            break
         residual = math.hypot(*u)
         if k == 1:
             kept.append((0, x_curr, residual))
@@ -208,6 +220,7 @@ def _integrate(prob, cfg, system, stride):
         x_prev, x_curr = x_curr, x_next
 
     # every exit breaks at x_k, the last point integrated, with its residual
+    # (x_{k-1} after an error at x_k, k set back above)
     if kept[-1][0] != k:
         kept.append((k, x_curr, residual))
     indices, points, residuals = zip(*kept)
@@ -224,7 +237,10 @@ def _integrate(prob, cfg, system, stride):
 def mavng_integrate(prob, cfg, stride=1):
     """Integrate the corrected flow with the configured (alpha, beta, p),
     keeping grid point 0, every ``stride``-th point and the point where it
-    stopped, each with its KKT residual: every point at the default."""
+    stopped, each with its KKT residual: every point at the default.  An
+    oracle error at a later grid point ends the trajectory ``qp_failure``
+    (see :class:`Trajectory`); one at x0, which has no earlier point,
+    propagates."""
     return _integrate(prob, cfg, "mavng", stride)
 
 

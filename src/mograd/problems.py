@@ -33,6 +33,13 @@ The ``simplex_qp`` module docstring gives the reasons and bit conditions.
 The two seeded tri-objective families draw their data from named Philox
 streams so the same (n, p, delta, seed) always yields bit-identical problems:
 stream 2j holds the matrix of objective j, stream 2j+1 its offset vector.
+
+In the log-sum-exp and least-squares families (``lse2``, ``ex1``, ``ex2``)
+F and G share one pass per point: each keeps the products of the last point
+it was called at, log-sum-exp its max-shifted exponentials, their row sums
+and shifts, least squares its residuals A_j x - b_j.  One entry suffices,
+since the solvers read F(y) right after G(y), and G(x) right after the line
+search's accepted F(x).  ``_last_point`` says why it cannot change a result.
 """
 
 from __future__ import annotations
@@ -253,25 +260,51 @@ def _columns(delta, x, H):
     return cols
 
 
+def _last_point(products):
+    """``products`` memoized for the last point it was called at.
+
+    The key is the point's dtype, shape and bytes, so a point of another
+    dtype or shape, or one mutated in place since, is computed afresh.  The
+    entry is replaced as one ``(key, value)`` tuple, so a reader never pairs
+    one point's key with another point's value, and the oracles hand none
+    of the value's arrays to a caller: each returns a new array.
+    """
+    entry = (None, None)
+
+    def at(x):
+        nonlocal entry
+        key = (x.dtype, x.shape, x.tobytes())
+        last = entry
+        if last[0] == key:
+            return last[1]
+        value = products(x)
+        entry = (key, value)
+        return value
+
+    return at
+
+
 def logsumexp_family(name, mats, offs, delta, init_box, merit_supported=True):
     """Objectives f_j = delta/2 ||x||^2 + log sum_i exp(<a_i^j, x> - b_i^j)."""
     A3, AT3, B, lipschitz = _stacked(mats, offs, delta)
     m, _, n = A3.shape
 
+    @_last_point
     def shifted(x):
-        # the max-shifted exponents of each objective and their shifts
+        # the max-shifted exponentials of each objective, their sums and shifts
         Z = A3 @ x - B
         zmax = Z.max(axis=1)
-        return np.exp(Z - zmax[:, None]), zmax
+        E = np.exp(Z - zmax[:, None])
+        return E, E.sum(axis=1), zmax
 
     def objectives(x):
-        reg = 0.5 * delta * float(x @ x)
-        E, zmax = shifted(x)
-        return reg + (zmax + np.log(E.sum(axis=1)))
+        reg = 0.5 * delta * float(x.dot(x))
+        _, S, zmax = shifted(x)
+        return reg + (zmax + np.log(S))
 
     def gradient_columns(x):
-        E, _ = shifted(x)
-        softmax = E / E.sum(axis=1)[:, None]
+        E, S, _ = shifted(x)
+        softmax = E / S[:, None]
         return _columns(delta, x, (AT3 @ softmax[:, :, None])[:, :, 0])
 
     return ProblemInstance(
@@ -291,14 +324,16 @@ def least_squares_family(name, mats, offs, delta, init_box):
     A3, AT3, B, lipschitz = _stacked(mats, offs, delta)
     m, _, n = A3.shape
 
+    @_last_point
+    def residuals(x):
+        return A3 @ x - B
+
     def objectives(x):
-        reg = 0.5 * delta * float(x @ x)
-        R = A3 @ x - B
-        return reg + 0.5 * (R**2).sum(axis=1)
+        reg = 0.5 * delta * float(x.dot(x))
+        return reg + 0.5 * (residuals(x) ** 2).sum(axis=1)
 
     def gradient_columns(x):
-        R = A3 @ x - B
-        return _columns(delta, x, (AT3 @ R[:, :, None])[:, :, 0])
+        return _columns(delta, x, (AT3 @ residuals(x)[:, :, None])[:, :, 0])
 
     return ProblemInstance(
         name=name,

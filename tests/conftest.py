@@ -283,7 +283,8 @@ def reference_integrate(prob, cfg, system):
     names ``mograd.flow`` imports, looked up on each call, so a test's
     monkeypatch reaches both integrators.  ``system`` "mavd" runs at
     beta = alpha.  It keeps every grid point, as the integrators do at
-    stride 1.
+    stride 1, and ends at x_{k-1} when the gradient read or the min-norm
+    solve at x_k, k >= 2, raises a ValueError.
     """
     if system == "mavd":
         cfg = replace(cfg, beta=cfg.alpha)
@@ -298,8 +299,15 @@ def reference_integrate(prob, cfg, system):
     hull_w = proj_w = None
     for k in range(1, steps + 1):
         t_k = mograd.flow.T0 + k * cfg.h
-        grads = gradient_matrix(prob, x_curr)
-        hull = mograd.flow.min_norm_in_hull(grads, start=hull_w)
+        try:
+            grads = gradient_matrix(prob, x_curr)
+            hull = mograd.flow.min_norm_in_hull(grads, start=hull_w)
+        except ValueError:
+            # the trajectory ends at x_{k-1}; at x_1 = x_0 the error propagates
+            if k == 1:
+                raise
+            termination, reached = FLOW_QP_FAILURE, k - 1
+            break
         hull_w = hull.weights
         u = hull.point
         residual = math.sqrt(u @ u)

@@ -113,28 +113,39 @@ class TestConfigValidation:
     @pytest.mark.parametrize("key", ["quad2", "ex1:n=10,p=8,seed=1"])
     @pytest.mark.parametrize("kind", sorted(MALFORMED_GRADIENTS))
     def test_gradient_matrix_is_checked_on_every_step(self, integrate, key, kind):
-        # the third gradient matrix is malformed, as an array or as rows:
-        # problems.gradient_rows (two objectives) and gradient_matrix (three)
-        # refuse a shape other than (n, m), and the QPs a NaN, whether the
-        # step solves them with the closed-form kernel or calls them
+        # the first or the third gradient matrix is malformed, as an array or
+        # as rows: problems.gradient_rows (two objectives) and
+        # gradient_matrix (three) refuse a shape other than (n, m), and the
+        # QPs a NaN, whether the step solves them with the closed-form kernel
+        # or calls them.  At x_0 the error propagates; at x_3 the trajectory
+        # ends qp_failure at x_2
         prob = get_problem(key)
-        calls = []
         bad = MALFORMED_GRADIENTS[kind]
 
-        def gradient_columns(x):
-            calls.append(None)
-            return bad(gradient_matrix(prob, x)) if len(calls) == 3 else prob.gradient_columns(x)
+        def malformed_at(at):
+            calls = []
 
-        counted = replace(prob, gradient_columns=gradient_columns)
+            def gradient_columns(x):
+                calls.append(None)
+                return bad(gradient_matrix(prob, x)) if len(calls) == at else prob.gradient_columns(x)
+
+            return replace(prob, gradient_columns=gradient_columns), calls
+
         x0 = sample_starts(prob, 1, 0)[0]
         if kind == "NaN":
             error, message = NonFiniteInput, "gradient matrix contains NaN or Inf"
         else:
             error, message = malformed_gradient_error(prob, bad(gradient_matrix(prob, x0)))
         cfg = FlowConfig(alpha=5.0, x0=x0, t_end=1.1, h=0.01)
+        counted, calls = malformed_at(1)
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             integrate(counted, cfg)
+        assert len(calls) == 1
+        counted, calls = malformed_at(3)
+        traj = integrate(counted, cfg)
         assert len(calls) == 3
+        assert traj.termination == "qp_failure" and len(traj) == len(traj.times) == 3
+        assert traj.points.tobytes() == integrate(prob, cfg).points[:3].tobytes()
 
 
 class TestIntegration:
@@ -340,6 +351,24 @@ def with_failed_projection(monkeypatch, at, integrate):
     return traj
 
 
+def with_gradient_error(prob, at, fault):
+    """``prob`` whose gradient oracle's call ``at``, the read at grid point
+    x_at, raises ValueError (``fault`` "raise") or returns NaN entries, which
+    the min-norm solve refuses with NonFiniteInput (``fault`` "nan")."""
+    calls = []
+
+    def gradient_columns(x):
+        calls.append(None)
+        G = gradient_matrix(prob, x)
+        if len(calls) == at:
+            if fault == "raise":
+                raise ValueError("injected gradient error")
+            G[0, 0] = np.nan
+        return G
+
+    return replace(prob, gradient_columns=gradient_columns)
+
+
 class TestKeptPoints:
     """A strided trajectory keeps the stride-1 trajectory's rows 0, S, 2S, ...
     and the last, bit for bit, and still counts every grid point."""
@@ -393,6 +422,34 @@ class TestKeptPoints:
         assert len(full) == 24
         self.assert_rows_of(strided, full, 10)
         assert np.array_equal(strided.times, mograd.flow.T0 + np.array([0, 10, 20, 23]) * cfg.h)
+
+    @pytest.mark.parametrize("fault", ["raise", "nan"])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("integrate", [mavng_integrate, mavd_integrate])
+    def test_gradient_error_keeps_the_points_before_it(self, integrate, name, fault):
+        # the gradient read or the min-norm solve at x_24 fails: the run ends
+        # qp_failure at x_23, off stride 10, and keeps points 0, 10, 20, 23
+        prob, cfg = self._case(name)
+        full = integrate(prob, cfg)
+        failed = integrate(with_gradient_error(prob, 24, fault), cfg)
+        strided = integrate(with_gradient_error(prob, 24, fault), cfg, 10)
+        assert failed.termination == strided.termination == "qp_failure"
+        assert len(failed) == len(failed.times) == 24
+        for got, want in ((failed.times, full.times), (failed.points, full.points),
+                          (failed.kkt_residuals, full.kkt_residuals)):
+            assert got.tobytes() == want[:24].tobytes()
+        self.assert_rows_of(strided, failed, 10)
+        assert np.array_equal(strided.times, mograd.flow.T0 + np.array([0, 10, 20, 23]) * cfg.h)
+        reference = reference_integrate(with_gradient_error(prob, 24, fault), cfg, failed.system)
+        assert_matches_reference(failed, reference)
+
+    @pytest.mark.parametrize("fault", ["raise", "nan"])
+    @pytest.mark.parametrize("integrate", [mavng_integrate, mavd_integrate])
+    def test_gradient_error_at_the_start_point_propagates(self, integrate, fault):
+        # x_1 = x_0 has no earlier point to end at
+        prob, cfg = self._case("quad2")
+        with pytest.raises(ValueError):
+            integrate(with_gradient_error(prob, 1, fault), cfg)
 
     def test_memory_grows_with_the_kept_points(self):
         # 4000 steps: the stride-1 trajectory holds every point, the

@@ -29,6 +29,7 @@ from mograd.harness import (
     run_trace,
     sample_starts,
     write_csv,
+    write_json,
 )
 from mograd.problems import InvalidConfig, get_problem, quadratic_pair
 from mograd.solvers import (
@@ -93,6 +94,26 @@ class TestWriteCsv:
             "-1e-308,2.5e-320,1.5e+300", '""', "1.5", "", "3,mavng,0.25,", "true,0.1,2.0",
             "4,1e-07", "0.5,",
         ]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+def read_strict_json(path):
+    """``path``'s JSON, read by a parser that refuses NaN and Infinity."""
+    return json.loads(Path(path).read_text(), parse_constant=_refuse_constant)
+
+
+class TestWriteJson:
+    def test_non_finite_floats_are_null(self, tmp_path):
+        nan, inf = math.nan, math.inf
+        payload = {"a": nan, "b": [1.5, inf, (-inf, np.float64(nan))], "c": {"d": -0.0, "e": None},
+                   "f": "NaN", "g": 3, "h": True}
+        path = write_json(tmp_path / "out.json", payload)
+        assert read_strict_json(path) == {"a": None, "b": [1.5, None, [None, None]],
+                                          "c": {"d": -0.0, "e": None}, "f": "NaN", "g": 3,
+                                          "h": True}
 
 
 class TestSampling:
@@ -812,6 +833,21 @@ REPEATS = {"run": ("--solver", "--eps"), "flow": ("--alpha",)}
 
 
 class TestCli:
+    @pytest.fixture(autouse=True)
+    def written_json_is_strict(self, monkeypatch):
+        # every JSON file a command writes parses with a reader that refuses
+        # NaN and Infinity, which RFC 8259 readers do not accept
+        written = []
+
+        def recording_write_json(path, payload, _write=mograd.harness.write_json):
+            written.append(_write(path, payload).resolve())
+            return written[-1]
+
+        monkeypatch.setattr(mograd.harness, "write_json", recording_write_json)
+        yield
+        for path in written:
+            read_strict_json(path)
+
     def test_list_verb(self, capsys):
         assert cli_main(["list"]) == 0
         out = capsys.readouterr().out
@@ -860,10 +896,32 @@ class TestCli:
                          "--x0=0.3,0.3,0.3,0.3", "--out", str(tmp_path)])
         assert code == 2
         assert "qp_failure" in capsys.readouterr().out
-        assert json.loads((tmp_path / "trace.json").read_text())["termination"] == "qp_failure"
+        summary = read_strict_json(tmp_path / "trace.json")
+        assert summary["termination"] == "qp_failure" and summary["final_kkt"] is None
         lines = (tmp_path / "trace.csv").read_text().splitlines()
         # the last record, at the point outside, has no residual and no step
         assert lines[-1].split(",")[1] == "" and len(lines) == 7
+
+    def test_flow_that_leaves_the_sd_orthant(self, tmp_path, capsys):
+        # both trajectories reach a grid point outside the positive orthant,
+        # where the sd gradient raises: each ends qp_failure at the point
+        # before it, and the experiment still writes every file (exit 2)
+        code = cli_main(["flow", "--problem", "sd", "--alpha", "5", "--h", "0.3", "--t-end", "20",
+                         "--x0=0.05,0.05,0.05,0.05", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == ""
+        report = read_strict_json(tmp_path / "bound_report.json")
+        assert report["failures"] == 2
+        assert [(t["system"], t["termination"]) for t in report["trajectories"]] == [
+            ("mavng", "qp_failure"), ("mavd", "qp_failure")]
+        for system in ("mavng", "mavd"):
+            with open(tmp_path / f"{system}_a5.csv") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == ["t", "x1", "x2", "x3", "x4", "kkt_residual", "merit"]
+            # every kept point is inside the orthant, with a residual and merit
+            for row in rows[1:]:
+                assert all(float(v) > 0.0 for v in row[1:5]) and row[5] and row[6]
+            assert float(rows[-1][0]) < 20.0
 
     def test_flow_step_count_overflow_is_one_line(self, tmp_path, capsys):
         # (t_end - t0) / h = 1e310 used to end in an OverflowError traceback

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import warnings
@@ -255,6 +256,84 @@ class TestFamilyOracles:
                 assert np.isfinite(F).all()
                 assert prob.objectives(x).tobytes() == F.tobytes()
                 assert prob.gradient_columns(x).tobytes() == G.tobytes()
+
+
+def _outcome(oracle, x):
+    """What ``oracle(x)`` gives: its bytes, or its error's type and message."""
+    with np.errstate(all="ignore"):
+        try:
+            return np.asarray(oracle(x)).tobytes()
+        except Exception as exc:
+            return type(exc), str(exc)
+
+
+class TestFamilyMemo:
+    """F and G share one pass per point through a one-entry memo, which
+    must never change a result: every check is bit for bit against the
+    per-objective formulas or a fresh problem."""
+
+    KEYS = ["ex1:n=40,p=20,seed=0", "ex2:n=10,p=9,seed=4", "lse2"]
+
+    @staticmethod
+    def assert_reference(prob, key, x):
+        F, G = _family_reference(*_family_data(key), x)
+        assert prob.objectives(x).tobytes() == F.tobytes()
+        assert prob.gradient_columns(x).tobytes() == G.tobytes()
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_every_call_order_at_alternating_points(self, key, rng):
+        prob = get_problem(key)
+        data = _family_data(key)
+        x, y = rng.uniform(-2.0, 2.0, size=(2, prob.n))
+        want = {}
+        for name, point in itertools.product(("F", "G"), ("x", "y")):
+            F, G = _family_reference(*data, {"x": x, "y": y}[point])
+            want[name, point] = (F if name == "F" else G).tobytes()
+        oracles = {"F": prob.objectives, "G": prob.gradient_columns}
+        # every sequence of four calls, one problem throughout
+        for calls in itertools.product(sorted(want), repeat=4):
+            for name, point in calls:
+                got = oracles[name]({"x": x, "y": y}[point])
+                assert got.tobytes() == want[name, point], calls
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_point_mutated_in_place_between_calls(self, key, rng):
+        prob = get_problem(key)
+        x = rng.uniform(-2.0, 2.0, prob.n)
+        for i in range(prob.n):
+            prob.objectives(x)
+            x[i] += 0.5
+            self.assert_reference(prob, key, x)
+            prob.gradient_columns(x)
+            x[i] = -x[i]
+            self.assert_reference(prob, key, x)
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_results_mutated_by_the_caller(self, key, rng):
+        prob = get_problem(key)
+        x = rng.uniform(-2.0, 2.0, prob.n)
+        for _ in range(2):
+            F, G = prob.objectives(x), prob.gradient_columns(x)
+            F[:] = np.nan
+            G[:] = np.nan
+            self.assert_reference(prob, key, x)
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_same_bytes_of_another_dtype_shape_or_layout(self, key, rng):
+        # each array below has the bytes of the cached point x: an int64
+        # view and a (1, n) view must be computed afresh, and a strided copy
+        # of x (the same point) gives what a fresh problem gives
+        prob = get_problem(key)
+        x = rng.uniform(-2.0, 2.0, prob.n)
+        strided = np.repeat(x, 2)[::2]
+        for other in (x.view(np.int64), x.reshape(1, prob.n), strided):
+            assert other.tobytes() == x.tobytes()
+            for name in ("objectives", "gradient_columns"):
+                prob.objectives(x)
+                prob.gradient_columns(x)
+                got = _outcome(getattr(prob, name), other)
+                assert got == _outcome(getattr(get_problem(key), name), other)
+                self.assert_reference(prob, key, x)
 
 
 # the tri-table's n = 40 draws, and the registry defaults (n = 200 and n = 100)
