@@ -10,10 +10,14 @@ Wall-clock timings therefore never enter a CSV; they are reported in the
 JSON summaries, whose ``*_time_s`` entries are the only non-reproducible
 fields.  Start points are drawn from a named Philox stream, runs fan out
 over a process pool (workers rebuild problems from their registry keys), and
-results are ordered by start index before writing.  A tolerance sweep runs
-each (solver, start) once, at its tightest epsilon, and reads every looser
-row off that run (``IterationTrace.until``); a row's ``wall_time`` is its
-time to stop, which ``summary.json``'s ``total_time_s`` sums.
+results are ordered by start index before writing.  Each process keeps up
+to 64 built problems by key (``_worker_problem``), above the 24 keys that
+the bench's ``tri-table`` call sweeps, so a sweep builds each key once; 64
+``ex1`` draws at the default n = 200, p = 100 hold about 31 MB.  A
+tolerance sweep runs each (solver, start) once, at its tightest epsilon,
+and reads every looser row off that run (``IterationTrace.until``); a row's
+``wall_time`` is its time to stop, which ``summary.json``'s
+``total_time_s`` sums.
 """
 
 from __future__ import annotations
@@ -208,17 +212,21 @@ def _config_echo(cfg, entry):
 
 
 def _single_run(cfg, entry):
-    """The one solver that ``pareto_scan`` and ``run_trace`` run at their one epsilon."""
+    """The one solver that ``pareto_scan`` and ``run_trace`` run, at their one epsilon."""
     if len(cfg.solvers) != 1 or len(cfg.epsilons) != 1:
         raise InvalidConfig(f"{entry} takes exactly one solver and one epsilon")
-    return cfg.solvers[0]
+    return replace(cfg.solvers[0], epsilon=cfg.epsilons[0])
 
 
 # ---------------------------------------------------------------------------
 # worker-side execution (problems are rebuilt per process from their key)
 
 
-@lru_cache(maxsize=16)
+# 64 keys, above the 24 that a bench tri-table call cycles through in order:
+# an LRU bound below a sweep's key count misses on every key, so each call
+# would rebuild every problem.  At most about 31 MB, 64 ex1 draws at the
+# default n = 200, p = 100 (0.49 MB each).
+@lru_cache(maxsize=64)
 def _worker_problem(key):
     # the parent builds through this cache too, so a serial batch builds its
     # problem once, not once for the parent and again for the first task
@@ -226,10 +234,11 @@ def _worker_problem(key):
 
 
 def _run_one(task):
-    """One run at the tightest epsilon; (record, final F, trace) per epsilon."""
+    """One run of ``solver_cfg``, whose epsilon is the tightest of ``epsilons``;
+    (record, final F, trace) per epsilon."""
     problem_key, solver_cfg, epsilons, start_index, x0, keep_trace, with_f = task
     prob = _worker_problem(problem_key)
-    trace = run_solver(prob, replace(solver_cfg, epsilon=min(epsilons)), np.asarray(x0))
+    trace = run_solver(prob, solver_cfg, np.asarray(x0))
     results = []
     for epsilon in epsilons:
         row = trace.until(epsilon)
@@ -261,9 +270,13 @@ def run_batch(cfg, out_dir=None):
     prob = _worker_problem(cfg.problem)
     starts = sample_starts(prob, cfg.n_starts, cfg.seed)
 
+    # each solver's config is validated once, at the tightest epsilon, not
+    # once per start
+    tightest = min(cfg.epsilons)
+    run_cfgs = [replace(solver_cfg, epsilon=tightest) for solver_cfg in cfg.solvers]
     tasks = [
-        (cfg.problem, solver_cfg, cfg.epsilons, idx, tuple(starts[idx]), cfg.write_traces, False)
-        for solver_cfg in cfg.solvers
+        (cfg.problem, run_cfg, cfg.epsilons, idx, tuple(starts[idx]), cfg.write_traces, False)
+        for run_cfg in run_cfgs
         for idx in range(cfg.n_starts)
     ]
     by_task = _map_tasks(tasks, cfg.workers)

@@ -156,7 +156,8 @@ def merit_value(prob, x, warm_start=None):
         if cand.shape != (prob.n,):
             raise ValueError(f"expected a warm start of dimension {prob.n}")
         cand_parts = objective_values(prob, cand) - fx
-        cand_h = float(np.max(cand_parts))
+        # maxima are read by index, as the hull QPs' are (see simplex_qp)
+        cand_h = float(cand_parts[cand_parts.argmax()])
         if cand_h < h:
             z, parts, h = cand.copy(), cand_parts, cand_h
 
@@ -171,7 +172,8 @@ def merit_value(prob, x, warm_start=None):
         step = grads @ theta
         residual = math.sqrt(step @ step)
         d = -t * step
-        pred = h - float(np.max(parts + d @ grads))
+        model = parts + d @ grads
+        pred = h - float(model[model.argmax()])
         if not math.isfinite(pred):
             # an overflowed or NaN model can neither descend nor certify
             break
@@ -180,7 +182,7 @@ def merit_value(prob, x, warm_start=None):
             break
         cand = z + d
         cand_parts = objective_values(prob, cand) - fx
-        cand_h = float(np.max(cand_parts))
+        cand_h = float(cand_parts[cand_parts.argmax()])
         accepted = cand_h <= h - 0.25 * pred
         expand = cand_h <= h - 0.75 * pred
         if accepted:

@@ -45,7 +45,13 @@ the Frank-Wolfe gap
 which upper-bounds the objective suboptimality, so a returned gap below the
 tolerance is a genuine optimality certificate.  Wolfe's method and the Gram
 solve report the gap at their last iterate x = p - v, ||x||^2 - min_i <x,
-p_i> over the shifted points: the same gap in exact arithmetic.
+p_i> over the shifted points: the same gap in exact arithmetic.  They read
+that minimum, and the largest squared column norm of the scales below, by
+index, ``d[d.argmin()]``: numpy's own value, a NaN included (``argmin``
+returns the first NaN), without the overhead of ``d.min()``'s method
+wrapper, which on vectors this short outweighs the reduction.  Only the
+sign of an exact zero extreme may differ, and every use subtracts or
+compares it, where that sign cannot show.
 
 Both certify at the fixed tolerance ``DEFAULT_TOL``, relaxed relative to the
 squared scale of the data (see ``_REL_TOL``).  That tolerance is only the
@@ -360,7 +366,8 @@ def _stop_threshold(P):
 
     An overflowed scale allows nothing, as in ``_effective_tol``.
     """
-    q = float(np.einsum("ij,ij->j", P, P).max())
+    q = np.einsum("ij,ij->j", P, P)
+    q = float(q[q.argmax()])
     return _REL_TOL * q if q < math.inf else 0.0
 
 
@@ -411,7 +418,8 @@ def _wolfe(S, v, start):
     if theta is not None:
         x = P.dot(theta)
         xx = float(x.dot(x))
-        gap = xx - float(x.dot(P).min())
+        dots = x.dot(P)
+        gap = xx - float(dots[dots.argmin()])
         # a NaN gap fails both comparisons; ||x||^2 <= max_i ||p_i||^2, so
         # the column norms are reduced only when the first one fails
         if not (gap <= _REL_TOL * xx or gap <= _stop_threshold(P)):
@@ -430,7 +438,8 @@ def _wolfe(S, v, start):
     if not finite or gap <= DEFAULT_TOL:
         return HullSolution(theta, point, gap, finite, cycles)
     vv = 0.0 if v is None else float(v.dot(v))
-    q_scale = max(1.0, float(np.einsum("ij,ij->j", S, S).max()), vv)
+    q = np.einsum("ij,ij->j", S, S)
+    q_scale = max(1.0, float(q[q.argmax()]), vv)
     return HullSolution(theta, point, gap, gap <= _effective_tol(q_scale), cycles)
 
 

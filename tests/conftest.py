@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import mograd.flow
+import mograd.harness
 import mograd.simplex_qp
 import mograd.solvers
 from mograd.flow import FLOW_COMPLETED, FLOW_QP_FAILURE, Trajectory
@@ -567,3 +568,16 @@ def rng(request):
     on whether its file runs alone.
     """
     return np.random.default_rng([20240831, zlib.crc32(request.node.nodeid.encode())])
+
+
+@pytest.fixture(autouse=True)
+def fresh_worker_problems():
+    """Empty the harness's problem cache before and after each test.
+
+    The cache holds up to 64 keys across tests, so without this a test that
+    patches ``problems._FACTORIES`` could be handed an instance built before
+    its patch, and its result would depend on the tests run before it.
+    """
+    mograd.harness._worker_problem.cache_clear()
+    yield
+    mograd.harness._worker_problem.cache_clear()

@@ -394,7 +394,6 @@ class TestRunBatch:
         }
 
     def test_builds_the_problem_once(self, tmp_path, monkeypatch):
-        import mograd.harness as harness
         import mograd.problems as problems
 
         builds = []
@@ -409,12 +408,35 @@ class TestRunBatch:
             solvers=(SolverConfig(variant=MFISC_CONST, step=0.05),),
             n_starts=3,
         )
-        harness._worker_problem.cache_clear()
-        try:
-            run_batch(cfg, out_dir=tmp_path)
-        finally:
-            harness._worker_problem.cache_clear()
+        run_batch(cfg, out_dir=tmp_path)
         assert len(builds) == 1
+
+    def test_a_sweep_builds_each_key_once(self, monkeypatch):
+        # the bench's tri-table sweeps 24 keys in order, one run_batch each;
+        # a cache bound below 24 would miss on every key of the second pass
+        import mograd.harness as harness
+        import mograd.problems as problems
+
+        builds = []
+        real_factory = problems._FACTORIES["ex1"]
+
+        def counting_factory(**kwargs):
+            builds.append(kwargs["seed"])
+            return real_factory(**kwargs)
+
+        monkeypatch.setitem(problems._FACTORIES, "ex1", counting_factory)
+        solvers = (SolverConfig(variant=MFISC_CONST, step=0.05, k_max=2),)
+        keys = [f"ex1:n=4,p=3,seed={seed}" for seed in range(24)]
+        for _ in range(2):
+            for key in keys:
+                run_batch(ExperimentConfig(problem=key, solvers=solvers, n_starts=1))
+        assert builds == list(range(24))
+        # the bench's tracer empties the cache to hand out traced oracles
+        assert harness._worker_problem.cache_info().currsize == 24
+        harness._worker_problem.cache_clear()
+        assert harness._worker_problem.cache_info().currsize == 0
+        run_batch(ExperimentConfig(problem=keys[0], solvers=solvers, n_starts=1))
+        assert builds == list(range(24)) + [0]
 
     def test_requires_a_solver(self):
         with pytest.raises(InvalidConfig):
@@ -516,7 +538,8 @@ class TestToleranceSweep:
                 for iterations, wall in walls[idx].values():
                     assert 0.0 < wall <= tight_wall
                     assert (wall < tight_wall) == (iterations < tight_iterations)
-                rows = _run_one((key, solver, epsilons, idx, tuple(x0), True, False))
+                rows = _run_one((key, replace(solver, epsilon=min(epsilons)), epsilons, idx,
+                                 tuple(x0), True, False))
                 for eps, (_, _, trace) in zip(epsilons, rows):
                     single = run_solver(prob, replace(solver, epsilon=eps), x0)
                     assert (trace.ls_cap_hits, trace.hull_certified) == \

@@ -97,6 +97,36 @@ class TestMeritValue:
         assert result.iterations == 100
         assert result.phi == 0.0 and np.array_equal(result.z, np.zeros(1))
 
+    def test_sd_first_trial_leaves_the_orthant(self, monkeypatch):
+        # the first trial step from x = 0.3 * 1 leaves the positive orthant,
+        # where f2 = inf, and the maxima of the inner solve read inf by
+        # index as np.max did: the result is the one np.max's solve
+        # returned, field for field
+        prob = get_problem("sd")
+        x = np.full(4, 0.3)
+        trials = []
+        real = mograd.merit.objective_values
+
+        def spy(p, z):
+            values = real(p, z)
+            trials.append(values.tolist())
+            return values
+
+        monkeypatch.setattr(mograd.merit, "objective_values", spy)
+        result = merit_value(prob, x)
+        assert math.isinf(trials[1][1]) and min(trials[1]) > -math.inf
+        assert result.phi == 0.03875327585642907
+        assert result.residual == 9.350985078863388e-07
+        assert result.converged is True
+        assert result.iterations == 245
+        assert result.z.tolist() == [
+            0.23060772806020702, 0.3261286014844708, 0.3261286014844708, 0.32612842285279614,
+        ]
+        # a warm start outside the orthant has h = inf and is not taken
+        warm = merit_value(prob, x, warm_start=np.array([-0.1, 0.3, 0.3, 0.3]))
+        assert (warm.phi, warm.residual, warm.converged, warm.iterations, warm.z.tolist()) == (
+            result.phi, result.residual, result.converged, result.iterations, result.z.tolist())
+
     def test_zero_at_pareto_points(self):
         for key, lam in (("quad2", 0.5), ("jos1", 0.3), ("lse2", 0.7), ("toi4", 0.2), ("sd", 0.4)):
             prob = get_problem(key)

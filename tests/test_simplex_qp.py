@@ -334,6 +334,57 @@ def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
+class TestIndexedExtremes:
+    """The hull QPs and merit read a full min or max by index,
+    ``d[d.argmin()]``.  That relies on numpy: the value is the reduction's
+    own, bit for bit up to the sign of a zero extreme, and NaN whenever an
+    entry is (``argmin`` and ``argmax`` return the first NaN)."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [3.0, 1.0, 2.0],
+            [2.0, -1.0, -1.0, 2.0],
+            [1.0, 1.0, 1.0],
+            [0.0, -0.0],
+            [-0.0, 0.0, 1.0, -1.0],
+            [5e-324, -5e-324, 1e308, -1e308],
+            [math.inf, -math.inf, 0.0],
+            [math.inf, math.inf],
+            [-math.inf, 5.0, -math.inf],
+            [7.0],
+            [1.0, math.nan, -1.0],
+            [math.nan, math.inf, -math.inf],
+            [-math.inf, 2.0, 0.0, -0.0, math.nan],
+            [math.nan, math.nan],
+            [math.nan],
+        ],
+    )
+    def test_index_reads_equal_the_reductions(self, values):
+        a = np.array(values)
+        for indexed, reduced in ((a[a.argmin()], a.min()), (a[a.argmax()], np.max(a))):
+            if np.isnan(a).any():
+                assert math.isnan(indexed) and math.isnan(reduced)
+            elif reduced == 0.0:
+                # the one difference: which zero of a tie comes back
+                assert indexed == 0.0
+            else:
+                assert _bits(indexed) == _bits(reduced)
+
+    def test_random_vectors_with_planted_specials(self, rng):
+        specials = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0])
+        for _ in range(500):
+            a = rng.standard_normal(rng.integers(1, 12))
+            plant = rng.random(a.size) < 0.3
+            a[plant] = rng.choice(specials, plant.sum())
+            for indexed, reduced in ((a[a.argmin()], a.min()), (a[a.argmax()], np.max(a))):
+                if np.isnan(a).any():
+                    assert math.isnan(indexed) and math.isnan(reduced)
+                else:
+                    assert indexed == reduced
+                    assert reduced == 0.0 or _bits(indexed) == _bits(reduced)
+
+
 class TestClosedFormKernel:
     """The float kernel of the flow step against the m = 2 path of both QPs:
     the same weights, point, gap and certificate, bit for bit, and the same
