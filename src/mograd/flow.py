@@ -26,9 +26,10 @@ exactly), so ``mavd_integrate`` is literally ``mavng_integrate`` at b = a.
 The step runs on Python floats, one loop for every m and n: x_{k-1}, x_k,
 u_k, v_k and x_{k+1} are lists, and the kept points and residuals become
 arrays once, after the loop; the oracle still takes x_k as an array.  v_k
-is the solvers' list helper ``solvers.corrected_momentum`` at c = 1, with
-its guard: r_k is left out where its coefficient, ||x_k - x_{k-1}|| or
-||u_k|| is 0.  The hull QPs split on m as the ``simplex_qp`` module docstring
+is x_k - x_{k-1} itself when the correction is off for the whole trajectory
+((a - b) h = 0, as at b = a), and otherwise the solvers' list helper
+``solvers.corrected_momentum`` at c = 1, with its guard: r_k is left out
+where its coefficient, ||x_k - x_{k-1}|| or ||u_k|| is 0.  The hull QPs split on m as the ``simplex_qp`` module docstring
 describes, with the float design and its bit conditions.
 ``problems.gradient_rows`` (m = 2) and ``gradient_matrix`` check the shape
 of every gradient matrix with one rule, the QPs (or the kernel) its
@@ -157,9 +158,12 @@ class BoundReport:
 def _integrate(prob, cfg, system, stride):
     stride = whole_number("stride", stride, 1)
     as_point(prob, cfg.x0, "x0")
-    alpha, h = cfg.alpha, cfg.h
-    # FlowConfig has checked the scale, the step count and t_k**p
+    h, power = cfg.h, cfg.p
+    # FlowConfig has checked the scale, the step count and t_k**p; the
+    # correction's numerator (a - b) h and the damping's a h are fixed for
+    # the trajectory, and at b = a the correction is off on every step
     scale = h * h
+    correction, damping_h = (cfg.alpha - cfg.beta) * h, cfg.alpha * h
     steps = _step_count(cfg)
     # the points as lists of Python floats (see the module docstring);
     # x_1 = x_0 is the zero initial velocity
@@ -204,8 +208,10 @@ def _integrate(prob, cfg, system, stride):
             # the last pass only certifies the residual at the last point
             break
 
-        coeff = (alpha - cfg.beta) * h / t_k**cfg.p
-        v_k = corrected_momentum(1.0, x_curr, x_prev, coeff, u, residual)
+        if correction == 0.0:
+            v_k = [a - b for a, b in zip(x_curr, x_prev)]
+        else:
+            v_k = corrected_momentum(1.0, x_curr, x_prev, correction / t_k**power, u, residual)
         if pair:
             _, q, _, certified = closed_form_rows(G, scale, v_k)
         else:
@@ -215,7 +221,7 @@ def _integrate(prob, cfg, system, stride):
         if not certified:
             termination = FLOW_QP_FAILURE
             break
-        damping = t_k / (t_k + alpha * h)
+        damping = t_k / (t_k + damping_h)
         x_next = [x + damping * (v - p) for x, v, p in zip(x_curr, v_k, q)]
         x_prev, x_curr = x_curr, x_next
 

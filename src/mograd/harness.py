@@ -23,6 +23,7 @@ and reads every looser row off that run (``IterationTrace.until``); a row's
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import multiprocessing
@@ -160,12 +161,16 @@ def _fmt(value):
 
 
 def write_csv(path, rows):
+    """Write ``rows`` as CSV, one line each.  Every row is encoded before the
+    file is opened, so a cell that cannot be encoded writes nothing: an
+    existing file keeps its bytes and no file is created."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+    path.write_text(buf.getvalue(), newline="")
     return path
 
 
@@ -181,12 +186,14 @@ def _finite_or_null(value):
 
 
 def write_json(path, payload):
-    """Write ``payload`` as RFC 8259 JSON: a NaN or infinite float is ``null``."""
+    """Write ``payload`` as RFC 8259 JSON: a NaN or infinite float is ``null``.
+    The whole text is encoded before the file is opened, so a value that
+    cannot be encoded writes nothing: an existing file keeps its bytes and no
+    file is created."""
+    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(_finite_or_null(payload), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    path.write_text(text)
     return path
 
 

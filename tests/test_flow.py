@@ -159,11 +159,39 @@ class TestIntegration:
         traj = mavng_integrate(quadratic_pair(), short_cfg(t_end=1.01))
         assert np.array_equal(traj.points[0], traj.points[1])
 
-    def test_beta_equal_alpha_reduces_to_baseline(self):
-        prob = quadratic_pair()
-        corrected = mavng_integrate(prob, short_cfg(alpha=50.0, beta=50.0, t_end=2.5))
-        baseline = mavd_integrate(prob, short_cfg(alpha=50.0, beta=3.0, t_end=2.5))
-        assert np.array_equal(corrected.points, baseline.points)
+    @pytest.mark.parametrize("stride", [1, 7])
+    @pytest.mark.parametrize("key", ["quad2", "ex1:n=10,p=8,seed=1"])
+    def test_beta_equal_alpha_reduces_to_baseline(self, key, stride):
+        # every field of the trajectory, bit for bit; ex1 runs the m >= 3 lines
+        if key == "quad2":
+            prob, cfg = quadratic_pair(), short_cfg(alpha=50.0, beta=3.0, t_end=2.5)
+        else:
+            prob = get_problem(key)
+            cfg = FlowConfig(alpha=20.0, x0=sample_starts(prob, 1, 0)[0], h=5e-3, t_end=3.0)
+        corrected = mavng_integrate(prob, replace(cfg, beta=cfg.alpha), stride)
+        baseline = mavd_integrate(prob, cfg, stride)
+        assert baseline.termination == "completed"
+        for field in ("times", "points", "kkt_residuals", "grid_points", "termination"):
+            assert np.array_equal(getattr(corrected, field), getattr(baseline, field)), field
+
+    @pytest.mark.parametrize("key", ["quad2", "ex1:n=10,p=8,seed=1"])
+    def test_only_the_corrected_flow_calls_the_correction(self, monkeypatch, key):
+        # the baseline's correction is off for the whole trajectory, so it
+        # builds v_k itself; the corrected flow calls the helper on every step
+        calls = []
+
+        def counting(*args, _momentum=mograd.flow.corrected_momentum):
+            calls.append(None)
+            return _momentum(*args)
+
+        monkeypatch.setattr(mograd.flow, "corrected_momentum", counting)
+        prob = get_problem(key)
+        cfg = FlowConfig(alpha=20.0, x0=sample_starts(prob, 1, 0)[0], h=5e-3, t_end=2.0)
+        mavd_integrate(prob, cfg)
+        assert calls == []
+        traj = mavng_integrate(prob, cfg, stride=7)
+        assert traj.termination == "completed"
+        assert len(calls) == len(traj) - 2
 
     def test_beta_cases_differ_otherwise(self):
         prob = quadratic_pair()
@@ -293,6 +321,17 @@ class TestReferenceLoop:
         "lse2": ("lse2", dict(alpha=50.0, x0=np.array([0.0, 3.0]), h=5e-3, t_end=10.0)),
         # three objectives: both QPs run Wolfe's method
         "ex1": ("ex1:n=10,p=8,seed=1", dict(alpha=20.0, h=5e-3, t_end=3.0)),
+        # the correction's constant numerator (a - b) h over t_k**p: p = 0,
+        # a larger power with a larger weight, and a tiny nonzero numerator.
+        # At p = 0 the correction never vanishes: once t > a / (a - b) a step
+        # may be up to (1 + (a - b) h) t / (t + a h) > 1 times the one before.
+        # Here the steps grow about 1.2-fold each near t = 6.6, and a last-bit
+        # difference in a norm grows with them past 1e-14 of the reference's
+        # points (3.8e-11 of them near t = 12.3 on a run to t = 20), so the
+        # case ends at t = 6.
+        "quad2-p0": ("quad2", dict(alpha=50.0, x0=X0, p=0.0, h=5e-3, t_end=6.0)),
+        "quad2-p2-b5": ("quad2", dict(alpha=50.0, x0=X0, beta=5.0, p=2.0, h=5e-3, t_end=20.0)),
+        "quad2-b-near-a": ("quad2", dict(alpha=50.0, x0=X0, beta=50.0 * (1.0 - 1e-12), h=5e-3, t_end=20.0)),
     }
 
     def _case(self, name):

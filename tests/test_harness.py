@@ -95,6 +95,37 @@ class TestWriteCsv:
             "4,1e-07", "0.5,",
         ]
 
+    def test_quoted_line_breaks_keep_their_bytes(self, tmp_path):
+        path = write_csv(tmp_path / "rows.csv", [[1.0, "x"], ["a\r\nb", '"q"']])
+        assert path.read_bytes() == b'1.0,x\n"a\r\nb","""q"""\n'
+
+
+REFUSED_OUTPUT = {
+    # a numpy integer is no JSON value; object() is no float cell
+    "json": (write_json, {"a": 1.0, "b": np.int64(2)}),
+    "csv": (write_csv, [[1.0, "x"], [2.0, "y"], [object(), "z"]]),
+}
+
+
+class TestRefusedOutput:
+    """Each writer encodes its whole text before it opens the file."""
+
+    @pytest.mark.parametrize("kind", sorted(REFUSED_OUTPUT))
+    def test_existing_file_keeps_its_bytes(self, tmp_path, kind):
+        write, refused = REFUSED_OUTPUT[kind]
+        path = tmp_path / f"out.{kind}"
+        path.write_bytes(b"earlier output\n")
+        with pytest.raises(TypeError):
+            write(path, refused)
+        assert path.read_bytes() == b"earlier output\n"
+
+    @pytest.mark.parametrize("kind", sorted(REFUSED_OUTPUT))
+    def test_no_file_is_created(self, tmp_path, kind):
+        write, refused = REFUSED_OUTPUT[kind]
+        with pytest.raises(TypeError):
+            write(tmp_path / "new" / f"out.{kind}", refused)
+        assert list(tmp_path.iterdir()) == []
+
 
 def _refuse_constant(name):
     raise ValueError(f"{name} is not RFC 8259 JSON")
@@ -114,6 +145,14 @@ class TestWriteJson:
         assert read_strict_json(path) == {"a": None, "b": [1.5, None, [None, None]],
                                           "c": {"d": -0.0, "e": None}, "f": "NaN", "g": 3,
                                           "h": True}
+
+    def test_bytes(self, tmp_path):
+        payload = {"z": [1.5, math.inf, {"y": -0.0}], "a": "\u00e9", "n": None, "t": True, "e": []}
+        path = write_json(tmp_path / "out.json", payload)
+        assert path.read_bytes() == (
+            b'{\n  "a": "\\u00e9",\n  "e": [],\n  "n": null,\n  "t": true,\n  "z": [\n    1.5,\n'
+            b'    null,\n    {\n      "y": -0.0\n    }\n  ]\n}\n'
+        )
 
 
 class TestSampling:
