@@ -32,7 +32,8 @@ is x_k - x_{k-1} itself when the correction is off for the whole trajectory
 where its coefficient, ||x_k - x_{k-1}|| or ||u_k|| is 0.  The hull QPs split on m as the ``simplex_qp`` module docstring
 describes, with the float design and its bit conditions.
 ``problems.gradient_rows`` (m = 2) and ``gradient_matrix`` check the shape
-of every gradient matrix with one rule, the QPs (or the kernel) its
+of every gradient matrix with one rule (the four bi-objective oracles'
+rows hold it by construction), the QPs (or the kernel) its
 finiteness, and ``FlowConfig`` the projection's scale h^2, which does not
 change, with the step count (t_end - t0) / h and t^p at the grid's last
 time.
@@ -66,6 +67,14 @@ class FlowConfig:
     The damping coefficient ``alpha`` must dominate the correction weight
     ``beta``.  Both hull subproblems run at the QP layer's tolerance
     ``simplex_qp.DEFAULT_TOL``.
+
+    The scheme is meant for ``p > 0``, where the correction's weight
+    (a - b) h / t^p vanishes.  ``p = 0`` is accepted, but the weight then
+    stays (a - b) h, and once t > a / (a - b) a step may be up to
+    (1 + (a - b) h) t / (t + a h) > 1 times the one before.  On quad2 at
+    alpha 50, beta 3 and h 5e-3 the steps grow, and the float loop and a
+    numpy form of the same scheme part by 3.8e-11 of the points' scale
+    near t = 12.3.
     """
 
     alpha: float

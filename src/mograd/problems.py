@@ -26,9 +26,11 @@ JOS1, SD and TOI4 follow their standard forms from the benchmark literature:
 The bi-objective oracles do their elementwise work on Python floats, which
 do numpy's IEEE double arithmetic without its dispatch on every operation:
 quad2 and toi4 entirely (``_small_objectives``), sd its orthant test,
-reciprocal sum and gradient column, jos1 its gradient; all four return the
-gradient as the rows of floats they compute.  Dot products stay numpy's.
-The ``simplex_qp`` module docstring gives the reasons and bit conditions.
+reciprocal sum and gradient column, jos1 its gradient.  All four answer in
+the floats they compute: F as a list of two floats, G as rows of floats,
+which :func:`gradient_rows` takes without a scan (``_float_rows``).  Dot
+products stay numpy's.  The ``simplex_qp`` module docstring gives the
+reasons and bit conditions.
 
 The two seeded tri-objective families draw their data from named Philox
 streams so the same (n, p, delta, seed) always yields bit-identical problems:
@@ -55,6 +57,7 @@ import numpy as np
 from .simplex_qp import min_norm_in_hull
 
 Array = np.ndarray
+_FLOAT64 = np.dtype(float)
 
 
 class InvalidConfig(ValueError):
@@ -92,12 +95,15 @@ class ProblemInstance:
     Attributes:
         name: registry key echoing the full parametrization.
         n, m: decision dimension and number of objectives.
-        objectives: x -> F(x), shape (m,).
+        objectives: x -> F(x), as an array of shape (m,) or a list of m
+            floats.  Read it through :func:`objective_values`, which gives an
+            array either way; the line search takes a list as it is.
         gradient_columns: x -> (n, m) matrix of per-objective gradients,
             as an array or as n rows (lists) of m floats.  Both oracles are
             given the point as a 1-D float array of shape (n,).  Read the
             matrix through :func:`gradient_matrix`, which gives an array
             whatever the oracle returned, or :func:`gradient_rows` for rows.
+            quad2, toi4, sd and jos1 return both F and G as lists.
         init_box: (low, high) arrays bounding the start-point sampling box.
         lipschitz: max over objectives of a gradient Lipschitz constant, or
             None when no global constant is available.  The matrix families
@@ -161,6 +167,18 @@ def _is_float_rows(G, n, m):
     return True
 
 
+def _float_rows(gradient_columns):
+    """Mark ``gradient_columns`` as an oracle whose list results at a float64
+    point are, by construction, rows of ``m`` Python floats, one per entry of
+    the point.  :func:`gradient_rows` then takes such a list of ``n`` rows
+    without scanning it; at an integer point quad2's rows hold ints, so
+    they are scanned there.  The mark is on the function, so a problem
+    whose oracle is replaced (``dataclasses.replace``, a wrapper) loses
+    it."""
+    gradient_columns._float_rows = True
+    return gradient_columns
+
+
 def gradient_matrix(prob, x):
     """``prob.gradient_columns(x)`` as a float array of shape exactly
     ``(prob.n, prob.m)``, rows or array alike; else a ValueError naming both
@@ -173,17 +191,24 @@ def gradient_rows(prob, x):
     floats, the list side of :func:`gradient_matrix`: an oracle's own rows
     pass as they are, and any other result (an array, or rows of another
     shape or type) goes through the same shape rule and ``tolist``, so both
-    give the same floats and the same errors."""
-    G = prob.gradient_columns(x)
-    if _is_float_rows(G, prob.n, prob.m):
+    give the same floats and the same errors.  A list of ``prob.n`` rows that
+    an oracle marked ``_float_rows`` gives at a float64 point passes
+    unscanned; any other rows are checked entry by entry on every call."""
+    oracle = prob.gradient_columns
+    G = oracle(x)
+    if type(G) is list and len(G) == prob.n and (
+        (getattr(oracle, "_float_rows", False) and x.dtype is _FLOAT64)
+        or _is_float_rows(G, prob.n, prob.m)
+    ):
         return G
     return _gradient_array(prob, G).tolist()
 
 
 def objective_values(prob, x):
     """``prob.objectives(x)`` as a float array of shape exactly ``(prob.m,)``,
-    the one check of an objectives oracle's result off the line search's hot
-    path; else a ValueError naming both shapes."""
+    an array and a list of floats alike, the one check of an objectives
+    oracle's result off the line search's hot path; else a ValueError naming
+    both shapes."""
     F = np.asarray(prob.objectives(x), dtype=float)
     if F.shape != (prob.m,):
         raise ValueError(f"objective vector has shape {F.shape}, but {prob.name} needs {(prob.m,)}")
@@ -217,19 +242,21 @@ def _stream(seed, index):
 
 
 def _small_objectives(values, x):
-    """``np.array(values(*x))`` evaluated on Python floats.
+    """The floats of ``np.array(values(*x))`` as a list, evaluated on Python
+    floats.
 
     Python floats do the same IEEE double arithmetic as numpy scalars, and
     ``**`` calls the same libm ``pow``, without numpy's dispatch on every
     operation.  Python's ``**`` raises OverflowError where numpy's returns
     inf, so an overflowing point is evaluated on numpy scalars instead, with
-    their overflow and invalid-value warnings off.
+    their overflow and invalid-value warnings off, and their values are
+    returned as floats too.
     """
     try:
-        return np.array(values(*x.tolist()))
+        return values(*x.tolist())
     except OverflowError:
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.array(values(*x))
+            return np.array(values(*x)).tolist()
 
 
 def _stacked(mats, offs, delta):
@@ -364,6 +391,7 @@ def quadratic_pair():
     def objectives(x):
         return _small_objectives(values, x)
 
+    @_float_rows
     def gradient_columns(x):
         # rows of Python floats, as in _small_objectives (no ** here, so no
         # overflow)
@@ -404,8 +432,9 @@ def jos1(n=2):
 
     def objectives(x):
         d = x - 2.0
-        return np.array([float(x.dot(x)) / n, float(d.dot(d)) / n])
+        return [float(x.dot(x)) / n, float(d.dot(d)) / n]
 
+    @_float_rows
     def gradient_columns(x):
         # the floats of (2.0 * np.subtract.outer(x, (0.0, 2.0))) / n, as rows
         return [[(2.0 * a) / n, (2.0 * (a - 2.0)) / n] for a in x.tolist()]
@@ -445,9 +474,11 @@ def sd():
         if x1 <= 0.0 or x2 <= 0.0 or x3 <= 0.0 or x4 <= 0.0:
             # extended-value form: line searches treat the orthant boundary
             # as an infinite barrier and backtrack instead of crashing
-            return np.array([linear, np.inf])
-        return np.array([linear, r1 / x1 + r2 / x2 + r3 / x3 + r4 / x4])
+            return [linear, math.inf]
+        return [linear, r1 / x1 + r2 / x2 + r3 / x3 + r4 / x4]
 
+    # its underflow fallback returns an array, which gradient_rows converts
+    @_float_rows
     def gradient_columns(x):
         x1, x2, x3, x4 = x.tolist()
         if x1 <= 0.0 or x2 <= 0.0 or x3 <= 0.0 or x4 <= 0.0:
@@ -484,6 +515,7 @@ def toi4():
     def objectives(x):
         return _small_objectives(values, x)
 
+    @_float_rows
     def gradient_columns(x):
         # rows of Python floats, as in _small_objectives (no ** here, so no
         # overflow)

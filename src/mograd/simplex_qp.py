@@ -66,8 +66,9 @@ The two-objective design.  At m = 2 the package works on Python floats, not
 numpy arrays: ``closed_form_rows`` solves both QPs on the rows of ``G`` and
 a target list; the solvers' and the flow's m = 2 steps hold their vectors
 as lists of floats and call it directly, building no ``HullSolution``; and
-the oracles of quad2, toi4, sd and jos1 return their gradients as rows of
-floats (``problems.gradient_rows``).  Arrays are built only for the
+the oracles of quad2, toi4, sd and jos1 return F as a list of floats, which
+the line search takes as it is, and G as rows of floats, which
+``problems.gradient_rows`` takes unscanned.  Arrays are built only for the
 oracles' points, the traces and the line search's slopes.  The reason is
 size: the bi-objective problems have few variables, and numpy's per-call
 dispatch on such small vectors outweighs the arithmetic.  Two bit

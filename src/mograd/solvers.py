@@ -38,8 +38,9 @@ projection at scale s with target pi_k.  Any other m takes ``_array_steps``
 through ``min_norm_in_hull`` and ``project_onto_scaled_hull``.
 
 Each rule of a step has one owner: ``problems.gradient_rows`` and
-``gradient_matrix`` check the shape of every gradient matrix with one rule,
-the QPs (or the kernel) check finiteness,
+``gradient_matrix`` check the shape of every gradient matrix with one rule
+(the four bi-objective oracles' rows hold it by construction, which the
+tests check), the QPs (or the kernel) check finiteness,
 :func:`corrected_momentum` and its numpy form :func:`mfisc_momentum` write
 the correction, and the float steps check the projection's scale, which the
 line search can shrink to 0.0.
@@ -244,16 +245,22 @@ def line_search_backtracking(prob, w, s0, sigma, d, grads):
     The trial point ``w + s d``, the slopes ``grads.T.dot(d)`` and
     ``d.dot(d)`` are numpy's; each gain is ``(f_i(w + s d) - f_i(w)) - s
     slope_i`` on Python floats, numpy's order for ``trial - fw - s * slopes``,
-    so the test accepts the same steps.
+    so the test accepts the same steps.  F is read as the oracle gives it: a
+    list (the bi-objective problems' form) as it is, an array through its
+    ``tolist``, anything else (a tuple, say) as ``objective_values`` reads it.
     """
     w = np.asarray(w, dtype=float)
     d = np.asarray(d, dtype=float)
-    fw = prob.objectives(w).tolist()
+    fw = prob.objectives(w)
+    if type(fw) is not list:
+        fw = (fw if type(fw) is np.ndarray else np.asarray(fw, dtype=float)).tolist()
     slopes = grads.T.dot(d).tolist()
     dd = float(d.dot(d))
     s = float(s0)
     for _ in range(200):
-        trial = prob.objectives(w + s * d).tolist()
+        trial = prob.objectives(w + s * d)
+        if type(trial) is not list:
+            trial = (trial if type(trial) is np.ndarray else np.asarray(trial, dtype=float)).tolist()
         # non-finite trials (extended-value objectives) always shrink; the
         # min over objectives would otherwise let an affine objective accept
         if all(map(math.isfinite, trial)):

@@ -26,6 +26,7 @@ from mograd.problems import (
     gradient_matrix,
     least_squares_family,
     logsumexp_family,
+    objective_values,
 )
 from mograd.merit import _MAX_PROX_STEPS
 from mograd.simplex_qp import DEFAULT_TOL, _check_finite, _effective_tol, min_norm_in_hull
@@ -101,7 +102,7 @@ def finite_difference_gradients(prob, x, step=1e-6):
         h = step * max(1.0, abs(x[i]))
         e = np.zeros(prob.n)
         e[i] = h
-        cols[i, :] = (prob.objectives(x + e) - prob.objectives(x - e)) / (2.0 * h)
+        cols[i, :] = (objective_values(prob, x + e) - objective_values(prob, x - e)) / (2.0 * h)
     return cols
 
 
@@ -486,12 +487,12 @@ def reference_line_search(prob, w, s0, sigma, d, grads):
     ``trial - fw - s * slopes``, NaN if any gain is NaN."""
     w = np.asarray(w, dtype=float)
     d = np.asarray(d, dtype=float)
-    fw = prob.objectives(w)
+    fw = np.asarray(prob.objectives(w))
     slopes = grads.T @ d
     dd = float(d @ d)
     s = float(s0)
     for _ in range(200):
-        trial = prob.objectives(w + s * d)
+        trial = np.asarray(prob.objectives(w + s * d))
         if np.isfinite(trial).all():
             gain = trial - fw - s * slopes
             if float(gain.min()) <= 0.5 * s * dd:

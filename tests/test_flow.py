@@ -15,7 +15,14 @@ from mograd.flow import (
     merit_bound_scan,
 )
 from mograd.harness import sample_starts
-from mograd.problems import InvalidConfig, get_problem, gradient_matrix, logsumexp_pair, quadratic_pair
+from mograd.problems import (
+    InvalidConfig,
+    get_problem,
+    gradient_matrix,
+    logsumexp_pair,
+    objective_values,
+    quadratic_pair,
+)
 from mograd.simplex_qp import NonFiniteInput
 
 from conftest import (
@@ -110,7 +117,7 @@ class TestConfigValidation:
         assert traj.termination == "completed" and np.isfinite(traj.points).all()
 
     @pytest.mark.parametrize("integrate", [mavng_integrate, mavd_integrate])
-    @pytest.mark.parametrize("key", ["quad2", "ex1:n=10,p=8,seed=1"])
+    @pytest.mark.parametrize("key", ["quad2", "jos1", "toi4", "sd", "ex1:n=10,p=8,seed=1"])
     @pytest.mark.parametrize("kind", sorted(MALFORMED_GRADIENTS))
     def test_gradient_matrix_is_checked_on_every_step(self, integrate, key, kind):
         # the first or the third gradient matrix is malformed, as an array or
@@ -212,9 +219,9 @@ class TestIntegration:
             (logsumexp_pair(), FlowConfig(alpha=50.0, x0=np.array([0.0, 3.0]), beta=3.0, t_end=4.0)),
         ):
             traj = mavng_integrate(prob, cfg)
-            F0 = prob.objectives(traj.points[0])
+            F0 = objective_values(prob, traj.points[0])
             for point in traj.points[::40]:
-                assert np.all(prob.objectives(point) <= F0 + 1e-6)
+                assert np.all(objective_values(prob, point) <= F0 + 1e-6)
 
     def test_damping_keeps_displacement_bounded(self):
         # multiplier t/(t + alpha h) below one: a step never exceeds the

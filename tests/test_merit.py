@@ -13,6 +13,7 @@ from mograd.problems import (
     get_problem,
     gradient_matrix,
     kkt_residual,
+    objective_values,
     quadratic_pair,
     regularized_logsumexp_triple,
 )
@@ -43,12 +44,12 @@ def quad2_exact_phi(prob, x):
     2 (1 - theta) / (2 - theta)) minimizes w.F; the function of theta is
     convex, so golden section finds its minimum.
     """
-    fx = prob.objectives(x)
+    fx = objective_values(prob, x)
 
     def dual(theta):
         w = np.array([theta, 1.0 - theta])
         z = np.array([2.0 * theta / (1.0 + theta), 2.0 * (1.0 - theta) / (2.0 - theta)])
-        return float(w @ (fx - prob.objectives(z)))
+        return float(w @ (fx - objective_values(prob, z)))
 
     return min(_golden_min(dual, 0.0, 1.0), dual(0.0), dual(1.0))
 
@@ -415,7 +416,7 @@ class TestDegenerateColumns:
             name="quad2dup",
             n=2,
             m=3,
-            objectives=lambda z: base.objectives(z)[[0, 0, 1]],
+            objectives=lambda z: objective_values(base, z)[[0, 0, 1]],
             gradient_columns=lambda z: gradient_matrix(base, z)[:, [0, 0, 1]],
             init_box=base.init_box,
         )

@@ -7,7 +7,15 @@ from numpy.testing import assert_allclose
 
 import mograd.solvers
 from mograd.harness import sample_starts, write_csv
-from mograd.problems import InvalidConfig, get_problem, gradient_matrix, kkt_residual, quadratic_pair
+from mograd.problems import (
+    InvalidConfig,
+    get_problem,
+    gradient_matrix,
+    gradient_rows,
+    kkt_residual,
+    objective_values,
+    quadratic_pair,
+)
 from mograd.simplex_qp import DEFAULT_TOL
 from mograd.solvers import (
     ACCG_CONST,
@@ -133,7 +141,7 @@ class TestLineSearch:
             s, capped = line_search_backtracking(prob, w, 10.0, 0.8, d, gradient_matrix(prob, w))
             if capped:
                 continue
-            gain = prob.objectives(w + s * d) - prob.objectives(w)
+            gain = objective_values(prob, w + s * d) - objective_values(prob, w)
             gain -= s * (gradient_matrix(prob, w).T @ d)
             assert float(np.min(gain)) <= 0.5 * s * float(d @ d) + 1e-12
 
@@ -271,6 +279,68 @@ class TestReferenceRuns:
         if key == "sd":
             # the runs whose momentum point leaves the orthant are covered
             assert "qp_failure" in terminations
+
+
+def _records(trace):
+    """Every record of ``trace``, exact: NaN and -0.0 as their repr."""
+    return (
+        np.array(trace.points).tobytes(),
+        repr((trace.kkt_residuals, trace.steps, trace.qp_gaps, trace.hull_gaps)),
+        (trace.capped, trace.termination, trace.hull_certified),
+    )
+
+
+def _passing_through(oracle):
+    """``oracle`` in a wrapper that returns its result as it is, as the
+    bench's tracer wraps each oracle."""
+
+    def wrapped(*args, **kwargs):
+        return oracle(*args, **kwargs)
+
+    return wrapped
+
+
+class TestOracleForms:
+    """F as a list or as an array, G from a marked registry oracle or from a
+    wrapper around it: the runs keep every record and every CSV byte."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("key", ["quad2", "ex1:n=10,p=8,seed=1"])
+    def test_list_and_tuple_objectives_give_the_array_records(self, key, variant):
+        # a list or a tuple F used to end line-search runs in AttributeError
+        # from its missing tolist, past the step loops' except ValueError
+        prob = get_problem(key)
+        as_list = dataclasses.replace(prob, objectives=lambda x: objective_values(prob, x).tolist())
+        as_tuple = dataclasses.replace(prob, objectives=lambda x: tuple(objective_values(prob, x).tolist()))
+        as_array = dataclasses.replace(prob, objectives=lambda x: objective_values(prob, x))
+        cfg = reference_config(key, variant)
+        for x0 in sample_starts(prob, 3, 0):
+            want = _records(run_solver(as_array, cfg, x0))
+            for form, twin in (("registry", prob), ("list", as_list), ("tuple", as_tuple)):
+                assert _records(run_solver(twin, cfg, x0)) == want, form
+
+    @pytest.mark.parametrize("key", ["quad2", "toi4", "sd", "jos1"])
+    def test_pass_through_wrappers_keep_rows_and_csv_bytes(self, key, tmp_path):
+        # the wrapper drops gradient_rows' mark, so its rows are scanned on
+        # every call, and they are the same rows
+        prob = get_problem(key)
+        wrapped = dataclasses.replace(
+            prob,
+            objectives=_passing_through(prob.objectives),
+            gradient_columns=_passing_through(prob.gradient_columns),
+        )
+        assert not hasattr(wrapped.gradient_columns, "_float_rows")
+        starts = sample_starts(prob, 3, 0)
+        for x0 in starts:
+            assert repr(gradient_rows(wrapped, x0)) == repr(gradient_rows(prob, x0))
+        for variant in VARIANTS:
+            cfg = reference_config(key, variant)
+            for i, x0 in enumerate(starts):
+                a, b = (
+                    write_csv(tmp_path / side / f"{variant}_{i}.csv", trace_csv_rows(run_solver(p, cfg, x0), p))
+                    for side, p in (("registry", prob), ("wrapped", wrapped))
+                )
+                assert a.read_bytes() == b.read_bytes(), a.name
 
 
 # The float steps at m = 2 against the numpy loop: points and residuals
@@ -447,7 +517,7 @@ class TestReferenceLoop:
         [(v, "x") for v in VARIANTS] + [(v, "y") for v in VARIANTS if v != STEEPEST_LS],
     )
     @pytest.mark.parametrize("kind", sorted(MALFORMED_GRADIENTS))
-    @pytest.mark.parametrize("key", ["quad2", "ex1:n=10,p=8,seed=1"])
+    @pytest.mark.parametrize("key", ["quad2", "jos1", "toi4", "sd", "ex1:n=10,p=8,seed=1"])
     def test_malformed_gradient_matrix(self, key, variant, where, kind):
         # the gradient oracle's 3rd call is at x_2 (x_3 for steepest_ls),
         # its 4th at y_2, and returns a malformed array or rows: the error of
